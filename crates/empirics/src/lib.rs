@@ -69,7 +69,7 @@ pub use efficiency::{
     EfficiencyScan, MinimizerShape,
 };
 pub use gallery::{extended_gallery, figure1_gallery, GalleryEntry};
-pub use grid::GridSpec;
+pub use grid::{GridFold, GridSpec, GridSpecError, MAX_GRID_POINTS};
 pub use sweep::{
     stable_catalog, EquilibriumStats, GraphRecord, SweepConfig, SweepJob, SweepResult, WindowJob,
     WindowSweep,

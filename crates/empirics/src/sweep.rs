@@ -9,13 +9,16 @@
 //! identical: exhaustive non-isomorphic enumeration, exact equilibrium
 //! tests, per-α aggregation.
 //!
-//! Since PR 3 the sweep is **windows-first**: classification emits one
+//! The sweep is **windows-first**: classification emits one
 //! α-independent [`WindowRecord`] per topology ([`WindowSweep`],
 //! optionally backed by a persistent
 //! [`ClassificationAtlas`]), and any α
 //! grid is evaluated afterwards as a pure post-pass
-//! ([`crate::grid::evaluate`]) — so finer Figure 2/3 axes cost nothing
-//! beyond the membership tests. The original per-α job survives as
+//! ([`crate::grid::evaluate`], one [`crate::grid::GridFold`] pass) — so
+//! finer Figure 2/3 axes cost O(records · log|grid| + equilibrium pairs)
+//! time and O(|grid|) memory, never a re-classification. A
+//! [`SweepResult`] is the per-α aggregate table that fold produces; it
+//! holds no per-record data. The original per-α job survives as
 //! [`SweepJob`] / [`SweepResult::run_per_alpha`], the reference
 //! implementation the equivalence tests compare against bit for bit.
 
@@ -91,15 +94,79 @@ pub struct GraphRecord {
     pub transfer_stable: Vec<bool>,
 }
 
-/// The classified catalogue of all connected topologies on `n` vertices.
-#[derive(Debug, Clone)]
+/// Running totals over one game's equilibrium set at one α: what the
+/// Figure 2/3 means and the worst-case PoA are computed from.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct SeriesTotals {
+    /// Equilibrium topologies seen.
+    count: usize,
+    /// Σ price of anarchy, summed in catalogue order.
+    poa_sum: f64,
+    /// Worst price of anarchy (0.0 while empty).
+    poa_max: f64,
+    /// Σ links.
+    links: u64,
+}
+
+impl SeriesTotals {
+    /// Adds one equilibrium topology with `edges` links and price of
+    /// anarchy `rho`.
+    pub(crate) fn add(&mut self, edges: u64, rho: f64) {
+        self.count += 1;
+        self.links += edges;
+        self.poa_sum += rho;
+        self.poa_max = self.poa_max.max(rho);
+    }
+
+    fn stats(&self, alpha: Ratio) -> EquilibriumStats {
+        let mean = |total: f64| {
+            if self.count == 0 {
+                f64::NAN
+            } else {
+                total / self.count as f64
+            }
+        };
+        EquilibriumStats {
+            alpha,
+            count: self.count,
+            mean_poa: mean(self.poa_sum),
+            max_poa: self.poa_max,
+            mean_links: mean(self.links as f64),
+        }
+    }
+}
+
+/// Bitwise on the f64 sums: two tables are equal only if every
+/// aggregate they report would render identically.
+impl PartialEq for SeriesTotals {
+    fn eq(&self, other: &Self) -> bool {
+        self.count == other.count
+            && self.poa_sum.to_bits() == other.poa_sum.to_bits()
+            && self.poa_max.to_bits() == other.poa_max.to_bits()
+            && self.links == other.links
+    }
+}
+
+impl Eq for SeriesTotals {}
+
+/// The per-α aggregate table of all connected topologies on `n`
+/// vertices: equilibrium counts, PoA and link totals for the bilateral,
+/// unilateral and transfer games, and conjecture-violation counts. It
+/// holds O(|grid|) numbers and no per-record data; equality is bitwise
+/// on every f64.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepResult {
     /// Number of players.
     pub n: usize,
     /// The link-cost grid.
     pub alphas: Vec<Ratio>,
-    /// One record per connected non-isomorphic graph.
-    pub records: Vec<GraphRecord>,
+    /// Connected non-isomorphic topologies folded in.
+    pub topologies: usize,
+    // Per-α tables, indexed like `alphas`.
+    pub(crate) bilateral: Vec<SeriesTotals>,
+    pub(crate) unilateral: Vec<SeriesTotals>,
+    pub(crate) transfer: Vec<SeriesTotals>,
+    pub(crate) violations: Vec<usize>,
 }
 
 /// Per-α aggregate statistics over one game's equilibrium set — the data
@@ -335,10 +402,10 @@ impl WindowSweep {
 /// topology across a *fixed* α grid, re-deriving window membership per
 /// grid point.
 ///
-/// Kept as the independent reference implementation: the windows-first
-/// post-pass must reproduce its records bit for bit
-/// (`tests/grid_postpass.rs`), which is what certifies the
-/// [`WindowRecord`] windows as exact rather than approximations.
+/// Kept as the independent reference implementation: every
+/// [`WindowRecord`] predicate must reproduce its flags, and the grid
+/// fold its aggregates, bit for bit (`tests/grid_postpass.rs`) — which
+/// is what certifies the windows as exact rather than approximations.
 #[derive(Debug, Clone)]
 pub struct SweepJob {
     /// The link-cost grid each topology is classified against.
@@ -396,9 +463,9 @@ impl SweepResult {
     /// Enumerates all connected topologies on `config.n` vertices,
     /// classifies each into an α-independent [`WindowRecord`] on the
     /// analysis engine (materializing the graph list first), and
-    /// evaluates the config's α grid as a post-pass. Identical records
-    /// to the legacy per-α path ([`SweepResult::run_per_alpha`]), bit
-    /// for bit.
+    /// evaluates the config's α grid as a post-pass. Identical
+    /// aggregates to the legacy per-α path
+    /// ([`SweepResult::run_per_alpha`]), bit for bit.
     ///
     /// # Panics
     ///
@@ -414,10 +481,10 @@ impl SweepResult {
     /// as the enumeration generates it
     /// ([`AnalysisEngine::run_connected_streaming_keyed`]), so the
     /// graph list is never materialized — the enumeration side holds
-    /// one level's frontier (the records still scale with the topology
-    /// count; they are the result). The records — and therefore every
-    /// aggregate statistic, bit for bit — are identical to the
-    /// materializing path's.
+    /// one level's frontier (the window records still scale with the
+    /// topology count). The records — and therefore every aggregate
+    /// statistic, bit for bit — are identical to the materializing
+    /// path's.
     ///
     /// # Panics
     ///
@@ -433,9 +500,11 @@ impl SweepResult {
 
     /// The legacy reference path: classifies every topology directly
     /// against the α grid with [`SweepJob`], re-deriving window
-    /// membership per grid point. Quadratic in (topologies × grid) the
-    /// way the windows-first path is not — exists so equivalence tests
-    /// can certify the post-pass, and for A/B timing.
+    /// membership per grid point, then aggregates with the per-α loop
+    /// (one [`poa_of_summary`] per equilibrium pair). Quadratic in
+    /// (topologies × grid) the way the windows-first fold is not —
+    /// exists so equivalence tests can certify the fold, and for A/B
+    /// timing.
     ///
     /// # Panics
     ///
@@ -451,64 +520,61 @@ impl SweepResult {
             alphas: config.alphas.clone(),
         };
         let records = engine.run_connected(config.n, &job);
+        let alphas = &config.alphas;
+        let series = |flag: fn(&GraphRecord, usize) -> bool, kind: GameKind| {
+            alphas
+                .iter()
+                .enumerate()
+                .map(|(k, &alpha)| {
+                    let mut totals = SeriesTotals::default();
+                    for r in records.iter().filter(|r| flag(r, k)) {
+                        let summary = CostSummary {
+                            order: config.n,
+                            edges: r.edges,
+                            total_distance: Some(r.total_distance),
+                            kind,
+                        };
+                        totals.add(r.edges, poa_of_summary(&summary, alpha));
+                    }
+                    totals
+                })
+                .collect()
+        };
         SweepResult {
             n: config.n,
-            alphas: config.alphas.clone(),
-            records,
+            alphas: alphas.clone(),
+            topologies: records.len(),
+            bilateral: series(|r, k| r.bcg_stable[k], GameKind::Bilateral),
+            unilateral: series(|r, k| r.ucg_nash[k], GameKind::Unilateral),
+            // Transfers move money between the pair, not in or out: the
+            // bilateral social cost.
+            transfer: series(|r, k| r.transfer_stable[k], GameKind::Bilateral),
+            violations: (0..alphas.len())
+                .map(|k| {
+                    records
+                        .iter()
+                        .filter(|r| r.ucg_nash[k] && !r.bcg_stable[k])
+                        .count()
+                })
+                .collect(),
         }
     }
 
-    fn equilibrium_flags<'a>(&'a self, kind: GameKind) -> impl Fn(&'a GraphRecord, usize) -> bool {
-        move |r: &GraphRecord, k: usize| match kind {
-            GameKind::Bilateral => r.bcg_stable[k],
-            GameKind::Unilateral => r.ucg_nash[k],
-        }
-    }
-
-    /// Aggregates the per-α equilibrium statistics for one game.
-    pub fn stats(&self, kind: GameKind) -> Vec<EquilibriumStats> {
-        let flag = self.equilibrium_flags(kind);
+    fn series_stats(&self, series: &[SeriesTotals]) -> Vec<EquilibriumStats> {
         self.alphas
             .iter()
-            .enumerate()
-            .map(|(k, &alpha)| {
-                let mut count = 0usize;
-                let mut poa_sum = 0.0;
-                let mut poa_max = 0.0f64;
-                let mut links = 0u64;
-                for r in &self.records {
-                    if !flag(r, k) {
-                        continue;
-                    }
-                    count += 1;
-                    links += r.edges;
-                    let summary = CostSummary {
-                        order: self.n,
-                        edges: r.edges,
-                        total_distance: Some(r.total_distance),
-                        kind,
-                    };
-                    let rho = poa_of_summary(&summary, alpha);
-                    poa_sum += rho;
-                    poa_max = poa_max.max(rho);
-                }
-                EquilibriumStats {
-                    alpha,
-                    count,
-                    mean_poa: if count == 0 {
-                        f64::NAN
-                    } else {
-                        poa_sum / count as f64
-                    },
-                    max_poa: poa_max,
-                    mean_links: if count == 0 {
-                        f64::NAN
-                    } else {
-                        links as f64 / count as f64
-                    },
-                }
-            })
+            .zip(series)
+            .map(|(&alpha, totals)| totals.stats(alpha))
             .collect()
+    }
+
+    /// Per-α equilibrium statistics for one game (mean PoA and links
+    /// are NaN, max PoA 0.0, where the equilibrium set is empty).
+    pub fn stats(&self, kind: GameKind) -> Vec<EquilibriumStats> {
+        match kind {
+            GameKind::Bilateral => self.series_stats(&self.bilateral),
+            GameKind::Unilateral => self.series_stats(&self.unilateral),
+        }
     }
 
     /// Conjecture check (Section 4.3): per α, the number of topologies
@@ -517,63 +583,16 @@ impl SweepResult {
     pub fn conjecture_violations(&self) -> Vec<(Ratio, usize)> {
         self.alphas
             .iter()
-            .enumerate()
-            .map(|(k, &alpha)| {
-                let bad = self
-                    .records
-                    .iter()
-                    .filter(|r| r.ucg_nash[k] && !r.bcg_stable[k])
-                    .count();
-                (alpha, bad)
-            })
+            .copied()
+            .zip(self.violations.iter().copied())
             .collect()
     }
 
-    /// Aggregates per-α statistics over the transfer-stable set
-    /// (evaluated with the bilateral social cost — transfers move money
-    /// between the pair, not in or out).
+    /// Per-α statistics over the transfer-stable set (evaluated with
+    /// the bilateral social cost — transfers move money between the
+    /// pair, not in or out).
     pub fn transfer_stats(&self) -> Vec<EquilibriumStats> {
-        self.alphas
-            .iter()
-            .enumerate()
-            .map(|(k, &alpha)| {
-                let mut count = 0usize;
-                let mut poa_sum = 0.0;
-                let mut poa_max = 0.0f64;
-                let mut links = 0u64;
-                for r in &self.records {
-                    if !r.transfer_stable[k] {
-                        continue;
-                    }
-                    count += 1;
-                    links += r.edges;
-                    let summary = CostSummary {
-                        order: self.n,
-                        edges: r.edges,
-                        total_distance: Some(r.total_distance),
-                        kind: GameKind::Bilateral,
-                    };
-                    let rho = poa_of_summary(&summary, alpha);
-                    poa_sum += rho;
-                    poa_max = poa_max.max(rho);
-                }
-                EquilibriumStats {
-                    alpha,
-                    count,
-                    mean_poa: if count == 0 {
-                        f64::NAN
-                    } else {
-                        poa_sum / count as f64
-                    },
-                    max_poa: poa_max,
-                    mean_links: if count == 0 {
-                        f64::NAN
-                    } else {
-                        links as f64 / count as f64
-                    },
-                }
-            })
-            .collect()
+        self.series_stats(&self.transfer)
     }
 
     /// Per α, how many equilibrium topologies each game admits — the
@@ -582,12 +601,8 @@ impl SweepResult {
     pub fn equilibrium_counts(&self) -> Vec<(Ratio, usize, usize)> {
         self.alphas
             .iter()
-            .enumerate()
-            .map(|(k, &alpha)| {
-                let bcg = self.records.iter().filter(|r| r.bcg_stable[k]).count();
-                let ucg = self.records.iter().filter(|r| r.ucg_nash[k]).count();
-                (alpha, bcg, ucg)
-            })
+            .zip(self.bilateral.iter().zip(&self.unilateral))
+            .map(|(&alpha, (b, u))| (alpha, b.count, u.count))
             .collect()
     }
 }
@@ -643,23 +658,25 @@ mod tests {
         // stable topology (and the only UCG Nash graph is complete too).
         let sweep = tiny_sweep(5);
         let k = 0; // α = 1/2
-        let stable: Vec<&GraphRecord> = sweep.records.iter().filter(|r| r.bcg_stable[k]).collect();
-        assert_eq!(stable.len(), 1);
-        assert_eq!(stable[0].edges, 10); // K5
-        let nash: Vec<&GraphRecord> = sweep.records.iter().filter(|r| r.ucg_nash[k]).collect();
-        assert_eq!(nash.len(), 1);
-        assert_eq!(nash[0].edges, 10);
+        for kind in [GameKind::Bilateral, GameKind::Unilateral] {
+            let s = sweep.stats(kind)[k];
+            assert_eq!(s.count, 1, "{kind:?}");
+            assert_eq!(s.mean_links, 10.0, "{kind:?}: K5");
+            assert_eq!(s.max_poa, 1.0, "{kind:?}: K5 is efficient below 1");
+        }
     }
 
     #[test]
     fn star_always_among_stable_above_one() {
         let sweep = tiny_sweep(5);
-        for k in 1..sweep.alphas.len() {
-            let has_tree_stable = sweep
+        let windows = WindowSweep::run(5, 2, false, None);
+        assert_eq!(sweep.topologies, windows.records.len());
+        for &alpha in &sweep.alphas[1..] {
+            let has_tree_stable = windows
                 .records
                 .iter()
-                .any(|r| r.bcg_stable[k] && r.edges == 4);
-            assert!(has_tree_stable, "alpha={}", sweep.alphas[k]);
+                .any(|r| r.bcg_stable(alpha) && r.edges == 4);
+            assert!(has_tree_stable, "alpha={alpha}");
         }
     }
 
@@ -672,7 +689,7 @@ mod tests {
         };
         let mat = SweepResult::run(&config);
         let stream = SweepResult::run_streaming(&config);
-        assert_eq!(stream.records, mat.records, "records must match in order");
+        assert_eq!(stream, mat, "aggregate tables must match bit for bit");
         for kind in [GameKind::Bilateral, GameKind::Unilateral] {
             for (s, m) in stream.stats(kind).iter().zip(mat.stats(kind).iter()) {
                 assert_eq!(s.count, m.count);

@@ -17,7 +17,7 @@
 //! | `GET /metrics` | Process recorder snapshot: `{"counters":{…},"spans_ms":{…},"histograms":{"serve_ns/classify":{"count":…,"min":…,"max":…,"mean":…,"p50":…,"p99":…}},"peak_rss_kb":N}` |
 //! | `GET /classify/{graph6}` | `{"source":"atlas"\|"live","record":{…}}` — index lookup first (raw key, then canonicalized); graphs outside the store are classified live when connected and of order ≤ the cap (default 10). `400` bad graph6, `422` out of live range or disconnected. |
 //! | `GET /record/{idx}?order=N` | `{"order":N,"index":idx,"record":{…}}` — the idx-th record of the order-N engine table (enumeration order); `order` defaults to the largest complete order. `404` out of range. |
-//! | `GET /grid?spec=paper\|linear:lo:hi:steps\|log2:lo:hi:per_octave` | `{"n":N,"spec":…,"alphas":[…],"bilateral":[…],"unilateral":[…],"transfer":[…]}` — the Figure 2/3 α-grid post-pass over the largest complete order, f64-identical to the CSV artifact. The paper grid is precomputed at startup and cached. |
+//! | `GET /grid?spec=paper\|linear:lo:hi:steps\|log2:lo:hi:per_octave` | `{"n":N,"spec":…,"alphas":[…],"bilateral":[…],"unilateral":[…],"transfer":[…]}` — the Figure 2/3 α-grid post-pass over the largest complete order, f64-identical to the CSV artifact: the store's engine-order stream is folded straight into per-α accumulators, so memory is O(\|grid\|). `400` for a malformed spec or one of more than 65 536 points. The paper grid is precomputed at startup and cached. |
 //!
 //! The record object is rendered by [`render::push_record`]:
 //!

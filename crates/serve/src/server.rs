@@ -21,8 +21,7 @@ use std::time::{Duration, Instant};
 
 use bnf_atlas::MappedAtlas;
 use bnf_core::{WindowRecord, MAX_UCG_ORDER};
-use bnf_empirics::grid::{self, GridSpec};
-use bnf_empirics::sweep::WindowSweep;
+use bnf_empirics::grid::{GridFold, GridSpec};
 use bnf_games::GameKind;
 use bnf_graph::{BfsScratch, Graph};
 use bnf_obs::json::push_json_string;
@@ -274,7 +273,7 @@ impl AppState {
         }
         let spec = match GridSpec::parse(spec_str) {
             Ok(spec) => spec,
-            Err(e) => return (400, Arc::new(render::error_json(&e))),
+            Err(e) => return (400, Arc::new(render::error_json(&e.to_string()))),
         };
         let Some(order) = self.default_order else {
             return (
@@ -285,14 +284,15 @@ impl AppState {
                 )),
             );
         };
-        // Replay the sweep through the index — the records stream
-        // through pread into one Vec, evaluate, and drop; this is the
-        // exact fold the Figure 2 CSV uses, so the f64 aggregates are
+        // Replay the sweep through the index straight into the grid
+        // fold — O(|grid|) memory, no record kept; this is the exact
+        // fold the Figure 2 CSV uses, so the f64 aggregates are
         // bit-identical to the offline artifact.
-        let mut records = Vec::new();
+        let alphas = spec.alphas();
+        let mut fold = GridFold::new(usize::from(order), &alphas);
         match self
             .atlas
-            .stream_sweep(usize::from(order), |rec| records.push(rec))
+            .stream_sweep(usize::from(order), |rec| fold.push(&rec))
         {
             Ok(Some(_)) => {}
             Ok(None) => {
@@ -305,12 +305,7 @@ impl AppState {
             }
             Err(e) => return internal_error(&e.to_string()),
         }
-        let sweep = WindowSweep {
-            n: order as usize,
-            records,
-        };
-        let alphas = spec.alphas();
-        let result = grid::evaluate(&sweep, &alphas);
+        let result = fold.finish();
         let mut out = String::with_capacity(4096);
         out.push_str(&format!("{{\"n\":{order},\"spec\":"));
         push_json_string(&mut out, spec_str);

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use bnf_atlas::{build_index, ClassificationAtlas, MappedAtlas};
 use bnf_core::WindowRecord;
-use bnf_empirics::grid::{self, GridSpec};
+use bnf_empirics::grid::{self, GridSpec, MAX_GRID_POINTS};
 use bnf_empirics::sweep::WindowSweep;
 use bnf_games::GameKind;
 use bnf_graph::{BfsScratch, Graph};
@@ -267,6 +267,28 @@ fn grid_endpoint_matches_the_offline_post_pass() {
     assert_eq!(status, 200, "{body}");
     let (status, _) = fx.get("/grid?spec=bogus");
     assert_eq!(status, 400);
+    fx.finish();
+}
+
+#[test]
+fn oversized_grids_get_400_and_the_server_keeps_serving() {
+    let mut fx = Fixture::start("grid-cap");
+    // A billion points: rejected at parse time, before any allocation.
+    for spec in [
+        "linear:1:2:1000000000".to_owned(),
+        format!("linear:1:2:{}", MAX_GRID_POINTS + 1),
+        "log2:1/4:64:1000000".to_owned(),
+    ] {
+        let (status, body) = fx.get(&format!("/grid?spec={spec}"));
+        assert_eq!(status, 400, "{spec}: {body}");
+        let doc = Json::parse(&body).unwrap();
+        let error = doc.get("error").unwrap().as_str().unwrap();
+        assert!(error.contains("more than the limit"), "{spec}: {error}");
+    }
+    let (status, body) = fx.get("/grid?spec=linear:1:2:5");
+    assert_eq!(status, 200, "{body}");
+    let (status, _) = fx.get("/healthz");
+    assert_eq!(status, 200);
     fx.finish();
 }
 

@@ -14,7 +14,7 @@ fn main() {
         .map_or(6, |v| v.parse().expect("usage: empirical_study [n]"));
     println!("classifying all connected topologies on n = {n} vertices...");
     let sweep = SweepResult::run(&SweepConfig::standard(n));
-    println!("{} topologies classified\n", sweep.records.len());
+    println!("{} topologies classified\n", sweep.topologies);
 
     let bcg = sweep.stats(GameKind::Bilateral);
     let ucg = sweep.stats(GameKind::Unilateral);

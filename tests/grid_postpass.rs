@@ -1,16 +1,20 @@
-//! PR 3 equivalence gates: the windows-first sweep (α-independent
-//! `WindowRecord`s + grid post-pass) must reproduce the legacy per-α
-//! classification bit for bit — on the paper grid, on random grids
-//! (including knife-edge window boundaries), and through a cold/warm
-//! persistent atlas.
+//! Equivalence gates for the windows-first sweep: α-independent
+//! `WindowRecord`s plus the one-pass grid fold must reproduce the
+//! legacy per-α classification bit for bit — record by record (each
+//! `WindowRecord` predicate against the `SweepJob` flags) and aggregate
+//! by aggregate — on the paper grid, on random grids (including
+//! knife-edge window boundaries), and through a cold/warm persistent
+//! atlas.
 
 use std::path::PathBuf;
 
-use bilateral_formation::atlas::ClassificationAtlas;
-use bilateral_formation::core::Threshold;
+use bilateral_formation::atlas::{build_index, index_path, ClassificationAtlas, MappedAtlas};
+use bilateral_formation::core::{Threshold, WindowRecord};
 use bilateral_formation::empirics::{
-    fmt_stat, grid, render_csv, GridSpec, SweepConfig, SweepResult, WindowSweep,
+    fmt_stat, grid, render_csv, EquilibriumStats, GridFold, GridSpec, SweepConfig, SweepJob,
+    SweepResult, WindowSweep,
 };
+use bilateral_formation::engine::AnalysisEngine;
 use bilateral_formation::games::{GameKind, Ratio};
 
 /// SplitMix64 — deterministic, dependency-free randomness.
@@ -81,15 +85,66 @@ fn fig3_csv(sweep: &SweepResult) -> String {
     render_csv(&headers, &rows)
 }
 
+fn assert_stats_bit_identical(a: &[EquilibriumStats], b: &[EquilibriumStats], label: &str) {
+    assert_eq!(a.len(), b.len(), "{label}: grid length");
+    for (x, y) in a.iter().zip(b) {
+        assert_eq!(x.alpha, y.alpha, "{label}");
+        assert_eq!(x.count, y.count, "{label} at alpha={}", x.alpha);
+        assert_eq!(x.mean_poa.to_bits(), y.mean_poa.to_bits(), "{label}");
+        assert_eq!(x.max_poa.to_bits(), y.max_poa.to_bits(), "{label}");
+        assert_eq!(x.mean_links.to_bits(), y.mean_links.to_bits(), "{label}");
+    }
+}
+
+/// All four aggregates, bit for bit: both games' `stats`,
+/// `transfer_stats`, `equilibrium_counts` and `conjecture_violations`.
 fn assert_bit_identical(a: &SweepResult, b: &SweepResult, label: &str) {
-    assert_eq!(a.records, b.records, "{label}: records differ");
+    assert_eq!(a.n, b.n, "{label}: order");
+    assert_eq!(a.alphas, b.alphas, "{label}: grid");
+    assert_eq!(a.topologies, b.topologies, "{label}: topologies");
     for kind in [GameKind::Bilateral, GameKind::Unilateral] {
-        for (x, y) in a.stats(kind).iter().zip(b.stats(kind).iter()) {
-            assert_eq!(x.alpha, y.alpha, "{label}");
-            assert_eq!(x.count, y.count, "{label} at alpha={}", x.alpha);
-            assert_eq!(x.mean_poa.to_bits(), y.mean_poa.to_bits(), "{label}");
-            assert_eq!(x.max_poa.to_bits(), y.max_poa.to_bits(), "{label}");
-            assert_eq!(x.mean_links.to_bits(), y.mean_links.to_bits(), "{label}");
+        assert_stats_bit_identical(&a.stats(kind), &b.stats(kind), &format!("{label} {kind:?}"));
+    }
+    assert_stats_bit_identical(
+        &a.transfer_stats(),
+        &b.transfer_stats(),
+        &format!("{label} transfer"),
+    );
+    assert_eq!(a.equilibrium_counts(), b.equilibrium_counts(), "{label}");
+    assert_eq!(
+        a.conjecture_violations(),
+        b.conjecture_violations(),
+        "{label}"
+    );
+    // The table's own equality is bitwise too.
+    assert_eq!(a, b, "{label}: aggregate tables");
+}
+
+/// Record-level equivalence: each `WindowRecord` predicate agrees with
+/// the flag `SweepJob` derives per grid point, record by record in
+/// engine order.
+fn assert_records_match_per_alpha(windows: &WindowSweep, alphas: &[Ratio], label: &str) {
+    let job = SweepJob {
+        alphas: alphas.to_vec(),
+    };
+    let reference = AnalysisEngine::new(2).run_connected(windows.n, &job);
+    assert_eq!(
+        reference.len(),
+        windows.records.len(),
+        "{label}: topologies"
+    );
+    for (i, (w, r)) in windows.records.iter().zip(&reference).enumerate() {
+        assert_eq!(w.edges, r.edges, "{label}: record {i} edges");
+        assert_eq!(w.total_distance, r.total_distance, "{label}: record {i}");
+        for (k, &alpha) in alphas.iter().enumerate() {
+            let at = format!("{label}: record {i} ({}) alpha={alpha}", w.key);
+            assert_eq!(w.bcg_stable(alpha), r.bcg_stable[k], "{at} bcg");
+            assert_eq!(w.ucg_nash(alpha), r.ucg_nash[k], "{at} ucg");
+            assert_eq!(
+                w.transfer_stable(alpha),
+                r.transfer_stable[k],
+                "{at} transfer"
+            );
         }
     }
 }
@@ -108,6 +163,8 @@ fn paper_grid_csvs_identical_across_all_paths() {
     let streaming = SweepResult::run_streaming(&config);
     assert_bit_identical(&windows_first, &legacy, "windows-first vs legacy");
     assert_bit_identical(&streaming, &legacy, "streaming windows vs legacy");
+    let windows = WindowSweep::run(config.n, config.threads, false, None);
+    assert_records_match_per_alpha(&windows, &config.alphas, "paper grid");
 
     let path = scratch_path("paper-grid");
     std::fs::remove_file(&path).ok();
@@ -197,8 +254,9 @@ fn boundary_pool(windows: &WindowSweep) -> Vec<Ratio> {
     pool
 }
 
-/// Property gate (satellite): `grid::evaluate` over a random α grid
-/// matches per-α `SweepJob` recomputation bit for bit at n ≤ 7.
+/// Property gate: `grid::evaluate` over a random α grid matches per-α
+/// `SweepJob` recomputation bit for bit at n ≤ 7, record by record and
+/// in every aggregate.
 #[test]
 fn random_grids_match_per_alpha_reference_to_n7() {
     let mut state = 0x5EED_2026u64;
@@ -215,13 +273,11 @@ fn random_grids_match_per_alpha_reference_to_n7() {
                 alphas: alphas.clone(),
                 threads: 2,
             };
+            let label = format!("n={n} round={round} grid={alphas:?}");
             let reference = SweepResult::run_per_alpha(&config);
             let evaluated = grid::evaluate(&windows, &alphas);
-            assert_bit_identical(
-                &evaluated,
-                &reference,
-                &format!("n={n} round={round} grid={alphas:?}"),
-            );
+            assert_bit_identical(&evaluated, &reference, &label);
+            assert_records_match_per_alpha(&windows, &alphas, &label);
         }
     }
 }
@@ -251,4 +307,106 @@ fn named_grids_are_free_post_passes() {
         assert_eq!(p.mean_poa.to_bits(), d.mean_poa.to_bits());
         assert_eq!(p.mean_links.to_bits(), d.mean_links.to_bits());
     }
+}
+
+/// The named dense grids the figures are replayed on, against the
+/// per-α reference at n ≤ 6 (n = 7 runs on the random grids above).
+#[test]
+fn dense_named_grids_match_per_alpha_reference() {
+    for n in 4..=6usize {
+        let windows = WindowSweep::run(n, 2, false, None);
+        for spec in ["log2:1/4:64:32", "linear:1/8:16:300"] {
+            let alphas = GridSpec::parse(spec).unwrap().alphas();
+            let reference = SweepResult::run_per_alpha(&SweepConfig {
+                n,
+                alphas: alphas.clone(),
+                threads: 2,
+            });
+            assert_bit_identical(
+                &grid::evaluate(&windows, &alphas),
+                &reference,
+                &format!("n={n} {spec}"),
+            );
+        }
+    }
+}
+
+/// Pushing records into a `GridFold` one at a time — here straight off
+/// the indexed store's engine-order stream, as `/grid` does — equals
+/// `evaluate` over the collected sweep.
+#[test]
+fn grid_fold_push_by_push_equals_evaluate() {
+    let n = 6;
+    let windows = WindowSweep::run(n, 2, false, None);
+    let alphas = GridSpec::parse("log2:1/4:64:8").unwrap().alphas();
+    let expected = grid::evaluate(&windows, &alphas);
+
+    let mut fold = GridFold::new(n, &alphas);
+    for rec in &windows.records {
+        fold.push(rec);
+    }
+    assert_bit_identical(&fold.finish(), &expected, "push by push");
+
+    let store = scratch_path("fold-stream");
+    std::fs::remove_file(&store).ok();
+    let mut atlas = ClassificationAtlas::open(&store).unwrap();
+    atlas.append_records(&windows.records).unwrap();
+    atlas.mark_complete(n, windows.records.len()).unwrap();
+    drop(atlas);
+    build_index(&store).unwrap();
+    let mapped = MappedAtlas::open(&store).unwrap();
+    let mut fold = GridFold::new(n, &alphas);
+    let streamed = mapped
+        .stream_sweep(n, |rec: WindowRecord| fold.push(&rec))
+        .unwrap()
+        .expect("engine-order table");
+    assert_eq!(streamed, windows.records.len() as u64);
+    assert_bit_identical(&fold.finish(), &expected, "streamed from the store");
+    std::fs::remove_file(&store).ok();
+    std::fs::remove_file(index_path(&store)).ok();
+}
+
+/// Degenerate inputs keep the reference's shape: an empty grid gives
+/// empty series; an empty sweep gives zero counts, NaN means and a 0.0
+/// worst case at every α.
+#[test]
+fn empty_grid_and_empty_sweep_keep_nan_means() {
+    let windows = WindowSweep::run(5, 2, false, None);
+    let no_grid = grid::evaluate(&windows, &[]);
+    let reference = SweepResult::run_per_alpha(&SweepConfig {
+        n: 5,
+        alphas: Vec::new(),
+        threads: 2,
+    });
+    assert_bit_identical(&no_grid, &reference, "empty grid");
+    assert_eq!(no_grid.topologies, windows.records.len());
+    assert!(no_grid.stats(GameKind::Bilateral).is_empty());
+    assert!(no_grid.transfer_stats().is_empty());
+    assert!(no_grid.equilibrium_counts().is_empty());
+    assert!(no_grid.conjecture_violations().is_empty());
+
+    let alphas = GridSpec::Paper.alphas();
+    let empty = grid::evaluate(
+        &WindowSweep {
+            n: 5,
+            records: Vec::new(),
+        },
+        &alphas,
+    );
+    assert_eq!(empty.topologies, 0);
+    let series = [
+        empty.stats(GameKind::Bilateral),
+        empty.stats(GameKind::Unilateral),
+        empty.transfer_stats(),
+    ];
+    for s in series.iter().flatten() {
+        assert_eq!(s.count, 0);
+        assert!(s.mean_poa.is_nan() && s.mean_links.is_nan(), "{s:?}");
+        assert_eq!(s.max_poa.to_bits(), 0.0f64.to_bits(), "{s:?}");
+    }
+    assert!(empty.conjecture_violations().iter().all(|&(_, c)| c == 0));
+    assert!(empty
+        .equilibrium_counts()
+        .iter()
+        .all(|&(_, b, u)| b == 0 && u == 0));
 }
