@@ -35,7 +35,7 @@ use std::process::ExitCode;
 
 use bnf_atlas::{
     merge_segments, merge_segments_recovering, render_shard_report, ClassificationAtlas,
-    ShardCoverage,
+    ShardCoverage, ShardMeta,
 };
 
 fn main() -> ExitCode {
@@ -136,17 +136,7 @@ fn main() -> ExitCode {
         manifest.shards = out
             .shard_metas()
             .iter()
-            .map(|m| bnf_obs::ShardProvenance {
-                order: u32::from(m.order),
-                index: m.shard_index,
-                count: m.shard_count,
-                parent_lo: m.parent_lo,
-                parent_hi: m.parent_hi,
-                emitted: m.emitted,
-                elapsed_ms: m.elapsed_ms,
-                peak_rss_kb: m.peak_rss_kb,
-                orchestrator_run: m.orchestrator_run,
-            })
+            .map(ShardMeta::provenance)
             .collect();
         manifest.absorb(bnf_obs::Recorder::global().take());
         if let Err(e) = std::fs::write(&path, manifest.to_json()) {

@@ -239,6 +239,21 @@ impl ShardMeta {
             && self.emitted == other.emitted
     }
 
+    /// This range's run-manifest provenance entry.
+    pub fn provenance(&self) -> bnf_obs::ShardProvenance {
+        bnf_obs::ShardProvenance {
+            order: u32::from(self.order),
+            index: self.shard_index,
+            count: self.shard_count,
+            parent_lo: self.parent_lo,
+            parent_hi: self.parent_hi,
+            emitted: self.emitted,
+            elapsed_ms: self.elapsed_ms,
+            peak_rss_kb: self.peak_rss_kb,
+            orchestrator_run: self.orchestrator_run,
+        }
+    }
+
     /// Folds one partition's worth of metas into total enumeration
     /// counters: the (shared, identical) frontier-build share once plus
     /// every shard's final-level share. `None` when the metas span

@@ -1,9 +1,8 @@
-//! Streaming vs materializing enumeration sweeps (PR 2): the same
-//! `SweepJob` driven through `AnalysisEngine::run_connected` (full list
-//! up front) and `run_connected_streaming` (bounded-channel producer,
-//! canonical-construction pruned enumeration). Peak-RSS comparisons
-//! live in CHANGES.md — high-water marks need separate processes, so
-//! they are recorded from `fig2_avg_poa --streaming` runs rather than
+//! The orchestrated sweep and its multi-process form: the same n = 7
+//! window sweep as one in-process run over 16 work-stolen ranges, and
+//! as the four `--shard i/4` process blocks run back to back. Peak-RSS
+//! comparisons live in CHANGES.md — high-water marks need separate
+//! processes, so they are recorded from `fig2_avg_poa` runs rather than
 //! measured here.
 //!
 //! The group also reports `candidates_per_survivor/8`, a
@@ -13,45 +12,37 @@
 //! a pruning regression shows up here before it shows up in noise-prone
 //! timings.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use bnf_empirics::{SweepConfig, SweepResult, WindowSweep};
+use bnf_empirics::WindowSweep;
+use bnf_engine::RangeSelection;
 use bnf_stream::ShardSpec;
 
 fn bench_streaming_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("streaming_sweep");
     group.sample_size(10);
-    for n in [7usize, 8] {
-        group.bench_with_input(BenchmarkId::new("materializing", n), &n, |b, &n| {
-            let config = SweepConfig::standard(n);
-            b.iter(|| black_box(SweepResult::run(&config)))
-        });
-        group.bench_with_input(BenchmarkId::new("streaming", n), &n, |b, &n| {
-            let config = SweepConfig::standard(n);
-            b.iter(|| black_box(SweepResult::run_streaming(&config)))
-        });
-    }
-    // The multi-process driver's single-process cost model: all four
-    // shards of an n = 7 window sweep run back to back — what one CPU
-    // pays for a whole partition, including the 4× frontier rebuild
-    // (the sharding overhead the merge amortizes across processes).
+    // The multi-process fleet's single-machine cost model: all four
+    // process blocks of an n = 7 window sweep run back to back — what
+    // one CPU pays for a whole fleet, including the 4× frontier rebuild
+    // (the overhead the merge amortizes across processes).
     group.bench_function("sharded_4x/7", |b| {
         b.iter(|| {
             for index in 0..4 {
-                black_box(WindowSweep::run_shard(
+                let block = RangeSelection::shard(ShardSpec::new(index, 4)).expect("4 processes");
+                black_box(WindowSweep::run_selected(
                     7,
                     bnf_empirics::default_threads(),
-                    ShardSpec::new(index, 4),
+                    &block,
                     None,
+                    |_| {},
                 ));
             }
         })
     });
     // The in-process orchestrator on the same sweep: one frontier
     // build, 16 work-stolen ranges — the single-command path that
-    // replaces the 4× shard fleet above (and its redundant frontier
-    // rebuilds).
+    // replaces the 4× fleet above (and its redundant frontier rebuilds).
     group.bench_function("orchestrated_16x/7", |b| {
         b.iter(|| {
             black_box(WindowSweep::run_orchestrated(

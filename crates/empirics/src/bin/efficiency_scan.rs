@@ -5,8 +5,8 @@
 //! sweep (`bnf_empirics::efficiency`), so it rides the same `--atlas`
 //! cache as the figure binaries.
 //!
-//! Usage: efficiency_scan [--n 7] [--threads T] [--streaming]
-//!        [--shards auto|R] [--jobs N] [--atlas PATH]
+//! Usage: efficiency_scan [--n 7] [--threads T]
+//!        [--atlas PATH] [--shards auto|R | --shard i/m] [--resume]
 //!        [--grid paper|linear:LO:HI:STEPS|log2:LO:HI:PER_OCT]
 
 use bnf_empirics::MinimizerShape;

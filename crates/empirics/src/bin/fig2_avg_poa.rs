@@ -2,18 +2,19 @@
 //! in the BCG (pairwise stable) and the UCG (Nash) as a function of link
 //! cost, over all connected non-isomorphic topologies on n vertices.
 //!
-//! Usage: fig2_avg_poa [--n 7] [--threads T] [--csv] [--streaming]
-//!        [--shards auto|R] [--jobs N] [--atlas PATH]
+//! Usage: fig2_avg_poa [--n 7] [--threads T] [--csv]
+//!        [--atlas PATH] [--shards auto|R | --shard i/m] [--resume]
 //!        [--grid paper|linear:LO:HI:STEPS|log2:LO:HI:PER_OCT]
 //!
 //! (The paper used n = 10; see DESIGN.md §4 for the n-substitution.
-//! `--streaming` classifies graphs as the enumeration generates them —
-//! same output bit for bit, and the enumeration never materializes the
-//! graph list (its memory is one level's frontier; the per-topology
-//! records still scale with the count). Combine with the BNF_MAX_N env
-//! var for n ≥ 9. `--atlas` persists the α-independent window records
-//! so re-runs skip classification; `--grid` evaluates any α axis as a
-//! free post-pass over the same records.)
+//! Graphs are classified as the enumeration generates them — the graph
+//! list is never materialized (the per-topology records still scale
+//! with the count). Combine with the BNF_MAX_N env var for n ≥ 9.
+//! `--atlas` persists the α-independent window records so re-runs skip
+//! classification; `--shards` commits them range by range (resumable
+//! with `--resume`), `--shard i/m` runs one process of a multi-process
+//! fleet; `--grid` evaluates any α axis as a free post-pass over the
+//! same records.)
 
 use bnf_empirics::{
     arg_flag, arg_value, fmt_stat, render_csv, render_table, run_sweep_cli, SweepConfig,

@@ -1,8 +1,8 @@
 //! Reproduces Figure 3: average number of links in equilibrium networks
 //! of the BCG and UCG as a function of link cost.
 //!
-//! Usage: fig3_avg_links [--n 7] [--threads T] [--csv] [--streaming]
-//!        [--shards auto|R] [--jobs N] [--atlas PATH]
+//! Usage: fig3_avg_links [--n 7] [--threads T] [--csv]
+//!        [--atlas PATH] [--shards auto|R | --shard i/m] [--resume]
 //!        [--grid paper|linear:LO:HI:STEPS|log2:LO:HI:PER_OCT]
 
 use bnf_empirics::{

@@ -3,8 +3,8 @@
 //! and Moore graphs) and the empirical worst-case PoA against the
 //! min(sqrt(a), n/sqrt(a)) envelope.
 //!
-//! Usage: poa_bounds [--n 7] [--threads T] [--streaming]
-//!        [--shards auto|R] [--jobs N] [--atlas PATH]
+//! Usage: poa_bounds [--n 7] [--threads T]
+//!        [--atlas PATH] [--shards auto|R | --shard i/m] [--resume]
 //!        [--grid paper|linear:LO:HI:STEPS|log2:LO:HI:PER_OCT]
 //!
 //! The Prop 4 table reads the same shared window records as the figure

@@ -90,30 +90,19 @@ pub struct EfficiencyScan {
 }
 
 /// Classifies every connected topology on `n` vertices through the
-/// shared window emitter and folds the per-α efficiency table,
-/// materializing the enumeration first.
+/// shared window emitter ([`WindowSweep::run`]) and folds the per-α
+/// efficiency table.
 ///
 /// # Panics
 ///
 /// Panics if `n` exceeds [`crate::max_sweep_n`] (the `BNF_MAX_N`
 /// opt-in shared by every exhaustive scan) or the α grid is empty.
 pub fn efficiency_rows(n: usize, alphas: &[Ratio], threads: usize) -> EfficiencyScan {
-    efficiency_scan_windows(&WindowSweep::run(n, threads, false, None), alphas)
-}
-
-/// Streaming twin of [`efficiency_rows`]: classifies topologies as the
-/// enumeration generates them without materializing the graph list.
-/// Produces the identical table.
-///
-/// # Panics
-///
-/// Panics if `n` exceeds [`crate::max_sweep_n`] or the α grid is empty.
-pub fn efficiency_rows_streaming(n: usize, alphas: &[Ratio], threads: usize) -> EfficiencyScan {
-    efficiency_scan_windows(&WindowSweep::run(n, threads, true, None), alphas)
+    efficiency_scan_windows(&WindowSweep::run(n, threads, None), alphas)
 }
 
 /// The per-α minimization over an already-classified [`WindowSweep`] —
-/// the shared fold behind both enumeration paths and the atlas-backed
+/// the shared fold behind [`efficiency_rows`] and the atlas-backed
 /// `efficiency_scan` binary.
 ///
 /// # Panics
@@ -208,9 +197,16 @@ mod tests {
 
     #[test]
     fn streaming_scan_matches_materializing() {
+        // The orchestrated scan against the same fold over the
+        // materialized reference catalogue.
         let alphas = [Ratio::new(1, 2), Ratio::ONE, Ratio::from(3)];
-        let mat = efficiency_rows(6, &alphas, 2);
-        let stream = efficiency_rows_streaming(6, &alphas, 2);
+        let reference = WindowSweep {
+            n: 6,
+            records: bnf_engine::AnalysisEngine::new(2)
+                .run_connected(6, &crate::sweep::WindowJob::default()),
+        };
+        let mat = efficiency_scan_windows(&reference, &alphas);
+        let stream = efficiency_rows(6, &alphas, 2);
         assert_eq!(stream.topologies, mat.topologies);
         for (s, m) in stream.rows.iter().zip(mat.rows.iter()) {
             assert_eq!(s.alpha, m.alpha);

@@ -31,6 +31,13 @@ use crate::sweep::{SeriesTotals, SweepConfig, SweepResult, WindowSweep};
 /// allocate without bound.
 pub const MAX_GRID_POINTS: usize = 65_536;
 
+/// The largest numerator or denominator a grid point may have in lowest
+/// terms. [`GridSpec::parse`] rejects specs with any point beyond it, so
+/// the price-of-anarchy arithmetic downstream — `α·2·45 + 330·q` at
+/// `n = 10`, then one ratio of two such integers — stays far inside the
+/// exact `i64` / f64 range instead of overflowing.
+pub const MAX_GRID_COMPONENT: i64 = 1 << 40;
+
 /// A named α-grid family, parseable from the figure binaries'
 /// `--grid` flag.
 ///
@@ -94,6 +101,9 @@ pub enum GridSpecError {
         /// Points the spec asks for.
         points: u128,
     },
+    /// Some grid point's numerator or denominator in lowest terms
+    /// exceeds [`MAX_GRID_COMPONENT`].
+    PointTooLarge,
 }
 
 impl fmt::Display for GridSpecError {
@@ -118,6 +128,11 @@ impl fmt::Display for GridSpecError {
                 f,
                 "grid has {points} points, more than the limit of {MAX_GRID_POINTS}"
             ),
+            GridSpecError::PointTooLarge => write!(
+                f,
+                "a grid point's numerator or denominator exceeds the limit of \
+                 {MAX_GRID_COMPONENT}"
+            ),
         }
     }
 }
@@ -136,8 +151,9 @@ impl GridSpec {
     /// # Errors
     ///
     /// Returns a [`GridSpecError`] for unknown grid names, ratio syntax
-    /// errors, non-positive `lo`, `hi < lo`, degenerate step counts, or
-    /// grids of more than [`MAX_GRID_POINTS`] points.
+    /// errors, non-positive `lo`, `hi < lo`, degenerate step counts,
+    /// grids of more than [`MAX_GRID_POINTS`] points, or grid points
+    /// with a component beyond [`MAX_GRID_COMPONENT`].
     pub fn parse(s: &str) -> Result<GridSpec, GridSpecError> {
         let parts: Vec<&str> = s.split(':').collect();
         let spec = match parts.as_slice() {
@@ -164,6 +180,7 @@ impl GridSpec {
         if points > MAX_GRID_POINTS as u128 {
             return Err(GridSpecError::TooManyPoints { points });
         }
+        spec.checked_alphas()?;
         Ok(spec)
     }
 
@@ -190,34 +207,73 @@ impl GridSpec {
     }
 
     /// Materializes the grid as sorted, deduplicated link costs.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a spec [`GridSpec::parse`] would have rejected (a
+    /// hand-built variant with a point beyond [`MAX_GRID_COMPONENT`]).
     pub fn alphas(&self) -> Vec<Ratio> {
+        self.checked_alphas()
+            .unwrap_or_else(|e| panic!("unvalidated grid spec {self:?}: {e}"))
+    }
+
+    /// [`GridSpec::alphas`] in checked `i128` arithmetic: each point is
+    /// built as one exact fraction and reduced, so an out-of-range point
+    /// is a [`GridSpecError::PointTooLarge`] instead of a `Ratio`
+    /// overflow.
+    fn checked_alphas(&self) -> Result<Vec<Ratio>, GridSpecError> {
         let mut out = match *self {
             GridSpec::Paper => SweepConfig::standard(0).alphas,
             GridSpec::Linear { lo, hi, steps } => {
-                let span = hi - lo;
-                let denom = Ratio::from((steps - 1) as i64);
-                (0..steps)
-                    .map(|k| lo + span * Ratio::from(k as i64) / denom)
-                    .collect()
+                // lo + (hi − lo)·k/(steps − 1)
+                //   = (a·d·s + (c·b − a·d)·k) / (b·d·s), s = steps − 1;
+                // products of two i64 components cannot overflow i128.
+                let (a, b) = (i128::from(lo.numer()), i128::from(lo.denom()));
+                let (c, d) = (i128::from(hi.numer()), i128::from(hi.denom()));
+                let s = (steps - 1) as i128;
+                let (ad, den) = (a * d, (b * d).checked_mul(s));
+                (0..steps as i128)
+                    .map(|k| {
+                        let num = ad
+                            .checked_mul(s)?
+                            .checked_add((c * b - ad).checked_mul(k)?)?;
+                        grid_point(num, den?)
+                    })
+                    .collect::<Option<Vec<_>>>()
+                    .ok_or(GridSpecError::PointTooLarge)?
             }
             GridSpec::LogDense { lo, hi, per_octave } => {
-                let mut alphas = vec![lo];
-                let mut base = lo;
-                while base < hi {
-                    let next = base + base; // one octave up, exact
-                    let step = base / Ratio::from(per_octave as i64);
-                    for k in 1..=per_octave {
-                        alphas.push(base + step * Ratio::from(k as i64));
+                // Octave j holds lo·2^j·(p + k)/p for k = 1..=p; octaves
+                // continue while lo·2^j < hi (cross-multiplied: a·2^j·d < c·b,
+                // both sides below 2^127 as in `points_bound`).
+                let (a, b) = (i128::from(lo.numer()), i128::from(lo.denom()));
+                let (c, d) = (i128::from(hi.numer()), i128::from(hi.denom()));
+                let p = per_octave as i128;
+                let mut alphas = vec![grid_point(a, b).ok_or(GridSpecError::PointTooLarge)?];
+                let mut base = a; // lo·2^j scaled by b
+                while base * d < c * b {
+                    for k in 1..=p {
+                        let point = base
+                            .checked_mul(p + k)
+                            .and_then(|num| grid_point(num, b * p));
+                        alphas.push(point.ok_or(GridSpecError::PointTooLarge)?);
                     }
-                    base = next;
+                    base = base.checked_mul(2).ok_or(GridSpecError::PointTooLarge)?;
                 }
                 alphas
             }
         };
         out.sort();
         out.dedup();
-        out
+        Ok(out)
     }
+}
+
+/// `num/den` in lowest terms, when both components fit
+/// [`MAX_GRID_COMPONENT`].
+fn grid_point(num: i128, den: i128) -> Option<Ratio> {
+    Ratio::checked_from_i128(num, den)
+        .filter(|a| a.numer() <= MAX_GRID_COMPONENT && a.denom() <= MAX_GRID_COMPONENT)
 }
 
 fn parse_count(s: &str) -> Result<usize, GridSpecError> {
@@ -568,6 +624,43 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_grid_points_are_typed_errors() {
+        // The first spec used to parse, then yield
+        // 9223372012704246009/12148001972 and overflow the PoA fold.
+        let m = MAX_GRID_COMPONENT;
+        for spec in [
+            "linear:1/3037000493:3037000499/2:3".to_owned(),
+            format!("linear:1:{}:2", m + 1),
+            format!("linear:1/{}:1:2", m + 1),
+            format!("log2:1:{}:1", i64::MAX),
+            format!("linear:1/{}:{}:65536", i64::MAX, i64::MAX),
+        ] {
+            assert_eq!(
+                GridSpec::parse(&spec),
+                Err(GridSpecError::PointTooLarge),
+                "{spec}"
+            );
+        }
+        // At the bound itself the grid parses and every point evaluates,
+        // up to the widest cost of n = 10: K_n links at path distance.
+        let mut alphas = GridSpec::parse(&format!("linear:1/{m}:{m}:2"))
+            .unwrap()
+            .alphas();
+        alphas.extend(
+            GridSpec::parse(&format!("log2:1/{m}:3/{m}:1"))
+                .unwrap()
+                .alphas(),
+        );
+        for (kind, &alpha) in [GameKind::Bilateral, GameKind::Unilateral]
+            .iter()
+            .flat_map(|k| alphas.iter().map(move |a| (*k, a)))
+        {
+            let rho = PoaKernel::new(kind, 10, alpha).poa(45, 330);
+            assert!(rho.is_finite() && rho > 0.0, "{kind:?} α={alpha}");
+        }
+    }
+
+    #[test]
     fn points_bound_matches_generated_grids() {
         for spec in ["log2:1/4:64:32", "log2:1:8:2", "log2:3/7:5:3", "log2:5:5:9"] {
             let g = GridSpec::parse(spec).unwrap();
@@ -629,14 +722,14 @@ mod tests {
             threads: 2,
         };
         let reference = SweepResult::run_per_alpha(&config);
-        let windows = WindowSweep::run(config.n, config.threads, false, None);
+        let windows = WindowSweep::run(config.n, config.threads, None);
         let evaluated = evaluate(&windows, &config.alphas);
         assert_eq!(evaluated, reference);
     }
 
     #[test]
     fn unsorted_grids_report_in_caller_order() {
-        let windows = WindowSweep::run(5, 2, false, None);
+        let windows = WindowSweep::run(5, 2, None);
         let sorted = vec![r(1, 2), Ratio::ONE, r(2, 1), r(2, 1), r(5, 1)];
         let shuffled = vec![r(5, 1), r(2, 1), r(1, 2), r(2, 1), Ratio::ONE];
         let a = evaluate(&windows, &sorted);

@@ -28,7 +28,8 @@ use bnf_core::{
     WindowRecord,
 };
 use bnf_engine::{
-    default_threads, Analysis, AnalysisEngine, OrchestratorStats, RangeSegment, WorkerScratch,
+    default_threads, Analysis, AnalysisEngine, OrchestratorStats, RangeSegment, RangeSelection,
+    WorkerScratch,
 };
 use bnf_enumerate::connected_graphs;
 use bnf_games::{poa_of_summary, CostSummary, GameKind, Ratio};
@@ -192,10 +193,9 @@ pub struct EquilibriumStats {
 /// This is the workhorse [`Analysis`] of the workspace since PR 3: the
 /// figure binaries, the efficiency scan, the Proposition 4 table and
 /// the conjecture checks all fold its records (through
-/// [`crate::grid::evaluate`] for α-grid questions). It must run on the
-/// keyed engine paths ([`AnalysisEngine::run_connected_keyed`] /
-/// [`AnalysisEngine::run_connected_streaming_keyed`]) so each record
-/// carries its canonical graph6 key.
+/// [`crate::grid::evaluate`] for α-grid questions). The orchestrator
+/// classifies through [`Analysis::classify_keyed`], so each record
+/// carries its canonical graph6 key and atlas hits skip classification.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WindowJob<'a> {
     /// Warm store to consult before classifying; records found here are
@@ -236,34 +236,31 @@ pub struct WindowSweep {
 
 impl WindowSweep {
     /// Enumerates and classifies all connected topologies on `n`
-    /// vertices into window records; `streaming` selects the
-    /// bounded-channel enumeration (identical records, no materialized
-    /// graph list), `atlas` skips classification for already-stored
-    /// keys. When the atlas declares *complete* coverage for `n`
+    /// vertices into window records with the orchestrator
+    /// ([`WindowSweep::run_orchestrated`], automatic range split);
+    /// `atlas` skips classification for already-stored keys. When the
+    /// atlas declares *complete* coverage for `n`
     /// ([`ClassificationAtlas::mark_complete`] after a prior full
     /// sweep), the whole catalogue is replayed from the store in engine
     /// order and the enumerator never runs — the warm-run fast path.
-    /// The caller owns appending fresh records (and the coverage
-    /// marker) back to the atlas.
+    /// Orders below 2 have no parent frontier and classify the
+    /// materialized catalogue ([`AnalysisEngine::run_connected`]). The
+    /// caller owns appending fresh records (and the coverage marker)
+    /// back to the atlas.
     ///
     /// # Panics
     ///
     /// Panics if `n` exceeds [`crate::max_sweep_n`] (default 8; opt in
     /// via `BNF_MAX_N`).
-    pub fn run(
-        n: usize,
-        threads: usize,
-        streaming: bool,
-        atlas: Option<&ClassificationAtlas>,
-    ) -> WindowSweep {
-        Self::run_with_stats(n, threads, streaming, atlas).0
+    pub fn run(n: usize, threads: usize, atlas: Option<&ClassificationAtlas>) -> WindowSweep {
+        Self::run_with_stats(n, threads, atlas).0
     }
 
-    /// [`WindowSweep::run`] plus the enumeration's
-    /// [`StreamStats`](bnf_stream::StreamStats) when the streaming
-    /// producer ran (`None` on the materializing, atlas-replay and
-    /// trivially-small paths) — the canonical-construction pruning
-    /// counters the `--streaming` CLI diagnostics report.
+    /// [`WindowSweep::run`] plus the enumeration's unsharded-equivalent
+    /// [`StreamStats`](bnf_stream::StreamStats) when the orchestrator
+    /// ran (`None` on the atlas-replay and trivially-small paths) — the
+    /// canonical-construction pruning counters the sweep diagnostics
+    /// report.
     ///
     /// # Panics
     ///
@@ -271,74 +268,33 @@ impl WindowSweep {
     pub fn run_with_stats(
         n: usize,
         threads: usize,
-        streaming: bool,
         atlas: Option<&ClassificationAtlas>,
     ) -> (WindowSweep, Option<bnf_stream::StreamStats>) {
-        let cap = crate::max_sweep_n();
-        assert!(
-            n <= cap,
-            "sweeps beyond n={cap} need a deliberate opt-in (set BNF_MAX_N)"
-        );
+        assert_sweep_cap(n);
         if let Some(records) = atlas.and_then(|a| a.complete_sweep(n)) {
             return (WindowSweep { n, records }, None);
         }
-        let engine = AnalysisEngine::new(threads);
-        let job = WindowJob { atlas };
-        let (records, stats) = if streaming {
-            let (records, stats) = engine.run_connected_streaming_keyed_with_stats(n, &job);
-            (records, Some(stats))
-        } else {
-            (engine.run_connected_keyed(n, &job), None)
-        };
-        (WindowSweep { n, records }, stats)
+        if n < 2 {
+            let records = AnalysisEngine::new(threads).run_connected(n, &WindowJob { atlas });
+            return (WindowSweep { n, records }, None);
+        }
+        let (windows, stats) = Self::run_orchestrated(n, threads, None, atlas, |_| {});
+        (windows, Some(stats.stats))
     }
 
-    /// One shard of a multi-invocation sweep: classifies only the
-    /// final-level children of the parent-frontier range owned by
-    /// `shard` (`bnf_stream::stream_connected_shard` through the keyed
-    /// streaming engine path), returning the shard's records in engine
-    /// order *within the shard* plus the producer's
-    /// [`ShardStats`](bnf_stream::ShardStats). The caller persists the
-    /// records and shard metadata into a segment atlas; `shard_merge`
-    /// folds segments into the coverage-complete store.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` exceeds [`crate::max_sweep_n`] or `n <= 1` (no
-    /// frontier to shard).
-    pub fn run_shard(
-        n: usize,
-        threads: usize,
-        shard: bnf_stream::ShardSpec,
-        atlas: Option<&ClassificationAtlas>,
-    ) -> (WindowSweep, bnf_stream::ShardStats) {
-        let cap = crate::max_sweep_n();
-        assert!(
-            n <= cap,
-            "sweeps beyond n={cap} need a deliberate opt-in (set BNF_MAX_N)"
-        );
-        let engine = AnalysisEngine::new(threads);
-        let job = WindowJob { atlas };
-        let (records, stats) = engine.run_connected_streaming_keyed_shard(n, shard, &job);
-        (WindowSweep { n, records }, stats)
-    }
-
-    /// The one-command in-process replacement for the whole
-    /// shard/merge cycle: builds the parent frontier **once**, splits
-    /// it into `ranges` work-stolen ranges (`None` → ≈ 16× the thread
-    /// count) and classifies them on `threads` workers
+    /// The orchestrated sweep: builds the parent frontier **once**,
+    /// splits it into `ranges` work-stolen ranges (`None` → ≈ 16× the
+    /// thread count) classified on `threads` workers
     /// ([`AnalysisEngine::run_connected_streaming_keyed_orchestrated`]),
-    /// invoking `on_segment` with each completed range — where the CLI
-    /// appends records and per-range [`bnf_atlas::ShardMeta`] into one
-    /// store — before returning the full catalogue in engine order,
-    /// byte-identical to [`WindowSweep::run`], plus the run's
-    /// [`OrchestratorStats`] (whose totals equal the unsharded
-    /// streaming stats exactly).
+    /// and invokes `on_segment` with each completed range — where the
+    /// CLI commits records and per-range [`bnf_atlas::ShardMeta`] —
+    /// before returning the full catalogue in engine order plus the
+    /// run's [`OrchestratorStats`].
     ///
     /// # Panics
     ///
-    /// Panics if `n` exceeds [`crate::max_sweep_n`] or `n <= 1` (no
-    /// frontier to orchestrate); propagates panics from `on_segment`.
+    /// Panics if `n` exceeds [`crate::max_sweep_n`] or `n <= 1`;
+    /// propagates panics from `on_segment`.
     pub fn run_orchestrated<W>(
         n: usize,
         threads: usize,
@@ -349,53 +305,49 @@ impl WindowSweep {
     where
         W: FnMut(RangeSegment<'_, WindowRecord>),
     {
-        let cap = crate::max_sweep_n();
-        assert!(
-            n <= cap,
-            "sweeps beyond n={cap} need a deliberate opt-in (set BNF_MAX_N)"
-        );
-        let engine = AnalysisEngine::new(threads);
-        let job = WindowJob { atlas };
-        let (records, stats) =
-            engine.run_connected_streaming_keyed_orchestrated(n, ranges, &job, on_segment);
-        (WindowSweep { n, records }, stats)
+        let ranges = ranges.unwrap_or_else(|| bnf_engine::auto_range_count(threads));
+        Self::run_selected(n, threads, &RangeSelection::all(ranges), atlas, on_segment)
     }
 
-    /// Resumed twin of [`WindowSweep::run_orchestrated`]: executes only
-    /// the ranges `plan` lists as missing — completed ranges were
-    /// durably persisted by a prior interrupted run and are never
-    /// re-streamed. The returned [`WindowSweep`] holds the *executed*
-    /// ranges' records only; the caller replays the full catalogue from
-    /// the store ([`ClassificationAtlas::complete_sweep`]) once coverage
-    /// closes across runs.
+    /// [`WindowSweep::run_orchestrated`] over only the ranges
+    /// `selection` names ([`AnalysisEngine::run_connected_selected`]) —
+    /// one process's `--shard` block, or the ranges a resumed run still
+    /// owes. The returned [`WindowSweep`] holds the executed ranges'
+    /// records only.
     ///
     /// # Panics
     ///
     /// Panics if `n` exceeds [`crate::max_sweep_n`], `n <= 1`, or the
-    /// plan is incompatible with the rebuilt frontier (wrong
-    /// `frontier_len`) — see
-    /// [`AnalysisEngine::run_connected_streaming_keyed_orchestrated_resumed`].
-    pub fn run_orchestrated_resumed<W>(
+    /// selection does not fit the rebuilt frontier; propagates panics
+    /// from `on_segment`.
+    pub fn run_selected<W>(
         n: usize,
         threads: usize,
-        plan: &bnf_engine::ResumePlan,
+        selection: &RangeSelection,
         atlas: Option<&ClassificationAtlas>,
         on_segment: W,
     ) -> (WindowSweep, OrchestratorStats)
     where
         W: FnMut(RangeSegment<'_, WindowRecord>),
     {
-        let cap = crate::max_sweep_n();
-        assert!(
-            n <= cap,
-            "sweeps beyond n={cap} need a deliberate opt-in (set BNF_MAX_N)"
+        assert_sweep_cap(n);
+        let (records, stats) = AnalysisEngine::new(threads).run_connected_selected(
+            n,
+            selection,
+            &WindowJob { atlas },
+            on_segment,
         );
-        let engine = AnalysisEngine::new(threads);
-        let job = WindowJob { atlas };
-        let (records, stats) =
-            engine.run_connected_streaming_keyed_orchestrated_resumed(n, plan, &job, on_segment);
         (WindowSweep { n, records }, stats)
     }
+}
+
+/// Refuses orders above [`crate::max_sweep_n`].
+fn assert_sweep_cap(n: usize) {
+    let cap = crate::max_sweep_n();
+    assert!(
+        n <= cap,
+        "sweeps beyond n={cap} need a deliberate opt-in (set BNF_MAX_N)"
+    );
 }
 
 /// The legacy per-α classification job: equilibrium membership of one
@@ -460,41 +412,19 @@ impl Analysis for SweepJob {
 }
 
 impl SweepResult {
-    /// Enumerates all connected topologies on `config.n` vertices,
-    /// classifies each into an α-independent [`WindowRecord`] on the
-    /// analysis engine (materializing the graph list first), and
-    /// evaluates the config's α grid as a post-pass. Identical
-    /// aggregates to the legacy per-α path
+    /// Enumerates and classifies all connected topologies on
+    /// `config.n` vertices into α-independent [`WindowRecord`]s
+    /// ([`WindowSweep::run`]), and evaluates the config's α grid as a
+    /// post-pass. Identical aggregates to the legacy per-α path
     /// ([`SweepResult::run_per_alpha`]), bit for bit.
     ///
     /// # Panics
     ///
     /// Panics if `config.n` exceeds [`crate::max_sweep_n`] (default 8 —
     /// the UCG orientation solve on all 261 080 9-vertex graphs costs
-    /// minutes; opt in via `BNF_MAX_N`, and prefer
-    /// [`SweepResult::run_streaming`] there).
+    /// minutes; opt in via `BNF_MAX_N`).
     pub fn run(config: &SweepConfig) -> SweepResult {
-        Self::run_inner(config, false)
-    }
-
-    /// Streaming twin of [`SweepResult::run`]: classifies each topology
-    /// as the enumeration generates it
-    /// ([`AnalysisEngine::run_connected_streaming_keyed`]), so the
-    /// graph list is never materialized — the enumeration side holds
-    /// one level's frontier (the window records still scale with the
-    /// topology count). The records — and therefore every aggregate
-    /// statistic, bit for bit — are identical to the materializing
-    /// path's.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.n` exceeds [`crate::max_sweep_n`].
-    pub fn run_streaming(config: &SweepConfig) -> SweepResult {
-        Self::run_inner(config, true)
-    }
-
-    fn run_inner(config: &SweepConfig, streaming: bool) -> SweepResult {
-        let windows = WindowSweep::run(config.n, config.threads, streaming, None);
+        let windows = WindowSweep::run(config.n, config.threads, None);
         crate::grid::evaluate(&windows, &config.alphas)
     }
 
@@ -510,11 +440,7 @@ impl SweepResult {
     ///
     /// Panics if `config.n` exceeds [`crate::max_sweep_n`].
     pub fn run_per_alpha(config: &SweepConfig) -> SweepResult {
-        let cap = crate::max_sweep_n();
-        assert!(
-            config.n <= cap,
-            "sweeps beyond n={cap} need a deliberate opt-in (set BNF_MAX_N)"
-        );
+        assert_sweep_cap(config.n);
         let engine = AnalysisEngine::new(config.threads);
         let job = SweepJob {
             alphas: config.alphas.clone(),
@@ -669,7 +595,7 @@ mod tests {
     #[test]
     fn star_always_among_stable_above_one() {
         let sweep = tiny_sweep(5);
-        let windows = WindowSweep::run(5, 2, false, None);
+        let windows = WindowSweep::run(5, 2, None);
         assert_eq!(sweep.topologies, windows.records.len());
         for &alpha in &sweep.alphas[1..] {
             let has_tree_stable = windows
@@ -682,13 +608,19 @@ mod tests {
 
     #[test]
     fn streaming_sweep_bit_identical_to_materializing() {
+        // The orchestrated sweep against the materialized reference
+        // catalogue: identical records, so an identical aggregate table.
         let config = SweepConfig {
             n: 6,
             alphas: vec![Ratio::new(1, 2), Ratio::ONE, Ratio::from(3)],
             threads: 2,
         };
-        let mat = SweepResult::run(&config);
-        let stream = SweepResult::run_streaming(&config);
+        let reference = WindowSweep {
+            n: config.n,
+            records: AnalysisEngine::new(2).run_connected(config.n, &WindowJob::default()),
+        };
+        let mat = crate::grid::evaluate(&reference, &config.alphas);
+        let stream = SweepResult::run(&config);
         assert_eq!(stream, mat, "aggregate tables must match bit for bit");
         for kind in [GameKind::Bilateral, GameKind::Unilateral] {
             for (s, m) in stream.stats(kind).iter().zip(mat.stats(kind).iter()) {
@@ -699,6 +631,21 @@ mod tests {
                 assert_eq!(s.max_poa.to_bits(), m.max_poa.to_bits());
                 assert_eq!(s.mean_links.to_bits(), m.mean_links.to_bits());
             }
+        }
+    }
+
+    #[test]
+    fn trivial_orders_classify_without_a_frontier() {
+        // n ∈ {0, 1} has no parent frontier: `run` falls back to the
+        // materialized catalogue, one record each, with no stats.
+        for n in [0usize, 1] {
+            let (windows, stats) = WindowSweep::run_with_stats(n, 2, None);
+            assert!(stats.is_none(), "n={n}");
+            assert_eq!(windows.n, n);
+            assert_eq!(windows.records.len(), 1, "n={n}");
+            let reference = AnalysisEngine::new(1).run_connected(n, &WindowJob::default());
+            assert_eq!(windows.records, reference, "n={n}");
+            assert_eq!(windows.records[0].order as usize, n);
         }
     }
 

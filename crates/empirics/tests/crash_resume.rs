@@ -36,7 +36,7 @@ fn run_fig2(atlas: &PathBuf, extra: &[&str], fault: Option<&str>) -> Output {
         &N.to_string(),
         "--shards",
         &RANGES.to_string(),
-        "--jobs",
+        "--threads",
         "2",
         "--csv",
         "--atlas",

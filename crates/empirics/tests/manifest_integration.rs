@@ -1,18 +1,22 @@
 //! Cross-layer telemetry integration: the run manifest built from an
 //! orchestrated sweep must carry *exactly* the counters an unsharded
-//! streaming run computes — the counter-recombination law (frontier
+//! enumeration computes — the counter-recombination law (frontier
 //! prune once + Σ per-range final prune) surfaced through `bnf-obs` —
 //! and the document must survive a serialize → parse round trip.
 
-use bnf_empirics::{build_sweep_manifest, sweep::WindowSweep};
+use bnf_empirics::build_sweep_manifest;
+use bnf_empirics::sweep::{WindowJob, WindowSweep};
+use bnf_engine::AnalysisEngine;
 use bnf_obs::RunManifest;
 
 const N: usize = 7;
 
-/// Unsharded streaming sweep: the ground-truth `StreamStats`.
+/// The references: the materialized catalogue and the serial
+/// enumeration's ground-truth `StreamStats`.
 fn unsharded() -> (WindowSweep, bnf_stream::StreamStats) {
-    let (windows, stats) = WindowSweep::run_with_stats(N, 2, true, None);
-    (windows, stats.expect("cold streaming run reports stats"))
+    let records = AnalysisEngine::new(2).run_connected(N, &WindowJob::default());
+    let stats = bnf_stream::for_each_connected_stats(N, |_, _| {});
+    (WindowSweep { n: N, records }, stats)
 }
 
 #[test]
@@ -53,8 +57,9 @@ fn orchestrated_manifest_counters_equal_unsharded_stats_exactly() {
 
 #[test]
 fn sweep_manifest_round_trips_through_json() {
-    let (windows, stats) = unsharded();
-    let mut manifest = build_sweep_manifest(N, "streaming", 42, &windows, Some(&stats));
+    let (windows, stats) = WindowSweep::run_with_stats(N, 2, None);
+    let stats = stats.expect("a cold orchestrated run reports stats");
+    let mut manifest = build_sweep_manifest(N, "orchestrated", 42, &windows, Some(&stats));
     manifest.set_counter("atlas_hits", 0);
     manifest.set_counter("atlas_appended", windows.records.len() as u64);
     let parsed = RunManifest::from_json(&manifest.to_json()).expect("valid manifest");

@@ -11,27 +11,26 @@
 //!
 //! The engine fuses three concerns the jobs would otherwise duplicate:
 //!
-//! * **Enumeration** — [`AnalysisEngine::run_connected`] drives the
-//!   connected-topology catalogue from `bnf-enumerate` straight into
-//!   classification, and [`AnalysisEngine::run_connected_streaming`]
-//!   does the same without ever materializing the graph list:
-//!   `bnf-stream` producer workers run the canonical-construction
-//!   pruned augmentation (each isomorphism class emitted exactly once,
-//!   no dedup set at all) and feed canonical children through a
-//!   bounded queue into the classification pool — this is what unlocks
-//!   `n = 9/10` sweeps in CI-class memory and CPU.
-//! * **Work-stealing execution** — a chunked atomic-counter scheduler
-//!   over [`std::thread::scope`] workers (no external thread-pool
-//!   dependency), promoted out of the old `empirics::parallel`. At
-//!   paper scale the same idea moves up a level: the in-process
+//! * **Enumeration** — [`AnalysisEngine::run_connected`] classifies the
+//!   materialized connected-topology catalogue from `bnf-enumerate`
+//!   (the reference path, also used for orders below 2), while the
 //!   **orchestrator**
 //!   ([`AnalysisEngine::run_connected_streaming_keyed_orchestrated`])
-//!   builds the level-`n − 1` parent frontier once, oversplits it into
-//!   ≈ [`DEFAULT_OVERSPLIT`]× more ranges than threads, and lets
-//!   workers steal whole ranges while a single writer streams
-//!   completed [`RangeSegment`]s to the caller — replacing the
-//!   16-invocation multi-process shard workflow with one command and
-//!   no skew cliff.
+//!   classifies during enumeration without ever materializing the graph
+//!   list: it builds the level-`n − 1` parent frontier once with
+//!   `bnf-stream`'s canonical-construction pruned augmentation (each
+//!   isomorphism class emitted exactly once, no dedup set), oversplits
+//!   it into ≈ [`DEFAULT_OVERSPLIT`]× more ranges than threads, and lets
+//!   workers steal whole ranges while a single writer streams completed
+//!   [`RangeSegment`]s to the caller. Every cold sweep runs here;
+//!   [`AnalysisEngine::run_connected_selected`] runs a
+//!   [`RangeSelection`] of the partition (one process's block of a
+//!   multi-process fleet, or the ranges a resumed run still owes).
+//! * **Work-stealing execution** — a chunked atomic-counter scheduler
+//!   over [`std::thread::scope`] workers (no external thread-pool
+//!   dependency) for explicit item lists ([`AnalysisEngine::run_on`],
+//!   [`AnalysisEngine::map`]); the orchestrator steals whole frontier
+//!   ranges instead.
 //! * **Per-worker scratch reuse** — each worker owns one
 //!   [`WorkerScratch`] for its whole lifetime, so the BFS/distance hot
 //!   path runs allocation-free instead of re-allocating frontier
@@ -70,7 +69,7 @@ mod scratch;
 
 pub use executor::{default_threads, parallel_map, parallel_map_with};
 pub use orchestrator::{
-    auto_range_count, OrchestratorStats, RangeSegment, ResumePlan, DEFAULT_OVERSPLIT,
+    auto_range_count, OrchestratorStats, RangeSegment, RangeSelection, DEFAULT_OVERSPLIT,
 };
 pub use pipeline::{Analysis, AnalysisEngine};
 pub use scratch::WorkerScratch;

@@ -1,17 +1,19 @@
-//! The in-process parallel shard orchestrator: one frontier build,
-//! work-stolen parent ranges, one streaming merge.
+//! The orchestrator — the one execution path of every cold sweep: one
+//! frontier build, work-stolen parent ranges, one streaming merge.
 //!
-//! The multi-process sharding workflow (PR 5) runs `m` shell
-//! invocations of `--shard i/m`, each rebuilding the level-`n − 1`
-//! parent frontier (`m`× redundant work) and each stuck with its static
-//! range however skewed the emission mass is — at `n = 10`, shard 0/16
-//! holds 2.24 M of the 11.7 M records. This module runs the same
-//! partition *inside one process*: [`bnf_stream::ParentFrontier`] is
-//! built **once**, oversplit into many more ranges than worker threads
-//! (default [`DEFAULT_OVERSPLIT`]× — e.g. 256 ranges on 16 threads at
-//! `n = 10`), and workers steal ranges off an atomic counter, so a
-//! heavy sparse-parent range simply occupies one worker while the rest
-//! drain the tail — no skew cliff, no operator-tuned split.
+//! [`bnf_stream::ParentFrontier`] is built **once**, oversplit into many
+//! more ranges than worker threads (default [`DEFAULT_OVERSPLIT`]× —
+//! e.g. 256 ranges on 16 threads at `n = 10`), and workers steal ranges
+//! off an atomic counter, so a heavy sparse-parent range simply occupies
+//! one worker while the rest drain the tail — no skew cliff, no
+//! operator-tuned split (at `n = 10`, parent range 0 of 16 holds 2.24 M
+//! of the 11.7 M records).
+//!
+//! A [`RangeSelection`] says which ranges of the partition a run
+//! executes: all of them (a whole sweep), one process's contiguous
+//! block (`--shard i/m` of a multi-process fleet, writing a segment
+//! file that `shard_merge` folds), or the complement of the ranges an
+//! interrupted run already committed (`--resume`).
 //!
 //! Each worker fuses producer and classifier: it streams its stolen
 //! range serially ([`bnf_stream::ParentFrontier::stream_range`]),
@@ -24,15 +26,17 @@
 //! `merge_segments`), then merges all segments and re-sorts by the
 //! engine's `(edge count, leading canonical word)` tag, so the final
 //! output order — and therefore every downstream float summation — is
-//! byte-identical to the unsharded runners.
+//! byte-identical to the materialized reference
+//! [`crate::AnalysisEngine::run_connected`].
 //!
-//! Failure behaves like the streaming pipeline: a panic in any range
-//! (or in the writer callback) closes the queue, which unblocks every
-//! other participant, and propagates to the caller once the scope
-//! joins — segments already written stay (the atlas is append-only and
-//! resumable), but control never reaches coverage declaration, so a
-//! poisoned run is visibly incomplete rather than silently short.
+//! Failure: a panic in any range (or in the writer callback) closes the
+//! queue, which unblocks every other participant, and propagates to the
+//! caller once the scope joins — segments already written stay (the
+//! atlas is append-only and resumable), but control never reaches
+//! coverage declaration, so a poisoned run is visibly incomplete rather
+//! than silently short.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -54,27 +58,75 @@ pub fn auto_range_count(threads: usize) -> usize {
     threads.max(1).saturating_mul(DEFAULT_OVERSPLIT)
 }
 
-/// A resumed orchestrated run's partition, reconstructed from the shard
-/// metadata a prior (interrupted) run persisted: how many ranges the
-/// frontier was cut into, which of them already completed durably, and
-/// the frontier length the stored partition was cut from — asserted
-/// against the rebuilt frontier before any range runs, so metadata from
-/// an incompatible build can never silently skip the wrong parents.
+/// Which ranges of a frontier partition one orchestrated run executes:
+/// the contiguous block `span` of a `ranges`-way partition, minus the
+/// indices in `done` that a prior run already completed durably.
+///
+/// Every cold-sweep mode is one selection: a whole sweep is
+/// [`RangeSelection::all`], one process of a multi-process fleet is
+/// [`RangeSelection::shard`], and a resumed run is either of those
+/// [`RangeSelection::resuming`] after a crash.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResumePlan {
-    /// Total ranges in the partition (the stored `shard_count`).
+pub struct RangeSelection {
+    /// Total ranges the frontier is cut into.
     pub ranges: usize,
-    /// Sorted, deduplicated indices of ranges already completed — these
-    /// are skipped, never re-enumerated.
-    pub completed: Vec<usize>,
-    /// Parent-frontier length the stored partition was cut from.
-    pub frontier_len: u64,
+    /// The contiguous block of range indices this run owns (`⊆ 0..ranges`).
+    pub span: Range<usize>,
+    /// Indices inside `span` that are skipped — never re-enumerated.
+    pub done: Vec<usize>,
+    /// For a partition reconstructed from a prior run's store: the
+    /// parent-frontier length it was cut from, asserted against the
+    /// rebuilt frontier before any range runs.
+    pub frontier_len: Option<u64>,
 }
 
-impl ResumePlan {
-    /// Indices this run still has to execute.
-    pub fn missing(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.ranges).filter(|i| self.completed.binary_search(i).is_err())
+impl RangeSelection {
+    /// Every range of a `ranges`-way partition (at least one range).
+    pub fn all(ranges: usize) -> RangeSelection {
+        let ranges = ranges.max(1);
+        Self::block(ranges, 0..ranges)
+    }
+
+    /// Process `shard.index`'s block of a `shard.count`-process fleet:
+    /// ranges `[k·i, k·(i + 1))` of the `k·m`-range partition, with the
+    /// fixed `k = `[`DEFAULT_OVERSPLIT`] (never a thread count, so every
+    /// process cuts the same partition). Floor splits nest exactly —
+    /// `⌊k·i·L / k·m⌋ = ⌊i·L / m⌋` — so the block is precisely parent
+    /// range `i` of `m`, still stolen as `k` ranges across the process's
+    /// own threads. `None` when `k·m` overflows.
+    pub fn shard(shard: ShardSpec) -> Option<RangeSelection> {
+        let k = DEFAULT_OVERSPLIT;
+        let ranges = shard.count.checked_mul(k)?;
+        Some(Self::block(ranges, k * shard.index..k * (shard.index + 1)))
+    }
+
+    fn block(ranges: usize, span: Range<usize>) -> RangeSelection {
+        RangeSelection {
+            ranges,
+            span,
+            done: Vec::new(),
+            frontier_len: None,
+        }
+    }
+
+    /// This selection minus the ranges `done` lists (indices outside
+    /// `span` are ignored), pinned to the frontier length the stored
+    /// partition was cut from.
+    pub fn resuming(mut self, done: &[usize], frontier_len: u64) -> RangeSelection {
+        self.done = done
+            .iter()
+            .copied()
+            .filter(|i| self.span.contains(i))
+            .collect();
+        self.done.sort_unstable();
+        self.done.dedup();
+        self.frontier_len = Some(frontier_len);
+        self
+    }
+
+    /// The range indices this run executes, in index order.
+    pub fn indices(&self) -> impl Iterator<Item = usize> + '_ {
+        self.span.clone().filter(|i| !self.done.contains(i))
     }
 }
 
@@ -83,8 +135,7 @@ impl ResumePlan {
 /// they finish).
 ///
 /// `records` is already tag-sorted into the engine's deterministic
-/// `(edge count, canonical key)` order *within the range*, exactly as a
-/// `--shard` process would have written its segment file, so appending
+/// `(edge count, canonical key)` order *within the range*, so appending
 /// segments as they arrive reproduces `merge_segments` semantics
 /// in-process.
 #[derive(Debug)]
@@ -182,33 +233,14 @@ impl<T> Drop for WorkerExit<'_, T> {
 }
 
 /// The orchestrated run body behind
-/// [`crate::AnalysisEngine::run_connected_streaming_keyed_orchestrated`].
+/// [`crate::AnalysisEngine::run_connected_selected`]: ranges outside the
+/// selection are skipped outright — their parents are never streamed —
+/// and only the selected ones reach `on_segment`. The returned output
+/// and [`OrchestratorStats`] cover the *executed* ranges only.
 pub(crate) fn run_orchestrated<A, W>(
     threads: usize,
     n: usize,
-    ranges: Option<usize>,
-    job: &A,
-    on_segment: W,
-) -> (Vec<A::Output>, OrchestratorStats)
-where
-    A: Analysis,
-    W: FnMut(RangeSegment<'_, A::Output>),
-{
-    run_orchestrated_with_plan(threads, n, ranges, None, job, on_segment)
-}
-
-/// [`run_orchestrated`] with an optional [`ResumePlan`]: ranges listed
-/// as completed are skipped outright — their parents are never
-/// re-streamed — and only the missing ranges reach `on_segment`. The
-/// returned output and [`OrchestratorStats`] cover the *executed*
-/// ranges only (a resumed run's caller replays the full catalogue from
-/// its store once coverage closes, so a partial merge is never used as
-/// figure output).
-pub(crate) fn run_orchestrated_with_plan<A, W>(
-    threads: usize,
-    n: usize,
-    ranges: Option<usize>,
-    plan: Option<&ResumePlan>,
+    selection: &RangeSelection,
     job: &A,
     mut on_segment: W,
 ) -> (Vec<A::Output>, OrchestratorStats)
@@ -218,34 +250,30 @@ where
 {
     assert_sort_tag_exact(n);
     let threads = threads.max(1);
-    let ranges = match plan {
-        Some(plan) => plan.ranges.max(1),
-        None => ranges.unwrap_or_else(|| auto_range_count(threads)).max(1),
-    };
-    let completed: &[usize] = plan.map_or(&[], |p| &p.completed);
-    debug_assert!(completed.windows(2).all(|w| w[0] < w[1]), "plan not sorted");
+    let ranges = selection.ranges;
+    assert!(
+        selection.span.end <= ranges,
+        "range selection {:?} does not fit a {ranges}-range partition",
+        selection.span
+    );
+    let span = &selection.span;
     // The one frontier build of the whole run (ParentFrontier::build
     // rejects n < 2 — trivial orders have no frontier to orchestrate).
     let frontier = ParentFrontier::build(n, threads);
     let frontier_len = frontier.len() as u64;
-    if let Some(plan) = plan {
+    if let Some(stored) = selection.frontier_len {
         // Refuse before any work runs: a stored partition cut from a
         // different frontier would skip the wrong parent ranges.
         assert_eq!(
-            plan.frontier_len, frontier_len,
+            stored, frontier_len,
             "resume plan was cut from a different n={n} frontier \
-             (stored {}, rebuilt {frontier_len}) — incompatible build?",
-            plan.frontier_len,
-        );
-        assert!(
-            plan.completed.last().is_none_or(|&i| i < ranges),
-            "resume plan lists completed range beyond the partition"
+             (stored {stored}, rebuilt {frontier_len}) — incompatible build?",
         );
     }
     let frontier_prune = frontier.frontier_prune();
 
     let queue: BoundedQueue<Segment<A::Output>> = BoundedQueue::new(threads * 2);
-    let next = AtomicUsize::new(0);
+    let next = AtomicUsize::new(span.start);
     let live = AtomicUsize::new(threads);
 
     let mut merged: Vec<((usize, u64), A::Output)> = Vec::new();
@@ -265,10 +293,10 @@ where
                 let mut stolen = 0u64;
                 loop {
                     let index = next.fetch_add(1, Ordering::Relaxed);
-                    if index >= ranges {
+                    if index >= span.end {
                         break;
                     }
-                    if completed.binary_search(&index).is_ok() {
+                    if selection.done.contains(&index) {
                         continue; // durably completed by a prior run
                     }
                     stolen += 1;
@@ -333,8 +361,8 @@ where
 
     debug_assert_eq!(
         segments,
-        ranges - completed.len(),
-        "partition did not close"
+        selection.indices().count(),
+        "selection did not close"
     );
     let _ = segments;
     bnf_obs::Recorder::global().record_max("writer_backlog_high_water", queue.high_water() as u64);
@@ -379,7 +407,11 @@ mod tests {
     fn orchestrated_output_is_byte_identical_to_streaming_keyed() {
         // Any thread budget, any oversplit — including one range total
         // and far more ranges than parents — must reproduce the
-        // unsharded keyed streaming run exactly, order included.
+        // materialized enumeration exactly, keys and order included.
+        let whole: Vec<(usize, String)> = bnf_enumerate::connected_graphs(7)
+            .iter()
+            .map(|g| (g.edge_count(), g.to_graph6()))
+            .collect();
         for (threads, ranges) in [
             (1usize, None),
             (3, None),
@@ -390,7 +422,6 @@ mod tests {
             let engine = AnalysisEngine::new(threads);
             let (out, stats) =
                 engine.run_connected_streaming_keyed_orchestrated(7, ranges, &Tagged, |_| {});
-            let whole = engine.run_connected_streaming_keyed(7, &Tagged);
             assert_eq!(out, whole, "threads={threads} ranges={ranges:?}");
             assert_eq!(stats.emitted(), 853, "threads={threads} ranges={ranges:?}");
             assert_eq!(
@@ -405,7 +436,7 @@ mod tests {
         // The satellite regression: frontier share counted once plus
         // summed range shares == the unsharded StreamStats, exactly.
         let engine = AnalysisEngine::new(3);
-        let (_, unsharded) = engine.run_connected_streaming_keyed_with_stats(7, &Tagged);
+        let unsharded = bnf_stream::for_each_connected_stats(7, |_, _| {});
         let (_, orch) =
             engine.run_connected_streaming_keyed_orchestrated(7, Some(11), &Tagged, |_| {});
         assert_eq!(orch.stats.level_sizes, unsharded.level_sizes);
@@ -498,22 +529,18 @@ mod tests {
 
         // Resume with ranges {0, 2, 5} already done: only {1, 3, 4} may
         // execute, with byte-identical per-range boundaries.
-        let plan = ResumePlan {
-            ranges: 6,
-            completed: vec![0, 2, 5],
-            frontier_len,
-        };
-        assert_eq!(plan.missing().collect::<Vec<_>>(), vec![1, 3, 4]);
+        let plan = RangeSelection::all(6).resuming(&[5, 0, 2, 2], frontier_len);
+        assert_eq!(plan.done, vec![0, 2, 5]);
+        assert_eq!(plan.indices().collect::<Vec<_>>(), vec![1, 3, 4]);
         let mut warm: Vec<(usize, u64, u64, u64)> = Vec::new();
-        let (out, stats) =
-            engine.run_connected_streaming_keyed_orchestrated_resumed(6, &plan, &Tagged, |seg| {
-                assert_eq!(seg.ranges, 6);
-                warm.push((seg.index, seg.parent_lo, seg.parent_hi, seg.emitted));
-            });
+        let (out, stats) = engine.run_connected_selected(6, &plan, &Tagged, |seg| {
+            assert_eq!(seg.ranges, 6);
+            warm.push((seg.index, seg.parent_lo, seg.parent_hi, seg.emitted));
+        });
         warm.sort_unstable();
         let expected: Vec<_> = cold
             .iter()
-            .filter(|s| plan.completed.binary_search(&s.0).is_err())
+            .filter(|s| plan.done.binary_search(&s.0).is_err())
             .copied()
             .collect();
         assert_eq!(warm, expected, "resumed ranges must tile identically");
@@ -526,33 +553,20 @@ mod tests {
         assert_eq!(out.len() as u64, stats.emitted());
 
         // An all-complete plan executes nothing at all.
-        let full = ResumePlan {
-            ranges: 6,
-            completed: (0..6).collect(),
-            frontier_len,
-        };
-        let (out, stats) =
-            engine.run_connected_streaming_keyed_orchestrated_resumed(6, &full, &Tagged, |seg| {
-                panic!("range {} re-executed despite full coverage", seg.index)
-            });
+        let full = RangeSelection::all(6).resuming(&[0, 1, 2, 3, 4, 5], frontier_len);
+        let (out, stats) = engine.run_connected_selected(6, &full, &Tagged, |seg| {
+            panic!("range {} re-executed despite full coverage", seg.index)
+        });
         assert!(out.is_empty());
         assert_eq!(stats.emitted(), 0);
     }
 
     #[test]
     fn resume_plan_from_wrong_frontier_is_refused() {
-        let plan = ResumePlan {
-            ranges: 4,
-            completed: vec![1],
-            frontier_len: 999, // level-5 frontier has 112 parents, not 999
-        };
+        // level-5 frontier has 21 parents, not 999
+        let plan = RangeSelection::all(4).resuming(&[1], 999);
         let caught = std::panic::catch_unwind(|| {
-            AnalysisEngine::new(1).run_connected_streaming_keyed_orchestrated_resumed(
-                6,
-                &plan,
-                &Tagged,
-                |_| {},
-            )
+            AnalysisEngine::new(1).run_connected_selected(6, &plan, &Tagged, |_| {})
         });
         assert!(caught.is_err(), "mismatched frontier_len must refuse");
     }

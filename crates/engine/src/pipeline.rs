@@ -1,35 +1,14 @@
 //! The [`Analysis`] job trait and the [`AnalysisEngine`] runner.
 
-use std::sync::Mutex;
-
 use bnf_enumerate::connected_graphs;
-use bnf_graph::{CanonKey, Graph};
-use bnf_stream::sync::{lock, lock_into};
-use bnf_stream::{
-    stream_connected, stream_connected_shard, BoundedQueue, ShardSpec, ShardStats, StreamStats,
-};
+use bnf_graph::Graph;
 
 use crate::executor::{default_threads, parallel_map_with};
-use crate::orchestrator::{OrchestratorStats, RangeSegment};
+use crate::orchestrator::{OrchestratorStats, RangeSegment, RangeSelection};
 use crate::scratch::WorkerScratch;
 
-/// Capacity of the producer→classifier hand-off queue used by
-/// [`AnalysisEngine::run_connected_streaming`], per classification
-/// worker.
-///
-/// Deep enough to ride out bursts (a cheap level tail arriving while
-/// classifiers chew on dense graphs), shallow enough that the buffered
-/// graphs stay negligible next to a level frontier.
-const STREAM_QUEUE_DEPTH_PER_WORKER: usize = 64;
-
-/// How many classified records a streaming worker buffers before
-/// flushing into the shared result vector — large enough to amortize
-/// the lock, small enough that local buffers stay out of the memory
-/// high-water mark.
-const STREAM_FLUSH_EVERY: usize = 1024;
-
-/// Asserts the streaming sort tag is *exact* at order `n`: records are
-/// ordered by `(edge count, CanonKey::prefix_word)`, which reproduces
+/// Asserts the orchestrator's sort tag is *exact* at order `n`:
+/// records are ordered by `(edge count, CanonKey::prefix_word)`, which reproduces
 /// the full `(edge count, canonical key)` lexicographic order only
 /// while the packed upper triangle — `n(n−1)/2` bits — fits the key's
 /// single leading 64-bit word. Every enumerable order (`n ≤ 10`,
@@ -41,7 +20,7 @@ pub(crate) fn assert_sort_tag_exact(n: usize) {
     assert!(
         n * n.saturating_sub(1) / 2 <= 64,
         "(edges, leading-word) sort tag is exact only while n(n-1)/2 <= 64 bits; n={n} needs \
-         {} bits — switch the streaming sort to full CanonKey comparison before raising the \
+         {} bits — switch the orchestrator's sort to full CanonKey comparison before raising the \
          enumeration bound",
         n * n.saturating_sub(1) / 2,
     );
@@ -61,9 +40,9 @@ pub trait Analysis: Sync {
     fn classify(&self, graph: &Graph, scratch: &mut WorkerScratch) -> Self::Output;
 
     /// The record-emitting path: classifies one graph given its
-    /// canonical graph6 key. The `*_keyed` engine runners call this
-    /// with `graph.to_graph6()` of the enumerated graph (enumeration
-    /// emits canonical forms, so that string *is* the canonical key).
+    /// canonical graph6 key. The orchestrated runners call this with
+    /// `graph.to_graph6()` of the enumerated graph (enumeration emits
+    /// canonical forms, so that string *is* the canonical key).
     ///
     /// The default ignores the key and delegates to
     /// [`Analysis::classify`]; jobs backed by a persistent store (the
@@ -127,142 +106,26 @@ impl AnalysisEngine {
         self.run_on(&connected_graphs(n), job)
     }
 
-    /// Record-emitting twin of [`AnalysisEngine::run_connected`]: each
-    /// (canonical) enumerated graph is classified through
-    /// [`Analysis::classify_keyed`] with its canonical graph6 string,
-    /// so atlas-backed jobs can skip graphs the store already knows.
+    /// The orchestrator over every range: builds the level-`n − 1`
+    /// parent frontier **once**, oversplits it into `ranges` contiguous
+    /// parent ranges (`None` → [`crate::auto_range_count`], ≈ 16× the
+    /// thread count), and has this engine's workers steal ranges — each
+    /// fusing the pruned range producer with
+    /// [`Analysis::classify_keyed`] on its own [`WorkerScratch`] — while
+    /// the calling thread drains completed segments into `on_segment`
+    /// in completion order.
+    ///
+    /// Returns all outputs in the engine's deterministic `(edge count,
+    /// canonical key)` order — identical to
+    /// [`AnalysisEngine::run_connected`] — plus [`OrchestratorStats`]
+    /// whose totals equal the unsharded `bnf_stream::StreamStats`
+    /// exactly.
     ///
     /// # Panics
     ///
-    /// Panics if `n > 10` (enumeration bound) and propagates panics from
-    /// the job.
-    pub fn run_connected_keyed<A: Analysis>(&self, n: usize, job: &A) -> Vec<A::Output> {
-        self.run_on_keyed(&connected_graphs(n), job)
-    }
-
-    /// Classifies an explicit list of **canonical-form** graphs through
-    /// [`Analysis::classify_keyed`], preserving order. Callers passing
-    /// non-canonical graphs hand the job a key that is not the
-    /// canonical one — enumeration output always qualifies.
-    pub fn run_on_keyed<A: Analysis>(&self, graphs: &[Graph], job: &A) -> Vec<A::Output> {
-        parallel_map_with(graphs, self.threads, WorkerScratch::new, |g, s| {
-            job.classify_keyed(&g.to_graph6(), g, s)
-        })
-    }
-
-    /// Streaming twin of [`AnalysisEngine::run_connected`]: classifies
-    /// every connected topology on `n` vertices **as it is generated**,
-    /// never materializing the full graph list (the classified records
-    /// themselves still scale with the topology count — they are the
-    /// result).
-    ///
-    /// `bnf_stream::stream_connected` producer workers push canonical
-    /// graphs through a bounded queue into a pool of classification
-    /// workers (each owning one [`WorkerScratch`] for its lifetime). The
-    /// engine's thread budget is **split** between the two pools so
-    /// total concurrency stays ≈ `self.threads` instead of doubling
-    /// (with a floor of one worker each — a pipeline needs both sides).
-    /// The output is sorted into the exact order
-    /// [`AnalysisEngine::run_connected`] produces (edge count, then
-    /// canonical key), so downstream aggregation — including
-    /// float-summation order — is bit-identical between the two paths.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > 10` (enumeration bound) and propagates panics from
-    /// the job or the producer.
-    pub fn run_connected_streaming<A: Analysis>(&self, n: usize, job: &A) -> Vec<A::Output> {
-        self.run_connected_streaming_with(n, job, |job, g, s| job.classify(g, s))
-            .0
-    }
-
-    /// Record-emitting twin of
-    /// [`AnalysisEngine::run_connected_streaming`]: classifier workers
-    /// call [`Analysis::classify_keyed`] with the canonical graph6 of
-    /// each streamed graph (the producer emits canonical forms), so the
-    /// atlas key is identical between the streaming and materializing
-    /// paths.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > 10` (enumeration bound) and propagates panics from
-    /// the job or the producer.
-    pub fn run_connected_streaming_keyed<A: Analysis>(&self, n: usize, job: &A) -> Vec<A::Output> {
-        self.run_connected_streaming_keyed_with_stats(n, job).0
-    }
-
-    /// [`AnalysisEngine::run_connected_streaming_keyed`] plus the
-    /// producer's [`StreamStats`] — per-level sizes and the
-    /// canonical-construction pruning counters (candidates, orbit
-    /// skips, cheap/search rejections, duplicates) that the sweep
-    /// binaries surface in their `--streaming` diagnostics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > 10` (enumeration bound) and propagates panics from
-    /// the job or the producer.
-    pub fn run_connected_streaming_keyed_with_stats<A: Analysis>(
-        &self,
-        n: usize,
-        job: &A,
-    ) -> (Vec<A::Output>, StreamStats) {
-        self.run_connected_streaming_with(n, job, |job, g, s| {
-            job.classify_keyed(&g.to_graph6(), g, s)
-        })
-    }
-
-    /// Shard twin of
-    /// [`AnalysisEngine::run_connected_streaming_keyed_with_stats`]:
-    /// classifies only the final-level children of the contiguous
-    /// parent-frontier range owned by `shard`
-    /// ([`bnf_stream::stream_connected_shard`]), returning the shard's
-    /// outputs in the engine's deterministic `(edges, canonical key)`
-    /// order *within the shard* plus its [`ShardStats`]. Merging every
-    /// shard's output of a full partition and re-sorting by the same
-    /// tag reproduces [`AnalysisEngine::run_connected_keyed`] exactly —
-    /// the invariant the multi-process atlas merge rests on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > 10` or `n <= 1` (no frontier to shard) and
-    /// propagates panics from the job or the producer.
-    pub fn run_connected_streaming_keyed_shard<A: Analysis>(
-        &self,
-        n: usize,
-        shard: ShardSpec,
-        job: &A,
-    ) -> (Vec<A::Output>, ShardStats) {
-        self.run_connected_streaming_producer(
-            n,
-            job,
-            |job, g, s| job.classify_keyed(&g.to_graph6(), g, s),
-            |producers, sink| stream_connected_shard(n, producers, shard, sink),
-        )
-    }
-
-    /// Orchestrated twin of
-    /// [`AnalysisEngine::run_connected_streaming_keyed_with_stats`]:
-    /// builds the level-`n − 1` parent frontier **once**, oversplits it
-    /// into `ranges` contiguous parent ranges (`None` →
-    /// [`crate::auto_range_count`], ≈ 16× the thread count), and has
-    /// this engine's worker threads steal ranges dynamically — each
-    /// fusing the pruned range producer with the keyed classifier on
-    /// its own [`WorkerScratch`] — while the calling thread drains
-    /// completed segments into `on_segment` in completion order (the
-    /// in-process analogue of merging `--shard` segment files).
-    ///
-    /// Returns all outputs re-sorted into the engine's deterministic
-    /// `(edge count, canonical key)` order — byte-identical to
-    /// [`AnalysisEngine::run_connected_streaming_keyed`] — plus
-    /// [`OrchestratorStats`] whose totals equal the unsharded
-    /// [`StreamStats`] exactly, with the frontier built (and its
-    /// counter share counted) exactly once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > 10` or `n <= 1` (no parent frontier to
-    /// orchestrate — use the plain streaming runner); propagates panics
-    /// from the job, the producer, and `on_segment`.
+    /// Panics if `n > 10` or `n <= 1` (no parent frontier — use
+    /// [`AnalysisEngine::run_connected`]); propagates panics from the
+    /// job, the producer, and `on_segment`.
     pub fn run_connected_streaming_keyed_orchestrated<A, W>(
         &self,
         n: usize,
@@ -274,32 +137,26 @@ impl AnalysisEngine {
         A: Analysis,
         W: FnMut(RangeSegment<'_, A::Output>),
     {
-        crate::orchestrator::run_orchestrated(self.threads, n, ranges, job, on_segment)
+        let ranges = ranges.unwrap_or_else(|| crate::auto_range_count(self.threads));
+        self.run_connected_selected(n, &RangeSelection::all(ranges), job, on_segment)
     }
 
-    /// Resumed twin of
-    /// [`AnalysisEngine::run_connected_streaming_keyed_orchestrated`]:
-    /// runs the partition described by `plan` but executes **only** its
-    /// missing ranges — indices listed as completed were durably
-    /// persisted by a prior run and are never re-streamed. The rebuilt
-    /// frontier's length is asserted against `plan.frontier_len` before
-    /// any range runs, so a stale plan from an incompatible build fails
-    /// loudly instead of skipping the wrong parents.
-    ///
-    /// The returned outputs and [`OrchestratorStats`] cover the executed
-    /// ranges only; a resumed caller replays the full catalogue from its
-    /// durable store once coverage closes, never from this partial
-    /// merge.
+    /// [`AnalysisEngine::run_connected_streaming_keyed_orchestrated`]
+    /// restricted to the ranges `selection` names — one process's block
+    /// of a multi-process fleet, or the ranges a resumed run still owes.
+    /// Unselected ranges are never streamed, and a pinned
+    /// `selection.frontier_len` is asserted against the rebuilt frontier
+    /// before any range runs. Outputs and stats cover the executed
+    /// ranges only.
     ///
     /// # Panics
     ///
-    /// Panics on the same conditions as the unresumed runner, plus when
-    /// `plan` is incompatible with the rebuilt frontier (wrong
-    /// `frontier_len`, completed index ≥ `plan.ranges`).
-    pub fn run_connected_streaming_keyed_orchestrated_resumed<A, W>(
+    /// As the all-ranges runner, plus when the selection does not fit
+    /// the rebuilt frontier.
+    pub fn run_connected_selected<A, W>(
         &self,
         n: usize,
-        plan: &crate::ResumePlan,
+        selection: &RangeSelection,
         job: &A,
         on_segment: W,
     ) -> (Vec<A::Output>, OrchestratorStats)
@@ -307,98 +164,7 @@ impl AnalysisEngine {
         A: Analysis,
         W: FnMut(RangeSegment<'_, A::Output>),
     {
-        crate::orchestrator::run_orchestrated_with_plan(
-            self.threads,
-            n,
-            None,
-            Some(plan),
-            job,
-            on_segment,
-        )
-    }
-
-    /// Shared body of the streaming runners, generic over how a worker
-    /// invokes the job (plain vs keyed).
-    fn run_connected_streaming_with<A, F>(
-        &self,
-        n: usize,
-        job: &A,
-        classify: F,
-    ) -> (Vec<A::Output>, StreamStats)
-    where
-        A: Analysis,
-        F: Fn(&A, &Graph, &mut WorkerScratch) -> A::Output + Sync,
-    {
-        self.run_connected_streaming_producer(n, job, classify, |producers, sink| {
-            stream_connected(n, producers, sink)
-        })
-    }
-
-    /// The streaming pipeline itself, generic over the producer (full
-    /// enumeration vs one frontier shard — both feed the same bounded
-    /// queue and classifier pool and return their own stats type).
-    fn run_connected_streaming_producer<A, F, P, R>(
-        &self,
-        n: usize,
-        job: &A,
-        classify: F,
-        produce: P,
-    ) -> (Vec<A::Output>, R)
-    where
-        A: Analysis,
-        F: Fn(&A, &Graph, &mut WorkerScratch) -> A::Output + Sync,
-        P: FnOnce(usize, &(dyn Fn(Graph, CanonKey) -> bool + Sync)) -> R,
-    {
-        // Sort tag: (edge count, canonical-adjacency word) — exact only
-        // while the whole packed upper triangle fits the key's leading
-        // word; asserted here at the sort site, not assumed.
-        assert_sort_tag_exact(n);
-        let classifiers = self.threads.div_ceil(2);
-        let producers = (self.threads - classifiers).max(1);
-        let queue: BoundedQueue<(Graph, CanonKey)> =
-            BoundedQueue::new(classifiers * STREAM_QUEUE_DEPTH_PER_WORKER);
-        let results: Mutex<Vec<(usize, u64, A::Output)>> = Mutex::new(Vec::new());
-        let mut stats = None;
-        std::thread::scope(|scope| {
-            for _ in 0..classifiers {
-                scope.spawn(|| {
-                    // Close the pipeline if this classifier panics so the
-                    // producer cannot block forever on a full queue.
-                    let _guard = queue.close_guard();
-                    let mut scratch = WorkerScratch::new();
-                    let mut local = Vec::with_capacity(STREAM_FLUSH_EVERY);
-                    while let Some((graph, key)) = queue.pop() {
-                        let out = classify(job, &graph, &mut scratch);
-                        local.push((graph.edge_count(), key.prefix_word(), out));
-                        // Flush in batches: one worker must never hold a
-                        // second full copy of the result set in its local
-                        // buffer (the n = 9 peak-RSS regression).
-                        if local.len() >= STREAM_FLUSH_EVERY {
-                            lock(&results).append(&mut local);
-                        }
-                    }
-                    lock(&results).append(&mut local);
-                });
-            }
-            // The producer runs on this thread (spawning its own level
-            // workers); the guard closes the queue on return *and* on a
-            // producer panic, releasing the classifiers either way. A
-            // failed push means a classifier died and closed the queue —
-            // returning false cancels the enumeration instead of
-            // canonicalizing the rest of the graph space for nobody.
-            let _guard = queue.close_guard();
-            stats = Some(produce(producers, &|graph, key| queue.push((graph, key))));
-        });
-        // A high-water mark at queue capacity means the classifiers were
-        // the bottleneck and the bound actually throttled the producer.
-        bnf_obs::Recorder::global()
-            .record_max("stream_queue_high_water", queue.high_water() as u64);
-        let mut tagged = lock_into(results);
-        bnf_obs::Recorder::global().time("sort", || tagged.sort_by_key(|t| (t.0, t.1)));
-        (
-            tagged.into_iter().map(|(_, _, out)| out).collect(),
-            stats.expect("producer ran"),
-        )
+        crate::orchestrator::run_orchestrated(self.threads, n, selection, job, on_segment)
     }
 
     /// Classifies an explicit graph list (gallery exhibits, counter-
@@ -424,6 +190,8 @@ impl AnalysisEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::orchestrator::DEFAULT_OVERSPLIT;
+    use bnf_stream::{for_each_connected_stats, ShardSpec};
 
     struct EdgeCount;
     impl Analysis for EdgeCount {
@@ -431,6 +199,13 @@ mod tests {
         fn classify(&self, g: &Graph, _scratch: &mut WorkerScratch) -> usize {
             g.edge_count()
         }
+    }
+
+    /// The all-ranges orchestrated run with no segment callback.
+    fn orchestrated<A: Analysis>(engine: &AnalysisEngine, n: usize, job: &A) -> Vec<A::Output> {
+        engine
+            .run_connected_streaming_keyed_orchestrated(n, None, job, |_| {})
+            .0
     }
 
     #[test]
@@ -446,8 +221,10 @@ mod tests {
 
     #[test]
     fn streaming_matches_materializing_exactly() {
-        // Same outputs in the same order — the property the empirics
-        // byte-match guarantee rests on.
+        // The orchestrator reproduces the materialized reference's
+        // outputs in the same order — the property the empirics
+        // byte-match guarantee rests on. (Orders below 2 have no
+        // frontier; `trivial_orders_are_rejected` covers them.)
         struct Census;
         impl Analysis for Census {
             type Output = (usize, Option<u64>);
@@ -455,10 +232,10 @@ mod tests {
                 (g.edge_count(), g.total_distance_with(&mut s.bfs))
             }
         }
-        for n in 0..8 {
+        for n in 2..8 {
             let engine = AnalysisEngine::new(3);
             assert_eq!(
-                engine.run_connected_streaming(n, &Census),
+                orchestrated(&engine, n, &Census),
                 engine.run_connected(n, &Census),
                 "n={n}"
             );
@@ -467,9 +244,9 @@ mod tests {
 
     #[test]
     fn keyed_paths_pass_canonical_graph6_keys() {
-        // The keyed runners must (a) default to `classify` output and
-        // (b) hand every job the graph's own graph6 — which for
-        // enumeration output is the canonical key.
+        // The orchestrator must hand every job the graph's own graph6 —
+        // which for enumeration output is the canonical key — in the
+        // reference enumeration order.
         struct KeyCheck;
         impl Analysis for KeyCheck {
             type Output = (String, usize);
@@ -488,11 +265,12 @@ mod tests {
             }
         }
         let engine = AnalysisEngine::new(3);
-        let keyed = engine.run_connected_keyed(6, &KeyCheck);
-        assert_eq!(keyed.len(), 112);
-        assert!(keyed.iter().all(|(k, _)| k != "unkeyed"));
-        // Streaming keyed: identical outputs in identical order.
-        assert_eq!(engine.run_connected_streaming_keyed(6, &KeyCheck), keyed);
+        let keyed = orchestrated(&engine, 6, &KeyCheck);
+        let expect: Vec<(String, usize)> = connected_graphs(6)
+            .iter()
+            .map(|g| (g.to_graph6(), g.edge_count()))
+            .collect();
+        assert_eq!(keyed, expect);
         // Keys are unique — one per isomorphism class.
         let mut keys: Vec<&String> = keyed.iter().map(|(k, _)| k).collect();
         keys.sort();
@@ -503,10 +281,10 @@ mod tests {
     #[test]
     fn keyed_default_falls_back_to_classify() {
         // A job that does not override classify_keyed behaves exactly
-        // like the unkeyed path.
+        // like the unkeyed reference.
         let engine = AnalysisEngine::new(2);
         assert_eq!(
-            engine.run_connected_keyed(5, &EdgeCount),
+            orchestrated(&engine, 5, &EdgeCount),
             engine.run_connected(5, &EdgeCount)
         );
     }
@@ -514,54 +292,54 @@ mod tests {
     #[test]
     fn streaming_stats_surface_pruning_counters() {
         let engine = AnalysisEngine::new(2);
-        let (counts, stats) = engine.run_connected_streaming_keyed_with_stats(6, &EdgeCount);
-        assert_eq!(counts.len(), 112);
-        assert_eq!(stats.emitted(), 112);
-        assert_eq!(stats.prune.duplicates, 0);
-        assert!(stats.prune.accepted() >= 112);
-        assert!(stats.prune.candidates > 0);
+        let (_, orch) =
+            engine.run_connected_streaming_keyed_orchestrated(6, None, &EdgeCount, |_| {});
+        let serial = for_each_connected_stats(6, |_, _| {});
+        assert_eq!(orch.stats.level_sizes, serial.level_sizes);
+        assert_eq!(orch.stats.prune, serial.prune);
+        assert_eq!(orch.stats.prune.duplicates, 0);
     }
 
     #[test]
     fn sharded_outputs_merge_into_unsharded_keyed_run() {
-        // A full partition's outputs, concatenated and re-sorted by the
-        // engine tag, must equal run_connected_keyed exactly — and each
-        // shard must already be tag-sorted internally.
+        // Every process block of a full fleet partition streams exactly
+        // parent range i of m (across DEFAULT_OVERSPLIT stolen ranges),
+        // and the blocks' outputs, concatenated and re-sorted, equal the
+        // reference run.
         struct Tagged;
         impl Analysis for Tagged {
             type Output = (usize, String);
-            fn classify_keyed(&self, key: &str, g: &Graph, _s: &mut WorkerScratch) -> Self::Output {
-                (g.edge_count(), key.to_string())
-            }
             fn classify(&self, g: &Graph, _s: &mut WorkerScratch) -> Self::Output {
-                (g.edge_count(), "unkeyed".into())
+                (g.edge_count(), g.to_graph6())
             }
         }
         let engine = AnalysisEngine::new(3);
-        let whole = engine.run_connected_keyed(7, &Tagged);
-        for count in [1usize, 4] {
+        let mut expect = engine.run_connected(7, &Tagged);
+        expect.sort();
+        for count in [1usize, 3, 4] {
             let mut merged = Vec::new();
-            let mut emitted = 0u64;
             for index in 0..count {
-                let (out, run) = engine.run_connected_streaming_keyed_shard(
-                    7,
-                    ShardSpec::new(index, count),
-                    &Tagged,
-                );
-                // Engine tag order within the shard: edge counts are
-                // non-decreasing (the word tiebreak is not the graph6
-                // string's lexicographic order, so only the leading
-                // component is checkable here).
-                assert!(out.windows(2).all(|w| w[0].0 <= w[1].0), "shard not sorted");
-                emitted += run.stats.emitted();
+                let shard = ShardSpec::new(index, count);
+                let block = RangeSelection::shard(shard).unwrap();
+                let mut bounds = Vec::new();
+                let (out, _) = engine.run_connected_selected(7, &block, &Tagged, |seg| {
+                    bounds.push((
+                        seg.parent_lo as usize,
+                        seg.parent_hi as usize,
+                        seg.frontier_len,
+                    ));
+                });
+                assert_eq!(bounds.len(), DEFAULT_OVERSPLIT);
+                bounds.sort_unstable();
+                assert!(bounds.windows(2).all(|w| w[0].1 == w[1].0));
+                let (lo, hi) = shard.range(bounds[0].2 as usize);
+                assert_eq!((bounds[0].0, bounds[DEFAULT_OVERSPLIT - 1].1), (lo, hi));
                 merged.extend(out);
             }
             merged.sort();
-            let mut expect = whole.clone();
-            expect.sort();
             assert_eq!(merged, expect, "count={count}");
-            assert_eq!(emitted, 853, "count={count}");
         }
+        assert!(RangeSelection::shard(ShardSpec::new(0, usize::MAX)).is_none());
     }
 
     #[test]
@@ -580,13 +358,15 @@ mod tests {
     #[test]
     fn streaming_single_thread() {
         let engine = AnalysisEngine::new(1);
-        let counts = engine.run_connected_streaming(6, &EdgeCount);
+        let counts = orchestrated(&engine, 6, &EdgeCount);
         assert_eq!(counts.len(), 112);
         assert!(counts.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]
     fn streaming_job_panic_propagates_without_deadlock() {
+        // One worker, so the panicking range is the only producer and
+        // the writer must still be released.
         struct Boom;
         impl Analysis for Boom {
             type Output = ();
@@ -595,7 +375,7 @@ mod tests {
             }
         }
         let caught = std::panic::catch_unwind(|| {
-            AnalysisEngine::new(2).run_connected_streaming(5, &Boom);
+            orchestrated(&AnalysisEngine::new(1), 5, &Boom);
         });
         assert!(caught.is_err(), "classifier panic must reach the caller");
     }

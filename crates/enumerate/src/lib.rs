@@ -33,7 +33,7 @@
 //! and hands each final-level graph to the caller the moment it is
 //! accepted. [`connected_graphs`] and [`for_each_connected_graph`]
 //! delegate to that producer; classification workloads should go one
-//! seam higher (`bnf_engine::AnalysisEngine::run_connected_streaming`).
+//! seam higher (the `bnf_engine` orchestrator).
 //!
 //! # Examples
 //!
@@ -193,8 +193,8 @@ pub fn free_trees(n: usize) -> Vec<Graph> {
 /// intermediate levels), and one level's canonical-key dedup set —
 /// never the final graph list. It delegates to
 /// `bnf_stream::for_each_connected`; parallel classification workloads
-/// should use `bnf_engine::AnalysisEngine::run_connected_streaming`,
-/// which adds sharded dedup and bounded-channel hand-off on the same
+/// should use the `bnf_engine` orchestrator, which adds work-stolen
+/// frontier ranges and a deterministic output order on the same
 /// producer.
 ///
 /// # Panics

@@ -203,22 +203,26 @@ impl Div for Ratio {
 
 fn ratio_from_i128(num: i128, den: i128) -> Ratio {
     debug_assert_ne!(den, 0);
-    let sign: i128 = if (num < 0) != (den < 0) && num != 0 {
-        -1
-    } else {
-        1
-    };
-    let (mut n, mut d) = (num.unsigned_abs(), den.unsigned_abs());
-    let g = gcd128(n, d).max(1);
-    n /= g;
-    d /= g;
-    assert!(
-        n <= i64::MAX as u128 && d <= i64::MAX as u128,
-        "rational overflow: {num}/{den}"
-    );
-    Ratio {
-        num: (sign * n as i128) as i64,
-        den: d as i64,
+    Ratio::checked_from_i128(num, den).unwrap_or_else(|| panic!("rational overflow: {num}/{den}"))
+}
+
+impl Ratio {
+    /// `num/den` in lowest terms, or `None` when `den` is zero or the
+    /// reduced fraction does not fit `i64` components — the
+    /// non-panicking form of the arithmetic operators' normalization.
+    pub fn checked_from_i128(num: i128, den: i128) -> Option<Ratio> {
+        if den == 0 {
+            return None;
+        }
+        let negative = (num < 0) != (den < 0) && num != 0;
+        let (n, d) = (num.unsigned_abs(), den.unsigned_abs());
+        let g = gcd128(n, d).max(1);
+        let num = i64::try_from(n / g).ok()?;
+        let den = i64::try_from(d / g).ok()?;
+        Some(Ratio {
+            num: if negative { -num } else { num },
+            den,
+        })
     }
 }
 
@@ -301,6 +305,17 @@ mod tests {
     fn f64_roundtrip_for_small_values() {
         assert_eq!(Ratio::new(3, 4).to_f64(), 0.75);
         assert_eq!(Ratio::from(17).to_f64(), 17.0);
+    }
+
+    #[test]
+    fn checked_construction_reduces_or_refuses() {
+        assert_eq!(Ratio::checked_from_i128(6, -4), Some(Ratio::new(-3, 2)));
+        assert_eq!(
+            Ratio::checked_from_i128(1 << 70, 1 << 69),
+            Some(Ratio::from(2))
+        );
+        assert_eq!(Ratio::checked_from_i128(1 << 70, 3), None);
+        assert_eq!(Ratio::checked_from_i128(1, 0), None);
     }
 
     #[test]

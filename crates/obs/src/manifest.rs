@@ -96,8 +96,9 @@ pub struct RunManifest {
     /// Graph order the run swept (0 when not order-scoped, e.g. a
     /// merge over mixed segments).
     pub order: u32,
-    /// Which enumeration path ran: `streaming`, `materializing`,
-    /// `orchestrated`, `shard`, or `merge`.
+    /// Which path ran: `orchestrated` (any enumerating sweep),
+    /// `replay` (a warm store replay), `trivial` (an order below 2),
+    /// `merge` (a segment merge), or a tool-specific label.
     pub path: String,
     /// Topologies emitted / records merged by the run.
     pub emitted: u64,
@@ -476,7 +477,8 @@ mod tests {
             tool: "fig2_avg_poa".into(),
             command: vec![
                 "fig2".into(),
-                "--streaming".into(),
+                "--atlas".into(),
+                "a.bnfatlas".into(),
                 "--shards".into(),
                 "auto".into(),
             ],

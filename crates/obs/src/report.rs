@@ -31,8 +31,6 @@ pub fn render_classified_line(m: &RunManifest) -> String {
 
 /// The canonical-construction pruning-counter line, when the run
 /// enumerated (a warm replay has no counters and renders nothing).
-/// The shard path labels its line explicitly: its counters cover the
-/// final level only.
 pub fn render_enumeration_line(m: &RunManifest) -> Option<String> {
     let candidates = m.counter("candidates")?;
     let accepted = m.counter("accepted").unwrap_or(0);
@@ -41,30 +39,16 @@ pub fn render_enumeration_line(m: &RunManifest) -> Option<String> {
     } else {
         candidates as f64 / accepted as f64
     };
-    Some(if m.path == "shard" {
-        format!(
-            "shard enumeration (final level only): {} candidates ({} orbit-skipped), \
-             {} cheap-rejected, {} search-rejected, {} duplicates, {} accepted \
-             ({ratio:.2} candidates/survivor)",
-            candidates,
-            m.counter("orbit_skipped").unwrap_or(0),
-            m.counter("cheap_rejected").unwrap_or(0),
-            m.counter("search_rejected").unwrap_or(0),
-            m.counter("duplicates").unwrap_or(0),
-            accepted,
-        )
-    } else {
-        format!(
-            "enumeration: {} candidates ({} orbit-skipped masks), {} cheap-rejected, \
-             {} search-rejected, {} duplicates, {} accepted ({ratio:.2} candidates/survivor)",
-            candidates,
-            m.counter("orbit_skipped").unwrap_or(0),
-            m.counter("cheap_rejected").unwrap_or(0),
-            m.counter("search_rejected").unwrap_or(0),
-            m.counter("duplicates").unwrap_or(0),
-            accepted,
-        )
-    })
+    Some(format!(
+        "enumeration: {} candidates ({} orbit-skipped masks), {} cheap-rejected, \
+         {} search-rejected, {} duplicates, {} accepted ({ratio:.2} candidates/survivor)",
+        candidates,
+        m.counter("orbit_skipped").unwrap_or(0),
+        m.counter("cheap_rejected").unwrap_or(0),
+        m.counter("search_rejected").unwrap_or(0),
+        m.counter("duplicates").unwrap_or(0),
+        accepted,
+    ))
 }
 
 /// The peak-RSS line. `None` renders an explicit `unavailable` —
@@ -136,12 +120,8 @@ mod tests {
             "enumeration: 4082 candidates (100 orbit-skipped masks), 200 cheap-rejected, \
              300 search-rejected, 400 duplicates, 853 accepted (4.79 candidates/survivor)"
         );
-        let shard = manifest("shard");
-        assert!(render_enumeration_line(&shard)
-            .unwrap()
-            .starts_with("shard enumeration (final level only): 4082 candidates"));
         // Warm replay: no counters, no line.
-        let mut warm = RunManifest::new("fig2_avg_poa", 7, "streaming");
+        let mut warm = RunManifest::new("fig2_avg_poa", 7, "replay");
         warm.emitted = 853;
         assert_eq!(render_enumeration_line(&warm), None);
     }

@@ -3,12 +3,12 @@
 /// Peak resident set size of **this process** in kibibytes (`VmHWM`
 /// from `/proc/self/status`), `None` where unavailable (non-Linux).
 ///
-/// The figure binaries report this so the streaming-vs-materializing
-/// memory comparison is a one-flag experiment instead of an external
-/// profiler session. Note the scope: a multi-process sharded sweep must
-/// record one value *per shard process* (each stamps its own into the
-/// segment's shard metadata) — reading it once from a driver process
-/// would understate the fleet's memory roughly `m`-fold.
+/// The figure binaries report this so a sweep's memory is read off its
+/// own report instead of an external profiler session. Note the scope:
+/// a multi-process sharded sweep must record one value *per shard
+/// process* (each stamps its own into the segment's shard metadata) —
+/// reading it once from a driver process would understate the fleet's
+/// memory roughly `m`-fold.
 ///
 /// `None` is a real outcome, not an error: the stderr report renders it
 /// as an explicit `peak RSS: unavailable` line and the manifest stores

@@ -59,6 +59,10 @@ impl Fixture {
     }
 
     fn start_with_timeout(tag: &str, read_timeout: std::time::Duration) -> Fixture {
+        Fixture::start_with(tag, read_timeout, 2)
+    }
+
+    fn start_with(tag: &str, read_timeout: std::time::Duration, workers: usize) -> Fixture {
         let store = scratch_path(tag);
         let mut scratch = BfsScratch::new();
         let records: Vec<WindowRecord> = n4_catalogue()
@@ -75,7 +79,7 @@ impl Fixture {
         let state = Arc::new(AppState::new(mapped, DEFAULT_LIVE_ORDER_CAP));
         state.warm_paper_grid().expect("paper grid");
         let server =
-            Server::start_with_timeout(state, "127.0.0.1:0", 2, read_timeout).expect("start");
+            Server::start_with_timeout(state, "127.0.0.1:0", workers, read_timeout).expect("start");
         let client = MiniClient::connect(server.addr()).expect("connect");
         Fixture {
             server,
@@ -287,6 +291,21 @@ fn oversized_grids_get_400_and_the_server_keeps_serving() {
     }
     let (status, body) = fx.get("/grid?spec=linear:1:2:5");
     assert_eq!(status, 200, "{body}");
+    let (status, _) = fx.get("/healthz");
+    assert_eq!(status, 200);
+    fx.finish();
+}
+
+#[test]
+fn overflowing_grid_points_get_400_and_the_single_worker_survives() {
+    // This spec used to parse, then panic the worker folding it with a
+    // rational overflow; with one worker the server would go silent.
+    let mut fx = Fixture::start_with("grid-overflow", std::time::Duration::from_secs(5), 1);
+    let (status, body) = fx.get("/grid?spec=linear:1/3037000493:3037000499/2:3");
+    assert_eq!(status, 400, "{body}");
+    let doc = Json::parse(&body).unwrap();
+    let error = doc.get("error").unwrap().as_str().unwrap();
+    assert!(error.contains("exceeds the limit"), "{error}");
     let (status, _) = fx.get("/healthz");
     assert_eq!(status, 200);
     fx.finish();

@@ -5,11 +5,11 @@
 //! (OEIS A001349: 11 716 571 connected topologies) without paying any
 //! classification.
 //!
-//! Usage: `stream_count --n 10 [--threads T] [--jobs N] [--shards auto|R]
+//! Usage: `stream_count --n 10 [--threads T] [--shards auto|R]
 //! [--checkpoint PATH [--resume]] [--expect 11716571] [--report-json PATH]`
 //!
-//! `--shards auto` (or an explicit range count; `--jobs N` alone implies
-//! `auto`) switches to the in-process orchestrated path: the parent
+//! `--shards auto` (or an explicit range count) switches to the
+//! in-process orchestrated path: the parent
 //! frontier is built **once**, oversplit into ranges, and worker threads
 //! steal ranges off an atomic counter — the enumeration-only twin of the
 //! sweep binaries' orchestrator, and the cheapest way to verify the
@@ -318,14 +318,11 @@ fn count_orchestrated(
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let n: usize = parsed(&args, "--n").unwrap_or(8);
-    let jobs: Option<usize> = parsed(&args, "--jobs");
-    let threads: usize = jobs
-        .or_else(|| parsed(&args, "--threads"))
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        });
+    let threads: usize = parsed(&args, "--threads").unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    });
     let shards = arg_value(&args, "--shards");
     let expect: Option<u64> = parsed(&args, "--expect");
     let report_json = arg_value(&args, "--report-json");
@@ -336,9 +333,8 @@ fn main() -> ExitCode {
         "--resume recovers completed ranges from the sidecar: pass --checkpoint PATH"
     );
     // Checkpointing is per-range, so both flags imply the orchestrated
-    // partition even without an explicit --shards/--jobs.
-    let orchestrated =
-        (shards.is_some() || jobs.is_some() || checkpoint.is_some() || resume) && n >= 2;
+    // partition even without an explicit --shards.
+    let orchestrated = (shards.is_some() || checkpoint.is_some() || resume) && n >= 2;
     // Scope the global recorder to this run, then let the enumeration
     // heartbeat report progress against the known connected count.
     bnf_obs::Recorder::global().take();

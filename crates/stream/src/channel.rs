@@ -1,10 +1,9 @@
 //! A small bounded multi-producer multi-consumer queue.
 //!
-//! `std::sync::mpsc::sync_channel` is single-consumer; the streaming
-//! pipeline needs many enumeration workers feeding many classification
-//! workers through a *bounded* buffer (so a fast producer cannot
-//! materialize the level it is supposed to be streaming). This is the
-//! classic `Mutex<VecDeque>` + two-condvar implementation, plus a
+//! The orchestrator (`bnf-engine`) hands completed ranges from many
+//! workers to one writer through a *bounded* buffer, so fast workers
+//! cannot pile up finished segments faster than the writer persists
+//! them. This is the classic `Mutex<VecDeque>` + two-condvar implementation, plus a
 //! [`CloseGuard`] so a panicking side closes the queue instead of
 //! deadlocking the other side.
 
@@ -18,7 +17,7 @@ struct State<T> {
     closed: bool,
 }
 
-/// A bounded MPMC queue of classification work items.
+/// A bounded MPMC queue of work items.
 ///
 /// [`push`](BoundedQueue::push) blocks while the queue is full;
 /// [`pop`](BoundedQueue::pop) blocks while it is empty and returns

@@ -9,7 +9,7 @@
 //! the moment it is proven new, so peak memory is bounded by the
 //! largest single level.
 //!
-//! Three pieces compose the pipeline:
+//! The pieces:
 //!
 //! * [`stream_connected`] — the parallel producer: workers pull parent
 //!   chunks off an atomic counter and run the **canonical-construction
@@ -21,8 +21,9 @@
 //!   and the canonical search runs only on survivors and invariant
 //!   ties. [`StreamStats`] reports the per-level sizes plus the
 //!   candidate / orbit-skipped / rejected / duplicate counters
-//!   ([`PruneCounters`]), which the sweep binaries surface in their
-//!   `--streaming` diagnostics.
+//!   ([`PruneCounters`]) — the reference counters every orchestrated
+//!   sweep's totals are certified against, and what `stream_count`
+//!   prints.
 //! * [`ParentFrontier`] — the sharding seam: the accept rule makes
 //!   children of distinct parents disjoint classes, so any partition of
 //!   the deterministically sorted level-`n − 1` frontier into
@@ -30,30 +31,19 @@
 //!   exactly. [`ParentFrontier::build`] constructs that frontier
 //!   **once**; [`ParentFrontier::stream_range`] then streams any
 //!   `[lo, hi)` parent slice serially and reports per-range
-//!   [`RangeStats`], which is what the in-process orchestrator
-//!   (`bnf_engine`) work-steals over — one frontier build per run
-//!   instead of one per range. The multi-process escape hatch,
-//!   [`stream_connected_shard`] / [`stream_connected_range`], wraps the
-//!   same build per invocation (paying one rebuild per process) and
-//!   reports [`ShardStats`] — frontier-build vs final-level
-//!   pruning-counter shares plus the partition coordinates — for
-//!   cross-process merging.
+//!   [`RangeStats`], which is what the orchestrator (`bnf_engine`)
+//!   work-steals over — every cold sweep, including each process of a
+//!   multi-process `--shard` fleet, runs through it.
 //! * [`prune::augment_connected_parent`] — the per-parent augmentation
 //!   itself, exported so equivalence and property tests can drive
 //!   single parents directly. The pre-pruning generate-all-and-dedup
 //!   path survives as [`for_each_connected_unpruned`], the oracle the
 //!   pruning is certified against.
-//! * [`BoundedQueue`] — a small bounded MPMC channel for handing
-//!   emitted graphs to a separate pool of classification workers (used
-//!   by `bnf_engine::AnalysisEngine::run_connected_streaming`), with
+//! * [`BoundedQueue`] — a small bounded MPMC channel (the orchestrator
+//!   hands completed ranges to its single writer through it), with
 //!   [`BoundedQueue::close_guard`] so a panicking stage cancels the
 //!   pipeline instead of deadlocking it.
-//!
-//! ([`ShardedSeen`], the prefix-sharded canonical-key set the unpruned
-//! producer deduplicated with, remains available for consumers that
-//! need concurrent key-set inserts — e.g. sharded cross-process merges
-//! — but the producer itself no longer retains any key set.)
-//!
+
 //! # Quickstart
 //!
 //! Count the connected graphs on 6 vertices without ever holding their
@@ -84,9 +74,9 @@
 //! ```
 //!
 //! For classification workloads, prefer the engine seam
-//! (`AnalysisEngine::run_connected_streaming` in `bnf-engine`), which
-//! adds bounded-channel hand-off, per-worker scratch reuse and a
-//! deterministic output order on top of this producer.
+//! (`AnalysisEngine::run_connected_streaming_keyed_orchestrated` in
+//! `bnf-engine`), which adds work-stolen ranges, per-worker scratch
+//! reuse and a deterministic output order on top of [`ParentFrontier`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -94,14 +84,11 @@
 mod channel;
 mod producer;
 pub mod prune;
-mod shard;
 pub mod sync;
 
 pub use channel::{BoundedQueue, CloseGuard};
 pub use producer::{
     for_each_connected, for_each_connected_stats, for_each_connected_unpruned, stream_connected,
-    stream_connected_range, stream_connected_shard, ParentFrontier, RangeStats, ShardSpec,
-    ShardStats, StreamStats,
+    ParentFrontier, RangeStats, ShardSpec, StreamStats,
 };
 pub use prune::PruneCounters;
-pub use shard::ShardedSeen;

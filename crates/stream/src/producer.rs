@@ -22,11 +22,9 @@
 //! parent*: children of distinct parents are disjoint isomorphism
 //! classes, so any partition of the (deterministically sorted)
 //! level-`n − 1` frontier into contiguous ranges partitions the
-//! emissions — [`stream_connected_range`] /
-//! [`stream_connected_shard`] run one range per invocation and the
+//! emissions — [`ParentFrontier::stream_range`] runs one range and the
 //! union over a full [`ShardSpec`] partition is exactly the unsharded
-//! stream, with no cross-process coordination beyond the range
-//! arithmetic.
+//! stream, with no coordination beyond the range arithmetic.
 //!
 //! The pre-pruning augmentation survives as
 //! [`for_each_connected_unpruned`], the independent reference
@@ -77,9 +75,10 @@ impl StreamStats {
     }
 }
 
-/// One shard of a multi-invocation enumeration: shard `index` of
-/// `count` equal contiguous ranges of the sorted level-`n − 1` parent
-/// frontier (see [`stream_connected_shard`]).
+/// One block of a partition of the sorted level-`n − 1` parent
+/// frontier: block `index` of `count` equal contiguous ranges (see
+/// [`ShardSpec::range`]) — the arithmetic behind every range the
+/// orchestrator (`bnf-engine`) streams and the `--shard i/m` CLI form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardSpec {
     /// Zero-based shard index, `< count`.
@@ -140,49 +139,6 @@ impl ShardSpec {
     }
 }
 
-/// What one sharded enumeration invocation did: the usual
-/// [`StreamStats`] for the whole run (frontier build plus the owned
-/// final-level range), the final-level-only pruning counters (the part
-/// that differs between shards — the frontier-build counters are
-/// identical across a partition and must not be double-counted by a
-/// merge), and the partition coordinates.
-#[derive(Debug, Clone, Default)]
-pub struct ShardStats {
-    /// Full-run stats (the final entry of `stats.level_sizes` is this
-    /// shard's emission count, not the whole level).
-    pub stats: StreamStats,
-    /// Pruning counters of the final level restricted to this shard's
-    /// parent range. `stats.prune` minus these is the frontier-build
-    /// share, identical across all shards of one partition.
-    pub final_prune: PruneCounters,
-    /// Size of the full level-`n − 1` parent frontier the range was cut
-    /// from.
-    pub frontier_len: u64,
-    /// First owned parent index (inclusive).
-    pub parent_lo: u64,
-    /// One past the last owned parent index.
-    pub parent_hi: u64,
-}
-
-impl ShardStats {
-    /// The frontier-build share of the pruning counters (`stats.prune`
-    /// minus the final level) — identical across all shards of one
-    /// partition, which is what lets a merge count the shared frontier
-    /// work once instead of `m` times. Saturating, so partially
-    /// populated stats cannot wrap.
-    pub fn frontier_prune(&self) -> PruneCounters {
-        let t = &self.stats.prune;
-        let f = &self.final_prune;
-        PruneCounters {
-            candidates: t.candidates.saturating_sub(f.candidates),
-            orbit_skipped: t.orbit_skipped.saturating_sub(f.orbit_skipped),
-            cheap_rejected: t.cheap_rejected.saturating_sub(f.cheap_rejected),
-            search_rejected: t.search_rejected.saturating_sub(f.search_rejected),
-            duplicates: t.duplicates.saturating_sub(f.duplicates),
-        }
-    }
-}
-
 /// The sort that fixes each level's frontier order (edge count, then
 /// canonical key) — what makes parent indices, and therefore shard
 /// ranges, deterministic across invocations.
@@ -191,20 +147,14 @@ fn sort_frontier(frontier: &mut [(Graph, CanonKey)]) {
 }
 
 /// The sorted level-`n − 1` parent frontier, built **once** and shared
-/// by any number of final-level range runs — the seam the in-process
-/// orchestrator (`bnf-engine`) parallelizes over.
-///
-/// The multi-process sharding path ([`stream_connected_range`] /
-/// [`stream_connected_shard`]) rebuilds this frontier on every
-/// invocation — cheap relative to one shard's final level, but 16×
-/// redundant across a 16-shard partition run on one machine. Building a
-/// `ParentFrontier` once and calling [`ParentFrontier::stream_range`]
-/// per range pays the build exactly once, and the frontier-build
-/// pruning counters ([`ParentFrontier::frontier_prune`]) exist as a
-/// single share instead of `m` identical copies.
+/// by any number of final-level range runs — the seam the orchestrator
+/// (`bnf-engine`) parallelizes over. Calling
+/// [`ParentFrontier::stream_range`] per range pays the build exactly
+/// once, and the frontier-build pruning counters
+/// ([`ParentFrontier::frontier_prune`]) exist as a single share however
+/// many ranges are cut.
 #[derive(Debug)]
 pub struct ParentFrontier {
-    n: usize,
     parents: Vec<Graph>,
     /// Level sizes of the build: `[1, |level 1|, …, |level n − 2|]`
     /// (the last entry is the frontier itself).
@@ -266,16 +216,10 @@ impl ParentFrontier {
         bnf_obs::Recorder::global()
             .add_span_ms("frontier_build", build_started.elapsed().as_millis() as u64);
         ParentFrontier {
-            n,
             parents,
             level_sizes,
             prune,
         }
-    }
-
-    /// The order `n` whose final level this frontier parents.
-    pub fn order(&self) -> usize {
-        self.n
     }
 
     /// Number of parents in the frontier.
@@ -342,7 +286,7 @@ struct LevelOutcome {
 /// Augments every parent in `parents` across up to `threads` workers:
 /// final-level children go to `sink` when `last` (whose `false` return
 /// sets `cancelled`), intermediate children are collected for the next
-/// frontier. Shared by the full and the sharded producers.
+/// frontier. Shared by [`stream_connected`] and the frontier build.
 fn advance_level<S>(
     parents: &[Graph],
     threads: usize,
@@ -445,8 +389,6 @@ where
 /// cancellation at their next parent *chunk* (≤ 64 parents, so the sink
 /// may still see a bounded tail of calls) and `stream_connected`
 /// returns early with partial stats.
-/// (The engine uses this so a dead classification pipeline does not
-/// leave the producer canonicalizing millions of unwanted candidates.)
 ///
 /// Memory contract: `O(largest single level)` — neither the final-level
 /// graph list nor any canonical-key dedup set is ever materialized (the
@@ -502,95 +444,9 @@ where
 }
 
 /// Charges the whole level loop of one [`stream_connected`] run to the
-/// `enumeration` span (the producer side of the streaming pipeline —
-/// it overlaps the classification span by design).
+/// `enumeration` span.
 fn record_enumeration_span(started: Instant) {
     bnf_obs::Recorder::global().add_span_ms("enumeration", started.elapsed().as_millis() as u64);
-}
-
-/// Streams the final-level children of one **contiguous parent range**
-/// `[lo, hi)` of the sorted level-`n − 1` frontier into `sink` — the
-/// building block of multi-process sharded enumeration.
-///
-/// The frontier is rebuilt deterministically (levels `1..n − 1`, each
-/// sorted by edge count then canonical key), so every invocation — in
-/// any process, with any thread count — agrees on which parent owns
-/// which index; the canonical-construction accept rule then guarantees
-/// that children of disjoint parent ranges are disjoint isomorphism
-/// classes. The union of the emissions over any partition of
-/// `[0, frontier_len)` is exactly the [`stream_connected`] stream.
-///
-/// Bounds are clamped to the frontier (`lo > hi` panics; an empty or
-/// out-of-range slice emits nothing), so callers can partition with
-/// round numbers without knowing `frontier_len` up front — the returned
-/// [`ShardStats`] reports the actual range used. Cancellation via a
-/// `false` sink return behaves as in [`stream_connected`].
-///
-/// # Panics
-///
-/// Panics if `n > 10`, if `n <= 1` (no parent frontier exists to
-/// shard — run [`stream_connected`]), or if `lo > hi`; propagates
-/// panics from `sink`.
-pub fn stream_connected_range<S>(
-    n: usize,
-    threads: usize,
-    lo: usize,
-    hi: usize,
-    sink: &S,
-) -> ShardStats
-where
-    S: Fn(Graph, CanonKey) -> bool + Sync + ?Sized,
-{
-    assert!(lo <= hi, "parent range is reversed: {lo} > {hi}");
-    stream_connected_over_range(n, threads, move |len| (lo.min(len), hi.min(len)), sink)
-}
-
-/// [`stream_connected_range`] with the range computed from a
-/// [`ShardSpec`]: shard `index` of `count` equal contiguous ranges via
-/// [`ShardSpec::range`].
-///
-/// # Panics
-///
-/// As [`stream_connected_range`].
-pub fn stream_connected_shard<S>(n: usize, threads: usize, shard: ShardSpec, sink: &S) -> ShardStats
-where
-    S: Fn(Graph, CanonKey) -> bool + Sync + ?Sized,
-{
-    stream_connected_over_range(n, threads, move |len| shard.range(len), sink)
-}
-
-/// Shared body of the sharded producers: builds the sorted parent
-/// frontier, asks `pick` for the owned range, and runs the final level
-/// over that slice only.
-fn stream_connected_over_range<S>(
-    n: usize,
-    threads: usize,
-    pick: impl FnOnce(usize) -> (usize, usize),
-    sink: &S,
-) -> ShardStats
-where
-    S: Fn(Graph, CanonKey) -> bool + Sync + ?Sized,
-{
-    let threads = threads.max(1);
-    let frontier = ParentFrontier::build(n, threads);
-    let mut out = ShardStats::default();
-    out.stats.level_sizes = frontier.level_sizes.clone();
-    out.stats.prune = frontier.prune;
-    out.frontier_len = frontier.len() as u64;
-    let (lo, hi) = pick(frontier.len());
-    assert!(
-        lo <= hi && hi <= frontier.len(),
-        "parent range {lo}..{hi} does not fit the frontier of {}",
-        frontier.len()
-    );
-    out.parent_lo = lo as u64;
-    out.parent_hi = hi as u64;
-    let cancelled = AtomicBool::new(false);
-    let level = advance_level(&frontier.parents[lo..hi], threads, true, sink, &cancelled);
-    out.stats.level_sizes.push(level.emitted);
-    out.final_prune = level.prune;
-    out.stats.prune.merge(&level.prune);
-    out
 }
 
 /// Serial streaming enumeration: invokes `visit` once per non-isomorphic
@@ -883,121 +739,63 @@ mod tests {
 
     #[test]
     fn shard_union_matches_unsharded_multiset() {
-        // Any full ShardSpec partition must emit exactly the unsharded
-        // stream, each class from exactly one shard, whatever the
-        // thread count.
+        // Any full ShardSpec partition of the frontier emits exactly the
+        // unsharded stream, each class from exactly one block, whatever
+        // the build's thread count — and every build agrees on the
+        // frontier-build counter share.
         for n in [2usize, 5, 7] {
-            let mut whole = Vec::new();
-            for_each_connected(n, |_, key| whole.push(key));
+            let whole = for_each_connected_stats(n, |_, _| {});
+            let mut expect = Vec::new();
+            for_each_connected(n, |_, key| expect.push(key));
+            expect.sort();
             for count in [1usize, 3, 4, 9] {
                 let mut union = Vec::new();
-                let mut frontier_len = None;
+                let mut prune = None;
                 for index in 0..count {
-                    let shard = ShardSpec::new(index, count);
-                    let collected = Mutex::new(Vec::new());
-                    let run = stream_connected_shard(n, 1 + index % 3, shard, &|_, key| {
-                        lock(&collected).push(key);
-                        true
-                    });
-                    let collected = lock_into(collected);
-                    assert_eq!(run.stats.emitted(), collected.len() as u64);
-                    assert_eq!(
-                        (run.parent_lo as usize, run.parent_hi as usize),
-                        shard.range(run.frontier_len as usize)
-                    );
-                    // Every shard rebuilds the same frontier.
-                    let len = *frontier_len.get_or_insert(run.frontier_len);
-                    assert_eq!(run.frontier_len, len, "n={n} count={count}");
-                    union.extend(collected);
+                    let frontier = ParentFrontier::build(n, 1 + index % 3);
+                    let share = *prune.get_or_insert(frontier.frontier_prune());
+                    assert_eq!(frontier.frontier_prune(), share, "n={n} count={count}");
+                    let (lo, hi) = ShardSpec::new(index, count).range(frontier.len());
+                    frontier.stream_range(lo, hi, |_, key| union.push(key));
                 }
-                let distinct: HashSet<_> = union.iter().cloned().collect();
-                assert_eq!(
-                    distinct.len(),
-                    union.len(),
-                    "n={n} count={count}: a class was emitted by two shards"
-                );
-
                 union.sort();
-                let mut whole_sorted = whole.clone();
-                whole_sorted.sort();
-                assert_eq!(union, whole_sorted, "n={n} count={count}");
+                assert_eq!(union, expect, "n={n} count={count}");
             }
+            assert_eq!(whole.emitted(), expect.len() as u64);
         }
     }
 
     #[test]
     fn shard_counters_split_frontier_from_final_level() {
-        // Across a full partition: the frontier-build counters are
-        // identical in every shard, and one frontier share plus the sum
-        // of the final-level shares reproduces the unsharded totals.
-        let n = 6;
-        let whole = stream_connected(n, 2, &|_, _| true);
-        let count = 4;
-        let mut finals = PruneCounters::default();
-        let mut frontier_share = None;
-        let mut emitted_sum = 0u64;
-        for index in 0..count {
-            let run = stream_connected_shard(n, 2, ShardSpec::new(index, count), &|_, _| true);
-            let share = run.frontier_prune();
-            let expect = *frontier_share.get_or_insert(share);
-            assert_eq!(share, expect, "frontier share differs at shard {index}");
-            finals.merge(&run.final_prune);
-            emitted_sum += run.stats.emitted();
+        // One frontier share plus the per-block final-level shares
+        // reproduces the unsharded totals.
+        let whole = stream_connected(6, 2, &|_, _| true);
+        let frontier = ParentFrontier::build(6, 2);
+        let mut total = frontier.frontier_prune();
+        for index in 0..4 {
+            let (lo, hi) = ShardSpec::new(index, 4).range(frontier.len());
+            total.merge(&frontier.stream_range(lo, hi, |_, _| {}).prune);
         }
-        let mut total = frontier_share.unwrap();
-        total.merge(&finals);
         assert_eq!(total, whole.prune);
-        assert_eq!(emitted_sum, whole.emitted());
     }
 
     #[test]
     fn explicit_ranges_clamp_and_cover() {
-        // Arbitrary (even out-of-range) contiguous cuts partition the
-        // stream as long as they tile [0, frontier_len).
-        let mut whole = Vec::new();
-        for_each_connected(6, |_, key| whole.push(key));
-        whole.sort();
-        let probe = stream_connected_range(6, 1, 0, 0, &|_, _| true);
-        assert_eq!(probe.stats.emitted(), 0);
-        let len = probe.frontier_len as usize;
-        assert_eq!(len, 21); // the connected graphs on 5 vertices
-        let cuts = [0usize, 5, 6, 21];
-        let mut union = Vec::new();
-        for w in cuts.windows(2) {
-            let collected = Mutex::new(Vec::new());
-            stream_connected_range(6, 2, w[0], w[1], &|_, key| {
-                lock(&collected).push(key);
-                true
-            });
-            union.extend(lock_into(collected));
-        }
-        // A range beyond the frontier clamps to empty.
-        let over = stream_connected_range(6, 1, len, len + 100, &|_, _| true);
-        assert_eq!(over.stats.emitted(), 0);
-        assert_eq!((over.parent_lo, over.parent_hi), (21, 21));
-        union.sort();
-        assert_eq!(union, whole);
-    }
-
-    #[test]
-    fn sharded_cancellation_stops_early() {
-        let emitted = AtomicU64::new(0);
-        let run = stream_connected_shard(7, 2, ShardSpec::new(0, 1), &|_, _| {
-            emitted.fetch_add(1, Ordering::Relaxed) < 9
-        });
-        let got = emitted.load(Ordering::Relaxed);
-        assert!((10..853).contains(&(got as usize)), "got {got}");
-        assert!(run.stats.emitted() < 853);
+        // Round-number cuts tile the stream whatever the frontier
+        // length: out-of-range bounds clamp, reversed ones are refused.
+        let frontier = ParentFrontier::build(6, 2);
+        assert_eq!(frontier.len(), 21); // the connected graphs on 5 vertices
+        let emitted: u64 = [(0, 0), (0, 6), (6, 100), (100, 200)]
+            .iter()
+            .map(|&(lo, hi)| frontier.stream_range(lo, hi, |_, _| {}).emitted)
+            .sum();
+        assert_eq!(emitted, 112);
+        let reversed = std::panic::catch_unwind(|| frontier.stream_range(5, 4, |_, _| {}));
+        assert!(reversed.is_err(), "a reversed range must be refused");
     }
 
     #[test]
     fn sharding_trivial_orders_is_rejected() {
-        for n in [0usize, 1] {
-            let caught = std::panic::catch_unwind(|| {
-                stream_connected_shard(n, 1, ShardSpec::new(0, 1), &|_, _| true)
-            });
-            assert!(caught.is_err(), "n={n} has no frontier to shard");
-        }
         for n in [0usize, 1] {
             let caught = std::panic::catch_unwind(|| ParentFrontier::build(n, 1));
             assert!(caught.is_err(), "n={n} has no parent frontier to build");
@@ -1016,7 +814,6 @@ mod tests {
             let whole_stats = for_each_connected_stats(n, |_, key| whole.push(key));
             whole.sort();
             let frontier = ParentFrontier::build(n, 2);
-            assert_eq!(frontier.order(), n);
             assert!(!frontier.is_empty());
             assert_eq!(frontier.level_sizes().len(), n - 1);
             assert_eq!(

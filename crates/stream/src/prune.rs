@@ -62,7 +62,7 @@ const MAX_CHILD: usize = 11;
 
 /// Work counters of the pruned augmentation, aggregated over all levels
 /// of one enumeration run and surfaced through
-/// [`crate::StreamStats`] into the `--streaming` reports.
+/// [`crate::StreamStats`] into the sweep reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PruneCounters {
     /// Children actually constructed and tested (orbit-representative

@@ -44,22 +44,21 @@
 //!
 //! The other figure binaries follow the same shape: `fig3_avg_links`,
 //! `fig1_gallery`, `poa_bounds`, `lemma6_cycles`, `efficiency_scan`.
-//! Add `--streaming` to classify topologies as the enumeration
-//! generates them (identical output bit for bit, no materialized graph
-//! list — the enumeration side holds one level's frontier); orders
-//! beyond the default `n = 8` ceiling opt in at runtime via the
+//! The sweeps classify topologies as the enumeration generates them (no
+//! materialized graph list — the enumeration side holds one frontier);
+//! orders beyond the default `n = 8` ceiling opt in at runtime via the
 //! `BNF_MAX_N` environment variable:
 //!
 //! ```text
-//! BNF_MAX_N=9 cargo run --release -p bnf-empirics --bin fig2_avg_poa -- --n 9 --streaming
+//! BNF_MAX_N=9 cargo run --release -p bnf-empirics --bin fig2_avg_poa -- --n 9
 //! ```
 //!
 //! Classification is windows-first: each topology is classified once
 //! into α-independent windows, and the α axis is a free post-pass.
 //! `--grid log2:1/4:64:32` evaluates a log-dense axis from the same
 //! records; `--atlas sweeps.bnfatlas` persists them, so re-runs (any
-//! grid, any enumeration mode, `efficiency_scan` and `poa_bounds`
-//! included) replay from the store instead of re-classifying:
+//! grid, `efficiency_scan` and `poa_bounds` included) replay from the
+//! store instead of re-classifying:
 //!
 //! ```text
 //! cargo run --release -p bnf-empirics --bin fig2_avg_poa -- \
@@ -67,8 +66,8 @@
 //! ```
 //!
 //! Big sweeps shard across processes (or machines): `--shard i/m`
-//! classifies one contiguous range of the parent frontier into its own
-//! atlas segment, and the `shard_merge` binary (bnf-atlas) folds the
+//! classifies process `i`'s contiguous block of the parent frontier
+//! into its own atlas segment, and the `shard_merge` binary (bnf-atlas) folds the
 //! segments into one coverage-complete store — see
 //! `crates/atlas/README.md`, "Sharded sweeps", for the n = 10 recipe:
 //!

@@ -12,7 +12,7 @@ use bilateral_formation::atlas::{build_index, index_path, ClassificationAtlas, M
 use bilateral_formation::core::{Threshold, WindowRecord};
 use bilateral_formation::empirics::{
     fmt_stat, grid, render_csv, EquilibriumStats, GridFold, GridSpec, SweepConfig, SweepJob,
-    SweepResult, WindowSweep,
+    SweepResult, WindowJob, WindowSweep,
 };
 use bilateral_formation::engine::AnalysisEngine;
 use bilateral_formation::games::{GameKind, Ratio};
@@ -150,8 +150,9 @@ fn assert_records_match_per_alpha(windows: &WindowSweep, alphas: &[Ratio], label
 }
 
 /// Acceptance gate: at the paper's α grid the legacy per-α path, the
-/// windows-first post-pass (both enumeration modes), and an atlas-warm
-/// re-run all render byte-identical Figure 2/3 CSVs.
+/// windows-first post-pass (orchestrated and over the materialized
+/// reference catalogue), and an atlas-warm re-run all render
+/// byte-identical Figure 2/3 CSVs.
 #[test]
 fn paper_grid_csvs_identical_across_all_paths() {
     let config = SweepConfig {
@@ -160,23 +161,30 @@ fn paper_grid_csvs_identical_across_all_paths() {
     };
     let legacy = SweepResult::run_per_alpha(&config);
     let windows_first = SweepResult::run(&config);
-    let streaming = SweepResult::run_streaming(&config);
+    let reference = WindowSweep {
+        n: config.n,
+        records: AnalysisEngine::new(config.threads).run_connected(config.n, &WindowJob::default()),
+    };
+    let streaming = grid::evaluate(&reference, &config.alphas);
     assert_bit_identical(&windows_first, &legacy, "windows-first vs legacy");
-    assert_bit_identical(&streaming, &legacy, "streaming windows vs legacy");
-    let windows = WindowSweep::run(config.n, config.threads, false, None);
+    assert_bit_identical(&streaming, &legacy, "reference windows vs legacy");
+    let windows = WindowSweep::run(config.n, config.threads, None);
+    assert_eq!(
+        windows.records, reference.records,
+        "orchestrated vs reference records"
+    );
     assert_records_match_per_alpha(&windows, &config.alphas, "paper grid");
 
     let path = scratch_path("paper-grid");
     std::fs::remove_file(&path).ok();
     let mut atlas = ClassificationAtlas::open(&path).unwrap();
     // Cold: classifies everything, appends everything.
-    let cold = WindowSweep::run(config.n, config.threads, false, Some(&atlas));
+    let cold = WindowSweep::run(config.n, config.threads, Some(&atlas));
     let appended = atlas.append_records(&cold.records).unwrap();
     assert_eq!(appended, cold.records.len(), "cold run stores every record");
     // Warm, per-key path (no coverage marker yet): every record served
-    // from the store (0 fresh appends), via the *other* enumeration
-    // path for good measure.
-    let warm = WindowSweep::run(config.n, config.threads, true, Some(&atlas));
+    // from the store (0 fresh appends).
+    let warm = WindowSweep::run(config.n, config.threads, Some(&atlas));
     assert_eq!(warm.records, cold.records);
     assert_eq!(atlas.append_records(&warm.records).unwrap(), 0);
     let warm_eval = grid::evaluate(&warm, &config.alphas);
@@ -185,7 +193,7 @@ fn paper_grid_csvs_identical_across_all_paths() {
     // Warm, coverage fast path: the full catalogue replays from the
     // store in engine order without enumerating at all.
     atlas.mark_complete(config.n, cold.records.len()).unwrap();
-    let replayed = WindowSweep::run(config.n, config.threads, false, Some(&atlas));
+    let replayed = WindowSweep::run(config.n, config.threads, Some(&atlas));
     assert_eq!(replayed.records, cold.records, "replay preserves order");
     let replay_eval = grid::evaluate(&replayed, &config.alphas);
     assert_bit_identical(&replay_eval, &legacy, "atlas-replay vs legacy");
@@ -194,7 +202,7 @@ fn paper_grid_csvs_identical_across_all_paths() {
     let reference3 = fig3_csv(&legacy);
     for (label, sweep) in [
         ("windows-first", &windows_first),
-        ("streaming", &streaming),
+        ("reference", &streaming),
         ("atlas-warm", &warm_eval),
     ] {
         assert_eq!(fig2_csv(sweep), reference2, "fig2 CSV differs: {label}");
@@ -261,7 +269,7 @@ fn boundary_pool(windows: &WindowSweep) -> Vec<Ratio> {
 fn random_grids_match_per_alpha_reference_to_n7() {
     let mut state = 0x5EED_2026u64;
     for n in 4..=7usize {
-        let windows = WindowSweep::run(n, 2, false, None);
+        let windows = WindowSweep::run(n, 2, None);
         let pool = boundary_pool(&windows);
         assert!(!pool.is_empty(), "n={n}: no window endpoints?");
         // Fewer, larger grids at n = 7 (853 topologies per legacy pass).
@@ -286,7 +294,7 @@ fn random_grids_match_per_alpha_reference_to_n7() {
 /// paper grid as a strict subset of a refined log2 grid's answers.
 #[test]
 fn named_grids_are_free_post_passes() {
-    let windows = WindowSweep::run(6, 2, false, None);
+    let windows = WindowSweep::run(6, 2, None);
     let paper = grid::evaluate(&windows, &GridSpec::Paper.alphas());
     let dense = grid::evaluate(
         &windows,
@@ -314,7 +322,7 @@ fn named_grids_are_free_post_passes() {
 #[test]
 fn dense_named_grids_match_per_alpha_reference() {
     for n in 4..=6usize {
-        let windows = WindowSweep::run(n, 2, false, None);
+        let windows = WindowSweep::run(n, 2, None);
         for spec in ["log2:1/4:64:32", "linear:1/8:16:300"] {
             let alphas = GridSpec::parse(spec).unwrap().alphas();
             let reference = SweepResult::run_per_alpha(&SweepConfig {
@@ -337,7 +345,7 @@ fn dense_named_grids_match_per_alpha_reference() {
 #[test]
 fn grid_fold_push_by_push_equals_evaluate() {
     let n = 6;
-    let windows = WindowSweep::run(n, 2, false, None);
+    let windows = WindowSweep::run(n, 2, None);
     let alphas = GridSpec::parse("log2:1/4:64:8").unwrap().alphas();
     let expected = grid::evaluate(&windows, &alphas);
 
@@ -371,7 +379,7 @@ fn grid_fold_push_by_push_equals_evaluate() {
 /// worst case at every α.
 #[test]
 fn empty_grid_and_empty_sweep_keep_nan_means() {
-    let windows = WindowSweep::run(5, 2, false, None);
+    let windows = WindowSweep::run(5, 2, None);
     let no_grid = grid::evaluate(&windows, &[]);
     let reference = SweepResult::run_per_alpha(&SweepConfig {
         n: 5,

@@ -33,7 +33,7 @@ fn remove(store: &std::path::Path) {
 fn indexed_lookups_agree_with_full_replay_for_every_record() {
     for n in 4..=7usize {
         let store = scratch_path(&format!("agree-{n}"));
-        let sweep = WindowSweep::run(n, 2, false, None);
+        let sweep = WindowSweep::run(n, 2, None);
         let mut atlas = ClassificationAtlas::open(&store).unwrap();
         atlas.append_records(&sweep.records).unwrap();
         atlas.mark_complete(n, sweep.records.len()).unwrap();
@@ -83,7 +83,7 @@ fn indexed_lookups_agree_with_full_replay_for_every_record() {
 #[test]
 fn truncated_sidecars_fail_with_typed_corruption_errors() {
     let store = scratch_path("truncate");
-    let sweep = WindowSweep::run(5, 2, false, None);
+    let sweep = WindowSweep::run(5, 2, None);
     let mut atlas = ClassificationAtlas::open(&store).unwrap();
     atlas.append_records(&sweep.records).unwrap();
     atlas.mark_complete(5, sweep.records.len()).unwrap();

@@ -1,17 +1,20 @@
-//! Equivalence properties of the in-process parallel shard orchestrator
-//! (PR 6): for seeded random thread budgets and oversplit factors the
-//! orchestrated sweep reproduces the unsharded streaming sweep — and a
-//! multi-process segment-merge replay — byte for byte, its counters
-//! equal the unsharded counters exactly, and a panic in the writer
-//! callback poisons the atlas write cleanly (no coverage declared).
+//! Equivalence properties of the orchestrator, the one cold-sweep
+//! execution path: for seeded random thread budgets and oversplit
+//! factors the orchestrated sweep reproduces the materialized reference
+//! catalogue (`AnalysisEngine::run_connected`) — and a multi-process
+//! segment-merge replay — byte for byte, its counters equal the serial
+//! enumeration's counters exactly, and a panic in the writer callback
+//! poisons the atlas write cleanly (no coverage declared).
 
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use bilateral_formation::atlas::{merge_segments, ClassificationAtlas, ShardCoverage, ShardMeta};
-use bilateral_formation::empirics::{grid, render_csv, SweepConfig, WindowSweep};
-use bilateral_formation::stream::ShardSpec;
+use bilateral_formation::empirics::sweep::WindowJob;
+use bilateral_formation::empirics::{grid, SweepConfig, SweepResult, WindowSweep};
+use bilateral_formation::engine::{AnalysisEngine, RangeSelection};
+use bilateral_formation::stream::{for_each_connected_stats, ShardSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -25,41 +28,30 @@ fn scratch_path(tag: &str) -> PathBuf {
     ))
 }
 
-/// The α-grid CSV of a sweep, floats at full precision — identical
-/// record order means identical float-summation order, so byte equality
-/// here is the figure-level acceptance check.
-fn csv(sweep: &WindowSweep) -> String {
-    let alphas = SweepConfig::standard(sweep.n).alphas;
-    let result = grid::evaluate(sweep, &alphas);
-    let stats = result.stats(bilateral_formation::games::GameKind::Bilateral);
-    let rows: Vec<Vec<String>> = stats
-        .iter()
-        .map(|s| {
-            vec![
-                s.alpha.to_string(),
-                format!("{:.17e}", s.mean_poa),
-                format!("{:.17e}", s.max_poa),
-                format!("{:.17e}", s.mean_links),
-                s.count.to_string(),
-            ]
-        })
-        .collect();
-    render_csv(
-        &["alpha", "mean_poa", "max_poa", "mean_links", "count"],
-        &rows,
-    )
+/// The paper-grid aggregate table of a sweep. `SweepResult` equality
+/// is bitwise on every f64, so equal tables render byte-identical
+/// Figure 2/3 CSVs — identical record order means identical
+/// float-summation order.
+fn table(sweep: &WindowSweep) -> SweepResult {
+    grid::evaluate(sweep, &SweepConfig::standard(sweep.n).alphas)
+}
+
+/// The materialized reference catalogue of order `n`.
+fn reference(n: usize) -> WindowSweep {
+    let records = AnalysisEngine::new(2).run_connected(n, &WindowJob::default());
+    WindowSweep { n, records }
 }
 
 /// Seeded rounds over n ≤ 7: any thread count and any oversplit —
 /// including one range total and far more ranges than the frontier has
-/// parents — must reproduce the unsharded sweep record-for-record and
+/// parents — must reproduce the reference sweep record-for-record and
 /// CSV-byte-for-byte.
 #[test]
 fn orchestrated_sweeps_match_unsharded_for_random_shapes() {
     let mut rng = StdRng::seed_from_u64(0x0C8E_0001);
     for n in [3usize, 5, 7] {
-        let whole = WindowSweep::run(n, 2, true, None);
-        let whole_csv = csv(&whole);
+        let whole = reference(n);
+        let whole_table = table(&whole);
         for round in 0..3 {
             let threads = rng.gen_range(1..5usize);
             let ranges = match round {
@@ -75,8 +67,8 @@ fn orchestrated_sweeps_match_unsharded_for_random_shapes() {
                 "n={n} threads={threads} ranges={ranges:?}"
             );
             assert_eq!(
-                csv(&orch),
-                whole_csv,
+                table(&orch),
+                whole_table,
                 "n={n} threads={threads} ranges={ranges:?}"
             );
             assert_eq!(segments, stats.ranges, "partition did not close");
@@ -85,16 +77,15 @@ fn orchestrated_sweeps_match_unsharded_for_random_shapes() {
     }
 }
 
-/// The counter-share satellite at enumeration scale (n = 8, 11 117
+/// The counter-share property at enumeration scale (n = 8, 11 117
 /// topologies): frontier-build counters attached once plus summed
-/// per-range shares equal the unsharded streaming counters exactly.
+/// per-range shares equal the serial enumeration's counters exactly.
 #[test]
 fn orchestrated_counters_equal_unsharded_at_n8() {
     let n = 8;
-    let (whole, stats) = WindowSweep::run_with_stats(n, 3, true, None);
-    let unsharded = stats.expect("streaming path reports stats");
+    let unsharded = for_each_connected_stats(n, |_, _| {});
     let (orch, orch_stats) = WindowSweep::run_orchestrated(n, 3, None, None, |_| {});
-    assert_eq!(orch.records.len(), whole.records.len());
+    assert_eq!(orch.records.len() as u64, unsharded.emitted());
     assert_eq!(orch_stats.stats.level_sizes, unsharded.level_sizes);
     assert_eq!(orch_stats.stats.prune, unsharded.prune);
     // The split itself recombines to the same totals: one frontier
@@ -102,6 +93,28 @@ fn orchestrated_counters_equal_unsharded_at_n8() {
     let mut recombined = orch_stats.frontier_prune;
     recombined.merge(&orch_stats.final_prune);
     assert_eq!(recombined, unsharded.prune);
+}
+
+/// The `ShardMeta` a range commit writes, stamped with `run`.
+fn range_meta(
+    n: usize,
+    seg: &bilateral_formation::engine::RangeSegment<'_, bilateral_formation::core::WindowRecord>,
+    run: u64,
+) -> ShardMeta {
+    ShardMeta {
+        order: n as u16,
+        shard_index: seg.index as u32,
+        shard_count: seg.ranges as u32,
+        frontier_len: seg.frontier_len,
+        parent_lo: seg.parent_lo,
+        parent_hi: seg.parent_hi,
+        emitted: seg.emitted,
+        elapsed_ms: seg.elapsed_ms,
+        peak_rss_kb: Some(1024),
+        orchestrator_run: Some(run),
+        frontier_prune: seg.frontier_prune,
+        final_prune: seg.final_prune,
+    }
 }
 
 /// An orchestrated run appending into one store replays byte-identical
@@ -113,30 +126,20 @@ fn orchestrated_store_matches_four_segment_merge_replay() {
     let n = 7;
     let threads = 2;
 
-    // Multi-process reference: 4 segment files folded by the merge.
+    // Multi-process reference: 4 process blocks of the 64-range fleet
+    // partition, each writing its ranges into a segment file as
+    // `--shard i/4` does, folded by the merge.
     let mut seg_paths = Vec::new();
     for index in 0..4usize {
-        let shard = ShardSpec::new(index, 4);
         let path = scratch_path(&format!("seg{index}"));
         let mut segment = ClassificationAtlas::open(&path).unwrap();
-        let (windows, run) = WindowSweep::run_shard(n, threads, shard, Some(&segment));
-        segment.append_records(&windows.records).unwrap();
-        segment
-            .append_shard_meta(&ShardMeta {
-                order: n as u16,
-                shard_index: index as u32,
-                shard_count: 4,
-                frontier_len: run.frontier_len,
-                parent_lo: run.parent_lo,
-                parent_hi: run.parent_hi,
-                emitted: run.stats.emitted(),
-                elapsed_ms: 0,
-                peak_rss_kb: None,
-                orchestrator_run: None,
-                frontier_prune: run.frontier_prune(),
-                final_prune: run.final_prune,
-            })
-            .unwrap();
+        let block = RangeSelection::shard(ShardSpec::new(index, 4)).unwrap();
+        WindowSweep::run_selected(n, threads, &block, None, |seg| {
+            segment.append_records(seg.records).unwrap();
+            segment
+                .append_shard_meta(&range_meta(n, &seg, 100 + index as u64))
+                .unwrap();
+        });
         seg_paths.push(path);
     }
     let merged_path = scratch_path("merged");
@@ -150,20 +153,7 @@ fn orchestrated_store_matches_four_segment_merge_replay() {
     let (orch, _) = WindowSweep::run_orchestrated(n, threads, Some(6), None, |seg| {
         orch_atlas.append_records(seg.records).unwrap();
         orch_atlas
-            .append_shard_meta(&ShardMeta {
-                order: n as u16,
-                shard_index: seg.index as u32,
-                shard_count: seg.ranges as u32,
-                frontier_len: seg.frontier_len,
-                parent_lo: seg.parent_lo,
-                parent_hi: seg.parent_hi,
-                emitted: seg.emitted,
-                elapsed_ms: seg.elapsed_ms,
-                peak_rss_kb: None,
-                orchestrator_run: Some(7),
-                frontier_prune: seg.frontier_prune,
-                final_prune: seg.final_prune,
-            })
+            .append_shard_meta(&range_meta(n, &seg, 7))
             .unwrap();
     });
     let coverage = orch_atlas.declare_sharded_coverage().unwrap();
@@ -174,12 +164,15 @@ fn orchestrated_store_matches_four_segment_merge_replay() {
     // One process across 6 in-process ranges.
     assert_eq!(ShardMeta::process_count(orch_atlas.shard_metas()), 1);
 
+    // One process per fleet block in the merged provenance.
+    assert_eq!(ShardMeta::process_count(merged.shard_metas()), 4);
+
     // Both stores replay the identical catalogue, CSV bytes included.
-    let from_merged = WindowSweep::run(n, threads, false, Some(&merged));
-    let from_orch = WindowSweep::run(n, threads, false, Some(&orch_atlas));
+    let from_merged = WindowSweep::run(n, threads, Some(&merged));
+    let from_orch = WindowSweep::run(n, threads, Some(&orch_atlas));
     assert_eq!(from_orch.records, from_merged.records);
     assert_eq!(from_orch.records, orch.records);
-    assert_eq!(csv(&from_orch), csv(&from_merged));
+    assert_eq!(table(&from_orch), table(&from_merged));
 
     for p in seg_paths.iter().chain([&merged_path, &orch_path]) {
         std::fs::remove_file(p).ok();

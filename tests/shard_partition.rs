@@ -1,20 +1,19 @@
-//! Shard-partition properties of the multi-process enumeration driver
-//! (PR 5): for *random* partitions of the level-`n − 1` parent frontier
-//! the union of per-shard emissions equals the unsharded enumeration
-//! multiset, and a merged segment atlas replays CSVs byte-identical to
-//! a single-process `--atlas` run.
+//! Shard-partition properties of the multi-process enumeration driver:
+//! for *random* partitions of the level-`n − 1` parent frontier the
+//! union of per-range emissions equals the unsharded enumeration
+//! multiset, a process block of the oversplit fleet partition is exactly
+//! its range of the plain split, and a merged segment atlas replays CSVs
+//! byte-identical to a single-process `--atlas` run.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Mutex;
 
 use bilateral_formation::atlas::{merge_segments, ClassificationAtlas, ShardCoverage, ShardMeta};
-use bilateral_formation::empirics::{grid, render_csv, WindowSweep};
+use bilateral_formation::empirics::{grid, WindowSweep};
+use bilateral_formation::engine::{RangeSelection, DEFAULT_OVERSPLIT};
 use bilateral_formation::graph::CanonKey;
-use bilateral_formation::stream::{
-    for_each_connected, stream_connected_range, ShardSpec, ShardStats,
-};
+use bilateral_formation::stream::{for_each_connected, ParentFrontier, ShardSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -50,25 +49,17 @@ fn random_partitions_union_to_the_unsharded_multiset() {
         let mut whole: BTreeMap<CanonKey, u32> = BTreeMap::new();
         for_each_connected(n, |_, key| *whole.entry(key).or_insert(0) += 1);
         assert!(whole.values().all(|&c| c == 1), "n={n}");
-        // Probe the frontier length with an empty range.
-        let probe = stream_connected_range(n, 1, 0, 0, &|_, _| true);
-        let len = probe.frontier_len as usize;
-        for round in 0..rounds {
+        let frontier = ParentFrontier::build(n, 2);
+        let len = frontier.len();
+        for _ in 0..rounds {
             let cuts = random_cuts(&mut rng, len);
             let mut union: BTreeMap<CanonKey, u32> = BTreeMap::new();
             let mut emitted_sum = 0u64;
             for w in cuts.windows(2) {
-                let sink = Mutex::new(Vec::new());
-                let run: ShardStats =
-                    stream_connected_range(n, 1 + round % 2, w[0], w[1], &|_, key| {
-                        sink.lock().unwrap().push(key);
-                        true
-                    });
-                assert_eq!(run.frontier_len as usize, len, "n={n}");
-                emitted_sum += run.stats.emitted();
-                for key in sink.into_inner().unwrap() {
+                let run = frontier.stream_range(w[0], w[1], |_, key| {
                     *union.entry(key).or_insert(0) += 1;
-                }
+                });
+                emitted_sum += run.emitted;
             }
             assert_eq!(
                 union, whole,
@@ -79,8 +70,40 @@ fn random_partitions_union_to_the_unsharded_multiset() {
     }
 }
 
-/// A random ShardSpec partition classified shard-by-shard into segment
-/// files, folded by the merge, replays CSVs byte-identical to a
+/// The fleet partition nests in the plain split: for random frontier
+/// lengths L, process counts m and oversplit factors k, the union of
+/// ranges `[k·i, k·(i + 1))` of the `k·m`-way split is exactly range i
+/// of the m-way split (⌊k·i·L / k·m⌋ = ⌊i·L / m⌋), contiguous and in
+/// order — so a `--shard i/m` process covers precisely its parents.
+#[test]
+fn oversplit_blocks_equal_the_plain_split() {
+    let mut rng = StdRng::seed_from_u64(0x5AAD_0003);
+    for _ in 0..2000 {
+        let len = match rng.gen_range(0..3u32) {
+            0 => rng.gen_range(0..40usize),
+            1 => rng.gen_range(0..300_000usize),
+            _ => rng.gen_range(0..usize::MAX / 2),
+        };
+        let m = rng.gen_range(1..70usize);
+        let k = rng.gen_range(1..40usize);
+        let i = rng.gen_range(0..m);
+        let mut next = ShardSpec::new(i, m).range(len).0;
+        for j in k * i..k * (i + 1) {
+            let (lo, hi) = ShardSpec::new(j, k * m).range(len);
+            assert_eq!(lo, next, "L={len} m={m} k={k} i={i} j={j}");
+            next = hi;
+        }
+        assert_eq!(
+            next,
+            ShardSpec::new(i, m).range(len).1,
+            "L={len} m={m} k={k} i={i}"
+        );
+    }
+}
+
+/// A random-size fleet, each process classifying its block of the
+/// oversplit partition range by range into a segment file (as `--shard
+/// i/m` does), folded by the merge, replays CSVs byte-identical to a
 /// single-process `--atlas` sweep — the acceptance property the CI
 /// shard smoke checks at the binary level.
 #[test]
@@ -94,7 +117,7 @@ fn merged_segments_replay_csv_byte_identical_to_single_process_run() {
     // CLI's --atlas cold+warm sequence.
     let solo_path = scratch_path("solo");
     let mut solo_atlas = ClassificationAtlas::open(&solo_path).unwrap();
-    let solo = WindowSweep::run(n, threads, false, Some(&solo_atlas));
+    let solo = WindowSweep::run(n, threads, Some(&solo_atlas));
     solo_atlas.append_records(&solo.records).unwrap();
     solo_atlas.mark_complete(n, solo.records.len()).unwrap();
 
@@ -102,27 +125,31 @@ fn merged_segments_replay_csv_byte_identical_to_single_process_run() {
     // would write them.
     let mut seg_paths = Vec::new();
     for index in 0..count {
-        let shard = ShardSpec::new(index, count);
+        let block = RangeSelection::shard(ShardSpec::new(index, count)).unwrap();
         let path = scratch_path(&format!("seg{index}"));
         let mut segment = ClassificationAtlas::open(&path).unwrap();
-        let (windows, run) = WindowSweep::run_shard(n, threads, shard, Some(&segment));
-        segment.append_records(&windows.records).unwrap();
-        segment
-            .append_shard_meta(&ShardMeta {
-                order: n as u16,
-                shard_index: index as u32,
-                shard_count: count as u32,
-                frontier_len: run.frontier_len,
-                parent_lo: run.parent_lo,
-                parent_hi: run.parent_hi,
-                emitted: run.stats.emitted(),
-                elapsed_ms: 0,
-                peak_rss_kb: None,
-                orchestrator_run: None,
-                frontier_prune: run.frontier_prune(),
-                final_prune: run.final_prune,
-            })
-            .unwrap();
+        let mut committed = 0;
+        WindowSweep::run_selected(n, threads, &block, None, |seg| {
+            segment.append_records(seg.records).unwrap();
+            segment
+                .append_shard_meta(&ShardMeta {
+                    order: n as u16,
+                    shard_index: seg.index as u32,
+                    shard_count: seg.ranges as u32,
+                    frontier_len: seg.frontier_len,
+                    parent_lo: seg.parent_lo,
+                    parent_hi: seg.parent_hi,
+                    emitted: seg.emitted,
+                    elapsed_ms: 0,
+                    peak_rss_kb: None,
+                    orchestrator_run: Some(index as u64),
+                    frontier_prune: seg.frontier_prune,
+                    final_prune: seg.final_prune,
+                })
+                .unwrap();
+            committed += 1;
+        });
+        assert_eq!(committed, DEFAULT_OVERSPLIT, "process {index}");
         seg_paths.push(path);
     }
     let merged_path = scratch_path("merged");
@@ -135,32 +162,16 @@ fn merged_segments_replay_csv_byte_identical_to_single_process_run() {
     );
 
     // Warm replay from the merged store must be record-identical...
-    let replay = WindowSweep::run(n, threads, false, Some(&merged));
+    let replay = WindowSweep::run(n, threads, Some(&merged));
     assert_eq!(replay.records, solo.records);
-    // ...and CSV-byte-identical through the α-grid post-pass (identical
-    // record order means identical float-summation order).
+    // ...and CSV-byte-identical through the α-grid post-pass: the
+    // aggregate tables compare bitwise on every f64.
     let alphas = bilateral_formation::empirics::SweepConfig::standard(n).alphas;
-    let csv = |sweep: &WindowSweep| {
-        let result = grid::evaluate(sweep, &alphas);
-        let stats = result.stats(bilateral_formation::games::GameKind::Bilateral);
-        let rows: Vec<Vec<String>> = stats
-            .iter()
-            .map(|s| {
-                vec![
-                    s.alpha.to_string(),
-                    format!("{:.17e}", s.mean_poa),
-                    format!("{:.17e}", s.max_poa),
-                    format!("{:.17e}", s.mean_links),
-                    s.count.to_string(),
-                ]
-            })
-            .collect();
-        render_csv(
-            &["alpha", "mean_poa", "max_poa", "mean_links", "count"],
-            &rows,
-        )
-    };
-    assert_eq!(csv(&replay), csv(&solo), "merged-atlas CSV differs");
+    assert_eq!(
+        grid::evaluate(&replay, &alphas),
+        grid::evaluate(&solo, &alphas),
+        "merged-atlas CSV differs"
+    );
 
     for p in seg_paths.iter().chain([&merged_path, &solo_path]) {
         std::fs::remove_file(p).ok();

@@ -115,8 +115,8 @@ fn orbit_representative_augmentation_never_drops_a_survivor() {
     }
 }
 
-/// The engine's streaming runner returns classification outputs in the
-/// materializing runner's exact deterministic order.
+/// The orchestrator returns classification outputs in the materialized
+/// reference runner's exact deterministic order.
 #[test]
 fn engine_streaming_output_order_matches() {
     struct DistanceCensus;
@@ -130,7 +130,9 @@ fn engine_streaming_output_order_matches() {
     let engine = AnalysisEngine::new(2);
     for n in [5, 6, 7] {
         assert_eq!(
-            engine.run_connected_streaming(n, &DistanceCensus),
+            engine
+                .run_connected_streaming_keyed_orchestrated(n, None, &DistanceCensus, |_| {})
+                .0,
             engine.run_connected(n, &DistanceCensus),
             "n={n}"
         );
