@@ -33,6 +33,13 @@
 //! mid-store corruption, exactly as it treats an undecodable v3 record
 //! frame. A tear *between* frames is detected by the framing layer
 //! before this module runs, so recovery semantics are unchanged.
+//!
+//! One walker reads blocks, for two entry points: [`decode_block`]
+//! materializes every record (replays, merges, compaction), and
+//! [`decode_block_record`] materializes one (point lookups). Both check
+//! the same things — CRC, every column of every record — so they accept
+//! exactly the same blocks; the single-record walk skips only the
+//! allocations and gcd reductions of the records it does not return.
 
 use bnf_core::{ClosedInterval, LowerBound, StabilityWindow, Threshold, WindowRecord};
 use bnf_games::Ratio;
@@ -41,8 +48,12 @@ use bnf_games::Ratio;
 /// final block of a batch may be shorter (minimum 1).
 pub const BLOCK_RECORDS: usize = 4096;
 
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables for the reflected IEEE polynomial: `CRC_TABLES[0]`
+/// is the classic bytewise table, and `CRC_TABLES[k][b]` advances the
+/// CRC of byte `b` through `k` further zero bytes, so eight table reads
+/// fold eight input bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -55,18 +66,43 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
 /// CRC-32/IEEE (reflected, init and xorout `0xFFFFFFFF`) — the zlib
-/// polynomial, hand-rolled so the crate stays dependency-free.
+/// polynomial, hand-rolled so the crate stays dependency-free. Folds
+/// eight bytes per step (slicing-by-8), then the tail bytewise.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -140,10 +176,10 @@ pub fn encode_block(records: &[&WindowRecord], out: &mut Vec<u8>) {
         out.extend_from_slice(&key[shared..]);
         prev_key = key;
     }
-    for (get, _) in COLUMNS {
+    for col in &COLUMNS {
         let mut prev = 0u64;
         for rec in records {
-            let v = get(rec);
+            let v = (col.get)(rec);
             put_delta(out, prev, v);
             prev = v;
         }
@@ -175,12 +211,35 @@ pub fn encode_block(records: &[&WindowRecord], out: &mut Vec<u8>) {
     out[crc_at..body_at].copy_from_slice(&crc);
 }
 
-/// The three integer delta columns, in on-disk order.
-type Column = (fn(&WindowRecord) -> u64, &'static str);
+/// The three integer delta columns, in on-disk order: how the encoder
+/// reads a column value, how the walker stores one, the column's name
+/// for diagnoses, and the largest value the record field holds.
+struct Column {
+    get: fn(&WindowRecord) -> u64,
+    set: fn(&mut WindowRecord, u64),
+    name: &'static str,
+    max: u64,
+}
+
 const COLUMNS: [Column; 3] = [
-    (|r| u64::from(r.order), "order"),
-    (|r| r.edges, "edges"),
-    (|r| r.total_distance, "total_distance"),
+    Column {
+        get: |r| u64::from(r.order),
+        set: |r, v| r.order = v as u32,
+        name: "order",
+        max: u32::MAX as u64,
+    },
+    Column {
+        get: |r| r.edges,
+        set: |r, v| r.edges = v,
+        name: "edges",
+        max: u64::MAX,
+    },
+    Column {
+        get: |r| r.total_distance,
+        set: |r, v| r.total_distance = v,
+        name: "total_distance",
+        max: u64::MAX,
+    },
 ];
 
 fn put_bitmap(
@@ -203,34 +262,141 @@ fn put_bitmap(
     }
 }
 
+/// A primitive read failure: the cursor ran out of bytes (`Short`
+/// carries the byte count the read wanted) or a varint ran past 64
+/// bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ReadFault {
+    Short(usize),
+    VarintOverflow,
+}
+
+/// Everything the block walker can find wrong. `Copy` and
+/// allocation-free, so the per-record loop returns it by value; the
+/// diagnosis string is rendered once, through `Display`, at the public
+/// boundary. Only `order` is narrower than its u64 column, so
+/// `ColumnRange` names u32.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fault {
+    Header(usize),
+    ZeroCount,
+    Crc { stored: u32, computed: u32 },
+    Ordinal { ordinal: usize, count: usize },
+    Read(ReadFault),
+    Column(&'static str, ReadFault),
+    ColumnRange(&'static str, u64),
+    KeyPrefix { shared: usize, prev: usize },
+    KeyUtf8,
+    ZeroDenominator,
+    ThresholdTag(u8),
+    InclusiveTag(u8),
+    UcgCount(usize),
+    Trailing(usize),
+}
+
+impl From<ReadFault> for Fault {
+    fn from(e: ReadFault) -> Fault {
+        Fault::Read(e)
+    }
+}
+
+impl std::fmt::Display for ReadFault {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ReadFault::Short(n) => write!(f, "block ends {n} bytes short"),
+            ReadFault::VarintOverflow => f.write_str("varint overflows u64"),
+        }
+    }
+}
+
+impl std::fmt::Display for Fault {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Fault::Header(len) => write!(f, "block header needs 6 bytes, got {len}"),
+            Fault::ZeroCount => f.write_str("block declares zero records"),
+            Fault::Crc { stored, computed } => write!(
+                f,
+                "block CRC mismatch: stored {stored:#010x}, computed {computed:#010x}"
+            ),
+            Fault::Ordinal { ordinal, count } => {
+                write!(f, "ordinal {ordinal} past a {count}-record block")
+            }
+            Fault::Read(e) => e.fmt(f),
+            Fault::Column(name, e) => write!(f, "{name} column: {e}"),
+            Fault::ColumnRange(name, v) => write!(f, "{name} {v} overflows u32"),
+            Fault::KeyPrefix { shared, prev } => {
+                write!(
+                    f,
+                    "key shares {shared} bytes with a {prev}-byte predecessor"
+                )
+            }
+            Fault::KeyUtf8 => f.write_str("key is not UTF-8"),
+            Fault::ZeroDenominator => f.write_str("ratio with zero denominator"),
+            Fault::ThresholdTag(t) => write!(f, "unknown threshold tag {t}"),
+            Fault::InclusiveTag(t) => write!(f, "unknown inclusivity tag {t}"),
+            Fault::UcgCount(n) => write!(f, "ucg_support count {n} exceeds block"),
+            Fault::Trailing(n) => write!(f, "{n} trailing bytes after block"),
+        }
+    }
+}
+
+/// A ratio as stored: numerator and a denominator already checked
+/// non-zero. Only a materialized record pays [`Ratio::new`]'s gcd.
+#[derive(Clone, Copy)]
+struct RawRatio(i64, i64);
+
+impl RawRatio {
+    fn ratio(self) -> Ratio {
+        Ratio::new(self.0, self.1)
+    }
+}
+
+/// A stored threshold: `None` is `+∞`.
+fn threshold(raw: Option<RawRatio>) -> Threshold {
+    raw.map_or(Threshold::Infinite, |r| Threshold::Finite(r.ratio()))
+}
+
 struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
+// The reads below run once or more per field of every record; forcing
+// them inline took about a third off the single-record walk on the
+// `atlas_codec/decode_block/one` bench.
 impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+    #[inline(always)]
+    fn take(&mut self, n: usize) -> Result<&'a [u8], ReadFault> {
         let end = self
             .pos
             .checked_add(n)
             .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| format!("block ends {n} bytes short"))?;
+            .ok_or(ReadFault::Short(n))?;
         let out = &self.buf[self.pos..end];
         self.pos = end;
         Ok(out)
     }
 
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
+    #[inline(always)]
+    fn u8(&mut self) -> Result<u8, ReadFault> {
+        let b = *self.buf.get(self.pos).ok_or(ReadFault::Short(1))?;
+        self.pos += 1;
+        Ok(b)
     }
 
-    fn varint(&mut self) -> Result<u64, String> {
+    #[inline(always)]
+    fn varint(&mut self) -> Result<u64, ReadFault> {
+        // Most stored values are deltas and small rationals: one byte.
+        if let Some(&b) = self.buf.get(self.pos).filter(|&&b| b < 0x80) {
+            self.pos += 1;
+            return Ok(u64::from(b));
+        }
         let mut v = 0u64;
         let mut shift = 0u32;
         loop {
             let b = self.u8()?;
             if shift == 63 && b > 1 {
-                return Err("varint overflows u64".into());
+                return Err(ReadFault::VarintOverflow);
             }
             v |= u64::from(b & 0x7F) << shift;
             if b & 0x80 == 0 {
@@ -238,38 +404,187 @@ impl<'a> Cursor<'a> {
             }
             shift += 7;
             if shift > 63 {
-                return Err("varint overflows u64".into());
+                return Err(ReadFault::VarintOverflow);
             }
         }
     }
 
-    fn delta(&mut self, prev: u64) -> Result<u64, String> {
+    #[inline(always)]
+    fn delta(&mut self, prev: u64) -> Result<u64, ReadFault> {
         Ok(prev.wrapping_add(unzigzag(self.varint()?) as u64))
     }
 
-    fn ratio(&mut self) -> Result<Ratio, String> {
+    #[inline(always)]
+    fn ratio(&mut self) -> Result<RawRatio, Fault> {
         let num = unzigzag(self.varint()?);
         let den = unzigzag(self.varint()?);
         if den == 0 {
-            return Err("ratio with zero denominator".into());
+            return Err(Fault::ZeroDenominator);
         }
-        Ok(Ratio::new(num, den))
+        Ok(RawRatio(num, den))
     }
 
-    fn threshold(&mut self) -> Result<Threshold, String> {
+    #[inline(always)]
+    fn threshold(&mut self) -> Result<Option<RawRatio>, Fault> {
         match self.u8()? {
-            0 => Ok(Threshold::Finite(self.ratio()?)),
-            1 => Ok(Threshold::Infinite),
-            t => Err(format!("unknown threshold tag {t}")),
+            0 => Ok(Some(self.ratio()?)),
+            1 => Ok(None),
+            t => Err(Fault::ThresholdTag(t)),
         }
     }
 
-    fn bitmap(&mut self, count: usize) -> Result<Vec<bool>, String> {
-        let bytes = self.take(count.div_ceil(8))?;
-        Ok((0..count)
-            .map(|i| bytes[i / 8] & (1 << (i % 8)) != 0)
-            .collect())
+    #[inline(always)]
+    fn interval(&mut self) -> Result<(RawRatio, Option<RawRatio>), Fault> {
+        Ok((self.ratio()?, self.threshold()?))
     }
+}
+
+fn closed((lo, hi): (RawRatio, Option<RawRatio>)) -> ClosedInterval {
+    ClosedInterval {
+        lo: lo.ratio(),
+        hi: threshold(hi),
+    }
+}
+
+fn bit(bitmap: &[u8], i: usize) -> bool {
+    bitmap[i / 8] & (1 << (i % 8)) != 0
+}
+
+/// The one block walker behind [`decode_block`] and
+/// [`decode_block_record`]. It checks the CRC and parses every column
+/// of every record — so both entry points accept exactly the same
+/// blocks — but materializes only the records in `first..first + len`
+/// (`len` is `count` for `None`, 1 for `Some(ordinal)`): an unselected
+/// record costs its varints and checks, with no allocation and no gcd.
+fn walk(body: &[u8], ordinal: Option<usize>) -> Result<Vec<WindowRecord>, Fault> {
+    if body.len() < 6 {
+        return Err(Fault::Header(body.len()));
+    }
+    let count = usize::from(u16::from_le_bytes([body[0], body[1]]));
+    if count == 0 {
+        return Err(Fault::ZeroCount);
+    }
+    let stored = u32::from_le_bytes([body[2], body[3], body[4], body[5]]);
+    let computed = crc32(&body[6..]);
+    if stored != computed {
+        return Err(Fault::Crc { stored, computed });
+    }
+    let (first, len) = match ordinal {
+        None => (0, count),
+        Some(k) if k < count => (k, 1),
+        Some(ordinal) => return Err(Fault::Ordinal { ordinal, count }),
+    };
+    let mut c = Cursor { buf: body, pos: 6 };
+    // The key strings are allocated before the large records vector:
+    // the other order fragments the heap over repeated whole-store
+    // replays (about 3 % more peak RSS on a warm n = 9 replay).
+    let mut keys: Vec<String> = Vec::with_capacity(len);
+
+    let mut key: Vec<u8> = Vec::new();
+    // Whether `key` is all ASCII: then any prefix of it plus an ASCII
+    // suffix is ASCII too, hence UTF-8, and the full check is skipped.
+    let mut ascii = true;
+    for i in 0..count {
+        let shared = c.varint()? as usize;
+        if shared > key.len() {
+            return Err(Fault::KeyPrefix {
+                shared,
+                prev: key.len(),
+            });
+        }
+        let suffix_len = c.varint()? as usize;
+        let suffix = c.take(suffix_len)?;
+        key.truncate(shared);
+        key.extend_from_slice(suffix);
+        ascii = ascii && suffix.is_ascii();
+        if !ascii {
+            std::str::from_utf8(&key).map_err(|_| Fault::KeyUtf8)?;
+            ascii = key.is_ascii();
+        }
+        if i.wrapping_sub(first) < len {
+            keys.push(String::from_utf8(key.clone()).map_err(|_| Fault::KeyUtf8)?);
+        }
+    }
+    // Record `i` is selected iff `i - first` (wrapping) indexes `out`.
+    let mut out: Vec<WindowRecord> = keys
+        .into_iter()
+        .map(|key| WindowRecord {
+            key,
+            order: 0,
+            edges: 0,
+            total_distance: 0,
+            stability: None,
+            transfer: None,
+            ucg_support: Vec::new(),
+        })
+        .collect();
+
+    for col in &COLUMNS {
+        let mut prev = 0u64;
+        for i in 0..count {
+            prev = c.delta(prev).map_err(|e| Fault::Column(col.name, e))?;
+            if prev > col.max {
+                return Err(Fault::ColumnRange(col.name, prev));
+            }
+            if let Some(rec) = out.get_mut(i.wrapping_sub(first)) {
+                (col.set)(rec, prev);
+            }
+        }
+    }
+
+    let present = c.take(count.div_ceil(8))?;
+    for i in (0..count).filter(|&i| bit(present, i)) {
+        let value = c.ratio()?;
+        let inclusive = match c.u8()? {
+            0 => false,
+            1 => true,
+            t => return Err(Fault::InclusiveTag(t)),
+        };
+        let upper = c.threshold()?;
+        if let Some(rec) = out.get_mut(i.wrapping_sub(first)) {
+            rec.stability = Some(StabilityWindow {
+                lower: LowerBound {
+                    value: value.ratio(),
+                    inclusive,
+                },
+                upper: threshold(upper),
+            });
+        }
+    }
+
+    let present = c.take(count.div_ceil(8))?;
+    for i in (0..count).filter(|&i| bit(present, i)) {
+        let raw = c.interval()?;
+        if let Some(rec) = out.get_mut(i.wrapping_sub(first)) {
+            rec.transfer = Some(closed(raw));
+        }
+    }
+
+    for i in 0..count {
+        let n_support = c.varint()? as usize;
+        if n_support > body.len() - c.pos {
+            // Each interval costs ≥ 3 bytes; a count beyond the
+            // remaining bytes is corrupt, not an allocation request.
+            return Err(Fault::UcgCount(n_support));
+        }
+        match out.get_mut(i.wrapping_sub(first)) {
+            Some(rec) => {
+                rec.ucg_support.reserve_exact(n_support);
+                for _ in 0..n_support {
+                    rec.ucg_support.push(closed(c.interval()?));
+                }
+            }
+            None => {
+                for _ in 0..n_support {
+                    c.interval()?;
+                }
+            }
+        }
+    }
+    if c.pos != body.len() {
+        return Err(Fault::Trailing(body.len() - c.pos));
+    }
+    Ok(out)
 }
 
 /// Decodes one v4 block body (the frame payload after the tag byte)
@@ -278,123 +593,19 @@ impl<'a> Cursor<'a> {
 /// string diagnosis for the caller to wrap in its typed corruption
 /// error.
 pub fn decode_block(body: &[u8]) -> Result<Vec<WindowRecord>, String> {
-    if body.len() < 6 {
-        return Err(format!("block header needs 6 bytes, got {}", body.len()));
-    }
-    let count = usize::from(u16::from_le_bytes(body[0..2].try_into().expect("2")));
-    if count == 0 {
-        return Err("block declares zero records".into());
-    }
-    let stored_crc = u32::from_le_bytes(body[2..6].try_into().expect("4"));
-    let actual_crc = crc32(&body[6..]);
-    if stored_crc != actual_crc {
-        return Err(format!(
-            "block CRC mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
-        ));
-    }
-    let mut c = Cursor { buf: body, pos: 6 };
+    walk(body, None).map_err(|f| f.to_string())
+}
 
-    let mut keys = Vec::with_capacity(count);
-    let mut prev_key: Vec<u8> = Vec::new();
-    for _ in 0..count {
-        let shared = c.varint()? as usize;
-        if shared > prev_key.len() {
-            return Err(format!(
-                "key shares {shared} bytes with a {}-byte predecessor",
-                prev_key.len()
-            ));
-        }
-        let suffix_len = c.varint()? as usize;
-        let suffix = c.take(suffix_len)?;
-        prev_key.truncate(shared);
-        prev_key.extend_from_slice(suffix);
-        let key = std::str::from_utf8(&prev_key)
-            .map_err(|_| "key is not UTF-8".to_string())?
-            .to_string();
-        keys.push(key);
-    }
-
-    let mut columns = [
-        Vec::with_capacity(count),
-        Vec::with_capacity(count),
-        Vec::with_capacity(count),
-    ];
-    for (col, (_, name)) in columns.iter_mut().zip(COLUMNS) {
-        let mut prev = 0u64;
-        for _ in 0..count {
-            prev = c.delta(prev).map_err(|e| format!("{name} column: {e}"))?;
-            col.push(prev);
-        }
-    }
-
-    let stab_present = c.bitmap(count)?;
-    let mut stability = Vec::with_capacity(count);
-    for &present in &stab_present {
-        stability.push(if present {
-            let value = c.ratio()?;
-            let inclusive = match c.u8()? {
-                0 => false,
-                1 => true,
-                t => return Err(format!("unknown inclusivity tag {t}")),
-            };
-            let upper = c.threshold()?;
-            Some(StabilityWindow {
-                lower: LowerBound { value, inclusive },
-                upper,
-            })
-        } else {
-            None
-        });
-    }
-
-    let xfer_present = c.bitmap(count)?;
-    let mut transfer = Vec::with_capacity(count);
-    for &present in &xfer_present {
-        transfer.push(if present {
-            Some(ClosedInterval {
-                lo: c.ratio()?,
-                hi: c.threshold()?,
-            })
-        } else {
-            None
-        });
-    }
-
-    let mut records = Vec::with_capacity(count);
-    let mut stability = stability.into_iter();
-    let mut transfer = transfer.into_iter();
-    for (i, key) in keys.into_iter().enumerate() {
-        let n_support = c.varint()? as usize;
-        if n_support > body.len() - c.pos {
-            // Each interval costs ≥ 3 bytes; a count beyond the
-            // remaining bytes is corrupt, not an allocation request.
-            return Err(format!("ucg_support count {n_support} exceeds block"));
-        }
-        let mut ucg_support = Vec::with_capacity(n_support);
-        for _ in 0..n_support {
-            ucg_support.push(ClosedInterval {
-                lo: c.ratio()?,
-                hi: c.threshold()?,
-            });
-        }
-        let order = columns[0][i];
-        if order > u64::from(u32::MAX) {
-            return Err(format!("order {order} overflows u32"));
-        }
-        records.push(WindowRecord {
-            key,
-            order: order as u32,
-            edges: columns[1][i],
-            total_distance: columns[2][i],
-            stability: stability.next().expect("count"),
-            transfer: transfer.next().expect("count"),
-            ucg_support,
-        });
-    }
-    if c.pos != body.len() {
-        return Err(format!("{} trailing bytes after block", body.len() - c.pos));
-    }
-    Ok(records)
+/// The `ordinal`-th record of one v4 block body — equal to
+/// `decode_block(body)?[ordinal]`, and an error exactly when
+/// [`decode_block`] is (or when `ordinal` is past the block). The whole
+/// block is still CRC-checked and parsed, but only the requested record
+/// is materialized: the point-lookup path of [`crate::MappedAtlas`].
+pub fn decode_block_record(body: &[u8], ordinal: usize) -> Result<WindowRecord, String> {
+    let mut records = walk(body, Some(ordinal)).map_err(|f| f.to_string())?;
+    Ok(records
+        .pop()
+        .expect("a walk with an ordinal selects one record"))
 }
 
 #[cfg(test)]
@@ -429,7 +640,7 @@ mod tests {
             buf: &[0x80; 11],
             pos: 0,
         };
-        assert!(c.varint().unwrap_err().contains("overflows"));
+        assert_eq!(c.varint(), Err(ReadFault::VarintOverflow));
     }
 
     fn rec(key: &str, edges: u64) -> WindowRecord {

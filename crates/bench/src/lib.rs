@@ -10,6 +10,7 @@
 //! | `substrate` | BFS / canonical labelling / enumeration / graph6 |
 //! | `equilibria` | stability windows, pairwise Nash, UCG solver |
 //! | `dynamics` | pairwise and best-response dynamics |
+//! | `atlas_codec` | v4 block decode: whole block vs one validated record |
 
 /// Standard seeds used by the dynamics benches (fixed for stability).
 pub const BENCH_SEEDS: [u64; 3] = [7, 42, 1234];

@@ -11,7 +11,7 @@
 
 use bnf_empirics::MinimizerShape;
 use bnf_empirics::{
-    arg_value, default_threads, efficiency_scan_windows, grid_from_args, render_table,
+    default_threads, efficiency_scan_windows, grid_from_args, numeric_flag, render_table,
     run_window_sweep_cli,
 };
 use bnf_games::Ratio;
@@ -47,10 +47,8 @@ fn minimizer_cell(minimizers: &[MinimizerShape]) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let n: usize = arg_value(&args, "--n").map_or(7, |v| v.parse().expect("--n wants a number"));
-    let threads: usize = arg_value(&args, "--threads").map_or_else(default_threads, |v| {
-        v.parse().expect("--threads wants a number")
-    });
+    let n: usize = numeric_flag(&args, "--n", 7);
+    let threads: usize = numeric_flag(&args, "--threads", default_threads());
     let alphas = grid_from_args(&args, || {
         vec![
             Ratio::new(1, 4),

@@ -17,17 +17,15 @@
 //! same records.)
 
 use bnf_empirics::{
-    arg_flag, arg_value, fmt_stat, render_csv, render_table, run_sweep_cli, SweepConfig,
+    arg_flag, fmt_stat, numeric_flag, render_csv, render_table, run_sweep_cli, SweepConfig,
 };
 use bnf_games::GameKind;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let n: usize = arg_value(&args, "--n").map_or(7, |v| v.parse().expect("--n wants a number"));
+    let n: usize = numeric_flag(&args, "--n", 7);
     let mut config = SweepConfig::standard(n);
-    if let Some(t) = arg_value(&args, "--threads") {
-        config.threads = t.parse().expect("--threads wants a number");
-    }
+    config.threads = numeric_flag(&args, "--threads", config.threads);
     let sweep = run_sweep_cli(&config, &args);
     let bcg = sweep.stats(GameKind::Bilateral);
     let ucg = sweep.stats(GameKind::Unilateral);

@@ -4,12 +4,11 @@
 //!
 //! Usage: lemma6_cycles [--max 20]
 
-use bnf_empirics::{arg_value, lemma6_rows, render_table};
+use bnf_empirics::{lemma6_rows, numeric_flag, render_table};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let max: usize =
-        arg_value(&args, "--max").map_or(20, |v| v.parse().expect("--max wants a number"));
+    let max: usize = numeric_flag(&args, "--max", 20);
     let rows: Vec<Vec<String>> = lemma6_rows(4..=max)
         .into_iter()
         .map(|r| {

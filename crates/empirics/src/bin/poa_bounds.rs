@@ -12,11 +12,14 @@
 //! its exhaustive half incremental too.
 
 use bnf_empirics::{
-    arg_value, fmt_stat, prop3_series, prop4_rows, render_table, run_sweep_cli, SweepConfig,
+    fmt_stat, numeric_flag, prop3_series, prop4_rows, render_table, run_sweep_cli, SweepConfig,
 };
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let n: usize = numeric_flag(&args, "--n", 7);
+    let mut config = SweepConfig::standard(n);
+    config.threads = numeric_flag(&args, "--threads", config.threads);
     println!("Proposition 3 — Moore-bound family: stable windows and PoA growth\n");
     let rows: Vec<Vec<String>> = prop3_series()
         .into_iter()
@@ -50,11 +53,6 @@ fn main() {
         )
     );
 
-    let n: usize = arg_value(&args, "--n").map_or(7, |v| v.parse().expect("--n wants a number"));
-    let mut config = SweepConfig::standard(n);
-    if let Some(t) = arg_value(&args, "--threads") {
-        config.threads = t.parse().expect("--threads wants a number");
-    }
     // run_sweep_cli prints the enumeration banner and peak RSS.
     let sweep = run_sweep_cli(&config, &args);
     let rows: Vec<Vec<String>> = prop4_rows(&sweep)

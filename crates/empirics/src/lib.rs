@@ -150,6 +150,18 @@ impl CliError {
     }
 }
 
+/// The number after `--name`, or `default` when the flag is absent. A
+/// value that does not parse (or a missing value) is a usage error: one
+/// `error:` line, then exit status 2.
+pub fn numeric_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
+    match flag_value(args, name).unwrap_or_else(|e| e.exit()) {
+        None => default,
+        Some(v) => v.parse().unwrap_or_else(|_| {
+            CliError::Usage(format!("{name} wants a number, got {v:?}")).exit()
+        }),
+    }
+}
+
 /// `--name value`, or a usage error when the flag is present without a
 /// value.
 fn flag_value(args: &[String], name: &str) -> Result<Option<String>, CliError> {

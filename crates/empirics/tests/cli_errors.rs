@@ -77,3 +77,33 @@ fn unreadable_store_exits_1() {
     );
     std::fs::remove_file(&corrupt).ok();
 }
+
+#[test]
+fn non_numeric_counts_exit_2_in_every_binary() {
+    let bins = [
+        ("fig2_avg_poa", env!("CARGO_BIN_EXE_fig2_avg_poa")),
+        ("fig3_avg_links", env!("CARGO_BIN_EXE_fig3_avg_links")),
+        ("poa_bounds", env!("CARGO_BIN_EXE_poa_bounds")),
+        ("efficiency_scan", env!("CARGO_BIN_EXE_efficiency_scan")),
+    ];
+    for (name, exe) in bins {
+        for args in [
+            &["--n", "seven"][..],
+            &["--n", "5", "--threads", "two"],
+            &["--n", "-1"],
+            &["--n", "5", "--threads"],
+        ] {
+            let out = std::process::Command::new(exe)
+                .args(args)
+                .output()
+                .unwrap_or_else(|e| panic!("spawn {name}: {e}"));
+            let flag = if args.len() == 2 { "--n" } else { "--threads" };
+            assert_error(&out, 2, flag);
+        }
+    }
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_lemma6_cycles"))
+        .args(["--max", "twenty"])
+        .output()
+        .expect("spawn lemma6_cycles");
+    assert_error(&out, 2, "--max wants a number");
+}

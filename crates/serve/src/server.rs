@@ -2,7 +2,8 @@
 //!
 //! The server owns one [`MappedAtlas`] and answers every query through
 //! it: point lookups seek two or three times into the index sidecar
-//! plus once into the store, so the resident set stays at the sidecar
+//! plus once into the store — one block read, validated whole, one
+//! record materialized — so the resident set stays at the sidecar
 //! working set instead of the multi-gigabyte buffered store. Graphs
 //! outside the store fall back to live classification (canonicalize,
 //! then `WindowRecord::classify_with_key`) below a configurable order
@@ -70,6 +71,8 @@ impl AppState {
     pub fn new(atlas: MappedAtlas, live_order_cap: usize) -> AppState {
         let orders = atlas.orders();
         let default_order = orders.iter().map(|&(o, _)| o).max();
+        // Present in `/metrics` from the start, so "no panics" reads 0.
+        Recorder::global().add("serve_panics", 0);
         AppState {
             atlas,
             orders,
@@ -328,8 +331,17 @@ impl AppState {
         (200, body)
     }
 
+    /// The rendered-grid cache. Every update is one `Vec` operation, so
+    /// a request that panicked elsewhere cannot leave it inconsistent:
+    /// a poisoned lock is taken over rather than failing every `/grid`.
+    fn grid_cache(&self) -> std::sync::MutexGuard<'_, Vec<(String, Arc<String>)>> {
+        self.grid_cache
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     fn grid_lookup(&self, spec: &str) -> Option<Arc<String>> {
-        let cache = self.grid_cache.lock().expect("grid cache poisoned");
+        let cache = self.grid_cache();
         cache
             .iter()
             .find(|(s, _)| s == spec)
@@ -337,7 +349,7 @@ impl AppState {
     }
 
     fn grid_store(&self, spec: &str, body: Arc<String>) {
-        let mut cache = self.grid_cache.lock().expect("grid cache poisoned");
+        let mut cache = self.grid_cache();
         if cache.iter().any(|(s, _)| s == spec) {
             return;
         }
@@ -366,6 +378,22 @@ fn classify_ok(source: &str, rec: &WindowRecord) -> Response {
 
 fn internal_error(detail: &str) -> Response {
     (500, Arc::new(render::error_json(detail)))
+}
+
+/// Runs one request's handler so that a panic in it costs that request,
+/// not the worker: the panic is answered `500`, counted in the
+/// `serve_panics` counter `/metrics` shows, and the worker goes on to
+/// its next request. The worker's state survives an unwind — the BFS
+/// scratch is reset by every search that uses it, and the shared locks
+/// tolerate poisoning.
+fn isolate(handler: impl FnOnce() -> Response) -> Response {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(handler)) {
+        Ok(response) => response,
+        Err(_) => {
+            Recorder::global().add("serve_panics", 1);
+            internal_error("the request handler panicked")
+        }
+    }
 }
 
 /// Renders the process recorder snapshot: counters, span totals, and
@@ -539,7 +567,7 @@ fn serve_connection(
     loop {
         match http::read_request(&mut reader) {
             Ok(req) => {
-                let (status, body) = state.handle(&req, scratch);
+                let (status, body) = isolate(|| state.handle(&req, scratch));
                 let close = req.close || stop.load(Ordering::SeqCst);
                 if http::write_response(reader.get_mut(), status, &body, close).is_err() || close {
                     return;
@@ -588,5 +616,28 @@ fn drain_refused(reader: &mut BufReader<TcpStream>) {
             Ok(0) | Err(_) => return,
             Ok(read) => budget = budget.saturating_sub(read),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_handler_is_answered_500_and_counted() {
+        let counter = |snap: &bnf_obs::Snapshot| {
+            snap.counters
+                .iter()
+                .find(|(name, _)| name == "serve_panics")
+                .map_or(0, |&(_, v)| v)
+        };
+        let before = counter(&Recorder::global().snapshot());
+        let (status, body) = isolate(|| panic!("handler bug"));
+        assert_eq!(status, 500);
+        assert!(body.contains("panicked"), "{body}");
+        assert_eq!(counter(&Recorder::global().snapshot()), before + 1);
+        // A handler that returns is passed through untouched.
+        let (status, body) = isolate(|| (200, Arc::new("ok".to_owned())));
+        assert_eq!((status, body.as_str()), (200, "ok"));
     }
 }

@@ -312,6 +312,63 @@ fn overflowing_grid_points_get_400_and_the_single_worker_survives() {
 }
 
 #[test]
+fn the_old_crash_request_twice_leaves_a_one_worker_daemon_healthy() {
+    // The real daemon with a single worker: before grid points were
+    // bounds-checked this request panicked the worker, and two of them
+    // left the process alive but silent. Each reply must now arrive,
+    // and the lone worker must still answer /healthz afterwards.
+    let store = scratch_path("daemon");
+    let mut scratch = BfsScratch::new();
+    let records: Vec<WindowRecord> = n4_catalogue()
+        .iter()
+        .map(|g| WindowRecord::classify(g, &mut scratch))
+        .collect();
+    {
+        let mut atlas = ClassificationAtlas::open(&store).expect("create store");
+        atlas.append_records(records.iter()).expect("append");
+        atlas.mark_complete(4, records.len()).expect("coverage");
+    }
+    build_index(&store).expect("index");
+    let mut daemon = std::process::Command::new(env!("CARGO_BIN_EXE_bnf_serve"))
+        .args(["--atlas", store.to_str().unwrap()])
+        .args(["--addr", "127.0.0.1:0", "--threads", "1"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn bnf_serve");
+    let mut banner = String::new();
+    std::io::BufRead::read_line(
+        &mut std::io::BufReader::new(daemon.stdout.take().unwrap()),
+        &mut banner,
+    )
+    .expect("banner");
+    let addr = banner
+        .split("http://")
+        .nth(1)
+        .and_then(|rest| rest.split_whitespace().next())
+        .unwrap_or_else(|| panic!("no address in {banner:?}"))
+        .to_owned();
+    let outcome = std::panic::catch_unwind(|| {
+        let mut client = MiniClient::connect(&addr).expect("connect");
+        for _ in 0..2 {
+            let (status, body) = client
+                .get("/grid?spec=linear:1/3037000493:3037000499/2:3")
+                .expect("the worker answers");
+            assert_eq!(status, 400, "{body}");
+        }
+        let (status, body) = client.get("/healthz").expect("healthz");
+        assert_eq!(status, 200, "{body}");
+    });
+    let _ = daemon.kill();
+    let _ = daemon.wait();
+    let _ = std::fs::remove_file(&store);
+    let _ = std::fs::remove_file(bnf_atlas::index_path(&store));
+    if let Err(panic) = outcome {
+        std::panic::resume_unwind(panic);
+    }
+}
+
+#[test]
 fn stalled_heads_get_408_oversized_heads_get_431_idle_closes_silently() {
     use std::io::{Read, Write};
     use std::net::TcpStream;

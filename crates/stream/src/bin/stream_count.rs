@@ -44,12 +44,20 @@ fn arg_value(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
-/// Parses a present flag value or panics — a malformed gate invocation
-/// must fail the CI step, never silently disable the check.
+/// Prints one `error:` line and exits 2: the usage-error convention of
+/// every binary in the workspace.
+fn usage_error(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2)
+}
+
+/// Parses a present flag value, or exits with a usage error — a
+/// malformed gate invocation must fail the CI step, never silently
+/// disable the check.
 fn parsed<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
     arg_value(args, name).map(|v| {
         v.parse()
-            .unwrap_or_else(|_| panic!("{name} wants a number, got {v:?}"))
+            .unwrap_or_else(|_| usage_error(&format!("{name} wants a number, got {v:?}")))
     })
 }
 
@@ -343,13 +351,14 @@ fn main() -> ExitCode {
         bnf_obs::heartbeat::expected_connected(n),
     );
     let (count, stats, elapsed_ms, used_ranges, recovered_ranges) = if orchestrated {
-        let ranges =
-            match shards.as_deref() {
-                None | Some("auto") => None,
-                Some(v) => Some(v.parse().unwrap_or_else(|_| {
-                    panic!("--shards wants `auto` or a range count, got {v:?}")
-                })),
-            };
+        let ranges = match shards.as_deref() {
+            None | Some("auto") => None,
+            Some(v) => Some(v.parse().unwrap_or_else(|_| {
+                usage_error(&format!(
+                    "--shards wants `auto` or a range count, got {v:?}"
+                ))
+            })),
+        };
         eprintln!(
             "orchestrating the n={n} enumeration in-process ({threads} worker threads \
              stealing frontier ranges)..."
