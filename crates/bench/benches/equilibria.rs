@@ -6,9 +6,11 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use bnf_atlas::named::{clebsch, mcgee, petersen};
-use bnf_core::{is_pairwise_nash, stability_window, ucg_necessary_window, UcgAnalyzer};
+use bnf_core::{
+    is_pairwise_nash, stability_window, ucg_necessary_window, UcgAnalyzer, WindowRecord,
+};
 use bnf_games::Ratio;
-use bnf_graph::Graph;
+use bnf_graph::{BfsScratch, Graph};
 
 fn theta7() -> Graph {
     // A 7-vertex workhorse: two hubs joined by three paths.
@@ -67,6 +69,20 @@ fn bench_equilibria(c: &mut Criterion) {
                     let solver = UcgAnalyzer::new(g).unwrap();
                     total += solver.support_intervals_within(nec).len();
                 }
+            }
+            black_box(total)
+        })
+    });
+    // The whole classify kernel — canonical form, the single-link Δ
+    // table and its three windows, the UCG tables and solver — over
+    // every connected 7-vertex topology: the per-graph work of a cold
+    // sweep without enumeration or storage.
+    group.bench_function("classify_n7_batch", |b| {
+        let mut scratch = BfsScratch::new();
+        b.iter(|| {
+            let mut total = 0u64;
+            for g in &n7 {
+                total += WindowRecord::classify(g, &mut scratch).total_distance;
             }
             black_box(total)
         })

@@ -4,8 +4,159 @@
 //! link cost α to the change in a player's distance sum `Σ_j d(i,j)`
 //! caused by adding or severing one link. These deltas are exact integers
 //! (or infinite, when a move disconnects/connects components).
+//!
+//! Two forms answer the same question: [`DeltaCalc`] computes one
+//! delta per query (point checks, dynamics), and [`DeltaTable`] measures
+//! every single-link delta of a connected graph at once — the one pass
+//! the BCG, transfer and UCG-necessary windows all fold over.
 
 use bnf_graph::{BfsScratch, Graph};
+
+/// Distance sums from `src` over the row-substituted graph: the base rows
+/// of `g` with `rows[src]` replaced by `src_row`. Only expansion *out of*
+/// `src` uses the substituted row, which is sound because `src` is the
+/// BFS source (edges into `src` are never needed).
+pub(crate) fn distsum_with_row(rows: &[u64], n: usize, src: usize, src_row: u64) -> Option<u64> {
+    let full: u64 = if n == 64 { !0 } else { (1u64 << n) - 1 };
+    let mut seen = 1u64 << src;
+    let mut frontier = seen;
+    let mut d = 0u64;
+    let mut sum = 0u64;
+    while frontier != 0 {
+        let mut next = 0u64;
+        let mut f = frontier;
+        while f != 0 {
+            let v = f.trailing_zeros() as usize;
+            f &= f - 1;
+            next |= if v == src { src_row } else { rows[v] };
+        }
+        next &= !seen;
+        d += 1;
+        sum += d * u64::from(next.count_ones());
+        seen |= next;
+        frontier = next;
+    }
+    (seen == full).then_some(sum)
+}
+
+/// The single-link deltas of one vertex pair `u < v`, as
+/// [`DeltaTable::pairs`] yields them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LinkDeltas {
+    /// An existing link: the increase in `u`'s and in `v`'s distance sum
+    /// when that endpoint severs it (`None` for a bridge).
+    Edge(Option<u64>, Option<u64>),
+    /// A missing link: the decrease in `u`'s and in `v`'s distance sum
+    /// when it is added.
+    NonEdge(u64, u64),
+}
+
+/// Every single-link distance-sum delta of one **connected** graph,
+/// measured once: the base sum `D_i` of every player and, for every
+/// ordered pair `i ≠ j`, the change `|D_i(row_i ⊕ {j}) − D_i|` when `i`
+/// toggles its link to `j`.
+///
+/// For orders up to 64 that is `n²` bitset BFS over the adjacency rows
+/// ([`distsum_with_row`]: toggling a link only changes the source's own
+/// row, which is the only row a BFS from the source expands through
+/// it). Larger orders fill the same table through [`DeltaCalc`]. The
+/// BCG, transfer and UCG-necessary windows are min/max folds over
+/// [`DeltaTable::pairs`].
+#[derive(Debug)]
+pub(crate) struct DeltaTable<'g> {
+    g: &'g Graph,
+    /// `D_i` per vertex.
+    base: Vec<u64>,
+    /// `delta[i * n + j]`: drop delta for an edge, add delta for a
+    /// non-edge; [`DeltaTable::BRIDGE`] when dropping disconnects `i`.
+    delta: Vec<u64>,
+}
+
+impl<'g> DeltaTable<'g> {
+    /// Sentinel delta of a bridge drop (infinite cost).
+    const BRIDGE: u64 = u64::MAX;
+
+    /// Measures every single-link delta of `g`, or `None` when `g` is
+    /// disconnected. `scratch` serves the BFS of orders above 64.
+    pub(crate) fn new(g: &'g Graph, scratch: &mut BfsScratch) -> Option<DeltaTable<'g>> {
+        let n = g.order();
+        let mut t = DeltaTable {
+            g,
+            base: Vec::with_capacity(n),
+            delta: vec![0; n * n],
+        };
+        if n <= 64 {
+            t.fill_bitset()?;
+        } else {
+            let mut calc = DeltaCalc::with_scratch(g, std::mem::take(scratch));
+            let filled = t.fill_calc(&mut calc);
+            *scratch = calc.into_scratch();
+            filled?;
+        }
+        Some(t)
+    }
+
+    fn fill_bitset(&mut self) -> Option<()> {
+        let n = self.g.order();
+        let mut rows = [0u64; 64];
+        for (v, row) in rows.iter_mut().enumerate().take(n) {
+            *row = self.g.neighbor_bits(v);
+        }
+        let rows = &rows[..n];
+        for i in 0..n {
+            let base = distsum_with_row(rows, n, i, rows[i])?;
+            self.base.push(base);
+            for j in (0..n).filter(|&j| j != i) {
+                let after = distsum_with_row(rows, n, i, rows[i] ^ (1u64 << j));
+                self.delta[i * n + j] = if rows[i] >> j & 1 == 1 {
+                    after.map_or(Self::BRIDGE, |a| a - base)
+                } else {
+                    base - after.expect("adding a link keeps a connected graph connected")
+                };
+            }
+        }
+        Some(())
+    }
+
+    fn fill_calc(&mut self, calc: &mut DeltaCalc<'_>) -> Option<()> {
+        let n = self.g.order();
+        for i in 0..n {
+            self.base.push(calc.base_distance_sum(i)?);
+        }
+        for i in 0..n {
+            for j in (0..n).filter(|&j| j != i) {
+                let d = if self.g.has_edge(i, j) {
+                    calc.drop_delta(i, j)
+                } else {
+                    calc.add_delta(i, j)
+                };
+                self.delta[i * n + j] = d.finite().unwrap_or(Self::BRIDGE);
+            }
+        }
+        Some(())
+    }
+
+    /// The ordered-pair distance total `Σ_i D_i`.
+    pub(crate) fn total_distance(&self) -> u64 {
+        self.base.iter().sum()
+    }
+
+    /// Every vertex pair `u < v` with its two endpoint deltas.
+    pub(crate) fn pairs(&self) -> impl Iterator<Item = LinkDeltas> + '_ {
+        let n = self.g.order();
+        (0..n).flat_map(move |u| {
+            (u + 1..n).map(move |v| {
+                let (uv, vu) = (self.delta[u * n + v], self.delta[v * n + u]);
+                if self.g.has_edge(u, v) {
+                    let finite = |d: u64| (d != Self::BRIDGE).then_some(d);
+                    LinkDeltas::Edge(finite(uv), finite(vu))
+                } else {
+                    LinkDeltas::NonEdge(uv, vu)
+                }
+            })
+        })
+    }
+}
 
 /// An exact nonnegative distance-sum change: finite or infinite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -1,0 +1,200 @@
+//! Kernel equivalence suite: the single-link Δ table and the ranked UCG
+//! tables against the per-query [`DeltaCalc`] window bodies and the
+//! per-wish-set best-response fold they replaced, over every connected
+//! graph up to order 7 (order 8 behind `--ignored`, run in release).
+//!
+//! [`DeltaCalc`]: crate::DeltaCalc
+
+use bnf_games::Ratio;
+use bnf_graph::{BfsScratch, Graph};
+
+use crate::interval::Threshold;
+use crate::stability::{is_pairwise_stable, stability_window_oracle, stability_window_with};
+use crate::transfers::{
+    is_transfer_stable, transfer_stability_window_with, transfer_window_oracle,
+};
+use crate::ucg::{best_response_tables_oracle, necessary_window_oracle, ucg_necessary_window_with};
+use crate::{UcgAnalyzer, WindowRecord};
+
+/// Probes covering every cell a window can have: each positive
+/// endpoint, the midpoints between neighbours, a point below the first
+/// and one beyond the last.
+fn probes(endpoints: impl IntoIterator<Item = Ratio>) -> Vec<Ratio> {
+    let mut e: Vec<Ratio> = endpoints.into_iter().filter(|&x| x > Ratio::ZERO).collect();
+    if e.is_empty() {
+        e.push(Ratio::ONE);
+    }
+    e.sort();
+    e.dedup();
+    let mut out = vec![e[0] / Ratio::from(2)];
+    for (k, &x) in e.iter().enumerate() {
+        if k > 0 {
+            out.push(Ratio::midpoint(e[k - 1], x));
+        }
+        out.push(x);
+    }
+    out.push(*e.last().expect("nonempty") + Ratio::ONE);
+    out
+}
+
+/// Every check of the suite on one connected graph.
+fn assert_kernels_match(g: &Graph, scratch: &mut BfsScratch) {
+    let bcg = stability_window_with(g, scratch);
+    let transfer = transfer_stability_window_with(g, scratch);
+    let necessary = ucg_necessary_window_with(g, scratch);
+    assert_eq!(bcg, stability_window_oracle(g), "{g:?}: BCG window");
+    assert_eq!(
+        transfer,
+        transfer_window_oracle(g),
+        "{g:?}: transfer window"
+    );
+    assert_eq!(
+        necessary,
+        necessary_window_oracle(g),
+        "{g:?}: necessary window"
+    );
+
+    let record = WindowRecord::classify_with_key(g.to_graph6(), g, scratch);
+    assert_eq!(Some(record.total_distance), g.total_distance(), "{g:?}");
+    assert_eq!(
+        (record.stability, record.transfer),
+        (bcg, transfer),
+        "{g:?}: record windows"
+    );
+
+    let w = bcg.expect("connected graphs have a BCG window");
+    for p in probes([w.lower.value].into_iter().chain(w.upper.finite())) {
+        assert_eq!(w.contains(p), is_pairwise_stable(g, p), "{g:?}: BCG at {p}");
+    }
+    let ends = transfer.map_or(Vec::new(), |t| {
+        std::iter::once(t.lo).chain(t.hi.finite()).collect()
+    });
+    for p in probes(ends) {
+        assert_eq!(
+            transfer.is_some_and(|t| t.contains(p)),
+            is_transfer_stable(g, p),
+            "{g:?}: transfer at {p}"
+        );
+    }
+
+    assert_tables_match(g);
+}
+
+/// Every (vertex, owned set) entry of the ranked tables equals the
+/// per-wish-set fold, `None`s included.
+fn assert_tables_match(g: &Graph) {
+    let ucg = UcgAnalyzer::new(g).expect("connected graph in the UCG domain");
+    for (i, oracle) in best_response_tables_oracle(g).iter().enumerate() {
+        let row = g.neighbor_bits(i);
+        let mut o = row;
+        loop {
+            let expected = oracle
+                .binary_search_by_key(&o, |&(m, _)| m)
+                .ok()
+                .map(|k| oracle[k].1);
+            assert_eq!(
+                ucg.best_response_window(i, o),
+                expected,
+                "{g:?}: vertex {i}, owned {o:#b}"
+            );
+            if o == 0 {
+                break;
+            }
+            o = (o - 1) & row;
+        }
+    }
+}
+
+fn assert_order(n: usize) {
+    let mut scratch = BfsScratch::new();
+    for g in bnf_enumerate::connected_graphs(n) {
+        assert_kernels_match(&g, &mut scratch);
+    }
+}
+
+#[test]
+fn kernels_match_oracles_through_order_7() {
+    for n in 0..=7 {
+        assert_order(n);
+    }
+}
+
+#[test]
+#[ignore = "exhaustive over the 11 117 connected order-8 graphs; run in release"]
+fn kernels_match_oracles_at_order_8() {
+    assert_order(8);
+}
+
+#[test]
+fn tables_match_oracle_up_to_the_order_bound() {
+    // Byte lanes must stay exact at MAX_UCG_ORDER: the 16-path's end
+    // vertex has the largest possible distance sum, 120.
+    let path = Graph::from_edges(16, (0..15).map(|i| (i, i + 1))).unwrap();
+    let cycle = Graph::from_edges(16, (0..16).map(|i| (i, (i + 1) % 16))).unwrap();
+    let petersen = Graph::from_edges(
+        10,
+        (0..5).flat_map(|i| [(i, (i + 1) % 5), (5 + i, 5 + (i + 2) % 5), (i, 5 + i)]),
+    )
+    .unwrap();
+    for g in [path, cycle, petersen] {
+        assert_tables_match(&g);
+    }
+}
+
+#[test]
+fn wrappers_reject_every_disconnected_graph() {
+    let mut scratch = BfsScratch::new();
+    for n in 2..=5usize {
+        let pairs: Vec<(usize, usize)> = (0..n)
+            .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+            .collect();
+        for bits in 0u32..1 << pairs.len() {
+            let edges = (0..pairs.len())
+                .filter(|k| bits >> k & 1 == 1)
+                .map(|k| pairs[k]);
+            let g = Graph::from_edges(n, edges).unwrap();
+            if g.is_connected() {
+                continue;
+            }
+            assert_eq!(stability_window_with(&g, &mut scratch), None, "{g:?}");
+            assert_eq!(
+                transfer_stability_window_with(&g, &mut scratch),
+                None,
+                "{g:?}"
+            );
+            assert_eq!(ucg_necessary_window_with(&g, &mut scratch), None, "{g:?}");
+            assert_eq!(stability_window_oracle(&g), None, "{g:?}");
+            assert_eq!(transfer_window_oracle(&g), None, "{g:?}");
+        }
+    }
+}
+
+#[test]
+fn orders_beyond_one_word_fill_the_table_by_delta_calc() {
+    // Order 70 rows span two words: the table takes the DeltaCalc path
+    // and must still agree with the oracle bodies.
+    let mut scratch = BfsScratch::new();
+    let cycle = Graph::from_edges(70, (0..70).map(|i| (i, (i + 1) % 70))).unwrap();
+    let w = stability_window_with(&cycle, &mut scratch).unwrap();
+    assert_eq!(w.upper, Threshold::Finite(Ratio::from(70 * 68 / 4)));
+    let mut lollipop = Graph::from_edges(66, (0..65).map(|i| (i, i + 1))).unwrap();
+    lollipop.add_edge(0, 2);
+    for g in [cycle, lollipop] {
+        assert_eq!(
+            stability_window_with(&g, &mut scratch),
+            stability_window_oracle(&g)
+        );
+        assert_eq!(
+            transfer_stability_window_with(&g, &mut scratch),
+            transfer_window_oracle(&g)
+        );
+        assert_eq!(
+            ucg_necessary_window_with(&g, &mut scratch),
+            necessary_window_oracle(&g)
+        );
+    }
+    let split = Graph::from_edges(70, (0..68).map(|i| (i, i + 1))).unwrap();
+    assert_eq!(stability_window_with(&split, &mut scratch), None);
+    assert_eq!(transfer_stability_window_with(&split, &mut scratch), None);
+    assert_eq!(ucg_necessary_window_with(&split, &mut scratch), None);
+}

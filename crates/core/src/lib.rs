@@ -40,6 +40,8 @@
 
 mod convexity;
 mod delta;
+#[cfg(test)]
+mod equivalence;
 mod interval;
 mod pairwise_nash;
 mod record;

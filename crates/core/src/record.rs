@@ -11,10 +11,10 @@
 
 use bnf_graph::{BfsScratch, Graph};
 
+use crate::delta::DeltaTable;
 use crate::interval::{ClosedInterval, StabilityWindow};
-use crate::stability::stability_window_with;
-use crate::transfers::transfer_stability_window_with;
-use crate::ucg::{ucg_necessary_window_with, UcgAnalyzer};
+use crate::ucg::UcgAnalyzer;
+use crate::{stability, transfers, ucg};
 
 use bnf_games::Ratio;
 
@@ -52,21 +52,24 @@ impl WindowRecord {
     /// enumeration emits canonical forms, so `g.to_graph6()` *is* the
     /// key there).
     ///
+    /// The single-link Δ table — every player's distance sum and its
+    /// change under every one-link toggle, `n²` bitset BFS — is
+    /// computed **once**; the total distance, the BCG window, the
+    /// transfer window and the UCG necessary window are all folds over
+    /// it. Only a nonempty necessary window builds the exact UCG
+    /// analyzer.
+    ///
     /// # Panics
     ///
     /// Panics if `g` is disconnected (every sweep enumerates connected
     /// topologies) or exceeds [`crate::MAX_UCG_ORDER`].
     pub fn classify_with_key(key: String, g: &Graph, scratch: &mut BfsScratch) -> WindowRecord {
-        let total_distance = g
-            .total_distance_with(scratch)
-            .expect("window records require a connected graph");
-        let stability = stability_window_with(g, scratch);
-        let transfer = transfer_stability_window_with(g, scratch);
+        let deltas = DeltaTable::new(g, scratch).expect("window records require a connected graph");
         // Orientation-free necessary bounds first (the Section 5
         // footnote): an empty necessary window proves the support set is
         // empty without touching the exponential solver, and a finite
         // one clips the solver's probe sequence.
-        let ucg_support = match ucg_necessary_window_with(g, scratch) {
+        let ucg_support = match ucg::necessary_window_from_table(&deltas) {
             None => Vec::new(),
             Some(nec) => UcgAnalyzer::new(g)
                 .expect("connected graph within the UCG order bound")
@@ -76,9 +79,9 @@ impl WindowRecord {
             key,
             order: g.order() as u32,
             edges: g.edge_count() as u64,
-            total_distance,
-            stability,
-            transfer,
+            total_distance: deltas.total_distance(),
+            stability: Some(stability::window_from_table(&deltas)),
+            transfer: transfers::window_from_table(&deltas),
             ucg_support,
         }
     }

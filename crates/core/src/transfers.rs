@@ -19,7 +19,7 @@
 use bnf_games::Ratio;
 use bnf_graph::{BfsScratch, Graph};
 
-use crate::delta::{DeltaCalc, DistanceDelta};
+use crate::delta::{DeltaCalc, DeltaTable, DistanceDelta, LinkDeltas};
 use crate::interval::{ClosedInterval, Threshold};
 
 fn joint(a: DistanceDelta, b: DistanceDelta) -> Option<u64> {
@@ -72,19 +72,45 @@ pub fn transfer_stability_window(g: &Graph) -> Option<ClosedInterval> {
     transfer_stability_window_with(g, &mut scratch)
 }
 
-/// [`transfer_stability_window`] with caller-provided BFS buffers — the
-/// allocation-free form used by analysis-engine workers.
+/// [`transfer_stability_window`] with caller-provided BFS buffers (used
+/// for orders above 64; smaller graphs run on adjacency bit rows).
 pub fn transfer_stability_window_with(
     g: &Graph,
     scratch: &mut BfsScratch,
 ) -> Option<ClosedInterval> {
-    let mut calc = DeltaCalc::with_scratch(g, std::mem::take(scratch));
-    let out = transfer_window_inner(&mut calc, g);
-    *scratch = calc.into_scratch();
-    out
+    DeltaTable::new(g, scratch).and_then(|t| window_from_table(&t))
 }
 
-fn transfer_window_inner(calc: &mut DeltaCalc<'_>, g: &Graph) -> Option<ClosedInterval> {
+/// The transfer window of a connected graph from its single-link
+/// deltas: the largest joint addition benefit over 2 below, the
+/// smallest finite joint severance penalty over 2 above.
+pub(crate) fn window_from_table(t: &DeltaTable) -> Option<ClosedInterval> {
+    let mut lo = 0u64;
+    let mut hi: Option<u64> = None;
+    for pair in t.pairs() {
+        match pair {
+            LinkDeltas::NonEdge(du, dv) => lo = lo.max(du + dv),
+            LinkDeltas::Edge(Some(du), Some(dv)) => {
+                hi = Some(hi.map_or(du + dv, |h| h.min(du + dv)));
+            }
+            LinkDeltas::Edge(..) => {}
+        }
+    }
+    let half = |j: u64| Ratio::new(j as i64, 2);
+    match hi {
+        Some(h) if h < lo => None,
+        _ => Some(ClosedInterval {
+            lo: half(lo),
+            hi: hi.map_or(Threshold::Infinite, |h| Threshold::Finite(half(h))),
+        }),
+    }
+}
+
+/// The pre-table window body: one [`DeltaCalc`] query per endpoint,
+/// kept as the independent oracle of [`window_from_table`].
+#[cfg(test)]
+pub(crate) fn transfer_window_oracle(g: &Graph) -> Option<ClosedInterval> {
+    let mut calc = DeltaCalc::new(g);
     let mut lo = Ratio::ZERO;
     for (u, v) in g.non_edges().collect::<Vec<_>>() {
         match joint(calc.add_delta(u, v), calc.add_delta(v, u)) {

@@ -12,12 +12,22 @@
 //!
 //! 1. For player `i`, the deviation graph depends only on `i`'s *effective
 //!    row* `R = (N(i) \ O_i) ∪ S` (others' purchases survive; `i` rewires
-//!    freely), so one BFS per subset `R ⊆ N \ {i}` — `n · 2^(n-1)` BFS
-//!    total — tabulates every distance sum the analysis can ever need.
+//!    freely). With row `R`, `d(i, v) = 1 + min_{u ∈ R} d_{G−i}(u, v)`,
+//!    so `n − 1` bitset BFS in `G − i` plus a subset-min DP — one
+//!    16-byte lane-wise min per row `R ⊆ N \ {i}` — tabulate every
+//!    distance sum `D_i(R)` the analysis can ever need: `n(n − 1)` BFS
+//!    and `n · 2^(n-1)` lane mins for the whole graph.
 //! 2. Every Nash constraint is linear in α with integer coefficients:
-//!    `α(|S| - |O_i|) + (D_S - D_cur) ≥ 0`. Folding over all `S` yields,
-//!    per (vertex, owned set), an exact closed rational interval of
-//!    admissible α ([`ClosedInterval`]).
+//!    `α(|S| - |O_i|) + (D_S - D_cur) ≥ 0`. Among wish sets of one size
+//!    the cheapest binds hardest, so a **ranked superset-min transform**
+//!    — `F[K][t] = min D_i(T)` over `T ⊇ K` with `|T| = t`, in
+//!    `(n − 1) · 2^(n-2)` lane-wise mins per vertex (ranking by `|T|`
+//!    rather than `|T \ K|` spares the per-step lane shift) — leaves
+//!    each (vertex, owned set) at most `n` constraints, read from
+//!    `F[N(i) \ O_i]` and folded into an exact closed
+//!    rational interval of admissible α ([`ClosedInterval`]). (The
+//!    per-wish-set fold over `3^deg · 2^(n-1-deg)` deviations survives
+//!    as a `#[cfg(test)]` oracle.)
 //! 3. Nash-supportability at α is an exact cover problem: assign each
 //!    edge an owner so every vertex's owned set has an interval
 //!    containing α. It is solved by **constraint propagation** over the
@@ -42,7 +52,9 @@ use std::rc::Rc;
 use bnf_games::Ratio;
 use bnf_graph::{BfsScratch, Graph};
 
+#[cfg(test)]
 use crate::delta::{DeltaCalc, DistanceDelta};
+use crate::delta::{DeltaTable, LinkDeltas};
 use crate::interval::{ClosedInterval, Threshold};
 
 /// Maximum order accepted by the exact solver (`2^(n-1)` wish sets per
@@ -106,36 +118,49 @@ pub struct UcgAnalyzer {
     tables: Vec<Vec<(u64, ClosedInterval)>>,
 }
 
-/// Distance sums from `src` over the row-substituted graph: the base rows
-/// of `g` with `rows[src]` replaced by `src_row`. Only expansion *out of*
-/// `src` uses the substituted row, which is sound because `src` is the
-/// BFS source (edges into `src` are never needed).
-fn distsum_with_row(rows: &[u64], n: usize, src: usize, src_row: u64) -> Option<u64> {
-    let full: u64 = if n == 64 { !0 } else { (1u64 << n) - 1 };
-    let mut seen = 1u64 << src;
+/// One byte lane per vertex of `G − i` (compressed index) or per
+/// wish-set size: a distance, a distance sum, or [`UNREACHED`]. Bytes
+/// are exact up to [`MAX_UCG_ORDER`]: a connected graph on 16 vertices
+/// has no distance sum above `15 · 16 / 2 = 120`.
+type Lanes = [u8; 16];
+
+/// Lane value of an unreachable vertex or a disconnecting deviation.
+const UNREACHED: u8 = u8::MAX;
+
+#[inline]
+fn lane_min(a: &Lanes, b: &Lanes) -> Lanes {
+    std::array::from_fn(|k| a[k].min(b[k]))
+}
+
+/// Lane `v`: `1 + d_{G−i}(u, v)`, player `i`'s distance to `v` through
+/// a link to `u`, by bitset BFS over the compressed adjacency `sub` of
+/// `G − i`. Lanes past `sub.len()` stay 0 so they add nothing to a sum.
+fn via_lanes(sub: &[u64], u: usize) -> Lanes {
+    let mut lanes = [0u8; 16];
+    lanes[..sub.len()].fill(UNREACHED);
+    let mut seen = 1u64 << u;
     let mut frontier = seen;
-    let mut d = 0u64;
-    let mut sum = 0u64;
+    let mut d = 1u8;
     while frontier != 0 {
         let mut next = 0u64;
         let mut f = frontier;
         while f != 0 {
             let v = f.trailing_zeros() as usize;
             f &= f - 1;
-            next |= if v == src { src_row } else { rows[v] };
+            lanes[v] = d;
+            next |= sub[v];
         }
         next &= !seen;
-        d += 1;
-        sum += d * u64::from(next.count_ones());
         seen |= next;
         frontier = next;
+        d += 1;
     }
-    (seen == full).then_some(sum)
+    lanes
 }
 
 /// Inserts a zero bit at position `i`, expanding a compressed
 /// `(n-1)`-bit mask over `N \ {i}` to an `n`-bit vertex mask.
-#[inline]
+#[cfg(test)]
 fn expand_mask(c: u64, i: usize) -> u64 {
     let low = c & ((1u64 << i) - 1);
     let high = c >> i;
@@ -151,7 +176,11 @@ fn compress_mask(m: u64, i: usize) -> u64 {
 }
 
 impl UcgAnalyzer {
-    /// Builds the exact per-(vertex, owned set) best-response tables.
+    /// Builds the exact per-(vertex, owned set) best-response tables
+    /// (module docs, steps 1–2): per vertex, `n − 1` bitset BFS in
+    /// `G − i`, a subset-min DP and a ranked superset-min transform over
+    /// one scratch table of `2^(n-1)` 16-byte lanes — allocated once per
+    /// call (4 KiB at `n = 9`) — then at most `n` reads per owned set.
     ///
     /// # Errors
     ///
@@ -168,48 +197,8 @@ impl UcgAnalyzer {
         }
         let rows: Vec<u64> = (0..n).map(|v| g.neighbor_bits(v)).collect();
         let edges: Vec<(usize, usize)> = g.edges().collect();
-        let half = if n == 0 { 0 } else { 1u64 << (n - 1) };
-        let mut tables = Vec::with_capacity(n);
-        // Unreachable deviations tabulate as MAX (tighter cache than
-        // Option<u64> in the hot fold below).
-        const UNREACHABLE: u64 = u64::MAX;
-        let mut dist: Vec<u64> = vec![UNREACHABLE; half as usize];
-        for i in 0..n {
-            // Tabulate D_i(R) for every effective row R (compressed
-            // index); one buffer reused across vertices.
-            for c in 0..half {
-                dist[c as usize] =
-                    distsum_with_row(&rows, n, i, expand_mask(c, i)).unwrap_or(UNREACHABLE);
-            }
-            let row = rows[i];
-            let d_cur = dist[compress_mask(row, i) as usize];
-            assert_ne!(d_cur, UNREACHABLE, "connected graph has finite sums");
-            let mut table: Vec<(u64, ClosedInterval)> = Vec::new();
-            // Enumerate owned subsets O of N(i) (submask enumeration).
-            // Wish sets are restricted to S disjoint from `keep` — the
-            // neighbours whose edges others buy: wishing for an edge i
-            // already has costs α for the identical graph, so those
-            // constraints are implied (dominated) and skipping them
-            // shrinks the fold from 2^deg · 2^(n-1) to 3^deg · 2^(n-1-deg).
-            let mut o = row;
-            loop {
-                let keep_c = compress_mask(row & !o, i);
-                let comp = (half - 1) & !keep_c;
-                if let Some(iv) =
-                    best_response_interval(&dist, keep_c, comp, i64::from(o.count_ones()), d_cur)
-                {
-                    table.push((o, iv));
-                }
-                if o == 0 {
-                    break;
-                }
-                o = (o - 1) & row;
-            }
-            // Sorted by mask: deterministic solver behaviour and
-            // binary-searchable point queries.
-            table.sort_unstable_by_key(|&(m, _)| m);
-            tables.push(table);
-        }
+        let mut ranks: Vec<Lanes> = vec![[UNREACHED; 16]; if n == 0 { 0 } else { 1 << (n - 1) }];
+        let tables = (0..n).map(|i| vertex_table(&rows, i, &mut ranks)).collect();
         Ok(UcgAnalyzer {
             n,
             edges,
@@ -652,11 +641,192 @@ impl<'a> OrientationSolver<'a> {
     }
 }
 
+/// Player `i`'s best-response table: `(owned mask, admissible α)` for
+/// every owned set with a nonempty interval, in increasing mask order.
+/// `ranks` is the `2^(n-1)`-entry scratch table, indexed by compressed
+/// rows over `N \ {i}`.
+fn vertex_table(rows: &[u64], i: usize, ranks: &mut [Lanes]) -> Vec<(u64, ClosedInterval)> {
+    let n = rows.len();
+    let m = n - 1;
+    // Adjacency of G − i over compressed indices.
+    let mut sub = [0u64; MAX_UCG_ORDER];
+    for v in (0..n).filter(|&v| v != i) {
+        sub[v - usize::from(v > i)] = compress_mask(rows[v] & !(1u64 << i), i);
+    }
+    let sub = &sub[..m];
+    let mut via = [[0u8; 16]; MAX_UCG_ORDER];
+    for (u, lanes) in via.iter_mut().enumerate().take(m) {
+        *lanes = via_lanes(sub, u);
+    }
+    subset_min(ranks, &via[..m]);
+    // Distance sums D_i(R), each in the lane of its row size |R|; then
+    // the ranked superset-min transform in place. Ranking by |T| rather
+    // than |T \ K| makes every step a plain lane-wise min, and afterwards
+    // ranks[K][t] = min D_i(T) over T ⊇ K with |T| = t.
+    for (c, r) in ranks.iter_mut().enumerate() {
+        // At most 15 lanes of at most 15 each unless some lane is
+        // UNREACHED, so the sum alone tells a disconnecting row apart.
+        let sum: u32 = r.iter().map(|&x| u32::from(x)).sum();
+        *r = [UNREACHED; 16];
+        r[c.count_ones() as usize] = if sum >= u32::from(UNREACHED) {
+            UNREACHED
+        } else {
+            sum as u8
+        };
+    }
+    superset_min(ranks, m);
+    let row = rows[i];
+    let d_cur = ranks[compress_mask(row, i) as usize][row.count_ones() as usize];
+    assert_ne!(d_cur, UNREACHED, "connected graph has finite sums");
+    // Owned subsets O of N(i) in increasing order (ascending submask
+    // enumeration). Wish sets range over S disjoint from `keep`, the
+    // neighbours whose edges others buy: wishing for an edge i already
+    // has costs α for the identical graph, so those constraints are
+    // dominated.
+    let mut table = Vec::with_capacity(1 << row.count_ones());
+    let mut o = 0u64;
+    loop {
+        let keep = row & !o;
+        let by_size = &ranks[compress_mask(keep, i) as usize][keep.count_ones() as usize..n];
+        if let Some(iv) = ranked_interval(by_size, o.count_ones() as usize, d_cur) {
+            table.push((o, iv));
+        }
+        if o == row {
+            break;
+        }
+        o = o.wrapping_sub(row) & row;
+    }
+    table
+}
+
+/// Subset-min DP, doubling over the vertices of `G − i`: a row `R ∪ {b}`
+/// reaches each vertex the cheaper way of `R` or of a link to `b`, so
+/// `ranks[R]` lane `v` ends as `1 + min_{u ∈ R} d_{G−i}(u, v)`: one
+/// byte-wise min per row.
+fn subset_min(ranks: &mut [Lanes], via: &[Lanes]) {
+    ranks[0] = [0; 16];
+    ranks[0][..via.len()].fill(UNREACHED);
+    for (b, via) in via.iter().enumerate() {
+        let (done, next) = ranks.split_at_mut(1 << b);
+        for (t, r) in next.iter_mut().zip(done.iter()) {
+            *t = lane_min(r, via);
+        }
+    }
+}
+
+/// Superset-min over the `m` row bits: afterwards each `ranks[K]`
+/// holds the lane-wise min over every `ranks[T]`, `T ⊇ K`:
+/// `m · 2^(m-1)` byte-wise mins.
+fn superset_min(ranks: &mut [Lanes], m: usize) {
+    for b in 0..m {
+        for block in ranks.chunks_exact_mut(2 << b) {
+            let (without, with) = block.split_at_mut(1 << b);
+            for (k, t) in without.iter_mut().zip(with.iter()) {
+                *k = lane_min(k, t);
+            }
+        }
+    }
+}
+
+/// Folds the Nash constraints of one `(vertex, owned set)` pair into an
+/// admissible-α interval. `by_size[s]` is the cheapest distance sum
+/// over wish sets of size `s` ([`UNREACHED`] when every one
+/// disconnects), `k = |owned|` and `d_cur` the current sum: per size,
+/// the cheapest wish set is the binding constraint.
+///
+/// This is the hot loop of the analyzer build — one call per owned
+/// subset of every neighbourhood, at most `n` reads each. Bounds stay
+/// raw `(numerator, denominator)` pairs compared by cross-multiplication
+/// (sums ≤ 120 and sizes ≤ 15: exact in `i64`) until
+/// [`bounds_interval`].
+fn ranked_interval(by_size: &[u8], k: usize, d_cur: u8) -> Option<ClosedInterval> {
+    let d_cur = i64::from(d_cur);
+    // Fewer wishes than owned links: need α ≤ (D_s − D_cur) / (k − s).
+    let mut hi: Option<(i64, i64)> = None;
+    for (s, &d_s) in by_size[..k].iter().enumerate() {
+        if d_s != UNREACHED {
+            let cand = (i64::from(d_s) - d_cur, (k - s) as i64);
+            if hi.is_none_or(|h| cand.0 * h.1 < h.0 * cand.1) {
+                hi = Some(cand);
+            }
+        }
+    }
+    // As many wishes: a strictly cheaper rewiring dominates at every α.
+    if i64::from(by_size[k]) < d_cur {
+        return None;
+    }
+    // More wishes: need α ≥ (D_cur − D_s) / (s − k).
+    let mut lo = (0i64, 1i64);
+    for (extra, &d_s) in (1i64..).zip(&by_size[k + 1..]) {
+        if d_s != UNREACHED && (d_cur - i64::from(d_s)) * lo.1 > lo.0 * extra {
+            lo = (d_cur - i64::from(d_s), extra);
+        }
+    }
+    bounds_interval(lo, hi)
+}
+
+/// The closed interval `[max(0, lo), hi]` of raw `(numerator,
+/// denominator)` bound pairs (positive denominators), or `None` when it
+/// is empty. Emptiness is decided on the raw pairs, so only surviving
+/// intervals pay for `Ratio` normalization (a gcd each).
+fn bounds_interval(lo: (i64, i64), hi: Option<(i64, i64)>) -> Option<ClosedInterval> {
+    let lo = if lo.0 <= 0 { (0, 1) } else { lo };
+    if hi.is_some_and(|h| h.0 * lo.1 < lo.0 * h.1) {
+        return None;
+    }
+    Some(ClosedInterval {
+        lo: Ratio::new(lo.0, lo.1),
+        hi: hi.map_or(Threshold::Infinite, |h| {
+            Threshold::Finite(Ratio::new(h.0, h.1))
+        }),
+    })
+}
+
+/// The pre-transform tables, kept as the independent oracle of
+/// [`vertex_table`]: one BFS per effective row `R ⊆ N \ {i}` and a fold
+/// over every wish set `S` of every owned set.
+#[cfg(test)]
+pub(crate) fn best_response_tables_oracle(g: &Graph) -> Vec<Vec<(u64, ClosedInterval)>> {
+    let n = g.order();
+    let rows: Vec<u64> = (0..n).map(|v| g.neighbor_bits(v)).collect();
+    let half = if n == 0 { 0 } else { 1u64 << (n - 1) };
+    let mut tables = Vec::with_capacity(n);
+    let mut dist: Vec<u64> = vec![u64::MAX; half as usize];
+    for i in 0..n {
+        for c in 0..half {
+            dist[c as usize] =
+                crate::delta::distsum_with_row(&rows, n, i, expand_mask(c, i)).unwrap_or(u64::MAX);
+        }
+        let row = rows[i];
+        let d_cur = dist[compress_mask(row, i) as usize];
+        let mut table: Vec<(u64, ClosedInterval)> = Vec::new();
+        let mut o = row;
+        loop {
+            let keep_c = compress_mask(row & !o, i);
+            let comp = (half - 1) & !keep_c;
+            if let Some(iv) =
+                best_response_interval(&dist, keep_c, comp, i64::from(o.count_ones()), d_cur)
+            {
+                table.push((o, iv));
+            }
+            if o == 0 {
+                break;
+            }
+            o = (o - 1) & row;
+        }
+        table.sort_unstable_by_key(|&(m, _)| m);
+        tables.push(table);
+    }
+    tables
+}
+
 /// Folds the Nash constraints of one `(vertex, owned set)` pair into an
 /// admissible-α interval. `keep_c` is the compressed mask of neighbours
 /// whose edges others buy, `comp` the compressed complement the wish
 /// sets range over, `k = |owned|`, and `dist` the tabulated distance
-/// sums (`u64::MAX` = disconnecting deviation).
+/// sums (`u64::MAX` = disconnecting deviation). The oracle of
+/// [`ranked_interval`].
+#[cfg(test)]
 fn best_response_interval(
     dist: &[u64],
     keep_c: u64,
@@ -664,8 +834,7 @@ fn best_response_interval(
     k: i64,
     d_cur: u64,
 ) -> Option<ClosedInterval> {
-    // This fold is the hot loop of the whole analyzer build. Bounds are
-    // tracked as raw numerator/denominator pairs compared by
+    // Bounds are tracked as raw numerator/denominator pairs compared by
     // cross-multiplication (exact in i128) and normalized into `Ratio`
     // (one gcd) only once at the end, instead of per deviation.
     let mut lo = (0i64, 1i64); // max(0, -diff/coeff) over coeff > 0
@@ -750,19 +919,47 @@ pub fn ucg_necessary_window(g: &Graph) -> Option<ClosedInterval> {
     ucg_necessary_window_with(g, &mut scratch)
 }
 
-/// [`ucg_necessary_window`] with caller-provided BFS buffers — the
-/// allocation-free form used by analysis-engine workers.
+/// [`ucg_necessary_window`] with caller-provided BFS buffers (used for
+/// orders above 64; smaller graphs run on adjacency bit rows).
 pub fn ucg_necessary_window_with(g: &Graph, scratch: &mut BfsScratch) -> Option<ClosedInterval> {
+    DeltaTable::new(g, scratch).and_then(|t| necessary_window_from_table(&t))
+}
+
+/// The necessary window of a connected graph from its single-link
+/// deltas: the largest endpoint addition benefit below, the smallest
+/// per-edge `max(Δdrop_u, Δdrop_v)` above (a bridge caps nothing).
+pub(crate) fn necessary_window_from_table(t: &DeltaTable) -> Option<ClosedInterval> {
+    let mut lo = 0u64;
+    let mut hi: Option<u64> = None;
+    for pair in t.pairs() {
+        match pair {
+            LinkDeltas::NonEdge(du, dv) => lo = lo.max(du).max(dv),
+            LinkDeltas::Edge(Some(du), Some(dv)) => {
+                let cap = du.max(dv);
+                hi = Some(hi.map_or(cap, |h| h.min(cap)));
+            }
+            LinkDeltas::Edge(..) => {}
+        }
+    }
+    match hi {
+        Some(h) if h < lo => None,
+        _ => Some(ClosedInterval {
+            lo: Ratio::from(lo as i64),
+            hi: hi.map_or(Threshold::Infinite, |h| {
+                Threshold::Finite(Ratio::from(h as i64))
+            }),
+        }),
+    }
+}
+
+/// The pre-table window body: one [`DeltaCalc`] query per endpoint,
+/// kept as the independent oracle of [`necessary_window_from_table`].
+#[cfg(test)]
+pub(crate) fn necessary_window_oracle(g: &Graph) -> Option<ClosedInterval> {
     if !g.is_connected() {
         return None;
     }
-    let mut calc = DeltaCalc::with_scratch(g, std::mem::take(scratch));
-    let out = necessary_window_inner(&mut calc, g);
-    *scratch = calc.into_scratch();
-    out
-}
-
-fn necessary_window_inner(calc: &mut DeltaCalc<'_>, g: &Graph) -> Option<ClosedInterval> {
+    let mut calc = DeltaCalc::new(g);
     let mut lo = Ratio::ZERO;
     for (u, v) in g.non_edges().collect::<Vec<_>>() {
         for (a, b) in [(u, v), (v, u)] {

@@ -12,7 +12,7 @@
 use bnf_empirics::MinimizerShape;
 use bnf_empirics::{
     default_threads, efficiency_scan_windows, grid_from_args, numeric_flag, render_table,
-    run_window_sweep_cli,
+    run_window_sweep_cli, sweep_order_flag,
 };
 use bnf_games::Ratio;
 
@@ -47,7 +47,7 @@ fn minimizer_cell(minimizers: &[MinimizerShape]) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let n: usize = numeric_flag(&args, "--n", 7);
+    let n: usize = sweep_order_flag(&args, 7);
     let threads: usize = numeric_flag(&args, "--threads", default_threads());
     let alphas = grid_from_args(&args, || {
         vec![

@@ -6,13 +6,14 @@
 //!        [--grid paper|linear:LO:HI:STEPS|log2:LO:HI:PER_OCT]
 
 use bnf_empirics::{
-    arg_flag, fmt_stat, numeric_flag, render_csv, render_table, run_sweep_cli, SweepConfig,
+    arg_flag, fmt_stat, numeric_flag, render_csv, render_table, run_sweep_cli, sweep_order_flag,
+    SweepConfig,
 };
 use bnf_games::GameKind;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let n: usize = numeric_flag(&args, "--n", 7);
+    let n: usize = sweep_order_flag(&args, 7);
     let mut config = SweepConfig::standard(n);
     config.threads = numeric_flag(&args, "--threads", config.threads);
     let sweep = run_sweep_cli(&config, &args);

@@ -12,12 +12,13 @@
 //! its exhaustive half incremental too.
 
 use bnf_empirics::{
-    fmt_stat, numeric_flag, prop3_series, prop4_rows, render_table, run_sweep_cli, SweepConfig,
+    fmt_stat, numeric_flag, prop3_series, prop4_rows, render_table, run_sweep_cli,
+    sweep_order_flag, SweepConfig,
 };
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let n: usize = numeric_flag(&args, "--n", 7);
+    let n: usize = sweep_order_flag(&args, 7);
     let mut config = SweepConfig::standard(n);
     config.threads = numeric_flag(&args, "--threads", config.threads);
     println!("Proposition 3 — Moore-bound family: stable windows and PoA growth\n");

@@ -127,23 +127,24 @@ pub fn grid_from_args(args: &[String], default: impl FnOnce() -> Vec<Ratio>) -> 
 
 /// An operator error of a sweep binary: printed as one `error:` line,
 /// then the process exits — status 2 for a bad or contradictory flag,
-/// status 1 when the `--atlas` store cannot be opened, appended to or
-/// committed, so scripts can tell the two apart.
+/// status 1 when a file of the run fails (the `--atlas` store cannot be
+/// opened, appended to or committed, or the `--report-json` manifest
+/// cannot be written), so scripts can tell the two apart.
 #[derive(Debug)]
 enum CliError {
     Usage(String),
-    Atlas(String),
+    Io(String),
 }
 
 impl CliError {
-    fn atlas(what: &str, e: impl std::fmt::Display) -> CliError {
-        CliError::Atlas(format!("{what}: {e}"))
+    fn io(what: &str, e: impl std::fmt::Display) -> CliError {
+        CliError::Io(format!("{what}: {e}"))
     }
 
     fn exit(self) -> ! {
         let (status, message) = match self {
             CliError::Usage(m) => (2, m),
-            CliError::Atlas(m) => (1, m),
+            CliError::Io(m) => (1, m),
         };
         eprintln!("error: {message}");
         std::process::exit(status)
@@ -160,6 +161,22 @@ pub fn numeric_flag<T: std::str::FromStr>(args: &[String], name: &str, default: 
             CliError::Usage(format!("{name} wants a number, got {v:?}")).exit()
         }),
     }
+}
+
+/// The `--n` of a sweep binary (`default` when absent), refused up
+/// front when it exceeds [`max_sweep_n`]: one `error:` line naming
+/// `BNF_MAX_N`, then exit status 2 — before any output or enumeration.
+pub fn sweep_order_flag(args: &[String], default: usize) -> usize {
+    let n = numeric_flag(args, "--n", default);
+    let cap = max_sweep_n();
+    if n > cap {
+        CliError::Usage(format!(
+            "--n {n} is above the sweep cap n={cap}: set BNF_MAX_N (at most 10) \
+             to opt in to larger orders"
+        ))
+        .exit()
+    }
+    n
 }
 
 /// `--name value`, or a usage error when the flag is present without a
@@ -284,7 +301,7 @@ fn sweep_cli(n: usize, threads: usize, flags: SweepFlags) -> Result<WindowSweep,
             // recovery truncates the torn tail (reporting what it
             // dropped) instead of refusing the whole store as Corrupt.
             let recovered = ClassificationAtlas::open_recovering(p)
-                .map_err(|e| CliError::atlas(&format!("cannot recover atlas {p}"), e))?;
+                .map_err(|e| CliError::io(&format!("cannot recover atlas {p}"), e))?;
             if recovered.report.was_torn() {
                 eprintln!("atlas {p}: {}", recovered.report);
             }
@@ -293,7 +310,7 @@ fn sweep_cli(n: usize, threads: usize, flags: SweepFlags) -> Result<WindowSweep,
         }
         Some(p) => Some(
             ClassificationAtlas::open(p)
-                .map_err(|e| CliError::atlas(&format!("cannot open atlas {p}"), e))?,
+                .map_err(|e| CliError::io(&format!("cannot open atlas {p}"), e))?,
         ),
     };
     // Scope the process-wide recorder to this run, then let the
@@ -378,7 +395,7 @@ fn sweep_cli(n: usize, threads: usize, flags: SweepFlags) -> Result<WindowSweep,
             let reopened = match &atlas {
                 Some(a) if commit_ranges && !a.is_empty() => Some(
                     ClassificationAtlas::open(a.path())
-                        .map_err(|e| CliError::atlas("cannot reopen atlas for lookups", e))?,
+                        .map_err(|e| CliError::io("cannot reopen atlas for lookups", e))?,
                 ),
                 _ => None,
             };
@@ -408,12 +425,12 @@ fn sweep_cli(n: usize, threads: usize, flags: SweepFlags) -> Result<WindowSweep,
                 };
                 let fresh = atlas
                     .append_records(seg.records)
-                    .unwrap_or_else(|e| CliError::atlas("atlas append failed", e).exit());
+                    .unwrap_or_else(|e| CliError::io("atlas append failed", e).exit());
                 appended += fresh;
                 hits += seg.records.len() - fresh;
                 atlas
                     .append_shard_meta(&meta)
-                    .unwrap_or_else(|e| CliError::atlas("atlas metadata append failed", e).exit());
+                    .unwrap_or_else(|e| CliError::io("atlas metadata append failed", e).exit());
                 // The crash-safety kill point of the whole sweep stack:
                 // this range is now durably committed (records + meta
                 // fsynced), so a fault armed here (BNF_FAULT, see
@@ -485,17 +502,17 @@ fn sweep_cli(n: usize, threads: usize, flags: SweepFlags) -> Result<WindowSweep,
         if !commit_ranges {
             appended = atlas
                 .append_records(&windows.records)
-                .map_err(|e| CliError::atlas("atlas append failed", e))?;
+                .map_err(|e| CliError::io("atlas append failed", e))?;
             hits = windows.records.len() - appended;
             // This was a full sweep of order n: declare coverage so the
             // next run replays the catalogue without enumerating at all.
             atlas
                 .mark_complete(n, windows.records.len())
-                .map_err(|e| CliError::atlas("atlas coverage update failed", e))?;
+                .map_err(|e| CliError::io("atlas coverage update failed", e))?;
         } else if block.is_none() {
             let coverage = atlas
                 .declare_sharded_coverage()
-                .map_err(|e| CliError::atlas("atlas coverage declaration failed", e))?;
+                .map_err(|e| CliError::io("atlas coverage declaration failed", e))?;
             for (order, outcome) in coverage.into_iter().filter(|(order, _)| *order == n) {
                 match outcome {
                     ShardCoverage::Declared(count) | ShardCoverage::AlreadyDeclared(count) => {
@@ -519,7 +536,7 @@ fn sweep_cli(n: usize, threads: usize, flags: SweepFlags) -> Result<WindowSweep,
             // figure output always replays from the now-complete store,
             // byte-identical to an uninterrupted run.
             windows.records = atlas.complete_sweep(n).ok_or_else(|| {
-                CliError::Atlas(format!("resumed n={n} sweep did not close coverage"))
+                CliError::Io(format!("resumed n={n} sweep did not close coverage"))
             })?;
         }
         manifest.set_counter("atlas_hits", hits as u64);
@@ -532,7 +549,7 @@ fn sweep_cli(n: usize, threads: usize, flags: SweepFlags) -> Result<WindowSweep,
     }
     manifest.peak_rss_kb = peak_rss_kb();
     eprintln!("{}", bnf_obs::format_peak_rss(manifest.peak_rss_kb, path));
-    finish_manifest(manifest, flags.report_json);
+    finish_manifest(manifest, flags.report_json)?;
     if block.is_some() {
         eprintln!(
             "segment written; fold segments with `shard_merge --out merged.bnfatlas <segments>` \
@@ -612,13 +629,17 @@ fn push_atlas_density_metric(
 /// recorder even when no report was requested keeps consecutive runs in
 /// one process (tests, warm replays after a cold run) from leaking
 /// telemetry into each other.
-fn finish_manifest(mut manifest: bnf_obs::RunManifest, report_json: Option<String>) {
+fn finish_manifest(
+    mut manifest: bnf_obs::RunManifest,
+    report_json: Option<String>,
+) -> Result<(), CliError> {
     manifest.absorb(bnf_obs::Recorder::global().take());
     if let Some(path) = report_json {
         std::fs::write(&path, manifest.to_json())
-            .unwrap_or_else(|e| panic!("cannot write run manifest to {path}: {e}"));
+            .map_err(|e| CliError::io(&format!("cannot write run manifest to {path}"), e))?;
         eprintln!("run manifest written to {path}");
     }
+    Ok(())
 }
 
 /// A per-invocation tag linking the `ShardMeta` frames of one run, so

@@ -1,7 +1,8 @@
 //! Operator errors of the sweep front-end, through the real
 //! `fig2_avg_poa` binary: every bad or contradictory flag prints exactly
 //! one `error:` line and exits with status 2 — never a panic — while a
-//! store that cannot be opened exits with the distinct status 1.
+//! store that cannot be opened or a manifest that cannot be written
+//! exits with the distinct status 1.
 
 use std::process::Output;
 
@@ -76,6 +77,41 @@ fn unreadable_store_exits_1() {
         "cannot open atlas",
     );
     std::fs::remove_file(&corrupt).ok();
+}
+
+#[test]
+fn unwritable_manifest_exits_1() {
+    let missing = std::env::temp_dir()
+        .join(format!("bnf-cli-errors-{}-no-such-dir", std::process::id()))
+        .join("run.manifest.json");
+    assert_error(
+        &run_fig2(&["--report-json", missing.to_str().unwrap()]),
+        1,
+        "cannot write run manifest to",
+    );
+}
+
+#[test]
+fn orders_above_the_sweep_cap_exit_2_in_every_sweep_binary() {
+    let bins = [
+        ("fig2_avg_poa", env!("CARGO_BIN_EXE_fig2_avg_poa")),
+        ("fig3_avg_links", env!("CARGO_BIN_EXE_fig3_avg_links")),
+        ("poa_bounds", env!("CARGO_BIN_EXE_poa_bounds")),
+        ("efficiency_scan", env!("CARGO_BIN_EXE_efficiency_scan")),
+    ];
+    for (name, exe) in bins {
+        // Unset, the cap is 8; an opt-in above the enumeration bound
+        // clamps to 10. Either way the refusal comes before any output.
+        for max_n in [None, Some("12")] {
+            let mut cmd = std::process::Command::new(exe);
+            cmd.args(["--n", "12"]).env_remove("BNF_MAX_N");
+            if let Some(v) = max_n {
+                cmd.env("BNF_MAX_N", v);
+            }
+            let out = cmd.output().unwrap_or_else(|e| panic!("spawn {name}: {e}"));
+            assert_error(&out, 2, "BNF_MAX_N");
+        }
+    }
 }
 
 #[test]

@@ -336,10 +336,9 @@ fn main() -> ExitCode {
     let report_json = arg_value(&args, "--report-json");
     let checkpoint = arg_value(&args, "--checkpoint");
     let resume = args.iter().any(|a| a == "--resume");
-    assert!(
-        !resume || checkpoint.is_some(),
-        "--resume recovers completed ranges from the sidecar: pass --checkpoint PATH"
-    );
+    if resume && checkpoint.is_none() {
+        usage_error("--resume recovers completed ranges from the sidecar: pass --checkpoint PATH");
+    }
     // Checkpointing is per-range, so both flags imply the orchestrated
     // partition even without an explicit --shards.
     let orchestrated = (shards.is_some() || checkpoint.is_some() || resume) && n >= 2;
