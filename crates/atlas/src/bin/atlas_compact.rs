@@ -1,19 +1,19 @@
-//! Rewrites an atlas store into a chosen format version — the v3 → v4
-//! migration tool (packed columnar blocks, 3–5× smaller) and the
-//! escape hatch back to v3 row frames for old builds.
+//! Rewrites an atlas store as a compacted v4 store: packed columnar
+//! blocks in global engine order — and the migration path for v3 row
+//! stores, which nothing else in this build opens.
 //!
 //! Usage: `atlas_compact --atlas store.bnfatlas [--out compacted.bnfatlas]
-//! [--format 3|4] [--report-json report.json]`
+//! [--report-json report.json]`
 //!
 //! Without `--out` the store is compacted in place; either way the
 //! rewrite lands in a temporary file renamed over the destination, so
-//! an interrupted run never leaves a half-written store. `--format`
-//! defaults to the current format (v4). Records come out in global
-//! engine order `(order, edges, canonical key)` regardless of the
-//! source's append order, and coverage + shard-provenance frames are
-//! carried through unchanged, so warm replays and `--resume` gates are
-//! unaffected. A `<store>.idx` sidecar over the source is invalidated
-//! by the rewrite — rerun `atlas_index` afterwards.
+//! an interrupted run never leaves a half-written store. Records come
+//! out in global engine order `(order, edges, canonical key)`
+//! regardless of the source's append order, and coverage +
+//! shard-provenance frames are carried through unchanged, so warm
+//! replays and `--resume` gates are unaffected. A `<store>.idx` sidecar
+//! over the source is invalidated by the rewrite — rerun `atlas_index`
+//! afterwards. Flag mistakes print one `error:` line and exit 2.
 //!
 //! The run manifest (`--report-json`) carries the gated size metric
 //! `manifest/atlas_bytes_per_record/{max_order}`.
@@ -22,45 +22,30 @@ use std::process::ExitCode;
 
 use bnf_atlas::{compact_store, ATLAS_VERSION};
 
+mod flags;
+
+const USAGE: &str =
+    "atlas_compact --atlas store.bnfatlas [--out compacted.bnfatlas] [--report-json report.json]";
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let Some(store) = flag("--atlas") else {
-        eprintln!(
-            "usage: atlas_compact --atlas store.bnfatlas [--out compacted.bnfatlas] \
-             [--format 3|4] [--report-json report.json]"
-        );
-        return ExitCode::FAILURE;
-    };
-    let out = flag("--out").unwrap_or_else(|| store.clone());
-    let version = match flag("--format").map(|v| v.parse::<u32>()) {
-        None => ATLAS_VERSION,
-        Some(Ok(v)) => v,
-        Some(Err(_)) => {
-            eprintln!("--format takes an atlas version number (3 or 4)");
-            return ExitCode::FAILURE;
-        }
-    };
-    let report_json = flag("--report-json");
+    let flags = flags::Flags::parse(&["--atlas", "--out", "--report-json"], USAGE);
+    let store = flags.require("--atlas");
+    let out = flags.get("--out").unwrap_or_else(|| store.clone());
+    let report_json = flags.get("--report-json");
 
     bnf_obs::Recorder::global().take();
     let started = std::time::Instant::now();
-    let summary = match compact_store(&store, &out, version) {
+    let summary = match compact_store(&store, &out) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("compaction failed for {store}: {e}");
+            eprintln!("error: compaction failed for {store}: {e}");
             return ExitCode::FAILURE;
         }
     };
     println!(
-        "compacted {store} -> {} (v{}): {} records in {} frames, {} -> {} bytes{}",
+        "compacted {store} (v{}) -> {} (v{ATLAS_VERSION}): {} records in {} frames, {} -> {} bytes{}",
+        summary.source_version,
         summary.path.display(),
-        summary.version,
         summary.records,
         summary.frames,
         summary.input_bytes,
@@ -82,7 +67,7 @@ fn main() -> ExitCode {
         manifest.elapsed_ms = started.elapsed().as_millis() as u64;
         manifest.peak_rss_kb = bnf_obs::peak_rss_kb();
         manifest.set_counter("compact_input_bytes", summary.input_bytes);
-        manifest.set_counter("compact_target_version", u64::from(summary.version));
+        manifest.set_counter("compact_source_version", u64::from(summary.source_version));
         if let Some(bpr) = summary.bytes_per_record() {
             manifest.push_metric(
                 &format!("manifest/atlas_bytes_per_record/{}", summary.max_order),
@@ -91,7 +76,7 @@ fn main() -> ExitCode {
         }
         manifest.absorb(bnf_obs::Recorder::global().take());
         if let Err(e) = std::fs::write(&path, manifest.to_json()) {
-            eprintln!("cannot write run manifest to {path}: {e}");
+            eprintln!("error: cannot write run manifest to {path}: {e}");
             return ExitCode::FAILURE;
         }
         eprintln!("run manifest written to {path}");

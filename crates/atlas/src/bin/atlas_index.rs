@@ -4,39 +4,33 @@
 //!
 //! Usage: `atlas_index --atlas store.bnfatlas [--report-json report.json]`
 //!
-//! The scan streams the store frame by frame (no record map, no
+//! The walk streams the store frame by frame (no record map, no
 //! replay), sorts the key table, and writes the sidecar atomically
 //! (tmp + rename), so an interrupted build never leaves a torn index.
 //! Rerun after every store mutation — `MappedAtlas::open` rejects a
-//! stale sidecar rather than serving wrong offsets. See
-//! `docs/ATLAS_FORMAT.md` for the sidecar layout.
+//! stale sidecar rather than serving wrong offsets. Flag mistakes print
+//! one `error:` line and exit 2. See `docs/ATLAS_FORMAT.md` for the
+//! sidecar layout.
 
 use std::process::ExitCode;
 
 use bnf_atlas::build_index;
 
+mod flags;
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(store) = args
-        .iter()
-        .position(|a| a == "--atlas")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-    else {
-        eprintln!("usage: atlas_index --atlas store.bnfatlas [--report-json report.json]");
-        return ExitCode::FAILURE;
-    };
-    let report_json = args
-        .iter()
-        .position(|a| a == "--report-json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let flags = flags::Flags::parse(
+        &["--atlas", "--report-json"],
+        "atlas_index --atlas store.bnfatlas [--report-json report.json]",
+    );
+    let store = flags.require("--atlas");
+    let report_json = flags.get("--report-json");
     bnf_obs::Recorder::global().take();
     let started = std::time::Instant::now();
     let summary = match build_index(&store) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("index build failed for {store}: {e}");
+            eprintln!("error: index build failed for {store}: {e}");
             return ExitCode::FAILURE;
         }
     };
@@ -59,7 +53,7 @@ fn main() -> ExitCode {
         manifest.set_counter("index_key_width", u64::from(summary.key_width));
         manifest.absorb(bnf_obs::Recorder::global().take());
         if let Err(e) = std::fs::write(&path, manifest.to_json()) {
-            eprintln!("cannot write run manifest to {path}: {e}");
+            eprintln!("error: cannot write run manifest to {path}: {e}");
             return ExitCode::FAILURE;
         }
         eprintln!("run manifest written to {path}");

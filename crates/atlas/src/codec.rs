@@ -27,15 +27,14 @@
 //! the full `u64` domain.
 //!
 //! The CRC makes torn-tail recovery work at block granularity: a frame
-//! whose length field arrived but whose body did not decodes to a CRC
-//! mismatch only if the tear landed *inside* the frame bytes the length
-//! already promised — which [`crate::ClassificationAtlas`] treats as
-//! mid-store corruption, exactly as it treats an undecodable v3 record
-//! frame. A tear *between* frames is detected by the framing layer
-//! before this module runs, so recovery semantics are unchanged.
+//! whose length field arrived but whose body did not is a torn tail,
+//! caught by the frame walker before this module runs; a fully present
+//! block that fails its CRC is mid-store corruption, which
+//! [`crate::ClassificationAtlas`] refuses to recover from.
 //!
 //! One walker reads blocks, for two entry points: [`decode_block`]
-//! materializes every record (replays, merges, compaction), and
+//! materializes every record (store walks and the engine-order
+//! reader), and
 //! [`decode_block_record`] materializes one (point lookups). Both check
 //! the same things — CRC, every column of every record — so they accept
 //! exactly the same blocks; the single-record walk skips only the

@@ -1,24 +1,21 @@
-//! Streaming store compaction: rewrite any supported atlas into a
-//! fresh store of a chosen format version — the v3 → v4 migration path
-//! (the `atlas_compact` binary) and the escape hatch back to v3 row
-//! frames for old builds.
+//! Streaming store compaction: rewrite an atlas into a fresh v4 store
+//! with its records in global engine order — the `atlas_compact`
+//! binary, and the only reader of v3 row stores left: a v3 store is
+//! migrated here before anything else will open it.
 //!
 //! [`compact_store`] makes two passes, neither of which materializes
-//! the record map (the whole point at n ≥ 10, where
-//! [`crate::ClassificationAtlas::open`] costs ~6.5 GB resident):
+//! the catalogue:
 //!
-//! 1. **Scan**: stream the source frames once, keeping only a light
-//!    entry per record — `(order, edges, engine sort word, frame
-//!    offset, intra-frame ordinal)`, ~32 bytes — plus the coverage and
-//!    shard-metadata frames verbatim.
-//! 2. **Gather + write**: sort the entries into global engine order
-//!    `(order, edges, sort word)`, then re-read each record by
-//!    positioned read (with a last-block cache, so a sequentially
-//!    written source decodes each block once) and emit it into the
-//!    target format — packed [`crate::codec`] blocks for v4, row
-//!    frames for v3. Provenance (shard metadata) and coverage frames
-//!    are copied through unchanged, so `--resume` bookkeeping and warm
-//!    replay gates survive the rewrite.
+//! 1. **Scan**: walk the source frames once ([`crate::store`]'s frame
+//!    walker), keeping only a light row per record — its engine key
+//!    `(order, edges, sort word)` and its location, 32 bytes — plus the
+//!    coverage and shard-metadata frames verbatim.
+//! 2. **Gather + write**: sort the rows into global engine order, then
+//!    read the records through the engine-order reader, which decodes
+//!    each source block once however the source interleaves them, and
+//!    pack them into [`crate::codec`] blocks. Provenance (shard
+//!    metadata) and coverage frames are copied through unchanged, so
+//!    `--resume` bookkeeping and warm replay gates survive the rewrite.
 //!
 //! The output is written to `<dst>.tmp` and atomically renamed over
 //! `dst`, so a crashed compaction never leaves a half-written store —
@@ -27,24 +24,23 @@
 //! changes); rebuild it with [`crate::build_index`] afterwards.
 //!
 //! Identical duplicate records (legal in the source: idempotent
-//! re-appends are deduplicated on *read*, not on disk) collapse to the
-//! last occurrence, matching `open()`'s map-insert semantics. Equality
-//! of the engine sort triple identifies the canonical graph exactly
-//! for every enumerable order (n ≤ 11 — the packed triangle fits the
-//! sort word), the same assumption every engine-order replay rests on.
+//! re-appends may sit on disk twice) collapse to the last occurrence,
+//! as in every reader. Equality of the engine key identifies the
+//! canonical graph exactly for every enumerable order (n ≤ 11 — the
+//! packed triangle fits the sort word), the same assumption every
+//! engine-order replay rests on.
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, Write};
-use std::os::unix::fs::FileExt;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use bnf_core::WindowRecord;
-use bnf_graph::Graph;
+use bnf_core::{ClosedInterval, LowerBound, StabilityWindow, Threshold, WindowRecord};
+use bnf_games::Ratio;
 
-use crate::codec::{decode_block, BLOCK_RECORDS};
+use crate::codec::BLOCK_RECORDS;
 use crate::store::{
-    encode_record, max_frame_len, read_full, AtlasError, ATLAS_MAGIC, ATLAS_VERSION,
-    FRAME_COVERAGE, FRAME_RECORD, FRAME_RECORD_BLOCK, FRAME_SHARD_META, MIN_ATLAS_VERSION,
+    corrupt_at, engine_key, engine_order, walk, write_block_frame, AtlasError, Cursor, Frame, Loc,
+    OrderedReader, ATLAS_MAGIC, ATLAS_VERSION,
 };
 
 /// What [`compact_store`] wrote.
@@ -52,11 +48,12 @@ use crate::store::{
 pub struct CompactSummary {
     /// Output store path.
     pub path: PathBuf,
-    /// Output format version (3 or 4).
-    pub version: u32,
+    /// Format version of the source store (3 or 4); the output is
+    /// always [`ATLAS_VERSION`].
+    pub source_version: u32,
     /// Records written (after identical-duplicate collapse).
     pub records: u64,
-    /// Record frames written: columnar blocks for v4, rows for v3.
+    /// Columnar block frames written.
     pub frames: u64,
     /// Source store size in bytes.
     pub input_bytes: u64,
@@ -80,144 +77,68 @@ impl CompactSummary {
     }
 }
 
-/// One record location in the source, with its engine sort key.
-struct CompactEntry {
-    order: u16,
-    edges: u64,
-    sort_word: u64,
-    offset: u64,
-    ordinal: u16,
-}
-
-/// Rewrites the store at `src` into format `target_version` at `dst`
+/// Rewrites the v3 or v4 store at `src` as a v4 store at `dst`
 /// (`dst == src` compacts in place), returning what was written. See
 /// the module docs for the two-pass shape and the guarantees.
 ///
 /// # Errors
 ///
-/// [`AtlasError::VersionMismatch`] for an unsupported source header or
-/// `target_version`; [`AtlasError::Corrupt`] for malformed source
-/// bytes — a torn tail counts here: recover the source first
-/// ([`crate::ClassificationAtlas::open_recovering`]), then compact;
-/// [`AtlasError::Io`] on filesystem failure.
+/// [`AtlasError::BadMagic`] / [`AtlasError::VersionMismatch`] for a
+/// foreign or unreadable source header; [`AtlasError::Corrupt`] for
+/// malformed source bytes — a torn tail counts here: recover the source
+/// first ([`crate::ClassificationAtlas::open_recovering`]), then
+/// compact; [`AtlasError::Io`] on filesystem failure.
 pub fn compact_store(
     src: impl AsRef<Path>,
     dst: impl AsRef<Path>,
-    target_version: u32,
 ) -> Result<CompactSummary, AtlasError> {
     let src = src.as_ref();
     let dst = dst.as_ref();
-    bnf_obs::Recorder::global().time("atlas_compact", || {
-        compact_store_inner(src, dst, target_version)
-    })
+    bnf_obs::Recorder::global().time("atlas_compact", || compact_store_inner(src, dst))
 }
 
-fn compact_store_inner(
-    src: &Path,
-    dst: &Path,
-    target_version: u32,
-) -> Result<CompactSummary, AtlasError> {
-    if !(MIN_ATLAS_VERSION..=ATLAS_VERSION).contains(&target_version) {
-        return Err(AtlasError::VersionMismatch {
-            found: target_version,
+fn compact_store_inner(src: &Path, dst: &Path) -> Result<CompactSummary, AtlasError> {
+    // Pass 1: walk the source once into engine-keyed locations plus
+    // carried frames.
+    let source = File::open(src)?;
+    let input_bytes = source.metadata()?.len();
+    let mut rows = Vec::new();
+    let mut carried: Vec<Vec<u8>> = Vec::new(); // coverage + shard frames, file order
+    let end = walk(&source, true, |offset, payload, frame| {
+        match frame {
+            Frame::Records(records) => {
+                for (ordinal, rec) in records.iter().enumerate() {
+                    let key = engine_key(rec).map_err(corrupt_at(offset))?;
+                    rows.push((key, Loc::new(offset, ordinal)));
+                }
+            }
+            Frame::Coverage { .. } | Frame::Shard(_) => carried.push(payload.to_vec()),
+        }
+        Ok(())
+    })?;
+    if end.clean_len < 12 {
+        return Err(AtlasError::BadMagic); // too short for a header
+    }
+    if let Some(reason) = end.torn {
+        return Err(AtlasError::Corrupt {
+            offset: end.clean_len,
+            reason: format!("{reason} — torn tail; recover the store before compacting"),
         });
     }
+    engine_order(&mut rows);
+    let records = rows.len() as u64;
+    let max_order = rows.last().map_or(0, |r| r.0 .0);
 
-    // Pass 1: stream the source once into light entries + carried
-    // frames.
-    let file = File::open(src)?;
-    let input_bytes = file.metadata()?.len();
-    let mut r = BufReader::new(file);
-    let mut header = [0u8; 12];
-    let got = read_full(&mut r, &mut header)?;
-    if got < 12 || header[..8] != ATLAS_MAGIC {
-        return Err(AtlasError::BadMagic);
-    }
-    let src_version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-    if !(MIN_ATLAS_VERSION..=ATLAS_VERSION).contains(&src_version) {
-        return Err(AtlasError::VersionMismatch { found: src_version });
-    }
-    let frame_cap = max_frame_len(src_version);
-
-    let mut entries: Vec<CompactEntry> = Vec::new();
-    let mut carried: Vec<Vec<u8>> = Vec::new(); // coverage + shard frames, file order
-    let mut offset = 12u64;
-    loop {
-        let mut len_buf = [0u8; 4];
-        let got = read_full(&mut r, &mut len_buf)?;
-        if got == 0 {
-            break;
-        }
-        let corrupt = |reason: String| AtlasError::Corrupt { offset, reason };
-        if got < 4 {
-            return Err(corrupt(format!(
-                "file ends {got} bytes into a frame length field — torn tail; recover the \
-                 store before compacting"
-            )));
-        }
-        let len = u32::from_le_bytes(len_buf);
-        if len == 0 || len > frame_cap {
-            return Err(corrupt(format!(
-                "frame length {len} outside 1..={frame_cap} (the v{src_version} cap)"
-            )));
-        }
-        let mut payload = vec![0u8; len as usize];
-        let got = read_full(&mut r, &mut payload)?;
-        if got < len as usize {
-            return Err(corrupt(format!(
-                "frame of {len} bytes truncated ({got} present) — torn tail; recover the \
-                 store before compacting"
-            )));
-        }
-        match payload.first() {
-            Some(&FRAME_RECORD) => {
-                entries.push(scan_row(&payload[1..], offset).map_err(corrupt)?);
-            }
-            Some(&FRAME_RECORD_BLOCK) => {
-                if src_version < 4 {
-                    return Err(corrupt("columnar block frame (tag 4) in a v3 store".into()));
-                }
-                let records = decode_block(&payload[1..]).map_err(corrupt)?;
-                for (ordinal, rec) in records.iter().enumerate() {
-                    entries.push(scan_decoded(rec, offset, ordinal as u16).map_err(corrupt)?);
-                }
-            }
-            Some(&FRAME_COVERAGE) | Some(&FRAME_SHARD_META) => carried.push(payload),
-            Some(&t) => return Err(corrupt(format!("unknown frame tag {t}"))),
-            None => return Err(corrupt("empty frame".into())),
-        }
-        offset += 4 + u64::from(len);
-    }
-
-    // Global engine order; identical duplicates (same canonical graph,
-    // see module docs) collapse to the last occurrence.
-    entries.sort_unstable_by_key(|e| (e.order, e.edges, e.sort_word, e.offset, e.ordinal));
-    entries.dedup_by(|next, prev| {
-        if (prev.order, prev.edges, prev.sort_word) == (next.order, next.edges, next.sort_word) {
-            prev.offset = next.offset;
-            prev.ordinal = next.ordinal;
-            true
-        } else {
-            false
-        }
-    });
-    let records = entries.len() as u64;
-    let max_order = entries.iter().map(|e| e.order).max().unwrap_or(0);
-
-    // Pass 2: gather each record by positioned read and write the
-    // target store to a temporary, renamed into place on success.
+    // Pass 2: gather the records in engine order into a temporary,
+    // renamed into place on success.
     let tmp_path = {
         let mut name = dst.as_os_str().to_owned();
         name.push(".tmp");
         PathBuf::from(name)
     };
-    let source = SourceReader {
-        file: File::open(src)?,
-        frame_cap,
-        cache: None,
-    };
-    let write_result = write_target(&tmp_path, target_version, &entries, source, &carried);
-    let frames = match write_result {
+    let mut reader = OrderedReader::new(&source, end.clean_len, end.version);
+    rows.iter().for_each(|r| reader.list(r.1));
+    let frames = match write_target(&tmp_path, &rows, reader, &carried) {
         Ok(frames) => frames,
         Err(e) => {
             let _ = std::fs::remove_file(&tmp_path);
@@ -233,7 +154,7 @@ fn compact_store_inner(
     recorder.add("compact_output_bytes", output_bytes);
     Ok(CompactSummary {
         path: dst.to_path_buf(),
-        version: target_version,
+        source_version: end.version,
         records,
         frames,
         input_bytes,
@@ -242,13 +163,12 @@ fn compact_store_inner(
     })
 }
 
-/// Writes the full target store (header, record frames, carried
-/// frames) to `path`, durably; returns the record-frame count.
+/// Writes the full target store (header, record blocks, carried
+/// frames) to `path`, durably; returns the block count.
 fn write_target(
     path: &Path,
-    version: u32,
-    entries: &[CompactEntry],
-    mut source: SourceReader,
+    rows: &[((u16, u64, u64), Loc)],
+    mut reader: OrderedReader<'_>,
     carried: &[Vec<u8>],
 ) -> Result<u64, AtlasError> {
     let f = OpenOptions::new()
@@ -258,35 +178,15 @@ fn write_target(
         .open(path)?;
     let mut w = BufWriter::new(f);
     w.write_all(&ATLAS_MAGIC)?;
-    w.write_all(&version.to_le_bytes())?;
+    w.write_all(&ATLAS_VERSION.to_le_bytes())?;
 
-    let mut frames = 0u64;
-    let mut buf = Vec::new();
     let mut payload = Vec::new();
-    let mut block: Vec<WindowRecord> = Vec::new();
-    for chunk in entries.chunks(BLOCK_RECORDS) {
-        block.clear();
-        for e in chunk {
-            block.push(source.record(e.offset, e.ordinal, &mut buf)?);
-        }
-        if version >= 4 {
-            payload.clear();
-            payload.push(FRAME_RECORD_BLOCK);
-            let refs: Vec<&WindowRecord> = block.iter().collect();
-            crate::codec::encode_block(&refs, &mut payload);
-            w.write_all(&(payload.len() as u32).to_le_bytes())?;
-            w.write_all(&payload)?;
-            frames += 1;
-        } else {
-            for rec in &block {
-                payload.clear();
-                payload.push(FRAME_RECORD);
-                encode_record(rec, &mut payload);
-                w.write_all(&(payload.len() as u32).to_le_bytes())?;
-                w.write_all(&payload)?;
-                frames += 1;
-            }
-        }
+    for chunk in rows.chunks(BLOCK_RECORDS) {
+        let block = chunk
+            .iter()
+            .map(|row| reader.take(row.1))
+            .collect::<Result<Vec<_>, _>>()?;
+        write_block_frame(&mut w, &mut payload, &mut block.iter().collect())?;
     }
     for frame in carried {
         w.write_all(&(frame.len() as u32).to_le_bytes())?;
@@ -294,104 +194,80 @@ fn write_target(
     }
     w.flush()?;
     w.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-    Ok(frames)
+    Ok(rows.len().div_ceil(BLOCK_RECORDS) as u64)
 }
 
-/// Positioned-read access to source records, with a one-block cache so
-/// sequential gathers over a sequentially written source decode each
-/// v4 block once.
-struct SourceReader {
-    file: File,
-    frame_cap: u32,
-    cache: Option<(u64, Vec<WindowRecord>)>,
-}
-
-impl SourceReader {
-    fn record(
-        &mut self,
-        offset: u64,
-        ordinal: u16,
-        buf: &mut Vec<u8>,
-    ) -> Result<WindowRecord, AtlasError> {
-        let corrupt = |reason: String| AtlasError::Corrupt { offset, reason };
-        if let Some((at, records)) = &self.cache {
-            if *at == offset {
-                return records
-                    .get(usize::from(ordinal))
-                    .cloned()
-                    .ok_or_else(|| corrupt(format!("ordinal {ordinal} past the cached block")));
-            }
+/// Decodes one v3 row frame body (after the tag byte) — the v3 record
+/// reader compaction keeps. Layout: `u16` key length and key, `u16`
+/// order, `u32` edges, `u64` total distance, then tagged stability and
+/// transfer windows and the counted UCG intervals, with `i64/i64`
+/// ratios (see `docs/ATLAS_FORMAT.md`).
+pub(crate) fn decode_row(body: &[u8]) -> Result<WindowRecord, String> {
+    fn ratio(c: &mut Cursor<'_>) -> Result<Ratio, String> {
+        let (num, den) = (c.i64()?, c.i64()?);
+        if den == 0 {
+            return Err("ratio with zero denominator".into());
         }
-        let mut len_buf = [0u8; 4];
-        self.file
-            .read_exact_at(&mut len_buf, offset)
-            .map_err(|_| corrupt("source truncated at a scanned offset".into()))?;
-        let len = u32::from_le_bytes(len_buf);
-        if len == 0 || len > self.frame_cap {
-            return Err(corrupt(format!("implausible frame length {len}")));
-        }
-        buf.resize(len as usize, 0);
-        self.file
-            .read_exact_at(buf, offset + 4)
-            .map_err(|_| corrupt(format!("source frame of {len} bytes truncated")))?;
-        match buf.first() {
-            Some(&FRAME_RECORD) if ordinal == 0 => {
-                crate::store::decode_record(&buf[1..]).map_err(corrupt)
-            }
-            Some(&FRAME_RECORD_BLOCK) => {
-                let records = decode_block(&buf[1..]).map_err(corrupt)?;
-                let rec = records
-                    .get(usize::from(ordinal))
-                    .cloned()
-                    .ok_or_else(|| corrupt(format!("ordinal {ordinal} past the block")))?;
-                self.cache = Some((offset, records));
-                Ok(rec)
-            }
-            Some(&t) => Err(corrupt(format!(
-                "scanned offset points at frame tag {t}, ordinal {ordinal}"
-            ))),
-            None => Err(corrupt("empty frame".into())),
+        Ok(Ratio::new(num, den))
+    }
+    fn threshold(c: &mut Cursor<'_>) -> Result<Threshold, String> {
+        match c.u8()? {
+            0 => Ok(Threshold::Finite(ratio(c)?)),
+            1 => Ok(Threshold::Infinite),
+            t => Err(format!("unknown threshold tag {t}")),
         }
     }
-}
-
-/// Scan ingredients from one raw v3 row payload (after the tag byte):
-/// the row-frame analogue of [`scan_decoded`], without a full decode.
-fn scan_row(body: &[u8], offset: u64) -> Result<CompactEntry, String> {
-    if body.len() < 2 {
-        return Err("record payload too short for key length".into());
+    fn interval(c: &mut Cursor<'_>) -> Result<ClosedInterval, String> {
+        Ok(ClosedInterval {
+            lo: ratio(c)?,
+            hi: threshold(c)?,
+        })
     }
-    let key_len = u16::from_le_bytes(body[..2].try_into().expect("2 bytes")) as usize;
-    let rest = body
-        .get(2..)
-        .filter(|r| r.len() >= key_len + 6)
-        .ok_or_else(|| format!("record payload ends inside {key_len}-byte key"))?;
-    let key = std::str::from_utf8(&rest[..key_len]).map_err(|_| "key is not UTF-8".to_string())?;
-    let order = u16::from_le_bytes(rest[key_len..key_len + 2].try_into().expect("2 bytes"));
-    let edges = u64::from(u32::from_le_bytes(
-        rest[key_len + 2..key_len + 6].try_into().expect("4 bytes"),
-    ));
-    let g = Graph::from_graph6(key).map_err(|e| format!("undecodable key {key:?}: {e:?}"))?;
-    Ok(CompactEntry {
+    let mut c = Cursor::new(body);
+    let key_len = usize::from(c.u16()?);
+    let key = std::str::from_utf8(c.take(key_len)?)
+        .map_err(|_| "key is not UTF-8".to_string())?
+        .to_string();
+    let order = u32::from(c.u16()?);
+    let edges = u64::from(c.u32()?);
+    let total_distance = c.u64()?;
+    let stability = match c.u8()? {
+        0 => None,
+        1 => {
+            let value = ratio(&mut c)?;
+            let inclusive = match c.u8()? {
+                0 => false,
+                1 => true,
+                t => return Err(format!("unknown inclusivity tag {t}")),
+            };
+            let upper = threshold(&mut c)?;
+            Some(StabilityWindow {
+                lower: LowerBound { value, inclusive },
+                upper,
+            })
+        }
+        t => return Err(format!("unknown stability tag {t}")),
+    };
+    let transfer = match c.u8()? {
+        0 => None,
+        1 => Some(interval(&mut c)?),
+        t => return Err(format!("unknown transfer tag {t}")),
+    };
+    let n_support = usize::from(c.u16()?);
+    let ucg_support = (0..n_support)
+        .map(|_| interval(&mut c))
+        .collect::<Result<Vec<_>, _>>()?;
+    if c.remaining() != 0 {
+        return Err(format!("{} trailing bytes after record", c.remaining()));
+    }
+    Ok(WindowRecord {
+        key,
         order,
         edges,
-        sort_word: g.packed_self_key().prefix_word(),
-        offset,
-        ordinal: 0,
-    })
-}
-
-/// Scan ingredients from one decoded block record.
-fn scan_decoded(rec: &WindowRecord, offset: u64, ordinal: u16) -> Result<CompactEntry, String> {
-    let order = u16::try_from(rec.order).map_err(|_| format!("order {} exceeds u16", rec.order))?;
-    let g = Graph::from_graph6(&rec.key)
-        .map_err(|e| format!("undecodable key {:?}: {e:?}", rec.key))?;
-    Ok(CompactEntry {
-        order,
-        edges: rec.edges,
-        sort_word: g.packed_self_key().prefix_word(),
-        offset,
-        ordinal,
+        total_distance,
+        stability,
+        transfer,
+        ucg_support,
     })
 }
 
@@ -399,6 +275,7 @@ fn scan_decoded(rec: &WindowRecord, offset: u64, ordinal: u16) -> Result<Compact
 mod tests {
     use super::*;
     use crate::store::ClassificationAtlas;
+    use bnf_graph::Graph;
 
     fn scratch_path(tag: &str) -> PathBuf {
         use std::sync::atomic::{AtomicU32, Ordering};
@@ -408,6 +285,22 @@ mod tests {
             "bnf-compact-{tag}-{}-{n}.bnfatlas",
             std::process::id()
         ))
+    }
+
+    /// The committed v3 fixture: the n = 6 catalogue (112 records, one
+    /// row frame each) and its coverage frame, written by the last
+    /// build that still wrote v3.
+    const V3_FIXTURE: &[u8] = include_bytes!("../tests/fixtures/v3-n6.bnfatlas");
+
+    /// The fixture's catalogue classified afresh, in engine order.
+    fn n6_reference() -> Vec<WindowRecord> {
+        let mut scratch = bnf_graph::BfsScratch::new();
+        let mut records = Vec::new();
+        bnf_stream::for_each_connected(6, |g, _| {
+            records.push(WindowRecord::classify(&g, &mut scratch));
+        });
+        records.sort_by_key(|r| engine_key(r).unwrap());
+        records
     }
 
     /// All 6 connected topologies on 4 vertices, classified.
@@ -429,10 +322,10 @@ mod tests {
         .collect()
     }
 
-    fn build_store(path: &Path, version: u32) -> Vec<WindowRecord> {
+    /// A v4 store of the n = 4 catalogue, appended out of engine order.
+    fn build_store(path: &Path) -> Vec<WindowRecord> {
         let records = n4_records();
-        let mut atlas = ClassificationAtlas::open_with_version(path, version).unwrap();
-        // Two batches so a v3 source is not already in engine order.
+        let mut atlas = ClassificationAtlas::open(path).unwrap();
         atlas.append_records(records.iter().rev().take(3)).unwrap();
         atlas.append_records(records.iter()).unwrap();
         atlas.mark_complete(4, records.len()).unwrap();
@@ -443,42 +336,22 @@ mod tests {
     fn v3_to_v4_preserves_catalogue_coverage_and_replay() {
         let src = scratch_path("v3src");
         let dst = scratch_path("v4dst");
-        let records = build_store(&src, 3);
-        let reference = ClassificationAtlas::open(&src).unwrap();
-        let ref_sweep = reference.complete_sweep(4).unwrap();
+        std::fs::write(&src, V3_FIXTURE).unwrap();
+        let reference = n6_reference();
 
-        let summary = compact_store(&src, &dst, 4).unwrap();
-        assert_eq!(summary.version, 4);
-        assert_eq!(summary.records, records.len() as u64);
-        assert_eq!(summary.frames, 1, "6 records fit one block");
-        assert_eq!(summary.max_order, 4);
+        let summary = compact_store(&src, &dst).unwrap();
+        assert_eq!(summary.source_version, 3);
+        assert_eq!(summary.records, 112);
+        assert_eq!(summary.frames, 1, "112 records fit one block");
+        assert_eq!(summary.max_order, 6);
+        assert!(summary.shrink_ratio().unwrap() >= 2.5);
 
         let compacted = ClassificationAtlas::open(&dst).unwrap();
-        assert_eq!(compacted.version(), 4);
-        assert_eq!(compacted.len(), records.len());
-        assert_eq!(compacted.coverage(4), reference.coverage(4));
-        assert_eq!(compacted.complete_sweep(4).unwrap(), ref_sweep);
-        assert_eq!(compacted.shard_metas().len(), reference.shard_metas().len());
-        std::fs::remove_file(&src).ok();
-        std::fs::remove_file(&dst).ok();
-    }
-
-    #[test]
-    fn v4_to_v3_round_trips_for_old_builds() {
-        let src = scratch_path("v4src");
-        let dst = scratch_path("v3dst");
-        build_store(&src, 4);
-        let reference = ClassificationAtlas::open(&src).unwrap().complete_sweep(4);
-
-        let summary = compact_store(&src, &dst, 3).unwrap();
-        assert_eq!(summary.version, 3);
-        assert_eq!(summary.frames, summary.records, "one row frame each");
-        let bytes = std::fs::read(&dst).unwrap();
-        assert_eq!(&bytes[8..12], &3u32.to_le_bytes());
-
-        let back = ClassificationAtlas::open(&dst).unwrap();
-        assert_eq!(back.version(), 3);
-        assert_eq!(back.complete_sweep(4), reference);
+        assert_eq!(&std::fs::read(&dst).unwrap()[8..12], &4u32.to_le_bytes());
+        assert_eq!(compacted.len(), reference.len());
+        assert_eq!(compacted.coverage(6), Some(112));
+        assert_eq!(compacted.complete_sweep(6).unwrap(), reference);
+        assert!(compacted.shard_metas().is_empty());
         std::fs::remove_file(&src).ok();
         std::fs::remove_file(&dst).ok();
     }
@@ -486,11 +359,12 @@ mod tests {
     #[test]
     fn in_place_compaction_is_atomic_and_lossless() {
         let path = scratch_path("inplace");
-        build_store(&path, 3);
+        build_store(&path);
         let reference = ClassificationAtlas::open(&path).unwrap().complete_sweep(4);
         let before = std::fs::metadata(&path).unwrap().len();
 
-        let summary = compact_store(&path, &path, 4).unwrap();
+        let summary = compact_store(&path, &path).unwrap();
+        assert_eq!(summary.source_version, 4);
         assert_eq!(summary.input_bytes, before);
         assert_eq!(
             summary.output_bytes,
@@ -499,7 +373,6 @@ mod tests {
         assert!(summary.bytes_per_record().unwrap() > 0.0);
 
         let compacted = ClassificationAtlas::open(&path).unwrap();
-        assert_eq!(compacted.version(), 4);
         assert_eq!(compacted.complete_sweep(4), reference);
         std::fs::remove_file(&path).ok();
     }
@@ -508,21 +381,17 @@ mod tests {
     fn compacted_store_serves_through_the_mapped_seam() {
         let src = scratch_path("mapsrc");
         let dst = scratch_path("mapdst");
-        let records = build_store(&src, 3);
-        let expected = ClassificationAtlas::open(&src)
-            .unwrap()
-            .complete_sweep(4)
-            .unwrap();
-        compact_store(&src, &dst, 4).unwrap();
+        std::fs::write(&src, V3_FIXTURE).unwrap();
+        let expected = n6_reference();
+        compact_store(&src, &dst).unwrap();
         crate::build_index(&dst).unwrap();
         let mapped = crate::MappedAtlas::open(&dst).unwrap();
-        assert_eq!(mapped.version(), 4);
-        for rec in &records {
+        for rec in &expected {
             assert_eq!(mapped.lookup(&rec.key).unwrap().as_ref(), Some(rec));
         }
         let mut streamed = Vec::new();
         assert_eq!(
-            mapped.stream_sweep(4, |r| streamed.push(r)).unwrap(),
+            mapped.stream_sweep(6, |r| streamed.push(r)).unwrap(),
             Some(expected.len() as u64)
         );
         assert_eq!(streamed, expected);
@@ -535,8 +404,8 @@ mod tests {
     fn empty_store_compacts_to_an_empty_store() {
         let src = scratch_path("emptysrc");
         let dst = scratch_path("emptydst");
-        let _ = ClassificationAtlas::open_with_version(&src, 3).unwrap();
-        let summary = compact_store(&src, &dst, 4).unwrap();
+        std::fs::write(&src, &V3_FIXTURE[..12]).unwrap(); // a bare v3 header
+        let summary = compact_store(&src, &dst).unwrap();
         assert_eq!(summary.records, 0);
         assert_eq!(summary.bytes_per_record(), None);
         assert!(ClassificationAtlas::open(&dst).unwrap().is_empty());
@@ -545,13 +414,17 @@ mod tests {
     }
 
     #[test]
-    fn unsupported_target_version_is_rejected() {
+    fn unsupported_source_version_is_rejected() {
         let src = scratch_path("badver");
-        let _ = ClassificationAtlas::open(&src).unwrap();
-        assert!(matches!(
-            compact_store(&src, &src, 2),
-            Err(AtlasError::VersionMismatch { found: 2 })
-        ));
+        for found in [2u32, 5] {
+            let mut bytes = ATLAS_MAGIC.to_vec();
+            bytes.extend_from_slice(&found.to_le_bytes());
+            std::fs::write(&src, &bytes).unwrap();
+            match compact_store(&src, &src) {
+                Err(AtlasError::VersionMismatch { found: f }) => assert_eq!(f, found),
+                other => panic!("expected VersionMismatch, got {other:?}"),
+            }
+        }
         std::fs::remove_file(&src).ok();
     }
 }

@@ -2,26 +2,22 @@
 //! tables) over an atlas store, built once after coverage is declared.
 //!
 //! The store itself is append-only frames with no random-access
-//! structure — [`crate::ClassificationAtlas::open`] replays it front to
-//! back into a `HashMap`, which costs ~6.5 GB resident at n = 10.
-//! [`build_index`] scans the store *once*, streaming frame by frame
-//! without materializing any [`bnf_core::WindowRecord`], and writes a
-//! `<store>.idx` sidecar holding
+//! structure. [`build_index`] walks it *once* through the store's frame
+//! walker, keeping only each record's key, location and engine key,
+//! and writes a `<store>.idx` sidecar holding
 //!
 //! * a **sorted key table** mapping canonical graph6 key → record
 //!   location, so [`crate::MappedAtlas::lookup`] is a binary search of
-//!   O(log N) `pread`s instead of a full replay, and
+//!   O(log N) `pread`s instead of a walk, and
 //! * one **engine-order table** per coverage-declared order — record
 //!   locations sorted by `(edge count, canonical key)`, the engine's
 //!   enumeration order — so warm sweeps stream the catalogue in the
 //!   exact order [`crate::ClassificationAtlas::complete_sweep`]
-//!   produces, one frame resident at a time.
+//!   produces.
 //!
 //! A record **location** is a `(frame offset, intra-frame ordinal)`
-//! pair: in a v3 store every record owns its frame and the ordinal is
-//! always 0; in a v4 store the offset names a columnar block frame
-//! (see [`crate::codec`]) and the ordinal selects the record within
-//! the decoded block.
+//! pair: the offset names a columnar block frame (see [`crate::codec`])
+//! and the ordinal selects the record within it.
 //!
 //! The sidecar is a pure cache: it never changes the store, and it
 //! self-invalidates (header records the store length it indexed; see
@@ -30,14 +26,11 @@
 //! invalidation rules.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use bnf_graph::Graph;
-
 use crate::store::{
-    ATLAS_MAGIC, ATLAS_VERSION, FRAME_COVERAGE, FRAME_RECORD, FRAME_RECORD_BLOCK, FRAME_SHARD_META,
-    MIN_ATLAS_VERSION,
+    corrupt_at, engine_key, engine_order, version_diagnosis, walk, AtlasError, Frame, Loc,
 };
 
 /// Leading magic bytes of an index sidecar file.
@@ -48,9 +41,8 @@ pub const INDEX_MAGIC: [u8; 8] = *b"BNFATIDX";
 /// [`build_index`]), never reinterpreted.
 ///
 /// Version 2 widens every record reference from a bare frame offset to
-/// a `(frame offset, intra-frame ordinal)` pair so one sidecar layout
-/// addresses both v3 row stores (ordinal always 0) and v4 columnar
-/// block stores.
+/// a `(frame offset, intra-frame ordinal)` pair, addressing records
+/// inside v4 columnar blocks.
 pub const INDEX_VERSION: u32 = 2;
 
 /// Byte length of the fixed sidecar header (see `docs/ATLAS_FORMAT.md`).
@@ -69,8 +61,9 @@ pub enum IndexError {
         /// Version found in the sidecar header.
         found: u32,
     },
-    /// The sidecar was built over a store version this build does not
-    /// support, or over a different version than the store beside it.
+    /// The store (or the store the sidecar was built over) is not a
+    /// v4 store: a v3 store must be migrated with `atlas_compact`
+    /// first.
     AtlasVersionMismatch {
         /// Store version recorded in the sidecar header.
         found: u32,
@@ -113,8 +106,8 @@ impl std::fmt::Display for IndexError {
             ),
             IndexError::AtlasVersionMismatch { found } => write!(
                 f,
-                "index built over atlas version {found}, outside supported \
-                 {MIN_ATLAS_VERSION}..={ATLAS_VERSION} or unlike the store; rebuild the sidecar"
+                "{}; rebuild the sidecar afterwards",
+                version_diagnosis(*found)
             ),
             IndexError::Stale { indexed, actual } => write!(
                 f,
@@ -143,6 +136,19 @@ impl From<std::io::Error> for IndexError {
     }
 }
 
+impl From<AtlasError> for IndexError {
+    fn from(e: AtlasError) -> Self {
+        match e {
+            AtlasError::Io(e) => IndexError::Io(e),
+            AtlasError::VersionMismatch { found } => IndexError::AtlasVersionMismatch { found },
+            AtlasError::Corrupt { offset, reason } => IndexError::Corrupt { offset, reason },
+            other => IndexError::Store {
+                reason: other.to_string(),
+            },
+        }
+    }
+}
+
 /// The sidecar path for a store path: `<store>.idx` appended to the
 /// full file name (`n9.bnfatlas` → `n9.bnfatlas.idx`).
 pub fn index_path(store: &Path) -> PathBuf {
@@ -168,23 +174,19 @@ pub struct IndexSummary {
     pub key_width: u16,
 }
 
-/// One record seen by the store scan: where its frame starts, its
-/// ordinal within the frame (0 for v3 row frames), and the engine sort
-/// ingredients, with the key held in a shared arena so the n = 10
-/// build stays hundreds of MB, not records × `String` overhead.
+/// One record seen by the store walk: its location and engine key,
+/// with the key held in a shared arena so the n = 10 build stays
+/// hundreds of MB, not records × `String` overhead.
 struct ScanEntry {
     key_pos: u32,
     key_len: u8,
-    order: u16,
-    offset: u64,
-    ordinal: u16,
-    edges: u64,
-    sort_word: u64,
+    loc: Loc,
+    engine: (u16, u64, u64),
 }
 
 /// Builds (or rebuilds) the `<store>.idx` sidecar for the atlas at
-/// `store`, scanning the store once without materializing records, and
-/// returns what was written. The sidecar is written to a temporary
+/// `store`, walking the store once and keeping one light entry per
+/// record, and returns what was written. The sidecar is written to a temporary
 /// file and atomically renamed into place, so a crashed build never
 /// leaves a half-written index behind.
 ///
@@ -195,127 +197,99 @@ struct ScanEntry {
 ///
 /// # Errors
 ///
-/// [`IndexError::Corrupt`] / [`IndexError::Store`] for malformed
-/// stores, [`IndexError::Io`] on filesystem failure.
+/// [`IndexError::Corrupt`] for malformed stores — a torn tail counts:
+/// recover the store first
+/// ([`crate::ClassificationAtlas::open_recovering`]);
+/// [`IndexError::Store`] for a file that is not an atlas;
+/// [`IndexError::AtlasVersionMismatch`] for any store but v4;
+/// [`IndexError::Io`] on filesystem failure.
 pub fn build_index(store: impl AsRef<Path>) -> Result<IndexSummary, IndexError> {
     let store = store.as_ref();
     bnf_obs::Recorder::global().time("index_build", || build_index_inner(store))
 }
 
-/// One engine-order table under construction: order, declared coverage
-/// count, and the `(frame offset, intra-frame ordinal)` locations in
-/// replay order.
-type SweepAccum = (u16, u64, Vec<(u64, u16)>);
-
 fn build_index_inner(store: &Path) -> Result<IndexSummary, IndexError> {
-    let file = File::open(store)?;
-    let store_len = file.metadata()?.len();
-    let mut r = BufReader::new(file);
-    let mut header = [0u8; 12];
-    r.read_exact(&mut header).map_err(|_| IndexError::Store {
-        reason: "store too short for its header".into(),
-    })?;
-    if header[..8] != ATLAS_MAGIC {
-        return Err(IndexError::Store {
-            reason: "not an atlas file (bad magic)".into(),
-        });
-    }
-    let found = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-    if !(MIN_ATLAS_VERSION..=ATLAS_VERSION).contains(&found) {
-        return Err(IndexError::AtlasVersionMismatch { found });
-    }
-
     let mut arena: Vec<u8> = Vec::new();
     let mut entries: Vec<ScanEntry> = Vec::new();
     let mut coverage: Vec<(u16, u64)> = Vec::new();
-    let mut offset = 12u64;
-    loop {
-        let mut len_buf = [0u8; 4];
-        match r.read_exact(&mut len_buf) {
-            Ok(()) => {}
-            Err(e) if e.kind() == ErrorKind::UnexpectedEof => break,
-            Err(e) => return Err(e.into()),
-        }
-        let len = u32::from_le_bytes(len_buf) as usize;
-        let mut payload = vec![0u8; len];
-        r.read_exact(&mut payload)
-            .map_err(|_| IndexError::Corrupt {
-                offset,
-                reason: format!("store frame of {len} bytes truncated"),
-            })?;
-        let corrupt = |reason: String| IndexError::Corrupt { offset, reason };
-        match payload.first() {
-            Some(&FRAME_RECORD) => {
-                let entry = scan_record(&payload[1..], offset, &mut arena).map_err(&corrupt)?;
-                entries.push(entry);
-            }
-            Some(&FRAME_RECORD_BLOCK) => {
-                if found < 4 {
-                    return Err(corrupt("columnar block frame (tag 4) in a v3 store".into()));
-                }
-                // One block decode materializes ≤ 4096 records
-                // transiently; only the scan ingredients survive.
-                let records = crate::codec::decode_block(&payload[1..]).map_err(&corrupt)?;
+    let end = walk(File::open(store)?, false, |offset, _, frame| {
+        match frame {
+            Frame::Records(records) => {
                 for (ordinal, rec) in records.iter().enumerate() {
-                    entries.push(
-                        scan_block_record(rec, offset, ordinal, &mut arena).map_err(&corrupt)?,
-                    );
+                    let corrupt = corrupt_at(offset);
+                    let key_len = u8::try_from(rec.key.len()).map_err(|_| {
+                        corrupt(format!(
+                            "key of {} bytes exceeds the index limit",
+                            rec.key.len()
+                        ))
+                    })?;
+                    entries.push(ScanEntry {
+                        key_pos: arena.len() as u32,
+                        key_len,
+                        loc: Loc::new(offset, ordinal),
+                        engine: engine_key(rec).map_err(corrupt)?,
+                    });
+                    arena.extend_from_slice(rec.key.as_bytes());
                 }
             }
-            Some(&FRAME_COVERAGE) => {
-                if payload.len() != 11 {
-                    return Err(corrupt("coverage frame is not 11 bytes".into()));
-                }
-                let order = u16::from_le_bytes(payload[1..3].try_into().expect("2 bytes"));
-                let count = u64::from_le_bytes(payload[3..11].try_into().expect("8 bytes"));
-                coverage.push((order, count));
-            }
-            Some(&FRAME_SHARD_META) => {} // provenance only; nothing to index
-            Some(&t) => return Err(corrupt(format!("unknown frame tag {t}"))),
-            None => return Err(corrupt("empty frame".into())),
+            Frame::Coverage { order, count } => coverage.push((order, count)),
+            Frame::Shard(_) => {} // provenance only; nothing to index
         }
-        offset += 4 + len as u64;
+        Ok(())
+    })?;
+    match end.torn {
+        None => {}
+        Some(_) if end.clean_len < 12 => {
+            return Err(IndexError::Store {
+                reason: "store too short for its header".into(),
+            })
+        }
+        Some(reason) => {
+            return Err(IndexError::Corrupt {
+                offset: end.clean_len,
+                reason: format!("{reason} — torn tail; recover the store before indexing"),
+            })
+        }
     }
+    // The walk ended on a frame boundary at the end of the file: that
+    // is the store length the sidecar vouches for.
+    let store_len = end.clean_len;
 
     // The store enforces key uniqueness on append, so duplicates can
-    // only come from identical-record dedup races; keep the last
-    // occurrence, matching the HashMap-insert semantics of open().
+    // only come from identical re-appends; keep the last occurrence,
+    // as every reader does.
     entries.sort_by(|a, b| {
         key_of(&arena, a)
             .cmp(key_of(&arena, b))
-            .then((a.offset, a.ordinal).cmp(&(b.offset, b.ordinal)))
+            .then(a.loc.cmp(&b.loc))
     });
     entries.dedup_by(|next, prev| {
         // dedup_by sees (next, prev) and drops `next` on true; the pair
         // is ordered by location, so copy the later location into the
         // surviving slot before dropping it.
-        if key_of(&arena, next) == key_of(&arena, prev) {
-            prev.offset = next.offset;
-            prev.ordinal = next.ordinal;
-            true
-        } else {
-            false
+        let same = key_of(&arena, next) == key_of(&arena, prev);
+        if same {
+            prev.loc = next.loc;
         }
+        same
     });
 
     coverage.sort_unstable();
     coverage.dedup();
-    let mut sweeps: Vec<SweepAccum> = Vec::new();
+    let mut rows: Vec<_> = entries.iter().map(|e| (e.engine, e.loc)).collect();
+    engine_order(&mut rows);
+    let mut sweeps: Vec<(u16, u64, Vec<Loc>)> = Vec::new();
     for &(order, declared) in &coverage {
-        let mut tagged: Vec<(u64, u64, u64, u16)> = entries
+        let table: Vec<Loc> = rows
             .iter()
-            .filter(|e| e.order == order)
-            .map(|e| (e.edges, e.sort_word, e.offset, e.ordinal))
+            .filter(|r| r.0 .0 == order)
+            .map(|r| r.1)
             .collect();
-        if tagged.len() as u64 != declared {
-            continue; // population mismatch: same defensive skip as complete_sweep
+        // A population mismatch gets no table: the same defensive skip
+        // as complete_sweep.
+        if table.len() as u64 == declared {
+            sweeps.push((order, declared, table));
         }
-        tagged.sort_unstable();
-        sweeps.push((
-            order,
-            declared,
-            tagged.into_iter().map(|t| (t.2, t.3)).collect(),
-        ));
     }
 
     let key_width = entries
@@ -334,7 +308,7 @@ fn build_index_inner(store: &Path) -> Result<IndexSummary, IndexError> {
     let mut w = BufWriter::new(File::create(&tmp_path)?);
     w.write_all(&INDEX_MAGIC)?;
     w.write_all(&INDEX_VERSION.to_le_bytes())?;
-    w.write_all(&found.to_le_bytes())?;
+    w.write_all(&end.version.to_le_bytes())?;
     w.write_all(&store_len.to_le_bytes())?;
     w.write_all(&(entries.len() as u64).to_le_bytes())?;
     w.write_all(&key_width.to_le_bytes())?;
@@ -346,15 +320,15 @@ fn build_index_inner(store: &Path) -> Result<IndexSummary, IndexError> {
         padded[..key.len()].copy_from_slice(key);
         padded[key.len()..].fill(0);
         w.write_all(&padded)?;
-        w.write_all(&e.offset.to_le_bytes())?;
-        w.write_all(&e.ordinal.to_le_bytes())?;
+        w.write_all(&e.loc.offset().to_le_bytes())?;
+        w.write_all(&e.loc.ordinal().to_le_bytes())?;
     }
     for (order, count, locations) in &sweeps {
         w.write_all(&order.to_le_bytes())?;
         w.write_all(&count.to_le_bytes())?;
-        for (off, ordinal) in locations {
-            w.write_all(&off.to_le_bytes())?;
-            w.write_all(&ordinal.to_le_bytes())?;
+        for loc in locations {
+            w.write_all(&loc.offset().to_le_bytes())?;
+            w.write_all(&loc.ordinal().to_le_bytes())?;
         }
     }
     w.flush()?;
@@ -381,72 +355,6 @@ fn build_index_inner(store: &Path) -> Result<IndexSummary, IndexError> {
 
 fn key_of<'a>(arena: &'a [u8], e: &ScanEntry) -> &'a [u8] {
     &arena[e.key_pos as usize..e.key_pos as usize + e.key_len as usize]
-}
-
-/// Extracts the index ingredients from one record payload (after the
-/// tag byte) without decoding the full record: key, order, edge count,
-/// and the engine sort word recovered via [`Graph::packed_self_key`].
-fn scan_record(body: &[u8], offset: u64, arena: &mut Vec<u8>) -> Result<ScanEntry, String> {
-    if body.len() < 2 {
-        return Err("record payload too short for key length".into());
-    }
-    let key_len = u16::from_le_bytes(body[..2].try_into().expect("2 bytes")) as usize;
-    let rest = body
-        .get(2..)
-        .filter(|r| r.len() >= key_len + 8)
-        .ok_or_else(|| format!("record payload ends inside {key_len}-byte key"))?;
-    let key = std::str::from_utf8(&rest[..key_len]).map_err(|_| "key is not UTF-8".to_string())?;
-    if key_len > u8::MAX as usize {
-        return Err(format!("key of {key_len} bytes exceeds the index limit"));
-    }
-    let order = u16::from_le_bytes(rest[key_len..key_len + 2].try_into().expect("2 bytes"));
-    let edges = u64::from(u32::from_le_bytes(
-        rest[key_len + 2..key_len + 6].try_into().expect("4 bytes"),
-    ));
-    let g = Graph::from_graph6(key).map_err(|e| format!("undecodable key {key:?}: {e:?}"))?;
-    let key_pos = arena.len() as u32;
-    arena.extend_from_slice(key.as_bytes());
-    Ok(ScanEntry {
-        key_pos,
-        key_len: key_len as u8,
-        order,
-        offset,
-        ordinal: 0,
-        edges,
-        sort_word: g.packed_self_key().prefix_word(),
-    })
-}
-
-/// The [`scan_record`] counterpart for one record of a decoded v4
-/// block: same arena discipline and sort ingredients, plus the
-/// intra-block ordinal.
-fn scan_block_record(
-    rec: &bnf_core::WindowRecord,
-    offset: u64,
-    ordinal: usize,
-    arena: &mut Vec<u8>,
-) -> Result<ScanEntry, String> {
-    let key = rec.key.as_str();
-    if key.len() > u8::MAX as usize {
-        return Err(format!(
-            "key of {} bytes exceeds the index limit",
-            key.len()
-        ));
-    }
-    let ordinal = u16::try_from(ordinal).map_err(|_| "block ordinal exceeds u16".to_string())?;
-    let order = u16::try_from(rec.order).map_err(|_| format!("order {} exceeds u16", rec.order))?;
-    let g = Graph::from_graph6(key).map_err(|e| format!("undecodable key {key:?}: {e:?}"))?;
-    let key_pos = arena.len() as u32;
-    arena.extend_from_slice(key.as_bytes());
-    Ok(ScanEntry {
-        key_pos,
-        key_len: key.len() as u8,
-        order,
-        offset,
-        ordinal,
-        edges: rec.edges,
-        sort_word: g.packed_self_key().prefix_word(),
-    })
 }
 
 #[cfg(test)]

@@ -12,18 +12,24 @@
 //! append-only store of per-graph classification records
 //! ([`bnf_core::WindowRecord`]) keyed by canonical graph6 string, so
 //! exhaustive sweeps can skip re-classifying topologies they have
-//! already seen (`--atlas <path>` on the sweep binaries). Two read
-//! paths exist over one store:
+//! already seen (`--atlas <path>` on the sweep binaries). The store is
+//! read one way: every whole-store reader goes through one frame
+//! walker, and every ordered read through one engine-order reader that
+//! decodes each block once. Two handles sit on top:
 //!
-//! * [`ClassificationAtlas`] — the buffered writer/reader: replays the
-//!   whole store into a key → record map on open. Required for
-//!   appends, merges and coverage declarations; costly to open at
-//!   large orders (~6.5 GB resident for the n = 10 catalogue).
+//! * [`ClassificationAtlas`] — the writer: appends, merges, coverage
+//!   declarations, warm replays. It keeps no records, only a
+//!   key-hash → location table (8 bytes of location per record) and
+//!   the commit state; a lookup reads its record from disk.
 //! * [`MappedAtlas`] — the indexed reader: after a one-time
 //!   [`build_index`] pass (the `atlas_index` binary) writes a
 //!   `<store>.idx` sidecar, point lookups are O(log N) positioned
-//!   reads and warm sweeps stream in engine order with one record
-//!   resident at a time. This is what `bnf-serve` serves from.
+//!   reads and warm sweeps stream in engine order without any table in
+//!   memory. This is what `bnf-serve` serves from.
+//!
+//! Only v4 stores are opened; a v3 row store from an older build is
+//! readable only by [`compact_store`] (the `atlas_compact` binary),
+//! which migrates it to v4.
 //!
 //! See `docs/ATLAS_FORMAT.md` for the byte-level store and sidecar
 //! formats and the compatibility/invalidation rules.
@@ -60,6 +66,7 @@ pub mod mapped;
 pub mod merge;
 pub mod named;
 pub mod random;
+mod shard;
 pub mod store;
 
 pub use codec::BLOCK_RECORDS;
@@ -74,8 +81,8 @@ pub use mapped::MappedAtlas;
 pub use merge::{
     merge_segments, merge_segments_recovering, render_shard_report, MergeReport, SegmentError,
 };
+pub use shard::ShardMeta;
 pub use store::{
-    default_new_version, max_frame_len, AtlasError, ClassificationAtlas, MergeOutcome,
-    RecoveredAtlas, RecoveryReport, ShardCoverage, ShardMeta, ATLAS_MAGIC, ATLAS_VERSION,
-    MAX_BLOCK_FRAME_LEN, MAX_FRAME_LEN, MIN_ATLAS_VERSION,
+    AtlasError, ClassificationAtlas, MergeOutcome, RecoveredAtlas, RecoveryReport, ShardCoverage,
+    ATLAS_MAGIC, ATLAS_VERSION, MAX_BLOCK_FRAME_LEN,
 };

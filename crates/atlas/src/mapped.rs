@@ -7,9 +7,8 @@
 //! handles plus the parsed sweep-table directory: a few hundred bytes
 //! resident regardless of store size. [`MappedAtlas::lookup`] binary
 //! searches the sorted key table with O(log N) entry reads;
-//! [`MappedAtlas::stream_sweep`] walks one engine-order table and
-//! decodes one record at a time — the warm-sweep path that replaces
-//! the 6.5 GB n = 10 replay.
+//! [`MappedAtlas::stream_sweep`] walks one engine-order table through
+//! the store's engine-order reader, decoding each block once.
 //!
 //! Positioned reads leave no shared cursor, so one `MappedAtlas` is
 //! usable from many threads through a shared reference — `bnf-serve`
@@ -21,12 +20,8 @@ use std::path::{Path, PathBuf};
 
 use bnf_core::WindowRecord;
 
-use crate::codec::{decode_block, decode_block_record};
 use crate::index::{index_path, IndexError, INDEX_HEADER_LEN, INDEX_MAGIC, INDEX_VERSION};
-use crate::store::{
-    decode_record, max_frame_len, ATLAS_MAGIC, ATLAS_VERSION, FRAME_RECORD, FRAME_RECORD_BLOCK,
-    MIN_ATLAS_VERSION,
-};
+use crate::store::{check_header, read_block_record, Loc, OrderedReader, ATLAS_VERSION};
 
 /// Locations a streaming replay reads from the sidecar at a time.
 const LOCATION_WINDOW: u64 = 4096;
@@ -43,28 +38,28 @@ struct SweepTable {
 }
 
 /// An atlas opened through its index sidecar: O(log N) point lookups
-/// and O(1)-resident streaming replays over the on-disk store.
+/// and streaming replays over the on-disk store that hold one decoded
+/// block per sorted run of it (one block for an engine-ordered store).
 ///
-/// Works over both store formats through the same seam: in a v3 store
-/// every indexed location is a row frame (decode one record); in a v4
-/// store it is a columnar block frame plus an intra-block ordinal. A
-/// point lookup reads that block and walks it once through
+/// Every indexed location is a columnar block frame plus an
+/// intra-block ordinal. A point lookup reads that block and walks it
+/// once through
 /// [`crate::codec::decode_block_record`]: the CRC and every column of
 /// every record are checked, but only the requested record is
 /// materialized — one pass over ≤ [`crate::codec::BLOCK_RECORDS`]
 /// records with no per-record allocation (0.2–0.3 ms for a full 78 KB
 /// n = 9 block on a 2 vCPU Xeon, under half the cost of decoding it
 /// whole).
-/// [`MappedAtlas::stream_sweep`] decodes whole blocks and reuses the
-/// last one across consecutive records, so sequential replays decode
-/// each block once.
+/// [`MappedAtlas::stream_sweep`] goes through the engine-order reader,
+/// which decodes each block once per call however the store
+/// interleaves its ranges.
 #[derive(Debug)]
 pub struct MappedAtlas {
     store_path: PathBuf,
     store: File,
     index: File,
-    /// Store format version (3 or 4), from the store header.
-    version: u32,
+    /// Store length the sidecar vouches for; every location lies below.
+    store_len: u64,
     entries: u64,
     key_width: u16,
     sweeps: Vec<SweepTable>,
@@ -91,17 +86,7 @@ impl MappedAtlas {
             .map_err(|_| IndexError::Store {
                 reason: "store too short for its header".into(),
             })?;
-        if header[..8] != ATLAS_MAGIC {
-            return Err(IndexError::Store {
-                reason: "not an atlas file (bad magic)".into(),
-            });
-        }
-        let store_version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-        if !(MIN_ATLAS_VERSION..=ATLAS_VERSION).contains(&store_version) {
-            return Err(IndexError::AtlasVersionMismatch {
-                found: store_version,
-            });
-        }
+        check_header(&header, false)?;
 
         let index = File::open(index_path(&store_path))?;
         let index_len = index.metadata()?.len();
@@ -120,10 +105,9 @@ impl MappedAtlas {
             return Err(IndexError::VersionMismatch { found: version });
         }
         let atlas_version = u32::from_le_bytes(head[12..16].try_into().expect("4 bytes"));
-        if atlas_version != store_version {
-            // The sidecar was built over a store of a different format
-            // than the one now beside it (e.g. the store was compacted
-            // in place): the locations are meaningless.
+        if atlas_version != ATLAS_VERSION {
+            // The sidecar was built over a store of another format than
+            // the one now beside it: the locations are meaningless.
             return Err(IndexError::AtlasVersionMismatch {
                 found: atlas_version,
             });
@@ -197,16 +181,11 @@ impl MappedAtlas {
             store_path,
             store,
             index,
-            version: store_version,
+            store_len: actual,
             entries,
             key_width,
             sweeps,
         })
-    }
-
-    /// The store's format version (3 or 4), from its header.
-    pub fn version(&self) -> u32 {
-        self.version
     }
 
     /// Number of indexed record keys.
@@ -245,8 +224,8 @@ impl MappedAtlas {
     }
 
     /// One sidecar entry: key bytes into `scratch`, returning the
-    /// record's `(frame offset, intra-frame ordinal)` location.
-    fn entry_at(&self, i: u64, scratch: &mut Vec<u8>) -> Result<(u64, u16), IndexError> {
+    /// record's location.
+    fn entry_at(&self, i: u64, scratch: &mut Vec<u8>) -> Result<Loc, IndexError> {
         let entry_size = 11 + self.key_width as usize;
         scratch.resize(entry_size, 0);
         let at = INDEX_HEADER_LEN + i * entry_size as u64;
@@ -264,11 +243,23 @@ impl MappedAtlas {
             });
         }
         let tail = 1 + self.key_width as usize;
-        let offset = u64::from_le_bytes(scratch[tail..tail + 8].try_into().expect("8 bytes"));
-        let ordinal = u16::from_le_bytes(scratch[tail + 8..tail + 10].try_into().expect("2 bytes"));
+        let loc = self.location(&scratch[tail..tail + 10])?;
         scratch.truncate(1 + key_len);
         scratch.remove(0);
-        Ok((offset, ordinal))
+        Ok(loc)
+    }
+
+    /// A 10-byte sidecar location: `u64` frame offset, `u16` ordinal.
+    fn location(&self, bytes: &[u8]) -> Result<Loc, IndexError> {
+        let offset = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
+        let ordinal = u16::from_le_bytes(bytes[8..10].try_into().expect("2 bytes"));
+        if offset >= self.store_len {
+            return Err(IndexError::Corrupt {
+                offset,
+                reason: format!("location past the {}-byte store", self.store_len),
+            });
+        }
+        Ok(Loc::new(offset, usize::from(ordinal)))
     }
 
     /// The key of the `i`-th entry in sorted key order — how
@@ -320,12 +311,17 @@ impl MappedAtlas {
         let mut hi = self.entries;
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            let (offset, ordinal) = self.entry_at(mid, buf)?;
+            let loc = self.entry_at(mid, buf)?;
             match buf.as_slice().cmp(key.as_bytes()) {
                 std::cmp::Ordering::Less => lo = mid + 1,
                 std::cmp::Ordering::Greater => hi = mid,
                 std::cmp::Ordering::Equal => {
-                    return self.record_at_location(offset, ordinal, buf).map(Some)
+                    return Ok(Some(read_block_record(
+                        &self.store,
+                        self.store_len,
+                        loc,
+                        buf,
+                    )?))
                 }
             }
         }
@@ -358,16 +354,16 @@ impl MappedAtlas {
                 offset: at,
                 reason: "sidecar truncated inside a sweep table".into(),
             })?;
-        let offset = u64::from_le_bytes(loc_buf[..8].try_into().expect("8 bytes"));
-        let ordinal = u16::from_le_bytes(loc_buf[8..10].try_into().expect("2 bytes"));
-        let mut buf = Vec::new();
-        self.record_at_location(offset, ordinal, &mut buf).map(Some)
+        let loc = self.location(&loc_buf)?;
+        let record = read_block_record(&self.store, self.store_len, loc, &mut Vec::new())?;
+        Ok(Some(record))
     }
 
     /// Streams `order`'s catalogue in engine enumeration order, calling
-    /// `f` once per record with one record resident at a time; returns
-    /// how many records were streamed, or `None` (calling `f` never)
-    /// when `order` has no engine-order table.
+    /// `f` once per record; returns how many records were streamed, or
+    /// `None` (calling `f` never) when `order` has no engine-order
+    /// table. Records come through the engine-order reader: each block
+    /// is decoded once and dropped after its last record is yielded.
     ///
     /// # Errors
     ///
@@ -384,112 +380,46 @@ impl MappedAtlas {
         let Some(table) = self.sweeps.iter().find(|s| s.order == order).copied() else {
             return Ok(None);
         };
-        let mut buf = Vec::new();
-        // Call-local block cache: consecutive locations usually hit the
-        // same v4 block, so a sequentially written store decodes each
-        // block once. Call-local (not a field) keeps `&self` methods
-        // free of interior mutability — one MappedAtlas stays shareable
-        // across threads.
-        let mut cached: Option<(u64, Vec<WindowRecord>)> = None;
-        // The location table is read a window at a time, so a replay
-        // holds 40 KiB of it rather than 10 bytes per record.
-        let mut locations = Vec::new();
-        let mut streamed = 0u64;
-        while streamed < table.count {
-            let window = (table.count - streamed).min(LOCATION_WINDOW);
-            let at = table.locations_at + streamed * 10;
-            locations.resize((window * 10) as usize, 0);
+        // Two passes over the table: the first lists every location, so
+        // the reader knows when a block's last record has gone out.
+        let mut reader = OrderedReader::new(&self.store, self.store_len, ATLAS_VERSION);
+        self.for_each_location(table, |loc| {
+            reader.list(loc);
+            Ok(())
+        })?;
+        self.for_each_location(table, |loc| {
+            f(reader.take(loc)?);
+            Ok(())
+        })?;
+        Ok(Some(table.count))
+    }
+
+    /// Calls `f` on each location of `table`, in order. The table is
+    /// read a window at a time, so a replay holds 40 KiB of it rather
+    /// than 10 bytes per record.
+    fn for_each_location(
+        &self,
+        table: SweepTable,
+        mut f: impl FnMut(Loc) -> Result<(), IndexError>,
+    ) -> Result<(), IndexError> {
+        let mut window = Vec::new();
+        let mut done = 0u64;
+        while done < table.count {
+            let len = (table.count - done).min(LOCATION_WINDOW);
+            let at = table.locations_at + done * 10;
+            window.resize((len * 10) as usize, 0);
             self.index
-                .read_exact_at(&mut locations, at)
+                .read_exact_at(&mut window, at)
                 .map_err(|_| IndexError::Corrupt {
                     offset: at,
                     reason: "sidecar truncated inside a sweep table".into(),
                 })?;
-            streamed += window;
-            for chunk in locations.chunks_exact(10) {
-                let offset = u64::from_le_bytes(chunk[..8].try_into().expect("8 bytes"));
-                let ordinal = u16::from_le_bytes(chunk[8..10].try_into().expect("2 bytes"));
-                let cache_hit = cached.as_ref().is_some_and(|(at, _)| *at == offset);
-                if !cache_hit {
-                    let corrupt = |reason: String| IndexError::Corrupt { offset, reason };
-                    self.read_frame(offset, &mut buf)?;
-                    match buf[0] {
-                        FRAME_RECORD => {
-                            if ordinal != 0 {
-                                return Err(corrupt(format!("ordinal {ordinal} into a row frame")));
-                            }
-                            f(decode_record(&buf[1..]).map_err(corrupt)?);
-                            continue;
-                        }
-                        FRAME_RECORD_BLOCK => {
-                            cached = Some((offset, decode_block(&buf[1..]).map_err(corrupt)?));
-                        }
-                        t => {
-                            return Err(corrupt(format!(
-                                "indexed offset points at frame tag {t}, not a record"
-                            )))
-                        }
-                    }
-                }
-                let (_, records) = cached.as_ref().expect("cache just filled");
-                let rec = records
-                    .get(usize::from(ordinal))
-                    .ok_or(IndexError::Corrupt {
-                        offset,
-                        reason: format!("ordinal {ordinal} past a {}-record block", records.len()),
-                    })?;
-                f(rec.clone());
+            for chunk in window.chunks_exact(10) {
+                f(self.location(chunk)?)?;
             }
+            done += len;
         }
-        Ok(Some(table.count))
-    }
-
-    /// Reads the frame at store byte `offset` (tag + body) into `buf`.
-    fn read_frame(&self, offset: u64, buf: &mut Vec<u8>) -> Result<(), IndexError> {
-        let corrupt = |reason: String| IndexError::Corrupt { offset, reason };
-        let mut len_buf = [0u8; 4];
-        self.store
-            .read_exact_at(&mut len_buf, offset)
-            .map_err(|_| corrupt("store truncated at an indexed offset".into()))?;
-        let len = u32::from_le_bytes(len_buf);
-        if len == 0 || len > max_frame_len(self.version) {
-            return Err(corrupt(format!(
-                "implausible frame length {len} (the v{} cap is {})",
-                self.version,
-                max_frame_len(self.version)
-            )));
-        }
-        buf.resize(len as usize, 0);
-        self.store
-            .read_exact_at(buf, offset + 4)
-            .map_err(|_| corrupt(format!("record frame of {len} bytes truncated")))
-    }
-
-    /// Reads and decodes the record at `(offset, ordinal)`: a row frame
-    /// decodes directly (ordinal must be 0); a v4 block frame is
-    /// validated whole but only its `ordinal`-th record is materialized.
-    fn record_at_location(
-        &self,
-        offset: u64,
-        ordinal: u16,
-        buf: &mut Vec<u8>,
-    ) -> Result<WindowRecord, IndexError> {
-        let corrupt = |reason: String| IndexError::Corrupt { offset, reason };
-        self.read_frame(offset, buf)?;
-        match buf[0] {
-            FRAME_RECORD => {
-                if ordinal != 0 {
-                    return Err(corrupt(format!("ordinal {ordinal} into a row frame")));
-                }
-                decode_record(&buf[1..]).map_err(corrupt)
-            }
-            FRAME_RECORD_BLOCK => {
-                decode_block_record(&buf[1..], usize::from(ordinal)).map_err(corrupt)
-            }
-            t => Err(corrupt(format!(
-                "indexed offset points at frame tag {t}, not a record"
-            ))),
-        }
+        Ok(())
     }
 }
 
@@ -654,34 +584,23 @@ mod tests {
     }
 
     #[test]
-    fn v3_row_stores_read_through_the_same_seam() {
-        let path = scratch_path("v3row");
-        let mut scratch = bnf_graph::BfsScratch::new();
-        let recs: Vec<_> = n4_catalogue()
-            .iter()
-            .map(|g| bnf_core::WindowRecord::classify(g, &mut scratch))
-            .collect();
-        {
-            let mut atlas = ClassificationAtlas::open_with_version(&path, 3).unwrap();
-            atlas.append_records(recs.iter()).unwrap();
-            atlas.mark_complete(4, 6).unwrap();
+    fn v3_stores_are_refused_naming_atlas_compact() {
+        let path = scratch_path("v3refused");
+        std::fs::write(&path, include_bytes!("../tests/fixtures/v3-n6.bnfatlas")).unwrap();
+        match build_index(&path) {
+            Err(e @ IndexError::AtlasVersionMismatch { found: 3 }) => {
+                assert!(e.to_string().contains("atlas_compact"), "{e}");
+            }
+            other => panic!("expected AtlasVersionMismatch {{ found: 3 }}, got {other:?}"),
         }
-        build_index(&path).unwrap();
-        let expected = ClassificationAtlas::open(&path)
-            .unwrap()
-            .complete_sweep(4)
-            .unwrap();
-        let mapped = MappedAtlas::open(&path).unwrap();
-        assert_eq!(mapped.version(), 3);
-        for rec in &recs {
-            assert_eq!(mapped.lookup(&rec.key).unwrap().as_ref(), Some(rec));
+        // A sidecar left over from before a downgrade does not help.
+        std::fs::write(index_path(&path), b"not consulted").unwrap();
+        match MappedAtlas::open(&path) {
+            Err(e @ IndexError::AtlasVersionMismatch { found: 3 }) => {
+                assert!(e.to_string().contains("atlas_compact"), "{e}");
+            }
+            other => panic!("expected AtlasVersionMismatch {{ found: 3 }}, got {other:?}"),
         }
-        let mut streamed = Vec::new();
-        assert_eq!(
-            mapped.stream_sweep(4, |r| streamed.push(r)).unwrap(),
-            Some(6)
-        );
-        assert_eq!(streamed, expected);
         cleanup(&path);
     }
 }

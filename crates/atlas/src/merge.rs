@@ -14,23 +14,24 @@
 //! across any number of `shard_merge` invocations — coverage is
 //! declared on whichever merge completes a partition.
 //!
-//! Segments may mix store format versions freely (v3 row frames and v4
-//! columnar blocks, mid-migration fleets produce both): each segment
-//! replays through its own version's decoder and the conflict
-//! semantics above apply to the decoded records, not the bytes. The
-//! output store keeps whatever version it was opened with.
+//! Segments are folded one block at a time, so a merge holds no more
+//! than one segment block and the output's location table. A v3
+//! segment from an older build is refused with a typed
+//! [`AtlasError::VersionMismatch`] naming `atlas_compact`: compact it
+//! first, then fold.
 //!
 //! The in-process orchestrator (`--shards auto` on the sweep binaries)
 //! reproduces these merge semantics without intermediate segment files:
 //! completed ranges append straight into one store and coverage is
-//! declared when the partition closes. This file-level fold remains the
-//! escape hatch for sweeps distributed across machines or runs too
-//! large for one process's lifetime.
+//! declared when the partition closes. This file-level fold is for
+//! sweeps distributed across machines or runs too large for one
+//! process's lifetime.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use crate::store::{AtlasError, ClassificationAtlas, RecoveryReport, ShardCoverage, ShardMeta};
+use crate::shard::ShardMeta;
+use crate::store::{AtlasError, ClassificationAtlas, RecoveryReport, ShardCoverage};
 
 /// What one [`merge_segments`] call did, plus the output store's
 /// per-order coverage status afterwards.
@@ -258,7 +259,6 @@ pub fn render_shard_report(metas: &[ShardMeta]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::ShardMeta;
     use bnf_core::WindowRecord;
     use bnf_graph::{BfsScratch, Graph};
     use bnf_stream::PruneCounters;

@@ -5,19 +5,28 @@
 //! never change — the store only ever grows, and a warm atlas lets every
 //! sweep (any α grid, any enumeration path, any follow-up workload on
 //! the engine seam) skip the expensive window extraction for keys it
-//! has already seen. See `crates/atlas/README.md` for the byte-level
+//! has already seen. See `docs/ATLAS_FORMAT.md` for the byte-level
 //! format and the invalidation rules.
+//!
+//! Every reader goes through two pieces of this module: the frame
+//! walker (header, length caps, torn tail vs corruption, tag dispatch)
+//! and the engine-order reader (the records at a list of locations,
+//! each block decoded at most once).
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
+use std::hash::{DefaultHasher, Hasher};
 use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
-use bnf_core::{ClosedInterval, LowerBound, StabilityWindow, Threshold, WindowRecord};
-use bnf_games::Ratio;
+use bnf_core::WindowRecord;
 use bnf_graph::Graph;
-use bnf_stream::PruneCounters;
+
+use crate::codec::{decode_block, decode_block_record, encode_block, BLOCK_RECORDS};
+use crate::shard::{decode_shard_meta, encode_shard_meta, ShardMeta};
 
 /// Leading magic bytes of an atlas file.
 pub const ATLAS_MAGIC: [u8; 8] = *b"BNFATLAS";
@@ -28,54 +37,42 @@ pub const ATLAS_MAGIC: [u8; 8] = *b"BNFATLAS";
 /// silently reinterpreted.
 ///
 /// Version 2 added the shard-segment metadata frame (tag 3) for
-/// multi-process sweeps; record and coverage frames are unchanged.
-///
-/// Version 3 extends the shard-metadata frame with the orchestrator-run
-/// tag ([`ShardMeta::orchestrator_run`]), distinguishing in-process
-/// work-stolen ranges (which share one process, hence one peak-RSS
-/// value) from standalone `--shard` processes; record and coverage
-/// frames are unchanged.
+/// multi-process sweeps; version 3 extended it with the
+/// orchestrator-run tag ([`ShardMeta::orchestrator_run`]).
 ///
 /// Version 4 packs records into **columnar block frames** (tag 4, see
 /// [`crate::codec`]): prefix-delta keys, zigzag-varint delta columns,
 /// presence-bitmap windows, one CRC + record count per block. Coverage
 /// and shard-metadata frames are unchanged, and so are the recovery
-/// and `--resume` commit semantics — they now apply at block
-/// granularity. v3 stores stay fully readable *and appendable* (in
-/// their own row format); new stores are stamped v4 unless
-/// `BNF_ATLAS_FORMAT=3` (see [`default_new_version`]).
+/// and `--resume` commit semantics — they apply at block granularity.
+/// v4 is the only version this build opens, appends to, indexes or
+/// serves; a v3 row store is readable only as `atlas_compact` input,
+/// which rewrites it as v4.
 pub const ATLAS_VERSION: u32 = 4;
 
-/// Oldest format version this build still reads and appends. Anything
-/// older (or newer than [`ATLAS_VERSION`]) is rejected as
-/// [`AtlasError::VersionMismatch`] — delete the file to rebuild, or
-/// keep it for an old build.
-pub const MIN_ATLAS_VERSION: u32 = 3;
+/// The row-frame version `atlas_compact` still reads as input.
+const V3: u32 = 3;
 
-/// Hard ceiling on one frame's encoded length in a **v3** store. Real
-/// v3 frames are tiny — a record is ~100 bytes, a shard-metadata frame
-/// ~170 — so a length field beyond this is mid-store corruption.
-/// Without the cap a corrupted length field could swallow the rest of
-/// the file and masquerade as a torn tail, silently "recovering" away
-/// good frames.
-pub const MAX_FRAME_LEN: u32 = 1 << 20;
+/// Hard ceiling on one frame's encoded length in a v3 row store. Real
+/// v3 frames are tiny — a record is ~100 bytes — so a length field
+/// beyond this is mid-store corruption, never a tear.
+const MAX_FRAME_LEN: u32 = 1 << 20;
 
-/// Hard ceiling on one frame's encoded length in a **v4** store. A
-/// full 4096-record columnar block tops out well under 1 MiB today,
-/// but the cap leaves headroom for the window-heavy record shapes the
-/// follow-up models add without another version bump; a length field
-/// beyond it is still mid-store corruption, never a tear.
+/// Hard ceiling on one frame's encoded length. A full 4096-record
+/// columnar block tops out well under 1 MiB today, but the cap leaves
+/// headroom for the window-heavy record shapes the follow-up models add
+/// without another version bump; a length field beyond it is mid-store
+/// corruption, never a tear. Without the cap a corrupted length field
+/// could swallow the rest of the file and masquerade as a torn tail,
+/// silently "recovering" away good frames.
 pub const MAX_BLOCK_FRAME_LEN: u32 = 1 << 26;
 
-/// The frame-length corruption bound for a store of `version` —
-/// [`MAX_FRAME_LEN`] for v3 row frames, [`MAX_BLOCK_FRAME_LEN`] for v4
-/// block frames. Version-aware so a legitimate multi-megabyte block is
-/// never misdiagnosed as mid-store corruption.
-pub fn max_frame_len(version: u32) -> u32 {
-    if version >= 4 {
-        MAX_BLOCK_FRAME_LEN
-    } else {
+/// The frame-length corruption bound of a store of `version`.
+fn max_frame_len(version: u32) -> u32 {
+    if version == V3 {
         MAX_FRAME_LEN
+    } else {
+        MAX_BLOCK_FRAME_LEN
     }
 }
 
@@ -86,9 +83,9 @@ pub enum AtlasError {
     Io(std::io::Error),
     /// The file does not start with [`ATLAS_MAGIC`] — not an atlas.
     BadMagic,
-    /// The file's version is outside the supported
-    /// [`MIN_ATLAS_VERSION`]`..=`[`ATLAS_VERSION`] range; stale caches
-    /// must be deleted (or kept for an old build), never reinterpreted.
+    /// The file's version is not [`ATLAS_VERSION`]: a v3 store must be
+    /// migrated with `atlas_compact` first; any other stale cache must
+    /// be deleted (or kept for an old build), never reinterpreted.
     VersionMismatch {
         /// Version found in the file header.
         found: u32,
@@ -133,11 +130,7 @@ impl fmt::Display for AtlasError {
         match self {
             AtlasError::Io(e) => write!(f, "atlas I/O error: {e}"),
             AtlasError::BadMagic => write!(f, "not an atlas file (bad magic)"),
-            AtlasError::VersionMismatch { found } => write!(
-                f,
-                "atlas version {found} outside supported \
-                 {MIN_ATLAS_VERSION}..={ATLAS_VERSION}; delete the file to rebuild"
-            ),
+            AtlasError::VersionMismatch { found } => write!(f, "{}", version_diagnosis(*found)),
             AtlasError::Corrupt { offset, reason } => {
                 write!(f, "corrupt atlas record at byte {offset}: {reason}")
             }
@@ -152,6 +145,18 @@ impl fmt::Display for AtlasError {
                 write!(f, "conflicting shard metadata for order {order}: {reason}")
             }
         }
+    }
+}
+
+/// What to do about a store stamped `found` — shared by the store's and
+/// the index's version errors.
+pub(crate) fn version_diagnosis(found: u32) -> String {
+    if found == V3 {
+        "atlas version 3 is readable only by atlas_compact; migrate the store with \
+         `atlas_compact --atlas <store>` first"
+            .into()
+    } else {
+        format!("atlas version {found} is not the supported v{ATLAS_VERSION}; delete the file to rebuild")
     }
 }
 
@@ -170,278 +175,79 @@ impl From<std::io::Error> for AtlasError {
     }
 }
 
-/// Metadata of one shard segment: which contiguous range of the sorted
-/// level-`n − 1` parent frontier one sweep invocation classified, what
-/// it cost, and its pruning-counter shares — written into the segment
-/// file by `--shard i/m` runs and folded by `shard_merge` into
-/// coverage declarations and the merged work/RSS report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardMeta {
-    /// Graph order of the sweep this shard belongs to.
-    pub order: u16,
-    /// Zero-based shard index within the partition.
-    pub shard_index: u32,
-    /// Total shards in the partition.
-    pub shard_count: u32,
-    /// Size of the full parent frontier the range was cut from — the
-    /// partition is a pure function of `(frontier_len, shard_count)`,
-    /// so equal values here mean compatible segments.
-    pub frontier_len: u64,
-    /// First owned parent index (inclusive).
-    pub parent_lo: u64,
-    /// One past the last owned parent index.
-    pub parent_hi: u64,
-    /// Final-level graphs this shard classified and stored.
-    pub emitted: u64,
-    /// Wall-clock of the shard invocation in milliseconds.
-    pub elapsed_ms: u64,
-    /// Peak RSS in KiB of the process that ran this shard, at the time
-    /// the shard completed (`None` where unmeasurable, e.g. off Linux).
-    /// For a standalone `--shard` process this is that process's own
-    /// `VmHWM`; for an in-process orchestrated range it is a snapshot
-    /// of the *shared* process's high-water mark — see
-    /// [`ShardMeta::orchestrator_run`] and [`ShardMeta::rss_summary`].
-    pub peak_rss_kb: Option<u64>,
-    /// `None` for a standalone `--shard` process invocation; `Some(id)`
-    /// for a range executed inside an in-process orchestrator run,
-    /// where `id` identifies the run. All ranges of one run share one
-    /// process, so honest RSS accounting must count the run **once**
-    /// (its max snapshot), not sum 256 copies of the same high-water
-    /// mark — [`ShardMeta::rss_summary`] groups by this field.
-    pub orchestrator_run: Option<u64>,
-    /// Pruning counters of the frontier build (levels `1..n − 1`) —
-    /// identical across every shard of one partition; kept separate so
-    /// a merge counts this shared work once, not `m` times.
-    pub frontier_prune: PruneCounters,
-    /// Pruning counters of the final level restricted to this shard's
-    /// parent range — these sum across a partition.
-    pub final_prune: PruneCounters,
-}
-
-impl ShardMeta {
-    /// The fields that identify a shard slot: two metas with equal
-    /// identity describe the same range of the same deterministic
-    /// partition and must agree on everything but timings.
-    fn identity(&self) -> (u16, u32, u64, u32) {
-        (
-            self.order,
-            self.shard_count,
-            self.frontier_len,
-            self.shard_index,
-        )
-    }
-
-    /// Whether `other` is a legitimate re-run of the same shard slot:
-    /// same range and emission count (wall-clock and RSS may differ).
-    fn compatible(&self, other: &ShardMeta) -> bool {
-        self.parent_lo == other.parent_lo
-            && self.parent_hi == other.parent_hi
-            && self.emitted == other.emitted
-    }
-
-    /// This range's run-manifest provenance entry.
-    pub fn provenance(&self) -> bnf_obs::ShardProvenance {
-        bnf_obs::ShardProvenance {
-            order: u32::from(self.order),
-            index: self.shard_index,
-            count: self.shard_count,
-            parent_lo: self.parent_lo,
-            parent_hi: self.parent_hi,
-            emitted: self.emitted,
-            elapsed_ms: self.elapsed_ms,
-            peak_rss_kb: self.peak_rss_kb,
-            orchestrator_run: self.orchestrator_run,
-        }
-    }
-
-    /// Folds one partition's worth of metas into total enumeration
-    /// counters: the (shared, identical) frontier-build share once plus
-    /// every shard's final-level share. `None` when the metas span
-    /// mixed partitions or disagree on the frontier share — no single
-    /// total exists then.
-    pub fn merged_counters(metas: &[ShardMeta]) -> Option<PruneCounters> {
-        let first = metas.first()?;
-        let group = (first.order, first.shard_count, first.frontier_len);
-        let mut total = first.frontier_prune;
-        for m in metas {
-            if (m.order, m.shard_count, m.frontier_len) != group
-                || m.frontier_prune != first.frontier_prune
-            {
-                return None;
-            }
-            total.merge(&m.final_prune);
-        }
-        Some(total)
-    }
-
-    /// Max and sum of peak RSS **per process**, over the metas that
-    /// report one — `None` when none do (non-Linux shards stay
-    /// gracefully unreported rather than counting as zero).
-    ///
-    /// Each standalone shard meta (`orchestrator_run: None`) is its own
-    /// process and contributes its value directly; all metas sharing an
-    /// `orchestrator_run` id ran in one process and contribute a single
-    /// value — the max of their snapshots — so an orchestrated run's
-    /// `VmHWM` is counted once, not once per range.
-    pub fn rss_summary(metas: &[ShardMeta]) -> Option<(u64, u64)> {
-        let mut runs: HashMap<u64, u64> = HashMap::new();
-        let mut seen = None;
-        for m in metas {
-            let Some(kb) = m.peak_rss_kb else { continue };
-            match m.orchestrator_run {
-                None => {
-                    let (max, sum) = seen.unwrap_or((0u64, 0u64));
-                    seen = Some((max.max(kb), sum + kb));
-                }
-                Some(id) => {
-                    let peak = runs.entry(id).or_insert(0);
-                    *peak = (*peak).max(kb);
-                }
-            }
-        }
-        for &kb in runs.values() {
-            let (max, sum) = seen.unwrap_or((0, 0));
-            seen = Some((max.max(kb), sum + kb));
-        }
-        seen
-    }
-
-    /// How many distinct OS processes produced these metas: one per
-    /// standalone shard plus one per distinct orchestrator run — the
-    /// denominator the merged provenance report labels its RSS line
-    /// with.
-    pub fn process_count(metas: &[ShardMeta]) -> usize {
-        let mut runs: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        let mut standalone = 0usize;
-        for m in metas {
-            match m.orchestrator_run {
-                None => standalone += 1,
-                Some(id) => {
-                    runs.insert(id);
-                }
-            }
-        }
-        standalone + runs.len()
-    }
-}
-
-/// An open classification atlas: the whole store buffered into an
-/// in-memory key → record map (bufread on open; the n = 10 record
-/// population is ~12 M entries of ~100 bytes — RAM-sized by design),
-/// with appends written through to disk.
+/// An open classification atlas. It keeps no records: open walks the
+/// store once and keeps its coverage declarations, shard metadata,
+/// per-order record counts and a key-hash → location table; a record
+/// is read from disk when asked for ([`ClassificationAtlas::get`],
+/// [`ClassificationAtlas::complete_sweep`]). Appends are written
+/// through to disk.
 #[derive(Debug)]
 pub struct ClassificationAtlas {
     path: PathBuf,
-    /// On-disk format version (parsed from the header; the creation
-    /// version for fresh stores). Governs how appends are framed.
-    version: u32,
-    map: HashMap<String, WindowRecord>,
+    /// Read handle for positioned record reads.
+    file: File,
+    /// Key hash → location of the record stored under that key.
+    locations: HashMap<u64, Loc>,
+    /// The locations of further stored keys whose hash an earlier key
+    /// already owns in `locations`.
+    collided: HashMap<u64, Vec<Loc>>,
+    /// Stored records (distinct keys) per order.
+    counts: HashMap<u32, u64>,
     /// Orders whose *complete* connected enumeration is stored, with
     /// the topology count recorded at completion time.
     coverage: HashMap<u16, u64>,
     /// Shard-segment metadata, one entry per distinct shard slot (see
     /// [`ShardMeta::identity`]).
     shards: Vec<ShardMeta>,
+    /// The key hash — a field only so tests can force collisions.
+    hash: fn(&str) -> u64,
 }
 
-/// Frame tag: the payload is one encoded [`WindowRecord`].
-pub(crate) const FRAME_RECORD: u8 = 1;
+/// Frame tag (v3 stores only): the payload is one row-encoded record.
+const FRAME_RECORD: u8 = 1;
 /// Frame tag: the payload declares complete sweep coverage for one
 /// order (`u16` order + `u64` topology count).
-pub(crate) const FRAME_COVERAGE: u8 = 2;
+const FRAME_COVERAGE: u8 = 2;
 /// Frame tag: the payload is one encoded [`ShardMeta`].
-pub(crate) const FRAME_SHARD_META: u8 = 3;
-/// Frame tag (v4 stores only): the payload is one columnar block of up
-/// to [`crate::codec::BLOCK_RECORDS`] records (see [`crate::codec`]).
-pub(crate) const FRAME_RECORD_BLOCK: u8 = 4;
+const FRAME_SHARD_META: u8 = 3;
+/// Frame tag: the payload is one columnar block of up to
+/// [`BLOCK_RECORDS`] records (see [`crate::codec`]).
+const FRAME_RECORD_BLOCK: u8 = 4;
 
-/// The version stamped into newly created stores: [`ATLAS_VERSION`],
-/// unless the `BNF_ATLAS_FORMAT` environment variable selects another
-/// supported format (e.g. `BNF_ATLAS_FORMAT=3` keeps producing row
-/// stores an older build can read). Unset, empty, or out-of-range
-/// values fall back to [`ATLAS_VERSION`]. Existing stores always keep
-/// their own version — this only affects creation.
-pub fn default_new_version() -> u32 {
-    version_from_env(std::env::var("BNF_ATLAS_FORMAT").ok())
-}
-
-/// The pure core of [`default_new_version`], split out for tests (the
-/// process environment is shared across threads).
-pub(crate) fn version_from_env(raw: Option<String>) -> u32 {
-    match raw
-        .as_deref()
-        .map(str::trim)
-        .and_then(|s| s.parse::<u32>().ok())
-    {
-        Some(v) if (MIN_ATLAS_VERSION..=ATLAS_VERSION).contains(&v) => v,
-        _ => ATLAS_VERSION,
-    }
+/// The stored-key hash (SipHash with fixed keys). A hit is always
+/// confirmed by reading the stored key, so a collision costs a read,
+/// never a wrong answer.
+fn key_hash(key: &str) -> u64 {
+    let mut h = DefaultHasher::new();
+    h.write(key.as_bytes());
+    h.finish()
 }
 
 impl ClassificationAtlas {
-    /// Opens an atlas at `path`, creating an empty one (header only) if
+    /// Opens the atlas at `path`, creating an empty one (header only) if
     /// the file is missing or zero-length.
     ///
     /// # Errors
     ///
-    /// [`AtlasError::BadMagic`] / [`AtlasError::VersionMismatch`] for
-    /// foreign or stale files, [`AtlasError::Corrupt`] for truncated or
-    /// malformed records, [`AtlasError::Io`] on filesystem failure.
-    ///
-    /// A fresh store is stamped [`default_new_version`]; an existing
-    /// store keeps (and is appended in) its own format version.
+    /// [`AtlasError::BadMagic`] for foreign files,
+    /// [`AtlasError::VersionMismatch`] for any version but
+    /// [`ATLAS_VERSION`] (a v3 store must go through `atlas_compact`
+    /// first), [`AtlasError::Corrupt`] for truncated or malformed
+    /// frames, [`AtlasError::Io`] on filesystem failure.
     pub fn open(path: impl AsRef<Path>) -> Result<ClassificationAtlas, AtlasError> {
-        Self::open_with_version(path, default_new_version())
-    }
-
-    /// [`ClassificationAtlas::open`] with an explicit format version
-    /// for *newly created* stores — the programmatic form of
-    /// `BNF_ATLAS_FORMAT`, immune to environment races in threaded
-    /// callers. Existing stores keep their own version regardless.
-    ///
-    /// # Errors
-    ///
-    /// As [`ClassificationAtlas::open`], plus
-    /// [`AtlasError::VersionMismatch`] when `new_version` itself is
-    /// unsupported.
-    pub fn open_with_version(
-        path: impl AsRef<Path>,
-        new_version: u32,
-    ) -> Result<ClassificationAtlas, AtlasError> {
-        if !(MIN_ATLAS_VERSION..=ATLAS_VERSION).contains(&new_version) {
-            return Err(AtlasError::VersionMismatch { found: new_version });
-        }
-        let path = path.as_ref().to_path_buf();
-        let loaded = match load_store(&path)? {
-            None => {
-                stamp_header(&path, new_version)?;
-                LoadedStore {
-                    version: new_version,
-                    ..LoadedStore::default()
-                }
-            }
-            Some(loaded) => loaded,
-        };
-        if let Some(reason) = loaded.torn {
+        let (atlas, end) = Self::load(path.as_ref(), key_hash)?;
+        match end.torn {
             // A torn tail is *recoverable* — but only on explicit
             // request ([`ClassificationAtlas::open_recovering`]): the
             // default open refuses rather than silently shortening a
             // store the caller believed complete.
-            if loaded.clean_len < 12 {
-                return Err(AtlasError::BadMagic);
-            }
-            return Err(AtlasError::Corrupt {
-                offset: loaded.clean_len,
+            None => Ok(atlas),
+            Some(_) if end.clean_len < 12 => Err(AtlasError::BadMagic),
+            Some(reason) => Err(AtlasError::Corrupt {
+                offset: end.clean_len,
                 reason,
-            });
+            }),
         }
-        Ok(ClassificationAtlas {
-            path,
-            version: loaded.version,
-            map: loaded.map,
-            coverage: loaded.coverage,
-            shards: loaded.shards,
-        })
     }
 
     /// Opens an atlas at `path` like [`ClassificationAtlas::open`], but
@@ -451,13 +257,12 @@ impl ClassificationAtlas {
     /// the [`RecoveryReport`] says exactly what was dropped.
     ///
     /// Only the *tail* is recoverable. A fully-present frame that fails
-    /// to decode, or a frame length over the store's version-aware
-    /// bound ([`max_frame_len`]), is mid-store corruption and stays a
-    /// typed [`AtlasError::Corrupt`] — recovery never invents a
-    /// truncation point inside the clean prefix, and never drops bytes
-    /// silently (the report is the contract). In a v4 store the same
-    /// rule holds at block granularity: a torn block frame is dropped
-    /// whole, a fully-present block failing its CRC is corruption.
+    /// to decode, or a frame length over [`MAX_BLOCK_FRAME_LEN`], is
+    /// mid-store corruption and stays a typed [`AtlasError::Corrupt`] —
+    /// recovery never invents a truncation point inside the clean
+    /// prefix, and never drops bytes silently (the report is the
+    /// contract). A torn block frame is dropped whole; a fully-present
+    /// block failing its CRC is corruption.
     ///
     /// Truncation shrinks the file, so a `.bnfatlas.idx` sidecar built
     /// over the pre-crash store self-invalidates (its recorded store
@@ -465,99 +270,175 @@ impl ClassificationAtlas {
     ///
     /// # Errors
     ///
-    /// [`AtlasError::BadMagic`] / [`AtlasError::VersionMismatch`] for
-    /// foreign or stale files, [`AtlasError::Corrupt`] for mid-store
-    /// corruption, [`AtlasError::Io`] on filesystem failure.
+    /// As [`ClassificationAtlas::open`], minus the torn-tail cases.
     pub fn open_recovering(path: impl AsRef<Path>) -> Result<RecoveredAtlas, AtlasError> {
-        let new_version = default_new_version();
-        let path = path.as_ref().to_path_buf();
-        let mut loaded = match load_store(&path)? {
-            None => {
-                stamp_header(&path, new_version)?;
-                LoadedStore {
-                    version: new_version,
-                    ..LoadedStore::default()
-                }
-            }
-            Some(loaded) => loaded,
-        };
-        let report = match &loaded.torn {
+        let path = path.as_ref();
+        let (atlas, end) = Self::load(path, key_hash)?;
+        let file_len = std::fs::metadata(path)?.len();
+        let report = match end.torn {
             None => RecoveryReport {
                 dropped_bytes: 0,
-                recovered_len: std::fs::metadata(&path)?.len().max(12),
+                recovered_len: file_len.max(12),
                 torn: None,
             },
             Some(reason) => {
-                let file_len = std::fs::metadata(&path)?.len();
-                let f = OpenOptions::new().write(true).open(&path)?;
-                if loaded.clean_len < 12 {
+                if end.clean_len < 12 {
                     // The tear is inside the 12-byte header: nothing
-                    // decodable survives; re-stamp a fresh store (the
-                    // intended version may itself be torn off, so the
-                    // re-stamp uses the creation default).
-                    f.set_len(0)?;
-                    drop(f);
-                    stamp_header(&path, new_version)?;
-                    loaded.version = new_version;
+                    // decodable survives; re-stamp a fresh store.
+                    stamp_header(path)?;
                 } else {
-                    f.set_len(loaded.clean_len)?;
+                    let f = OpenOptions::new().write(true).open(path)?;
+                    f.set_len(end.clean_len)?;
                     f.sync_all()?;
                 }
                 RecoveryReport {
-                    dropped_bytes: file_len.saturating_sub(loaded.clean_len),
-                    recovered_len: loaded.clean_len.max(12),
-                    torn: Some(reason.clone()),
+                    dropped_bytes: file_len.saturating_sub(end.clean_len),
+                    recovered_len: end.clean_len.max(12),
+                    torn: Some(reason),
                 }
             }
         };
-        Ok(RecoveredAtlas {
-            atlas: ClassificationAtlas {
-                path,
-                version: loaded.version,
-                map: loaded.map,
-                coverage: loaded.coverage,
-                shards: loaded.shards,
+        Ok(RecoveredAtlas { atlas, report })
+    }
+
+    /// The shared body of both opens: stamps a missing or empty store,
+    /// then walks it into the location table and the commit state.
+    fn load(path: &Path, hash: fn(&str) -> u64) -> Result<(Self, WalkEnd), AtlasError> {
+        match std::fs::metadata(path) {
+            Ok(meta) if meta.len() > 0 => {}
+            Err(e) if e.kind() != ErrorKind::NotFound => return Err(e.into()),
+            _ => stamp_header(path)?,
+        }
+        let mut atlas = ClassificationAtlas {
+            path: path.to_path_buf(),
+            file: File::open(path)?,
+            locations: HashMap::new(),
+            collided: HashMap::new(),
+            counts: HashMap::new(),
+            coverage: HashMap::new(),
+            shards: Vec::new(),
+            hash,
+        };
+        let end = walk(File::open(path)?, false, |offset, _, frame| {
+            atlas.absorb(offset, frame)
+        })?;
+        Ok((atlas, end))
+    }
+
+    /// Files one walked frame into the open state.
+    fn absorb(&mut self, offset: u64, frame: Frame) -> Result<(), AtlasError> {
+        let corrupt = |reason: String| AtlasError::Corrupt { offset, reason };
+        match frame {
+            Frame::Records(records) => {
+                let mut buf = Vec::new();
+                for (ordinal, rec) in records.iter().enumerate() {
+                    let h = (self.hash)(&rec.key);
+                    let loc = Loc::new(offset, ordinal);
+                    // A later copy of a stored key replaces the earlier
+                    // location: the newest copy wins, as in every reader.
+                    match self.find(h, &rec.key, &mut buf)? {
+                        Some((which, _)) => self.relocate(h, which, loc),
+                        None => self.insert(h, rec.order, loc),
+                    }
+                }
+            }
+            Frame::Coverage { order, count } => match self.coverage.insert(order, count) {
+                Some(stored) if stored != count => {
+                    return Err(corrupt(format!(
+                        "conflicting coverage counts for order {order}: {stored} vs {count}"
+                    )))
+                }
+                _ => {}
             },
-            report,
-        })
+            Frame::Shard(meta) => {
+                match self.shards.iter().find(|m| m.identity() == meta.identity()) {
+                    Some(stored) if !stored.compatible(&meta) => {
+                        return Err(corrupt(format!(
+                            "conflicting metadata for shard {}/{} of order {}",
+                            meta.shard_index, meta.shard_count, meta.order
+                        )))
+                    }
+                    Some(_) => {} // identical slot: dedup on read too
+                    None => self.shards.push(meta),
+                }
+            }
+        }
+        Ok(())
     }
 
-    /// The on-disk format version of this store (3 or 4) — parsed from
-    /// the header on open, [`default_new_version`] for fresh stores.
-    /// Appends are framed in this version: row frames for v3, columnar
-    /// blocks for v4.
-    pub fn version(&self) -> u32 {
-        self.version
+    /// The stored locations whose key hashes to `h`.
+    fn candidates(&self, h: u64) -> impl Iterator<Item = Loc> + '_ {
+        let extra = self.collided.get(&h).into_iter().flatten();
+        self.locations.get(&h).into_iter().chain(extra).copied()
     }
 
-    /// The record stored for a canonical graph6 `key`, if any.
-    pub fn get(&self, key: &str) -> Option<&WindowRecord> {
-        self.map.get(key)
+    /// The stored record for `key` (hash `h`), with its position among
+    /// [`Self::candidates`] — each candidate confirmed by reading its
+    /// key from disk.
+    fn find(
+        &self,
+        h: u64,
+        key: &str,
+        buf: &mut Vec<u8>,
+    ) -> Result<Option<(usize, WindowRecord)>, AtlasError> {
+        for (which, loc) in self.candidates(h).enumerate() {
+            let store_len = self.file.metadata()?.len();
+            let rec = read_block_record(&self.file, store_len, loc, buf)?;
+            if rec.key == key {
+                return Ok(Some((which, rec)));
+            }
+        }
+        Ok(None)
     }
 
-    /// Whether `key` is already classified.
-    pub fn contains(&self, key: &str) -> bool {
-        self.map.contains_key(key)
+    /// Records a new key of `order` at `loc`.
+    fn insert(&mut self, h: u64, order: u32, loc: Loc) {
+        match self.locations.entry(h) {
+            Entry::Vacant(slot) => {
+                slot.insert(loc);
+            }
+            Entry::Occupied(_) => self.collided.entry(h).or_default().push(loc),
+        }
+        *self.counts.entry(order).or_default() += 1;
     }
 
-    /// Number of stored records.
+    /// Moves the `which`-th candidate of hash `h` to `loc`.
+    fn relocate(&mut self, h: u64, which: usize, loc: Loc) {
+        let slot = match which {
+            0 => self.locations.get_mut(&h),
+            i => self.collided.get_mut(&h).and_then(|v| v.get_mut(i - 1)),
+        };
+        if let Some(slot) = slot {
+            *slot = loc;
+        }
+    }
+
+    /// The record stored for canonical graph6 `key`, read from disk: a
+    /// hash probe, one positioned block read per candidate, and a key
+    /// compare — never a record stored under another key.
+    ///
+    /// # Errors
+    ///
+    /// [`AtlasError::Corrupt`] when the located block no longer
+    /// decodes, [`AtlasError::Io`] on read failure.
+    pub fn get(&self, key: &str) -> Result<Option<WindowRecord>, AtlasError> {
+        let found = self.find((self.hash)(key), key, &mut Vec::new())?;
+        Ok(found.map(|(_, rec)| rec))
+    }
+
+    /// Number of stored records (distinct keys).
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.counts.values().sum::<u64>() as usize
     }
 
     /// Whether the store holds no records.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.locations.is_empty()
     }
 
     /// The backing file path.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// Iterates over all stored records (unspecified order).
-    pub fn iter(&self) -> impl Iterator<Item = &WindowRecord> {
-        self.map.values()
     }
 
     /// Appends every record whose key is not yet stored; returns how
@@ -574,70 +455,98 @@ impl ClassificationAtlas {
         &mut self,
         records: impl IntoIterator<Item = &'a WindowRecord>,
     ) -> Result<usize, AtlasError> {
-        let mut fresh: Vec<&WindowRecord> = Vec::new();
-        for rec in records {
-            match self.map.get(&rec.key) {
-                Some(stored) if stored == rec => {}
-                Some(_) => {
-                    return Err(AtlasError::KeyConflict {
-                        key: rec.key.clone(),
-                    })
-                }
-                None => fresh.push(rec),
-            }
-        }
-        if fresh.is_empty() {
+        let records: Vec<&WindowRecord> = records.into_iter().collect();
+        let stored = self.already_stored(&records)?;
+        if stored.iter().all(|&s| s) {
             return Ok(0);
         }
         let write_started = std::time::Instant::now();
-        let mut w = BufWriter::new(OpenOptions::new().append(true).open(&self.path)?);
+        let file = OpenOptions::new().append(true).open(&self.path)?;
+        // Where the next block frame lands: its records' location.
+        let mut frame_at = file.metadata()?.len();
+        let mut w = BufWriter::new(file);
         let mut payload = Vec::new();
-        // v4 stores pack this batch into columnar block frames (every
-        // block full at BLOCK_RECORDS except possibly the last); v3
-        // stores keep one row frame per record. Either way the whole
-        // batch is on disk when this call returns — no frame ever
-        // spans append calls, so torn-tail recovery and the
-        // `append_commit_frame` ordering are unchanged.
+        // Every block is full at BLOCK_RECORDS except possibly the
+        // last, and the whole batch is on disk when this call returns —
+        // no frame ever spans append calls, so torn-tail recovery and
+        // the `append_commit_frame` ordering hold at block granularity.
         let mut block: Vec<&WindowRecord> = Vec::new();
-        // The enumeration can only yield distinct keys within one
-        // batch, but defend against caller-supplied duplicates: an
-        // identical duplicate is skipped, a conflicting one is the
-        // KeyConflict invariant violation — never silently dropped.
-        let mut appended = 0usize;
-        for rec in fresh {
-            if let Some(stored) = self.map.get(&rec.key) {
-                if stored == rec {
-                    continue;
-                }
-                // Records blocked before the conflict stay appended —
-                // they are individually valid.
-                write_block_frame(&mut w, &mut payload, &mut block)?;
-                w.flush()?;
-                return Err(AtlasError::KeyConflict {
-                    key: rec.key.clone(),
-                });
-            }
-            if self.version >= 4 {
-                block.push(rec);
-                if block.len() == crate::codec::BLOCK_RECORDS {
+        // The enumeration only yields distinct keys within one batch,
+        // but defend against caller-supplied duplicates: an identical
+        // duplicate is skipped, a conflicting one is the KeyConflict
+        // invariant violation — never silently dropped.
+        let mut fresh: HashMap<&str, &WindowRecord> = HashMap::new();
+        for (rec, _) in records.iter().zip(&stored).filter(|(_, &s)| !s) {
+            match fresh.entry(rec.key.as_str()) {
+                Entry::Occupied(first) if first.get() == rec => continue,
+                Entry::Occupied(_) => {
+                    // Records blocked before the conflict stay appended
+                    // — they are individually valid.
                     write_block_frame(&mut w, &mut payload, &mut block)?;
+                    w.flush()?;
+                    return Err(AtlasError::KeyConflict {
+                        key: rec.key.clone(),
+                    });
                 }
-            } else {
-                payload.clear();
-                payload.push(FRAME_RECORD);
-                encode_record(rec, &mut payload);
-                w.write_all(&(payload.len() as u32).to_le_bytes())?;
-                w.write_all(&payload)?;
+                Entry::Vacant(slot) => slot.insert(rec),
+            };
+            self.insert(
+                (self.hash)(&rec.key),
+                rec.order,
+                Loc::new(frame_at, block.len()),
+            );
+            block.push(rec);
+            if block.len() == BLOCK_RECORDS {
+                frame_at += write_block_frame(&mut w, &mut payload, &mut block)?;
             }
-            self.map.insert(rec.key.clone(), rec.clone());
-            appended += 1;
         }
         write_block_frame(&mut w, &mut payload, &mut block)?;
         w.flush()?;
         let recorder = bnf_obs::Recorder::global();
         recorder.add_span_ms("atlas_write", write_started.elapsed().as_millis() as u64);
-        recorder.add("atlas_records_appended", appended as u64);
-        Ok(appended)
+        recorder.add("atlas_records_appended", fresh.len() as u64);
+        Ok(fresh.len())
+    }
+
+    /// Which of `records` are already stored, identically: every hash
+    /// hit is confirmed from disk, each touched block decoded once.
+    ///
+    /// # Errors
+    ///
+    /// [`AtlasError::KeyConflict`] naming the first record in batch
+    /// order whose key is stored with a different record.
+    fn already_stored(&self, records: &[&WindowRecord]) -> Result<Vec<bool>, AtlasError> {
+        let mut hits: Vec<(Loc, usize)> = records
+            .iter()
+            .enumerate()
+            .flat_map(|(i, r)| {
+                self.candidates((self.hash)(&r.key))
+                    .map(move |loc| (loc, i))
+            })
+            .collect();
+        hits.sort_unstable();
+        let mut stored = vec![false; records.len()];
+        let mut conflict: Option<usize> = None;
+        let groups = || hits.chunk_by(|a, b| a.0 == b.0);
+        let store_len = self.file.metadata()?.len();
+        let mut reader = OrderedReader::new(&self.file, store_len, ATLAS_VERSION);
+        groups().for_each(|g| reader.list(g[0].0));
+        for group in groups() {
+            let rec = reader.take(group[0].0)?;
+            for &(_, i) in group.iter().filter(|&&(_, i)| records[i].key == rec.key) {
+                if *records[i] == rec {
+                    stored[i] = true;
+                } else if conflict.is_none_or(|c| i < c) {
+                    conflict = Some(i);
+                }
+            }
+        }
+        match conflict {
+            Some(i) => Err(AtlasError::KeyConflict {
+                key: records[i].key.clone(),
+            }),
+            None => Ok(stored),
+        }
     }
 
     /// Declares that every connected topology on `order` vertices is
@@ -675,15 +584,13 @@ impl ClassificationAtlas {
 
     /// The full connected catalogue for `order` in **engine enumeration
     /// order** (edge count, then canonical key), served entirely from
-    /// the store — or `None` when coverage was never declared or the
-    /// stored records do not match the declared count (defensive: fall
-    /// back to classifying).
+    /// the store — or `None` when coverage was never declared, the
+    /// stored records do not match the declared count, or the store no
+    /// longer reads cleanly (defensive: fall back to classifying).
     ///
-    /// Sort keys are recovered with [`Graph::packed_self_key`] on the
-    /// decoded canonical forms — O(n²) per record, no canonical search
-    /// — which reproduces the engine's `(edges, canonical key)` order
-    /// exactly for every enumerable order (n ≤ 10: the packed triangle
-    /// fits the key's leading word).
+    /// One walk over the store yields a location table sorted by
+    /// engine key; the engine-order reader then moves each record
+    /// into the result, decoding every block once.
     pub fn complete_sweep(&self, order: usize) -> Option<Vec<WindowRecord>> {
         let declared = self.coverage(order)?;
         bnf_obs::Recorder::global().time("warm_replay", || self.replay_sweep(order, declared))
@@ -692,20 +599,30 @@ impl ClassificationAtlas {
     /// The [`ClassificationAtlas::complete_sweep`] body, split out so
     /// the telemetry span covers exactly the replay work.
     fn replay_sweep(&self, order: usize, declared: u64) -> Option<Vec<WindowRecord>> {
-        let mut tagged: Vec<(u64, u64, &WindowRecord)> = self
-            .map
-            .values()
-            .filter(|r| r.order as usize == order)
-            .map(|r| {
-                let g = Graph::from_graph6(&r.key).ok()?;
-                Some((r.edges, g.packed_self_key().prefix_word(), r))
-            })
-            .collect::<Option<Vec<_>>>()?;
-        if tagged.len() as u64 != declared {
+        let order = u32::try_from(order).ok()?;
+        if self.counts.get(&order) != Some(&declared) {
             return None;
         }
-        tagged.sort_by_key(|t| (t.0, t.1));
-        Some(tagged.into_iter().map(|(_, _, r)| r.clone()).collect())
+        let mut rows = Vec::with_capacity(declared as usize);
+        let end = walk(File::open(&self.path).ok()?, false, |offset, _, frame| {
+            if let Frame::Records(records) = frame {
+                for (ordinal, rec) in records.iter().enumerate() {
+                    if rec.order == order {
+                        let key = engine_key(rec).map_err(corrupt_at(offset))?;
+                        rows.push((key, Loc::new(offset, ordinal)));
+                    }
+                }
+            }
+            Ok(())
+        })
+        .ok()?;
+        engine_order(&mut rows);
+        if end.torn.is_some() || rows.len() as u64 != declared {
+            return None;
+        }
+        let mut reader = OrderedReader::new(&self.file, end.clean_len, ATLAS_VERSION);
+        rows.iter().for_each(|r| reader.list(r.1));
+        rows.iter().map(|r| reader.take(r.1).ok()).collect()
     }
 
     /// The shard-segment metadata stored in this file, one entry per
@@ -774,7 +691,8 @@ impl ClassificationAtlas {
     }
 
     /// Folds another (typically segment) atlas into this one: records,
-    /// coverage declarations, and shard metadata.
+    /// coverage declarations, and shard metadata. The other store's
+    /// records stream in, one block per [`append_records`] batch.
     ///
     /// Merge semantics — exercised by the conflict-matrix tests, never
     /// last-write-wins:
@@ -793,12 +711,26 @@ impl ClassificationAtlas {
     /// they are individually valid; the merge is resumable after the
     /// offending segment is removed.
     ///
+    /// [`append_records`]: ClassificationAtlas::append_records
+    ///
     /// # Errors
     ///
-    /// The typed conflicts above, or [`AtlasError::Io`] on write
-    /// failure.
+    /// The typed conflicts above, [`AtlasError::Corrupt`] when the
+    /// other store no longer reads cleanly, or [`AtlasError::Io`].
     pub fn merge_from(&mut self, other: &ClassificationAtlas) -> Result<MergeOutcome, AtlasError> {
-        let appended = self.append_records(other.iter())?;
+        let mut appended = 0;
+        let end = walk(File::open(&other.path)?, false, |_, _, frame| {
+            if let Frame::Records(records) = frame {
+                appended += self.append_records(&records)?;
+            }
+            Ok(())
+        })?;
+        if let Some(reason) = end.torn {
+            return Err(AtlasError::Corrupt {
+                offset: end.clean_len,
+                reason,
+            });
+        }
         let mut outcome = MergeOutcome {
             appended,
             duplicates: other.len() - appended,
@@ -837,11 +769,7 @@ impl ClassificationAtlas {
                 out.push((order as usize, ShardCoverage::AlreadyDeclared(*count)));
                 continue;
             }
-            let stored = self
-                .map
-                .values()
-                .filter(|r| r.order == u32::from(order))
-                .count() as u64;
+            let stored = self.counts.get(&u32::from(order)).copied().unwrap_or(0);
             let mut groups: Vec<(u32, u64)> = self
                 .shards
                 .iter()
@@ -970,29 +898,169 @@ impl fmt::Display for RecoveryReport {
     }
 }
 
-/// Everything [`load_store`] decoded, plus where the clean prefix ends.
-#[derive(Debug, Default)]
-struct LoadedStore {
-    /// Header format version (0 only when the header itself is torn —
-    /// the caller restamps with the creation default).
-    version: u32,
-    map: HashMap<String, WindowRecord>,
-    coverage: HashMap<u16, u64>,
-    shards: Vec<ShardMeta>,
-    /// One past the last fully decoded frame (0 only when the tear is
-    /// inside the 12-byte header).
-    clean_len: u64,
+/// Stamps a fresh current-version header into `path`, durably.
+fn stamp_header(path: &Path) -> Result<(), AtlasError> {
+    let mut f = OpenOptions::new()
+        .create(true)
+        .write(true)
+        .truncate(true)
+        .open(path)?;
+    f.write_all(&ATLAS_MAGIC)?;
+    f.write_all(&ATLAS_VERSION.to_le_bytes())?;
+    f.sync_all()?;
+    Ok(())
+}
+
+/// Where a record lives: its frame's byte offset and its ordinal within
+/// the frame, packed into one word (`offset << 16 | ordinal`; store
+/// offsets stay far below 2^48) so the location table spends 8 bytes
+/// per record. Orders like `(offset, ordinal)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct Loc(u64);
+
+impl Loc {
+    pub(crate) fn new(offset: u64, ordinal: usize) -> Loc {
+        Loc(offset << 16 | ordinal as u64)
+    }
+
+    pub(crate) fn offset(self) -> u64 {
+        self.0 >> 16
+    }
+
+    pub(crate) fn ordinal(self) -> u16 {
+        self.0 as u16
+    }
+}
+
+/// One decoded frame, as the walker hands it out.
+pub(crate) enum Frame {
+    /// A record frame's records: a v4 block, or one v3 row.
+    Records(Vec<WindowRecord>),
+    /// A coverage declaration.
+    Coverage { order: u16, count: u64 },
+    /// One shard's metadata.
+    Shard(ShardMeta),
+}
+
+/// Where a [`walk`] stopped.
+#[derive(Debug)]
+pub(crate) struct WalkEnd {
+    /// The header's format version (0 when the header itself is torn).
+    pub(crate) version: u32,
+    /// One past the last fully decoded frame (0 when the tear is inside
+    /// the 12-byte header).
+    pub(crate) clean_len: u64,
     /// `Some(diagnosis)` when the file ends mid-frame — recoverable by
     /// truncating to `clean_len`; `None` when it ends exactly on a
     /// frame boundary.
-    torn: Option<String>,
+    pub(crate) torn: Option<String>,
+}
+
+/// The frame walker every reader of a whole store goes through (open,
+/// recovery, merge, replay, index build, compaction): checks the header
+/// — v4, or v3 where `accept_v3` (compaction input only) — caps each
+/// frame length, decodes each frame and hands it to `visit` with its
+/// byte offset and raw payload.
+///
+/// Torn vs corrupt: the file ending *mid-frame* (a partial length field
+/// or a short payload) is a tear — the producing process died
+/// mid-append — reported in [`WalkEnd::torn`]; a fully present frame
+/// that fails to decode, or a length field over the version's cap, is
+/// mid-store corruption and errors here. A payload buffer grows only as
+/// bytes arrive, so a length field never allocates more than the file
+/// holds.
+pub(crate) fn walk(
+    r: impl Read,
+    accept_v3: bool,
+    mut visit: impl FnMut(u64, &[u8], Frame) -> Result<(), AtlasError>,
+) -> Result<WalkEnd, AtlasError> {
+    let mut r = BufReader::new(r);
+    let mut header = [0u8; 12];
+    let got = read_full(&mut r, &mut header)?;
+    if got < 12 {
+        // A truncated header prefix that could still become a valid
+        // one (magic prefix, then a readable version byte and zero
+        // padding): torn at creation.
+        let magic_ok = header[..got.min(8)] == ATLAS_MAGIC[..got.min(8)];
+        let version_ok = got <= 8
+            || (readable(u32::from(header[8]), accept_v3)
+                && header[9..got].iter().all(|&b| b == 0));
+        if !(magic_ok && version_ok) {
+            return Err(AtlasError::BadMagic);
+        }
+        return Ok(WalkEnd {
+            version: 0,
+            clean_len: 0,
+            torn: Some(format!("file ends {got} bytes into the 12-byte header")),
+        });
+    }
+    let version = check_header(&header, accept_v3)?;
+    let cap = max_frame_len(version);
+    let mut end = WalkEnd {
+        version,
+        clean_len: 12,
+        torn: None,
+    };
+    let mut payload = Vec::new();
+    loop {
+        let offset = end.clean_len;
+        let mut len_buf = [0u8; 4];
+        let got = read_full(&mut r, &mut len_buf)?;
+        if got == 0 {
+            break; // clean frame boundary
+        }
+        if got < 4 {
+            end.torn = Some(format!(
+                "file ends {got} bytes into a frame length field at byte {offset}"
+            ));
+            break;
+        }
+        let len = u32::from_le_bytes(len_buf);
+        if len == 0 || len > cap {
+            return Err(corrupt_at(offset)(format!(
+                "frame length {len} outside 1..={cap} (the v{version} cap)"
+            )));
+        }
+        let got = read_payload(&mut r, len as usize, &mut payload)?;
+        if got < len as usize {
+            end.torn = Some(format!(
+                "frame of {len} bytes truncated ({got} present) at byte {offset}"
+            ));
+            break;
+        }
+        let frame = decode_frame(&payload, version).map_err(corrupt_at(offset))?;
+        visit(offset, &payload, frame)?;
+        end.clean_len += 4 + u64::from(len);
+    }
+    Ok(end)
+}
+
+/// Whether this build reads stores of `version`.
+fn readable(version: u32, accept_v3: bool) -> bool {
+    version == ATLAS_VERSION || (accept_v3 && version == V3)
+}
+
+/// Checks a full 12-byte store header and returns its version.
+pub(crate) fn check_header(header: &[u8; 12], accept_v3: bool) -> Result<u32, AtlasError> {
+    if header[..8] != ATLAS_MAGIC {
+        return Err(AtlasError::BadMagic);
+    }
+    let found = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
+    if !readable(found, accept_v3) {
+        return Err(AtlasError::VersionMismatch { found });
+    }
+    Ok(found)
+}
+
+/// A `String` diagnosis → [`AtlasError::Corrupt`] at `offset`.
+pub(crate) fn corrupt_at(offset: u64) -> impl Fn(String) -> AtlasError {
+    move |reason| AtlasError::Corrupt { offset, reason }
 }
 
 /// Reads `buf.len()` bytes unless EOF comes first; returns how many
-/// arrived — the byte count [`load_store`] needs to tell a clean frame
-/// boundary (0 bytes of the next length field) from a torn tail (a
-/// partial length field or short payload).
-pub(crate) fn read_full(r: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
+/// arrived — what tells a clean frame boundary (0 bytes of the next
+/// length field) from a torn tail (a partial length field).
+fn read_full(r: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
     let mut filled = 0;
     while filled < buf.len() {
         match r.read(&mut buf[filled..]) {
@@ -1005,353 +1073,235 @@ pub(crate) fn read_full(r: &mut impl Read, buf: &mut [u8]) -> std::io::Result<us
     Ok(filled)
 }
 
-/// Stamps a fresh header (magic + `version`) into `path`, durably.
-fn stamp_header(path: &Path, version: u32) -> Result<(), AtlasError> {
-    let mut f = OpenOptions::new()
-        .create(true)
-        .write(true)
-        .truncate(true)
-        .open(path)?;
-    f.write_all(&ATLAS_MAGIC)?;
-    f.write_all(&version.to_le_bytes())?;
-    f.sync_all()?;
-    Ok(())
-}
-
-/// The shared read path of [`ClassificationAtlas::open`] and
-/// [`ClassificationAtlas::open_recovering`]: decodes the clean frame
-/// prefix and classifies the tail. `None` means the file is missing or
-/// empty (the caller stamps a fresh header). Torn-vs-corrupt
-/// distinction: the file ending *mid-frame* (partial length field or
-/// short payload) is a tear — the producing process died mid-append —
-/// while a fully present frame that fails to decode, or a length field
-/// over the version's bound ([`max_frame_len`]), is mid-store
-/// corruption and errors here.
-fn load_store(path: &Path) -> Result<Option<LoadedStore>, AtlasError> {
-    let file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e.into()),
-    };
-    if file.metadata()?.len() == 0 {
-        return Ok(None);
-    }
-    let mut r = BufReader::new(file);
-    let mut header = [0u8; 12];
-    let got = read_full(&mut r, &mut header)?;
-    if got < 12 {
-        // A truncated header prefix that could still become a valid
-        // one (magic prefix, then a supported little-endian version
-        // byte and zero padding): torn at creation.
-        let magic_ok = header[..got.min(8)] == ATLAS_MAGIC[..got.min(8)];
-        let version_ok = got <= 8
-            || (u32::from(header[8]) >= MIN_ATLAS_VERSION
-                && u32::from(header[8]) <= ATLAS_VERSION
-                && header[9..got].iter().all(|&b| b == 0));
-        if magic_ok && version_ok {
-            return Ok(Some(LoadedStore {
-                clean_len: 0,
-                torn: Some(format!("file ends {got} bytes into the 12-byte header")),
-                ..LoadedStore::default()
-            }));
-        }
-        return Err(AtlasError::BadMagic);
-    }
-    if header[..8] != ATLAS_MAGIC {
-        return Err(AtlasError::BadMagic);
-    }
-    let found = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-    if !(MIN_ATLAS_VERSION..=ATLAS_VERSION).contains(&found) {
-        return Err(AtlasError::VersionMismatch { found });
-    }
-    let frame_cap = max_frame_len(found);
-    let mut out = LoadedStore {
-        version: found,
-        clean_len: 12,
-        ..LoadedStore::default()
-    };
-    loop {
-        let mut len_buf = [0u8; 4];
-        let got = read_full(&mut r, &mut len_buf)?;
-        if got == 0 {
-            break; // clean frame boundary
-        }
-        if got < 4 {
-            out.torn = Some(format!(
-                "file ends {got} bytes into a frame length field at byte {}",
-                out.clean_len
-            ));
+/// Reads up to `len` payload bytes into `buf`, growing it 64 KiB at a
+/// time as bytes arrive; returns how many arrived.
+fn read_payload(r: &mut impl Read, len: usize, buf: &mut Vec<u8>) -> std::io::Result<usize> {
+    buf.clear();
+    while buf.len() < len {
+        let at = buf.len();
+        let step = (len - at).min(1 << 16);
+        buf.resize(at + step, 0);
+        let got = read_full(r, &mut buf[at..])?;
+        buf.truncate(at + got);
+        if got < step {
             break;
         }
-        let len = u32::from_le_bytes(len_buf);
-        if len == 0 || len > frame_cap {
-            return Err(AtlasError::Corrupt {
-                offset: out.clean_len,
-                reason: format!("frame length {len} outside 1..={frame_cap} (the v{found} cap)"),
-            });
-        }
-        let mut payload = vec![0u8; len as usize];
-        let got = read_full(&mut r, &mut payload)?;
-        if got < len as usize {
-            out.torn = Some(format!(
-                "record frame of {len} bytes truncated ({got} present) at byte {}",
-                out.clean_len
-            ));
-            break;
-        }
-        decode_frame(
-            &payload,
-            found,
-            &mut out.map,
-            &mut out.coverage,
-            &mut out.shards,
-        )
-        .map_err(|reason| AtlasError::Corrupt {
-            offset: out.clean_len,
-            reason,
-        })?;
-        out.clean_len += 4 + len as u64;
     }
-    Ok(Some(out))
+    Ok(buf.len())
 }
 
-/// Parses one frame (tag byte + payload) into the maps. `version` is
-/// the store's header version: block frames (tag 4) are only legal in
-/// v4 stores — in a v3 file the tag is corruption, never silently
-/// decoded by a reader the v3 writer predates.
-fn decode_frame(
-    payload: &[u8],
-    version: u32,
-    map: &mut HashMap<String, WindowRecord>,
-    coverage: &mut HashMap<u16, u64>,
-    shards: &mut Vec<ShardMeta>,
-) -> Result<(), String> {
-    let (&tag, body) = payload
-        .split_first()
-        .ok_or_else(|| "empty frame".to_string())?;
+/// Decodes one frame (tag byte + body) of a store of `version`. Block
+/// frames are v4-only and row frames v3-only: a tag from the other
+/// version is corruption, never guessed at.
+fn decode_frame(payload: &[u8], version: u32) -> Result<Frame, String> {
+    let (&tag, body) = payload.split_first().ok_or("empty frame")?;
     match tag {
-        FRAME_RECORD => {
-            let record = decode_record(body)?;
-            map.insert(record.key.clone(), record);
-            Ok(())
+        FRAME_RECORD_BLOCK if version == V3 => {
+            Err("columnar block frame (tag 4) in a v3 store".into())
         }
-        FRAME_RECORD_BLOCK => {
-            if version < 4 {
-                return Err("columnar block frame (tag 4) in a v3 store".into());
-            }
-            for record in crate::codec::decode_block(body)? {
-                map.insert(record.key.clone(), record);
-            }
-            Ok(())
+        FRAME_RECORD_BLOCK => Ok(Frame::Records(decode_block(body)?)),
+        FRAME_RECORD if version == V3 => {
+            Ok(Frame::Records(vec![crate::compact::decode_row(body)?]))
         }
-        FRAME_SHARD_META => {
-            let meta = decode_shard_meta(body)?;
-            match shards.iter().find(|m| m.identity() == meta.identity()) {
-                Some(stored) if !stored.compatible(&meta) => Err(format!(
-                    "conflicting metadata for shard {}/{} of order {}",
-                    meta.shard_index, meta.shard_count, meta.order
-                )),
-                Some(_) => Ok(()), // identical slot: dedup on read too
-                None => {
-                    shards.push(meta);
-                    Ok(())
-                }
-            }
-        }
-        FRAME_COVERAGE => {
-            let mut c = Cursor { buf: body, pos: 0 };
-            let order = c.u16()?;
-            let count = c.u64()?;
-            if c.pos != body.len() {
-                return Err("trailing bytes after coverage frame".into());
-            }
-            match coverage.get(&order) {
-                Some(&stored) if stored != count => Err(format!(
-                    "conflicting coverage counts for order {order}: {stored} vs {count}"
-                )),
-                _ => {
-                    coverage.insert(order, count);
-                    Ok(())
-                }
-            }
-        }
+        FRAME_RECORD => Err("row frame (tag 1) in a v4 store".into()),
+        FRAME_COVERAGE => match body {
+            [o0, o1, count @ ..] if count.len() == 8 => Ok(Frame::Coverage {
+                order: u16::from_le_bytes([*o0, *o1]),
+                count: u64::from_le_bytes(count.try_into().expect("8 bytes")),
+            }),
+            _ => Err("coverage frame is not 11 bytes".into()),
+        },
+        FRAME_SHARD_META => Ok(Frame::Shard(decode_shard_meta(body)?)),
         t => Err(format!("unknown frame tag {t}")),
     }
 }
 
-fn put_counters(out: &mut Vec<u8>, c: &PruneCounters) {
-    for v in [
-        c.candidates,
-        c.orbit_skipped,
-        c.cheap_rejected,
-        c.search_rejected,
-        c.duplicates,
-    ] {
-        out.extend_from_slice(&v.to_le_bytes());
+/// Reads the frame at store byte `offset` (tag + body) by positioned
+/// read from a store of `store_len` bytes. The length field is checked
+/// against the cap and the store length before the buffer grows, so a
+/// bad location never allocates what the store does not hold.
+fn read_frame_at(
+    file: &File,
+    store_len: u64,
+    version: u32,
+    offset: u64,
+    buf: &mut Vec<u8>,
+) -> Result<(), AtlasError> {
+    let mut len_buf = [0u8; 4];
+    file.read_exact_at(&mut len_buf, offset)
+        .map_err(|_| corrupt_at(offset)("store ends inside a located frame".into()))?;
+    let len = u32::from_le_bytes(len_buf);
+    let cap = max_frame_len(version);
+    if len == 0 || len > cap || offset + 4 + u64::from(len) > store_len {
+        return Err(corrupt_at(offset)(format!(
+            "located frame length {len} outside 1..={cap} or past the {store_len}-byte store"
+        )));
     }
-}
-
-fn encode_shard_meta(meta: &ShardMeta, out: &mut Vec<u8>) {
-    out.extend_from_slice(&meta.order.to_le_bytes());
-    out.extend_from_slice(&meta.shard_index.to_le_bytes());
-    out.extend_from_slice(&meta.shard_count.to_le_bytes());
-    for v in [
-        meta.frontier_len,
-        meta.parent_lo,
-        meta.parent_hi,
-        meta.emitted,
-        meta.elapsed_ms,
-    ] {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    match meta.peak_rss_kb {
-        None => out.push(0),
-        Some(kb) => {
-            out.push(1);
-            out.extend_from_slice(&kb.to_le_bytes());
-        }
-    }
-    match meta.orchestrator_run {
-        None => out.push(0),
-        Some(id) => {
-            out.push(1);
-            out.extend_from_slice(&id.to_le_bytes());
-        }
-    }
-    put_counters(out, &meta.frontier_prune);
-    put_counters(out, &meta.final_prune);
-}
-
-fn decode_shard_meta(payload: &[u8]) -> Result<ShardMeta, String> {
-    let mut c = Cursor {
-        buf: payload,
-        pos: 0,
-    };
-    let order = c.u16()?;
-    let shard_index = c.u32()?;
-    let shard_count = c.u32()?;
-    if shard_count == 0 || shard_index >= shard_count {
-        return Err(format!(
-            "shard index {shard_index} out of range 0..{shard_count}"
-        ));
-    }
-    let frontier_len = c.u64()?;
-    let parent_lo = c.u64()?;
-    let parent_hi = c.u64()?;
-    let emitted = c.u64()?;
-    let elapsed_ms = c.u64()?;
-    let peak_rss_kb = match c.u8()? {
-        0 => None,
-        1 => Some(c.u64()?),
-        t => return Err(format!("unknown peak-RSS tag {t}")),
-    };
-    let orchestrator_run = match c.u8()? {
-        0 => None,
-        1 => Some(c.u64()?),
-        t => return Err(format!("unknown orchestrator-run tag {t}")),
-    };
-    let frontier_prune = c.counters()?;
-    let final_prune = c.counters()?;
-    if c.pos != payload.len() {
-        return Err(format!(
-            "{} trailing bytes after shard metadata",
-            payload.len() - c.pos
-        ));
-    }
-    Ok(ShardMeta {
-        order,
-        shard_index,
-        shard_count,
-        frontier_len,
-        parent_lo,
-        parent_hi,
-        emitted,
-        elapsed_ms,
-        peak_rss_kb,
-        orchestrator_run,
-        frontier_prune,
-        final_prune,
-    })
-}
-
-/// Writes the pending `block` (if non-empty) as one v4 columnar block
-/// frame and clears it. A no-op for v3 appends, whose block stays
-/// empty.
-fn write_block_frame(
-    w: &mut impl Write,
-    payload: &mut Vec<u8>,
-    block: &mut Vec<&WindowRecord>,
-) -> std::io::Result<()> {
-    if block.is_empty() {
-        return Ok(());
-    }
-    payload.clear();
-    payload.push(FRAME_RECORD_BLOCK);
-    crate::codec::encode_block(block, payload);
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
-    block.clear();
+    buf.resize(len as usize, 0);
+    file.read_exact_at(buf, offset + 4)?;
     Ok(())
 }
 
-fn put_ratio(out: &mut Vec<u8>, r: Ratio) {
-    out.extend_from_slice(&r.numer().to_le_bytes());
-    out.extend_from_slice(&r.denom().to_le_bytes());
-}
-
-fn put_threshold(out: &mut Vec<u8>, t: Threshold) {
-    match t {
-        Threshold::Finite(r) => {
-            out.push(0);
-            put_ratio(out, r);
+/// The record at `loc` of a v4 store of `store_len` bytes: one
+/// positioned block read and one validating block walk that
+/// materializes only that record.
+pub(crate) fn read_block_record(
+    file: &File,
+    store_len: u64,
+    loc: Loc,
+    buf: &mut Vec<u8>,
+) -> Result<WindowRecord, AtlasError> {
+    let corrupt = corrupt_at(loc.offset());
+    read_frame_at(file, store_len, ATLAS_VERSION, loc.offset(), buf)?;
+    match buf[0] {
+        FRAME_RECORD_BLOCK => {
+            decode_block_record(&buf[1..], usize::from(loc.ordinal())).map_err(corrupt)
         }
-        Threshold::Infinite => out.push(1),
+        t => Err(corrupt(format!(
+            "location points at frame tag {t}, not a record block"
+        ))),
     }
 }
 
-fn put_interval(out: &mut Vec<u8>, iv: ClosedInterval) {
-    put_ratio(out, iv.lo);
-    put_threshold(out, iv.hi);
+/// The engine-order reader: the records at a list of locations, taken
+/// in the list's order, each frame decoded at most once. A decoded
+/// frame stays resident only until its last listed record is taken,
+/// and records are moved out, never cloned — so an engine-ordered
+/// store keeps one block resident, and a store whose ranges were
+/// committed in completion order about one block per sorted run.
+pub(crate) struct OrderedReader<'f> {
+    file: &'f File,
+    store_len: u64,
+    version: u32,
+    /// Listed records not yet taken, per frame offset.
+    pending: HashMap<u64, u32>,
+    /// Decoded frames with records still to take.
+    resident: HashMap<u64, Vec<Option<WindowRecord>>>,
+    buf: Vec<u8>,
 }
 
-pub(crate) fn encode_record(rec: &WindowRecord, out: &mut Vec<u8>) {
-    out.extend_from_slice(&(rec.key.len() as u16).to_le_bytes());
-    out.extend_from_slice(rec.key.as_bytes());
-    out.extend_from_slice(&(rec.order as u16).to_le_bytes());
-    out.extend_from_slice(&(rec.edges as u32).to_le_bytes());
-    out.extend_from_slice(&rec.total_distance.to_le_bytes());
-    match rec.stability {
-        None => out.push(0),
-        Some(w) => {
-            out.push(1);
-            put_ratio(out, w.lower.value);
-            out.push(u8::from(w.lower.inclusive));
-            put_threshold(out, w.upper);
+impl<'f> OrderedReader<'f> {
+    /// A reader over the `store_len`-byte store of `version` in `file`,
+    /// with nothing listed yet.
+    pub(crate) fn new(file: &'f File, store_len: u64, version: u32) -> Self {
+        OrderedReader {
+            file,
+            store_len,
+            version,
+            pending: HashMap::new(),
+            resident: HashMap::new(),
+            buf: Vec::new(),
         }
     }
-    match rec.transfer {
-        None => out.push(0),
-        Some(iv) => {
-            out.push(1);
-            put_interval(out, iv);
-        }
+
+    /// Lists `loc` as a location [`OrderedReader::take`] will be asked
+    /// for. List every location before taking any.
+    pub(crate) fn list(&mut self, loc: Loc) {
+        *self.pending.entry(loc.offset()).or_insert(0) += 1;
     }
-    out.extend_from_slice(&(rec.ucg_support.len() as u16).to_le_bytes());
-    for iv in &rec.ucg_support {
-        put_interval(out, *iv);
+
+    /// The record at `loc` — one of the listed locations, each taken
+    /// once.
+    pub(crate) fn take(&mut self, loc: Loc) -> Result<WindowRecord, AtlasError> {
+        let offset = loc.offset();
+        let corrupt = corrupt_at(offset);
+        let Some(left) = self.pending.get_mut(&offset).filter(|n| **n > 0) else {
+            return Err(corrupt("location was not listed".into()));
+        };
+        *left -= 1;
+        let last = *left == 0;
+        if !self.resident.contains_key(&offset) {
+            read_frame_at(
+                self.file,
+                self.store_len,
+                self.version,
+                offset,
+                &mut self.buf,
+            )?;
+            let Frame::Records(records) =
+                decode_frame(&self.buf, self.version).map_err(&corrupt)?
+            else {
+                return Err(corrupt("location points at a frame without records".into()));
+            };
+            self.resident
+                .insert(offset, records.into_iter().map(Some).collect());
+        }
+        let records = self.resident.get_mut(&offset);
+        let taken = records.and_then(|r| r.get_mut(usize::from(loc.ordinal()))?.take());
+        if last {
+            self.pending.remove(&offset);
+            self.resident.remove(&offset);
+        }
+        taken.ok_or_else(|| {
+            corrupt(format!(
+                "ordinal {} is past its frame or listed twice",
+                loc.ordinal()
+            ))
+        })
     }
 }
 
-/// A cursor over one record payload; every getter errors (with a
-/// string diagnosis) instead of panicking so corrupt files surface as
+/// A record's place in global engine order, `(order, edges, sort
+/// word)`: the word is the leading word of the packed canonical
+/// adjacency ([`Graph::packed_self_key`]) — no canonical search, and
+/// exact for every enumerable order (n ≤ 11: the packed triangle fits
+/// the word), so equal keys mean one canonical graph.
+pub(crate) fn engine_key(rec: &WindowRecord) -> Result<(u16, u64, u64), String> {
+    let order = u16::try_from(rec.order).map_err(|_| format!("order {} exceeds u16", rec.order))?;
+    let g = Graph::from_graph6(&rec.key)
+        .map_err(|e| format!("undecodable key {:?}: {e:?}", rec.key))?;
+    Ok((order, rec.edges, g.packed_self_key().prefix_word()))
+}
+
+/// Sorts `(engine key, location)` rows into engine order and collapses
+/// identical keys to their last location — a store may hold idempotent
+/// re-appends, and the newest copy wins in every reader.
+pub(crate) fn engine_order(rows: &mut Vec<((u16, u64, u64), Loc)>) {
+    rows.sort_unstable();
+    rows.dedup_by(|next, prev| {
+        // dedup_by drops `next` on true; rows are location-ordered
+        // within a key, so keep the later location in the survivor.
+        let same = next.0 == prev.0;
+        if same {
+            prev.1 = next.1;
+        }
+        same
+    });
+}
+
+/// Writes the pending `block` (if non-empty) as one columnar block
+/// frame and clears it; returns the bytes written.
+pub(crate) fn write_block_frame(
+    w: &mut impl Write,
+    payload: &mut Vec<u8>,
+    block: &mut Vec<&WindowRecord>,
+) -> std::io::Result<u64> {
+    if block.is_empty() {
+        return Ok(0);
+    }
+    payload.clear();
+    payload.push(FRAME_RECORD_BLOCK);
+    encode_block(block, payload);
+    w.write_all(&(payload.len() as u32).to_le_bytes())?;
+    w.write_all(payload)?;
+    block.clear();
+    Ok(4 + payload.len() as u64)
+}
+
+/// A cursor over one frame payload; every getter errors (with a string
+/// diagnosis) instead of panicking so corrupt files surface as
 /// [`AtlasError::Corrupt`].
-struct Cursor<'a> {
+pub(crate) struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
+        Cursor { buf, pos: 0 }
+    }
+
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
         let end = self
             .pos
             .checked_add(n)
@@ -1362,120 +1312,43 @@ impl<'a> Cursor<'a> {
         Ok(out)
     }
 
-    fn u8(&mut self) -> Result<u8, String> {
+    /// The next `N` bytes as an array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], String> {
+        Ok(self.take(N)?.try_into().expect("take returns N bytes"))
+    }
+
+    pub(crate) fn u8(&mut self) -> Result<u8, String> {
         Ok(self.take(1)?[0])
     }
 
-    fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2")))
+    pub(crate) fn u16(&mut self) -> Result<u16, String> {
+        self.array().map(u16::from_le_bytes)
     }
 
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
+    pub(crate) fn u32(&mut self) -> Result<u32, String> {
+        self.array().map(u32::from_le_bytes)
     }
 
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
+    pub(crate) fn u64(&mut self) -> Result<u64, String> {
+        self.array().map(u64::from_le_bytes)
     }
 
-    fn i64(&mut self) -> Result<i64, String> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8")))
+    pub(crate) fn i64(&mut self) -> Result<i64, String> {
+        self.array().map(i64::from_le_bytes)
     }
 
-    fn ratio(&mut self) -> Result<Ratio, String> {
-        let num = self.i64()?;
-        let den = self.i64()?;
-        if den == 0 {
-            return Err("ratio with zero denominator".into());
-        }
-        Ok(Ratio::new(num, den))
+    /// Bytes not yet read.
+    pub(crate) fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
     }
-
-    fn threshold(&mut self) -> Result<Threshold, String> {
-        match self.u8()? {
-            0 => Ok(Threshold::Finite(self.ratio()?)),
-            1 => Ok(Threshold::Infinite),
-            t => Err(format!("unknown threshold tag {t}")),
-        }
-    }
-
-    fn interval(&mut self) -> Result<ClosedInterval, String> {
-        Ok(ClosedInterval {
-            lo: self.ratio()?,
-            hi: self.threshold()?,
-        })
-    }
-
-    fn counters(&mut self) -> Result<PruneCounters, String> {
-        Ok(PruneCounters {
-            candidates: self.u64()?,
-            orbit_skipped: self.u64()?,
-            cheap_rejected: self.u64()?,
-            search_rejected: self.u64()?,
-            duplicates: self.u64()?,
-        })
-    }
-}
-
-pub(crate) fn decode_record(payload: &[u8]) -> Result<WindowRecord, String> {
-    let mut c = Cursor {
-        buf: payload,
-        pos: 0,
-    };
-    let key_len = c.u16()? as usize;
-    let key = std::str::from_utf8(c.take(key_len)?)
-        .map_err(|_| "key is not UTF-8".to_string())?
-        .to_string();
-    let order = u32::from(c.u16()?);
-    let edges = u64::from(c.u32()?);
-    let total_distance = c.u64()?;
-    let stability = match c.u8()? {
-        0 => None,
-        1 => {
-            let value = c.ratio()?;
-            let inclusive = match c.u8()? {
-                0 => false,
-                1 => true,
-                t => return Err(format!("unknown inclusivity tag {t}")),
-            };
-            let upper = c.threshold()?;
-            Some(StabilityWindow {
-                lower: LowerBound { value, inclusive },
-                upper,
-            })
-        }
-        t => return Err(format!("unknown stability tag {t}")),
-    };
-    let transfer = match c.u8()? {
-        0 => None,
-        1 => Some(c.interval()?),
-        t => return Err(format!("unknown transfer tag {t}")),
-    };
-    let n_support = c.u16()? as usize;
-    let mut ucg_support = Vec::with_capacity(n_support);
-    for _ in 0..n_support {
-        ucg_support.push(c.interval()?);
-    }
-    if c.pos != payload.len() {
-        return Err(format!(
-            "{} trailing bytes after record",
-            payload.len() - c.pos
-        ));
-    }
-    Ok(WindowRecord {
-        key,
-        order,
-        edges,
-        total_distance,
-        stability,
-        transfer,
-        ucg_support,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bnf_core::{ClosedInterval, LowerBound, StabilityWindow, Threshold};
+    use bnf_games::Ratio;
+    use bnf_stream::PruneCounters;
     use std::sync::atomic::{AtomicU32, Ordering};
 
     /// A unique throwaway path under the system temp dir (no tempfile
@@ -1545,9 +1418,9 @@ mod tests {
         let reopened = ClassificationAtlas::open(&path).unwrap();
         assert_eq!(reopened.len(), 2);
         for rec in &records {
-            assert_eq!(reopened.get(&rec.key), Some(rec));
+            assert_eq!(reopened.get(&rec.key).unwrap().as_ref(), Some(rec));
         }
-        assert!(!reopened.contains("Bw"));
+        assert_eq!(reopened.get("Bw").unwrap(), None);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1566,7 +1439,9 @@ mod tests {
         }
         let atlas = ClassificationAtlas::open(&path).unwrap();
         assert_eq!(atlas.len(), 2);
-        assert_eq!(atlas.iter().count(), 2);
+        for rec in &records {
+            assert_eq!(atlas.get(&rec.key).unwrap().as_ref(), Some(rec));
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -1623,9 +1498,9 @@ mod tests {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&ATLAS_MAGIC);
         bytes.extend_from_slice(&ATLAS_VERSION.to_le_bytes());
-        // A record frame of 7 bytes whose key length claims 400.
+        // A block frame of 7 bytes claiming 400 records.
         bytes.extend_from_slice(&7u32.to_le_bytes());
-        bytes.push(super::FRAME_RECORD);
+        bytes.push(FRAME_RECORD_BLOCK);
         bytes.extend_from_slice(&400u16.to_le_bytes());
         bytes.extend_from_slice(&[0, 0, 0, 0]);
         std::fs::write(&path, &bytes).unwrap();
@@ -1683,7 +1558,10 @@ mod tests {
         assert_eq!(recovered.report.dropped_bytes, 6);
         assert_eq!(recovered.report.recovered_len, boundary);
         assert_eq!(recovered.atlas.len(), 1);
-        assert_eq!(recovered.atlas.get(&records[0].key), Some(&records[0]));
+        assert_eq!(
+            recovered.atlas.get(&records[0].key).unwrap().as_ref(),
+            Some(&records[0])
+        );
         assert!(recovered.report.to_string().contains("dropped 6"));
         // The file is clean again: the strict open succeeds and the
         // store is appendable from where recovery left it.
@@ -1714,35 +1592,33 @@ mod tests {
 
     #[test]
     fn oversized_frame_length_is_corrupt_not_a_tear() {
-        // The cap is version-aware: a v3 store trips at MAX_FRAME_LEN,
-        // a v4 store only at the (larger) block cap — a legitimate
-        // multi-megabyte block frame must never be misdiagnosed.
-        for (version, cap) in [(3u32, MAX_FRAME_LEN), (4u32, MAX_BLOCK_FRAME_LEN)] {
-            let path = scratch_path(&format!("recover-hugelen-v{version}"));
-            let mut bytes = Vec::new();
-            bytes.extend_from_slice(&ATLAS_MAGIC);
-            bytes.extend_from_slice(&version.to_le_bytes());
-            bytes.extend_from_slice(&(cap + 1).to_le_bytes());
-            bytes.extend_from_slice(&[0u8; 16]);
-            std::fs::write(&path, &bytes).unwrap();
-            // Both paths refuse: a corrupted length field must not be
-            // "recovered" by swallowing the rest of the file as a tear
-            // — and the diagnosis names the offending length.
-            match ClassificationAtlas::open(&path) {
-                Err(AtlasError::Corrupt { offset: 12, reason }) => {
-                    assert!(
-                        reason.contains(&(cap + 1).to_string()),
-                        "diagnosis omits the offending length: {reason}"
-                    );
-                }
-                other => panic!("expected Corrupt at offset 12, got {other:?}"),
+        // A legitimate multi-megabyte block frame stays under the cap;
+        // one byte past it is corruption.
+        let path = scratch_path("recover-hugelen");
+        let cap = MAX_BLOCK_FRAME_LEN;
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&ATLAS_MAGIC);
+        bytes.extend_from_slice(&ATLAS_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&(cap + 1).to_le_bytes());
+        bytes.extend_from_slice(&[0u8; 16]);
+        std::fs::write(&path, &bytes).unwrap();
+        // Both paths refuse: a corrupted length field must not be
+        // "recovered" by swallowing the rest of the file as a tear —
+        // and the diagnosis names the offending length and the cap.
+        match ClassificationAtlas::open(&path) {
+            Err(AtlasError::Corrupt { offset: 12, reason }) => {
+                assert!(
+                    reason.contains(&(cap + 1).to_string()) && reason.contains(&cap.to_string()),
+                    "diagnosis omits the offending length or the cap: {reason}"
+                );
             }
-            assert!(matches!(
-                ClassificationAtlas::open_recovering(&path),
-                Err(AtlasError::Corrupt { offset: 12, .. })
-            ));
-            std::fs::remove_file(&path).ok();
+            other => panic!("expected Corrupt at offset 12, got {other:?}"),
         }
+        assert!(matches!(
+            ClassificationAtlas::open_recovering(&path),
+            Err(AtlasError::Corrupt { offset: 12, .. })
+        ));
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1754,26 +1630,27 @@ mod tests {
         assert!(max_frame_len(4) > max_frame_len(3));
     }
 
+    /// The committed v3 fixture: the n = 6 catalogue with its coverage
+    /// frame, written by the last build that still wrote v3.
+    const V3_FIXTURE: &[u8] = include_bytes!("../tests/fixtures/v3-n6.bnfatlas");
+
     #[test]
-    fn v3_stores_stay_writable_in_row_format() {
-        let path = scratch_path("v3-append");
-        let records = sample_records();
-        {
-            let mut atlas = ClassificationAtlas::open_with_version(&path, 3).unwrap();
-            assert_eq!(atlas.version(), 3);
-            atlas.append_records(&records).unwrap();
-            atlas.mark_complete(5, records.len()).unwrap();
+    fn v3_stores_are_refused_naming_atlas_compact() {
+        let path = scratch_path("v3-refused");
+        std::fs::write(&path, V3_FIXTURE).unwrap();
+        for result in [
+            ClassificationAtlas::open(&path).map(|_| ()),
+            ClassificationAtlas::open_recovering(&path).map(|_| ()),
+        ] {
+            match result {
+                Err(e @ AtlasError::VersionMismatch { found: 3 }) => {
+                    assert!(e.to_string().contains("atlas_compact"), "{e}");
+                }
+                other => panic!("expected VersionMismatch {{ found: 3 }}, got {other:?}"),
+            }
         }
-        // The header says v3 and every record frame is a row frame.
-        let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(&bytes[8..12], &3u32.to_le_bytes());
-        assert_eq!(bytes[16], FRAME_RECORD);
-        // A plain reopen keeps the store's own version (no silent
-        // upgrade) and replays losslessly.
-        let atlas = ClassificationAtlas::open(&path).unwrap();
-        assert_eq!(atlas.version(), 3);
-        assert_eq!(atlas.len(), records.len());
-        assert_eq!(atlas.coverage(5), Some(records.len() as u64));
+        // Refusal leaves the store as it was: compaction can still read it.
+        assert_eq!(std::fs::read(&path).unwrap(), V3_FIXTURE);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1782,8 +1659,7 @@ mod tests {
         let path = scratch_path("v4-blocks");
         let records = sample_records();
         {
-            let mut atlas = ClassificationAtlas::open_with_version(&path, ATLAS_VERSION).unwrap();
-            assert_eq!(atlas.version(), ATLAS_VERSION);
+            let mut atlas = ClassificationAtlas::open(&path).unwrap();
             atlas.append_records(&records).unwrap();
         }
         // One batch, fewer than BLOCK_RECORDS records: exactly one
@@ -1796,7 +1672,7 @@ mod tests {
         let atlas = ClassificationAtlas::open(&path).unwrap();
         assert_eq!(atlas.len(), records.len());
         for rec in &records {
-            assert_eq!(atlas.get(&rec.key), Some(rec));
+            assert_eq!(atlas.get(&rec.key).unwrap().as_ref(), Some(rec));
         }
         std::fs::remove_file(&path).ok();
     }
@@ -1806,41 +1682,25 @@ mod tests {
         let path = scratch_path("v3-blocktag");
         let records = sample_records();
         {
-            let mut atlas = ClassificationAtlas::open_with_version(&path, ATLAS_VERSION).unwrap();
+            let mut atlas = ClassificationAtlas::open(&path).unwrap();
             atlas.append_records(&records).unwrap();
         }
-        // Rewrite the header to claim v3: the block tag is now corrupt
-        // (a v3 reader the block writer predates must never guess).
+        // Rewrite the header to claim v3: `open` refuses the version,
+        // and compaction — the one v3 reader — finds the block tag
+        // corrupt (a v3 reader the block writer predates never guesses).
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
-        match ClassificationAtlas::open(&path) {
+        assert!(matches!(
+            ClassificationAtlas::open(&path),
+            Err(AtlasError::VersionMismatch { found: 3 })
+        ));
+        match crate::compact_store(&path, &path) {
             Err(AtlasError::Corrupt { offset: 12, reason }) => {
                 assert!(reason.contains("tag 4"), "unexpected diagnosis: {reason}");
             }
             other => panic!("expected Corrupt, got {other:?}"),
         }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn new_store_version_tracks_the_env_override() {
-        assert_eq!(version_from_env(None), ATLAS_VERSION);
-        assert_eq!(version_from_env(Some("3".into())), 3);
-        assert_eq!(version_from_env(Some(" 3 ".into())), 3);
-        assert_eq!(version_from_env(Some("4".into())), 4);
-        // Unsupported or unparsable values fall back to the default.
-        assert_eq!(version_from_env(Some("2".into())), ATLAS_VERSION);
-        assert_eq!(version_from_env(Some("99".into())), ATLAS_VERSION);
-        assert_eq!(version_from_env(Some("v3".into())), ATLAS_VERSION);
-        assert_eq!(version_from_env(Some(String::new())), ATLAS_VERSION);
-        // And the programmatic constructor rejects them as typed
-        // errors instead.
-        let path = scratch_path("bad-new-version");
-        assert!(matches!(
-            ClassificationAtlas::open_with_version(&path, 2),
-            Err(AtlasError::VersionMismatch { found: 2 })
-        ));
         std::fs::remove_file(&path).ok();
     }
 
@@ -1910,7 +1770,10 @@ mod tests {
             other => panic!("expected KeyConflict, got {other:?}"),
         }
         // Nothing was written: the stored record is unchanged.
-        assert_eq!(atlas.get(&records[0].key), Some(&records[0]));
+        assert_eq!(
+            atlas.get(&records[0].key).unwrap().as_ref(),
+            Some(&records[0])
+        );
         // A conflicting duplicate *within one batch* is also rejected,
         // never silently dropped (identical duplicates are skipped).
         let mut third = records[0].clone();
@@ -1924,7 +1787,7 @@ mod tests {
         // The first copy made it in and survives a reopen.
         drop(atlas);
         let atlas = ClassificationAtlas::open(&path).unwrap();
-        assert_eq!(atlas.get("Dhc"), Some(&third));
+        assert_eq!(atlas.get("Dhc").unwrap().as_ref(), Some(&third));
         std::fs::remove_file(&path).ok();
     }
 
@@ -1933,7 +1796,10 @@ mod tests {
         assert!(AtlasError::BadMagic.to_string().contains("magic"));
         assert!(AtlasError::VersionMismatch { found: 3 }
             .to_string()
-            .contains('3'));
+            .contains("atlas_compact"));
+        assert!(AtlasError::VersionMismatch { found: 9 }
+            .to_string()
+            .contains('9'));
         assert!(AtlasError::KeyConflict { key: "Bw".into() }
             .to_string()
             .contains("Bw"));
@@ -2043,7 +1909,7 @@ mod tests {
             }
         }
         let atlas = ClassificationAtlas::open(&path).unwrap();
-        // The run tag round-trips through the v3 frame.
+        // The run tag round-trips through the shard-metadata frame.
         assert_eq!(atlas.shard_metas(), &[a, b, c]);
         // The run contributes max(4096, 5120) once; the standalone
         // process adds its own 1024 — never 4096 + 5120 + 1024.
@@ -2101,7 +1967,10 @@ mod tests {
             Err(AtlasError::KeyConflict { key }) => assert_eq!(key, records[0].key),
             other => panic!("expected KeyConflict, got {other:?}"),
         }
-        assert_eq!(out.get(&records[0].key), Some(&records[0]));
+        assert_eq!(
+            out.get(&records[0].key).unwrap().as_ref(),
+            Some(&records[0])
+        );
 
         // Divergent coverage count: hard error.
         let path_d = scratch_path("merge-d");
@@ -2190,6 +2059,88 @@ mod tests {
             )]
         );
         assert_eq!(atlas.coverage(5), None);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn distinct_keys_sharing_a_hash_are_both_stored() {
+        // Every key hashes alike: each probe must confirm the key it
+        // reads, and a new key must never displace a stored one.
+        let path = scratch_path("collision");
+        let records = sample_records();
+        let (mut atlas, _) = ClassificationAtlas::load(&path, |_| 7).unwrap();
+        assert_eq!(atlas.append_records(&records).unwrap(), 2);
+        assert_eq!(atlas.append_records(&records).unwrap(), 0);
+        let mut altered = records[1].clone();
+        altered.edges += 1;
+        assert!(matches!(
+            atlas.append_records([&altered]),
+            Err(AtlasError::KeyConflict { .. })
+        ));
+        let check = |atlas: &ClassificationAtlas| {
+            assert_eq!(atlas.len(), 2);
+            for rec in &records {
+                assert_eq!(atlas.get(&rec.key).unwrap().as_ref(), Some(rec));
+            }
+            assert_eq!(
+                atlas.get("Dhc").unwrap(),
+                None,
+                "an absent key sharing the hash"
+            );
+        };
+        check(&atlas);
+        // The open walk files colliding keys the same way.
+        check(&ClassificationAtlas::load(&path, |_| 7).unwrap().0);
+        check(&ClassificationAtlas::open(&path).unwrap());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn intra_batch_duplicates_are_written_once() {
+        let path = scratch_path("intra-batch");
+        let records = sample_records();
+        let batch = [&records[0], &records[1], &records[0], &records[1]];
+        {
+            let mut atlas = ClassificationAtlas::open(&path).unwrap();
+            assert_eq!(atlas.append_records(batch).unwrap(), 2);
+            assert_eq!(atlas.len(), 2);
+        }
+        // One block frame of two records: nothing was written twice.
+        let bytes = std::fs::read(&path).unwrap();
+        let frame_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        assert_eq!(bytes.len(), 16 + frame_len);
+        assert_eq!(crate::codec::decode_block(&bytes[17..]).unwrap(), records);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn claimed_lengths_are_never_allocated() {
+        // A walk grows its payload buffer only as bytes arrive...
+        let mut buf = Vec::new();
+        let claimed = MAX_BLOCK_FRAME_LEN as usize;
+        assert_eq!(
+            read_payload(&mut &[7u8; 10][..], claimed, &mut buf).unwrap(),
+            10
+        );
+        assert!(
+            buf.capacity() <= 1 << 16,
+            "{} bytes reserved",
+            buf.capacity()
+        );
+        // ...and a located frame must fit in the store before it is read.
+        let path = scratch_path("claimed");
+        let mut bytes = ATLAS_MAGIC.to_vec();
+        bytes.extend_from_slice(&ATLAS_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&(MAX_BLOCK_FRAME_LEN - 1).to_le_bytes());
+        bytes.extend_from_slice(&[FRAME_RECORD_BLOCK, 1, 0]);
+        std::fs::write(&path, &bytes).unwrap();
+        let mut buf = Vec::new();
+        let file = File::open(&path).unwrap();
+        assert!(matches!(
+            read_block_record(&file, bytes.len() as u64, Loc::new(12, 0), &mut buf),
+            Err(AtlasError::Corrupt { offset: 12, .. })
+        ));
+        assert_eq!(buf.capacity(), 0);
         std::fs::remove_file(&path).ok();
     }
 }

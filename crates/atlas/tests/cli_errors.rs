@@ -1,0 +1,99 @@
+//! Operator errors of the atlas binaries, through the real
+//! `atlas_compact` and `atlas_index`: an unknown flag — such as a
+//! leftover `--format 3` from the days v3 stores could still be
+//! written — a flag without its value, a stray argument or a missing
+//! `--atlas` prints exactly one `error:` line and exits 2 before any
+//! work; a store the binary cannot read exits 1 with one `error:` line
+//! naming the way out.
+
+use std::path::PathBuf;
+use std::process::Output;
+
+const V3_FIXTURE: &[u8] = include_bytes!("fixtures/v3-n6.bnfatlas");
+
+fn scratch_path(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!(
+        "bnf-atlas-cli-{}-{tag}.bnfatlas",
+        std::process::id()
+    ))
+}
+
+fn run(bin: &str, args: &[&str]) -> Output {
+    std::process::Command::new(bin)
+        .args(args)
+        .output()
+        .expect("spawn the atlas binary")
+}
+
+/// Asserts the exit status, no panic, and exactly one `error:` line
+/// containing `needle`.
+fn assert_error(out: &Output, status: i32, needle: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(status), "{needle}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let errors: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.starts_with("error: "))
+        .collect();
+    assert!(
+        errors.len() == 1 && errors[0].contains(needle),
+        "{needle}: {errors:?}"
+    );
+}
+
+#[test]
+fn flag_mistakes_exit_2_before_any_work() {
+    let store = scratch_path("flags");
+    std::fs::write(&store, V3_FIXTURE).unwrap();
+    let path = store.to_str().unwrap();
+    let compact = env!("CARGO_BIN_EXE_atlas_compact");
+    let index = env!("CARGO_BIN_EXE_atlas_index");
+    let cases: [(&str, &[&str], &str); 8] = [
+        (compact, &["--atlas", path, "--format", "3"], "\"--format\""),
+        (compact, &["--atlas", path, "--out"], "--out needs a value"),
+        (
+            compact,
+            &["--atlas", path, "stray.bnfatlas"],
+            "\"stray.bnfatlas\"",
+        ),
+        (
+            compact,
+            &["--atlas", path, "--atlas", path],
+            "--atlas given twice",
+        ),
+        (compact, &["--out", path], "missing --atlas"),
+        (index, &["--atlas", path, "--format", "3"], "\"--format\""),
+        (index, &["--atlas"], "--atlas needs a value"),
+        (index, &[], "missing --atlas"),
+    ];
+    for (bin, args, needle) in cases {
+        assert_error(&run(bin, args), 2, needle);
+    }
+    // Nothing was compacted or indexed.
+    assert_eq!(std::fs::read(&store).unwrap(), V3_FIXTURE);
+    assert!(!bnf_atlas::index_path(&store).exists());
+    std::fs::remove_file(&store).ok();
+}
+
+#[test]
+fn v3_stores_are_indexed_only_after_compaction() {
+    let store = scratch_path("v3");
+    std::fs::write(&store, V3_FIXTURE).unwrap();
+    let path = store.to_str().unwrap();
+    let index = env!("CARGO_BIN_EXE_atlas_index");
+    assert_error(&run(index, &["--atlas", path]), 1, "atlas_compact");
+
+    let out = run(env!("CARGO_BIN_EXE_atlas_compact"), &["--atlas", path]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let migrated = std::fs::read(&store).unwrap();
+    assert_eq!(migrated[8], 4, "version byte after migration");
+    assert!(V3_FIXTURE.len() as f64 >= 2.5 * migrated.len() as f64);
+
+    assert!(run(index, &["--atlas", path]).status.success());
+    std::fs::remove_file(&store).ok();
+    std::fs::remove_file(bnf_atlas::index_path(&store)).ok();
+}

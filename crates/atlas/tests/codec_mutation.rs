@@ -52,7 +52,7 @@ fn n7_store_blocks() -> Vec<Vec<u8>> {
     ));
     std::fs::remove_file(&path).ok();
     {
-        let mut atlas = ClassificationAtlas::open_with_version(&path, 4).unwrap();
+        let mut atlas = ClassificationAtlas::open(&path).unwrap();
         for batch in records.chunks(40) {
             atlas.append_records(batch).unwrap();
         }

@@ -63,7 +63,7 @@ fn full_block_plus_single_record_tail_replays_from_disk() {
         .map(|i| random_record(&mut rng, i))
         .collect();
     {
-        let mut atlas = ClassificationAtlas::open_with_version(&path, 4).unwrap();
+        let mut atlas = ClassificationAtlas::open(&path).unwrap();
         assert_eq!(atlas.append_records(&records).unwrap(), records.len());
     }
     // Two block frames on disk: a full 4096 and a single-record tail.
@@ -81,7 +81,12 @@ fn full_block_plus_single_record_tail_replays_from_disk() {
     let reopened = ClassificationAtlas::open(&path).unwrap();
     assert_eq!(reopened.len(), records.len());
     for rec in &records {
-        assert_eq!(reopened.get(&rec.key), Some(rec), "key {:?}", rec.key);
+        assert_eq!(
+            reopened.get(&rec.key).unwrap().as_ref(),
+            Some(rec),
+            "key {:?}",
+            rec.key
+        );
     }
     std::fs::remove_file(&path).ok();
 }

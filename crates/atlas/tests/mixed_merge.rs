@@ -1,14 +1,16 @@
-//! Mixed-version segment merges: `merge_segments` must fold v3 row
-//! segments and v4 columnar segments — in the same call — with exactly
-//! the semantics of an all-v3 fold: identical duplicates dedup,
-//! divergence stays a typed [`AtlasError::KeyConflict`], coverage
-//! promotes the same way. The fleet this matters for is mid-migration:
-//! old builds still emit v3 segments while compacted stores and new
-//! shards are v4.
+//! Merges across the v3 → v4 migration: `merge_segments` refuses a v3
+//! segment with a typed error that names `atlas_compact`, and once the
+//! segment is compacted it folds with exactly the semantics of any v4
+//! fold — identical duplicates dedup, divergence stays a typed
+//! [`AtlasError::KeyConflict`], coverage promotes the same way.
 
-use bnf_atlas::{merge_segments, AtlasError, ClassificationAtlas};
+use bnf_atlas::{compact_store, merge_segments, AtlasError, ClassificationAtlas};
 use bnf_core::WindowRecord;
 use std::path::PathBuf;
+
+/// The n = 6 catalogue with its coverage frame, as the last build that
+/// wrote v3 row stores wrote it.
+const V3_FIXTURE: &[u8] = include_bytes!("fixtures/v3-n6.bnfatlas");
 
 fn scratch_path(tag: &str) -> PathBuf {
     use std::sync::atomic::{AtomicU32, Ordering};
@@ -20,77 +22,86 @@ fn scratch_path(tag: &str) -> PathBuf {
     ))
 }
 
-fn record(key: &str, edges: u64) -> WindowRecord {
-    WindowRecord {
-        key: key.into(),
-        order: 5,
-        edges,
-        total_distance: 40 - edges,
-        stability: None,
-        transfer: None,
-        ucg_support: Vec::new(),
-    }
+/// The fixture written to a fresh path, and its compacted v4 copy.
+fn fixture_pair(tag: &str) -> (PathBuf, PathBuf) {
+    let v3 = scratch_path(&format!("{tag}-v3"));
+    let v4 = scratch_path(&format!("{tag}-v4"));
+    std::fs::write(&v3, V3_FIXTURE).unwrap();
+    compact_store(&v3, &v4).unwrap();
+    (v3, v4)
 }
 
-/// Writes `records` to a fresh segment store of the given format.
-fn segment(tag: &str, version: u32, records: &[WindowRecord]) -> PathBuf {
+/// Writes `records` to a fresh v4 segment store.
+fn segment(tag: &str, records: &[WindowRecord]) -> PathBuf {
     let path = scratch_path(tag);
-    let mut seg = ClassificationAtlas::open_with_version(&path, version).unwrap();
+    let mut seg = ClassificationAtlas::open(&path).unwrap();
     seg.append_records(records).unwrap();
     path
 }
 
 #[test]
-fn mixed_version_segments_fold_like_an_all_v3_merge() {
-    let all: Vec<WindowRecord> = ["D?{", "DQw", "Dhc", "D]w", "DBw", "DK{"]
-        .iter()
-        .enumerate()
-        .map(|(i, k)| record(k, 4 + i as u64))
-        .collect();
-    // Overlapping halves: records 0..4 and 2..6, so two identical
-    // duplicates cross the version boundary.
-    let first = &all[..4];
-    let second = &all[2..];
+fn v3_segments_fold_only_after_compaction() {
+    let (v3, v4) = fixture_pair("fold");
+    let catalogue = ClassificationAtlas::open(&v4)
+        .unwrap()
+        .complete_sweep(6)
+        .expect("the fixture declares n = 6 coverage");
+    assert_eq!(catalogue.len(), 112);
 
-    let mut folds = Vec::new();
-    for (tag, versions) in [("ref", [3u32, 3]), ("mix", [3, 4]), ("xim", [4, 3])] {
-        let seg_a = segment(&format!("{tag}-a"), versions[0], first);
-        let seg_b = segment(&format!("{tag}-b"), versions[1], second);
-        let out_path = scratch_path(&format!("{tag}-out"));
-        let mut out = ClassificationAtlas::open(&out_path).unwrap();
-        let report = merge_segments(&mut out, &[&seg_a, &seg_b]).unwrap();
-        assert_eq!(report.segments, 2, "{tag}");
-        assert_eq!(report.appended, all.len(), "{tag}");
-        assert_eq!(report.duplicates, 2, "{tag}");
-        let mut records: Vec<WindowRecord> = out.iter().cloned().collect();
-        records.sort_by(|a, b| a.key.cmp(&b.key));
-        folds.push(records);
-        for p in [seg_a, seg_b, out_path] {
-            std::fs::remove_file(p).ok();
-        }
+    // The v3 segment is refused before anything is folded.
+    let out_path = scratch_path("fold-out");
+    let mut out = ClassificationAtlas::open(&out_path).unwrap();
+    let err = merge_segments(&mut out, &[&v3]).unwrap_err();
+    assert_eq!(err.path, v3);
+    assert!(matches!(
+        err.error,
+        AtlasError::VersionMismatch { found: 3 }
+    ));
+    assert!(err.to_string().contains("atlas_compact"), "{err}");
+    assert!(out.is_empty());
+
+    // Compacted, it folds next to a native segment overlapping it by
+    // 40 records: those dedup, the rest append, coverage carries over.
+    let native = segment("fold-native", &catalogue[..40]);
+    let report = merge_segments(&mut out, &[&native, &v4]).unwrap();
+    assert_eq!(report.appended, 112);
+    assert_eq!(report.duplicates, 40);
+    assert_eq!(out.coverage(6), Some(112));
+    assert_eq!(out.complete_sweep(6).unwrap(), catalogue);
+
+    for p in [v3, v4, native, out_path] {
+        std::fs::remove_file(p).ok();
     }
-    assert_eq!(folds[0], folds[1], "v3+v4 fold diverged from all-v3");
-    assert_eq!(folds[0], folds[2], "v4+v3 fold diverged from all-v3");
 }
 
 #[test]
 fn divergence_across_the_version_boundary_stays_a_typed_conflict() {
-    let seg_v3 = segment("conflict-v3", 3, &[record("D?{", 4), record("DQw", 5)]);
-    // Same key, different classification — a real conflict, not a dup.
-    let seg_v4 = segment("conflict-v4", 4, &[record("DQw", 6)]);
+    let (v3, v4) = fixture_pair("conflict");
+    let catalogue = ClassificationAtlas::open(&v4)
+        .unwrap()
+        .complete_sweep(6)
+        .unwrap();
+    // Same key as a migrated record, different classification — a real
+    // conflict, not a dup.
+    let mut divergent = catalogue[7].clone();
+    divergent.total_distance += 1;
+    let native = segment("conflict-native", &[catalogue[0].clone(), divergent]);
     let out_path = scratch_path("conflict-out");
     let mut out = ClassificationAtlas::open(&out_path).unwrap();
 
-    let err = merge_segments(&mut out, &[&seg_v3, &seg_v4]).unwrap_err();
-    assert_eq!(err.path, seg_v4, "conflict must name the offending segment");
+    let err = merge_segments(&mut out, &[&native, &v4]).unwrap_err();
+    assert_eq!(err.path, v4, "conflict must name the offending segment");
     match err.error {
-        AtlasError::KeyConflict { ref key } => assert_eq!(key, "DQw"),
+        AtlasError::KeyConflict { ref key } => assert_eq!(key, &catalogue[7].key),
         ref other => panic!("expected KeyConflict, got {other:?}"),
     }
     // Frames appended before the conflict survive in the output store.
-    assert_eq!(out.get("D?{"), Some(&record("D?{", 4)));
+    assert_eq!(
+        out.get(&catalogue[0].key).unwrap().as_ref(),
+        Some(&catalogue[0])
+    );
 
-    for p in [seg_v3, seg_v4, out_path] {
+    for p in [v3, v4, native, out_path] {
         std::fs::remove_file(p).ok();
     }
 }

@@ -1,9 +1,14 @@
 //! The torn-write matrix: a real store truncated at **every** byte
 //! offset must either recover to a clean prefix replay or fail with a
 //! typed error — never panic, never silently lose data that recovery
-//! did not report dropping.
+//! did not report dropping. Every whole-store reader walks the same
+//! frames, so the index build and compaction are held to the same
+//! line: they succeed exactly on a clean frame boundary.
 
-use bnf_atlas::{max_frame_len, AtlasError, ClassificationAtlas, ShardMeta};
+use bnf_atlas::{
+    build_index, compact_store, index_path, AtlasError, ClassificationAtlas, IndexError, ShardMeta,
+    ATLAS_MAGIC, ATLAS_VERSION, MAX_BLOCK_FRAME_LEN,
+};
 use bnf_core::WindowRecord;
 use bnf_stream::PruneCounters;
 use std::path::PathBuf;
@@ -16,6 +21,11 @@ fn scratch_path(tag: &str) -> PathBuf {
         "bnf-torn-matrix-{}-{k}-{tag}.bnfatlas",
         std::process::id()
     ))
+}
+
+fn remove(path: &PathBuf) {
+    std::fs::remove_file(path).ok();
+    std::fs::remove_file(index_path(path)).ok();
 }
 
 fn record(key: &str, edges: u64) -> WindowRecord {
@@ -54,15 +64,17 @@ fn meta(index: u32, count: u32, emitted: u64) -> ShardMeta {
 }
 
 /// Builds the reference store the matrix truncates: records, shard
-/// metadata, and a coverage frame — every frame kind the `version`
-/// writes on disk (v3 rows or a v4 columnar block, plus tags 2 and 3).
-fn build_reference(path: &PathBuf, version: u32) -> Vec<WindowRecord> {
+/// metadata, and a coverage frame — every frame kind written on disk
+/// (a columnar block, plus tags 2 and 3).
+fn build_reference(path: &PathBuf) -> Vec<WindowRecord> {
+    // Real keys of order-5 graphs, so the index and compaction can
+    // compute their engine keys.
     let records: Vec<WindowRecord> = ["D?{", "DQw", "Dhc", "D]w"]
         .iter()
         .enumerate()
         .map(|(i, k)| record(k, 4 + i as u64))
         .collect();
-    let mut atlas = ClassificationAtlas::open_with_version(path, version).unwrap();
+    let mut atlas = ClassificationAtlas::open(path).unwrap();
     atlas.append_records(&records).unwrap();
     atlas.append_shard_meta(&meta(0, 2, 2)).unwrap();
     atlas.append_shard_meta(&meta(1, 2, 2)).unwrap();
@@ -70,21 +82,56 @@ fn build_reference(path: &PathBuf, version: u32) -> Vec<WindowRecord> {
     records
 }
 
-#[test]
-fn truncation_at_every_offset_recovers_or_fails_typed() {
-    for version in [3u32, 4] {
-        truncation_matrix(version);
+/// The frame boundaries of a well-formed store: the end of the header,
+/// then the end of each frame.
+fn boundaries(bytes: &[u8]) -> Vec<usize> {
+    let mut at = 12;
+    let mut out = vec![at];
+    while at < bytes.len() {
+        at += 4 + u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+        out.push(at);
     }
+    out
 }
 
-fn truncation_matrix(version: u32) {
-    let reference = scratch_path(&format!("reference-v{version}"));
-    let records = build_reference(&reference, version);
+#[test]
+fn truncation_at_every_offset_recovers_or_fails_typed() {
+    let reference = scratch_path("reference");
+    let records = build_reference(&reference);
     let bytes = std::fs::read(&reference).unwrap();
-    let work = scratch_path(&format!("work-v{version}"));
+    let clean = boundaries(&bytes);
+    let work = scratch_path("work");
+    let compacted = scratch_path("compacted");
 
     for cut in 0..=bytes.len() {
+        // The whole-store readers first, on the torn file itself: each
+        // succeeds exactly on a clean frame boundary and otherwise
+        // returns a typed error.
         std::fs::write(&work, &bytes[..cut]).unwrap();
+        let on_boundary = clean.contains(&cut);
+        match build_index(&work) {
+            Ok(summary) => assert!(on_boundary, "cut={cut}: indexed a torn store {summary:?}"),
+            Err(IndexError::Corrupt { .. } | IndexError::Store { .. }) => {
+                assert!(!on_boundary, "cut={cut}: refused a clean boundary")
+            }
+            Err(other) => panic!("cut={cut}: unexpected index error {other:?}"),
+        }
+        match compact_store(&work, &compacted) {
+            Ok(summary) => {
+                assert!(on_boundary, "cut={cut}: compacted a torn store {summary:?}");
+                let out = ClassificationAtlas::open(&compacted).unwrap();
+                assert_eq!(out.len() as u64, summary.records, "cut={cut}");
+            }
+            Err(AtlasError::Corrupt { .. } | AtlasError::BadMagic) => {
+                assert!(!on_boundary, "cut={cut}: refused a clean boundary")
+            }
+            Err(other) => panic!("cut={cut}: unexpected compaction error {other:?}"),
+        }
+        assert_eq!(
+            std::fs::read(&work).unwrap(),
+            &bytes[..cut],
+            "cut={cut}: reader wrote"
+        );
 
         // Recovery must succeed at every truncation offset: the file is
         // a clean prefix plus (possibly) a torn tail, never mid-store
@@ -105,18 +152,23 @@ fn truncation_matrix(version: u32) {
                 cut as u64,
                 "cut={cut}"
             );
+            assert_eq!(report.was_torn(), !on_boundary, "cut={cut}");
         }
         assert_eq!(
             std::fs::metadata(&work).unwrap().len(),
             report.recovered_len,
             "cut={cut}"
         );
-        // No invented data: every recovered record is byte-identical to
-        // the reference store's record for that key.
-        for rec in recovered.atlas.iter() {
-            let original = records.iter().find(|r| r.key == rec.key);
-            assert_eq!(original, Some(rec), "cut={cut}: recovered alien record");
+        // No invented data: every recovered key reads back the
+        // reference store's record for that key.
+        let mut found = 0;
+        for original in &records {
+            if let Some(rec) = recovered.atlas.get(&original.key).unwrap() {
+                assert_eq!(&rec, original, "cut={cut}: recovered alien record");
+                found += 1;
+            }
         }
+        assert_eq!(found, recovered.atlas.len(), "cut={cut}");
         // The truncated file reopens strictly after recovery.
         let reopened = ClassificationAtlas::open(&work)
             .unwrap_or_else(|e| panic!("cut={cut}: post-recovery open failed: {e}"));
@@ -143,48 +195,72 @@ fn truncation_matrix(version: u32) {
         }
     }
 
-    std::fs::remove_file(&reference).ok();
-    std::fs::remove_file(&work).ok();
+    for p in [&reference, &work, &compacted] {
+        remove(p);
+    }
 }
 
 #[test]
 fn mid_store_corruption_stays_typed_for_both_opens() {
-    for version in [3u32, 4] {
-        mid_store_corruption(version);
-    }
-}
-
-fn mid_store_corruption(version: u32) {
-    let reference = scratch_path(&format!("corrupt-ref-v{version}"));
-    build_reference(&reference, version);
+    let reference = scratch_path("corrupt-ref");
+    build_reference(&reference);
     let bytes = std::fs::read(&reference).unwrap();
-    let work = scratch_path(&format!("corrupt-work-v{version}"));
+    let work = scratch_path("corrupt-work");
 
-    // A length field over the *version's* frame cap in the first frame:
-    // both paths must call it corruption at that offset, not a tear to
-    // "recover" from — and name the offending length.
-    let huge_len = max_frame_len(version) + 7;
-    let mut huge = bytes.clone();
-    huge[12..16].copy_from_slice(&huge_len.to_le_bytes());
-    std::fs::write(&work, &huge).unwrap();
-    for result in [
-        ClassificationAtlas::open(&work).map(|_| ()),
-        ClassificationAtlas::open_recovering(&work).map(|_| ()),
-    ] {
-        match result {
-            Err(AtlasError::Corrupt { offset: 12, reason }) => {
-                assert!(
-                    reason.contains(&huge_len.to_string()),
-                    "v{version}: diagnosis must name the length: {reason}"
-                );
-                assert!(
-                    reason.contains(&format!("v{version}")),
-                    "v{version}: diagnosis must name the cap's version: {reason}"
-                );
+    // A length field over the frame cap in the first frame: every
+    // reader must call it corruption at that offset, not a tear to
+    // "recover" from — and name the offending length and the cap.
+    for huge_len in [MAX_BLOCK_FRAME_LEN + 7, 0x7FFF_FFFF] {
+        let mut huge = bytes.clone();
+        huge[12..16].copy_from_slice(&huge_len.to_le_bytes());
+        std::fs::write(&work, &huge).unwrap();
+        let check = |reason: &str| {
+            assert!(
+                reason.contains(&huge_len.to_string()),
+                "diagnosis must name the length: {reason}"
+            );
+            assert!(
+                reason.contains(&MAX_BLOCK_FRAME_LEN.to_string()),
+                "diagnosis must name the cap: {reason}"
+            );
+        };
+        for result in [
+            ClassificationAtlas::open(&work).map(|_| ()),
+            ClassificationAtlas::open_recovering(&work).map(|_| ()),
+            compact_store(&work, &work).map(|_| ()),
+        ] {
+            match result {
+                Err(AtlasError::Corrupt { offset: 12, reason }) => check(&reason),
+                other => panic!("expected Corrupt at 12, got {other:?}"),
             }
-            other => panic!("v{version}: expected Corrupt at 12, got {other:?}"),
+        }
+        match build_index(&work) {
+            Err(IndexError::Corrupt { offset: 12, reason }) => check(&reason),
+            other => panic!("expected Corrupt at 12, got {other:?}"),
         }
     }
+
+    // A length under the cap that the file cannot hold is a torn tail:
+    // refused by the strict readers, truncated by recovery.
+    let mut claims_more = ATLAS_MAGIC.to_vec();
+    claims_more.extend_from_slice(&ATLAS_VERSION.to_le_bytes());
+    claims_more.extend_from_slice(&(MAX_BLOCK_FRAME_LEN - 1).to_le_bytes());
+    claims_more.extend_from_slice(&bytes[16..40]);
+    std::fs::write(&work, &claims_more).unwrap();
+    assert!(matches!(
+        ClassificationAtlas::open(&work),
+        Err(AtlasError::Corrupt { offset: 12, .. })
+    ));
+    assert!(matches!(
+        build_index(&work),
+        Err(IndexError::Corrupt { offset: 12, .. })
+    ));
+    assert!(matches!(
+        compact_store(&work, &work),
+        Err(AtlasError::Corrupt { offset: 12, .. })
+    ));
+    let recovered = ClassificationAtlas::open_recovering(&work).unwrap();
+    assert_eq!(recovered.report.recovered_len, 12);
 
     // An unknown frame tag mid-store (first byte of the first frame's
     // payload): fully present frame, fails decode — typed Corrupt.
@@ -199,21 +275,12 @@ fn mid_store_corruption(version: u32) {
         ClassificationAtlas::open_recovering(&work),
         Err(AtlasError::Corrupt { offset: 12, .. })
     ));
+    assert!(matches!(
+        build_index(&work),
+        Err(IndexError::Corrupt { offset: 12, .. })
+    ));
 
-    // A v4 block frame smuggled into a v3 store is corruption, not a
-    // decodable frame (the length may even be legal under both caps).
-    if version == 4 {
-        let mut downgraded = bytes.clone();
-        downgraded[8..12].copy_from_slice(&3u32.to_le_bytes());
-        std::fs::write(&work, &downgraded).unwrap();
-        match ClassificationAtlas::open(&work) {
-            Err(AtlasError::Corrupt { offset: 12, reason }) => {
-                assert!(reason.contains("tag 4"), "{reason}");
-            }
-            other => panic!("expected Corrupt at 12 for a downgraded header, got {other:?}"),
-        }
+    for p in [&reference, &work] {
+        remove(p);
     }
-
-    std::fs::remove_file(&reference).ok();
-    std::fs::remove_file(&work).ok();
 }

@@ -386,12 +386,21 @@ fn sweep_cli(n: usize, threads: usize, flags: SweepFlags) -> Result<WindowSweep,
     let run_id = orchestrator_run_id();
     let mut provenance: Vec<bnf_obs::ShardProvenance> = Vec::new();
     let (mut hits, mut appended) = (0usize, 0usize);
-    let (mut windows, orch) = match &selection {
-        None => (WindowSweep::run(n, threads, atlas.as_ref()), None),
-        Some(selection) => {
+    // A warm store that replays cleanly serves its own records: every
+    // one is a hit, and there is nothing to append or declare.
+    let replayed = atlas
+        .as_ref()
+        .filter(|_| warm)
+        .and_then(|a| a.complete_sweep(n));
+    let replay_served = replayed.is_some();
+    let (mut windows, orch) = match (&selection, replayed) {
+        (None, Some(records)) => (WindowSweep { n, records }, None),
+        (None, None) => (WindowSweep::run(n, threads, atlas.as_ref()), None),
+        (Some(selection), _) => {
             // Range commits append through the store while workers read
-            // it, so lookups go through a second, read-only handle
-            // (`open` reads the file fully up front: a stable snapshot).
+            // it, so lookups go through a second, read-only handle: its
+            // location table is a snapshot taken at open, and the bytes
+            // it points at never change in an append-only file.
             let reopened = match &atlas {
                 Some(a) if commit_ranges && !a.is_empty() => Some(
                     ClassificationAtlas::open(a.path())
@@ -499,7 +508,9 @@ fn sweep_cli(n: usize, threads: usize, flags: SweepFlags) -> Result<WindowSweep,
         eprintln!("{line}");
     }
     if let Some(atlas) = atlas.as_mut() {
-        if !commit_ranges {
+        if replay_served {
+            hits = windows.records.len();
+        } else if !commit_ranges {
             appended = atlas
                 .append_records(&windows.records)
                 .map_err(|e| CliError::io("atlas append failed", e))?;

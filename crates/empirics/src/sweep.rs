@@ -213,8 +213,10 @@ impl Analysis for WindowJob<'_> {
     }
 
     fn classify_keyed(&self, key: &str, g: &Graph, scratch: &mut WorkerScratch) -> WindowRecord {
-        if let Some(hit) = self.atlas.and_then(|a| a.get(key)) {
-            return hit.clone();
+        // A stored record is read back from disk; a store that fails to
+        // read is only a cache miss — classify live instead.
+        if let Some(Ok(Some(hit))) = self.atlas.map(|a| a.get(key)) {
+            return hit;
         }
         WindowRecord::classify_with_key(key.to_owned(), g, &mut scratch.bfs)
     }

@@ -1,12 +1,13 @@
 //! Property tests for the index sidecar: the random-access
-//! [`MappedAtlas`] read path must agree with the buffered full-replay
-//! read path on every record the sweeps produce.
+//! [`MappedAtlas`] read path must agree with the store's own read path
+//! on every record the sweeps produce.
 //!
-//! The buffered path (`ClassificationAtlas`) decodes the whole store
-//! into memory and is the long-standing source of truth; the indexed
-//! path seeks. Any disagreement — a wrong offset in the key table, a
-//! mis-sorted engine-order table, a bad frame bound — shows up here as
-//! a record-level diff rather than as a corrupted answer in `bnf-serve`.
+//! `ClassificationAtlas` locates records through the location table it
+//! builds by walking the store; the indexed path seeks through the
+//! sidecar built by a separate walk. Any disagreement — a wrong offset
+//! in the key table, a mis-sorted engine-order table, a bad frame
+//! bound — shows up here as a record-level diff rather than as a
+//! corrupted answer in `bnf-serve`.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -43,18 +44,18 @@ fn indexed_lookups_agree_with_full_replay_for_every_record() {
         let mapped = MappedAtlas::open(&store).unwrap();
         assert_eq!(mapped.len(), sweep.records.len() as u64);
 
-        // Every stored record: the seeking lookup returns exactly what
-        // the buffered map holds.
+        // Every stored record: the sidecar lookup returns exactly what
+        // the store's own lookup reads.
         for rec in &sweep.records {
             let via_index = mapped
                 .lookup(&rec.key)
                 .unwrap()
                 .unwrap_or_else(|| panic!("n={n}: key {:?} missing from index", rec.key));
-            let via_replay = atlas.get(&rec.key).expect("buffered map has the key");
-            assert_eq!(&via_index, via_replay, "n={n} key {:?}", rec.key);
+            let via_store = atlas.get(&rec.key).unwrap().expect("the store has the key");
+            assert_eq!(via_index, via_store, "n={n} key {:?}", rec.key);
         }
 
-        // The engine-order stream matches the buffered replay record
+        // The engine-order stream matches the store's replay record
         // for record (same sort, same bytes).
         let mut streamed = Vec::new();
         let declared = mapped
