@@ -28,7 +28,7 @@ const USAGE: &str =
     "atlas_compact --atlas store.bnfatlas [--out compacted.bnfatlas] [--report-json report.json]";
 
 fn main() -> ExitCode {
-    let flags = flags::Flags::parse(&["--atlas", "--out", "--report-json"], USAGE);
+    let (flags, _) = flags::Flags::parse(&["--atlas", "--out", "--report-json"], &[], false, USAGE);
     let store = flags.require("--atlas");
     let out = flags.get("--out").unwrap_or_else(|| store.clone());
     let report_json = flags.get("--report-json");

@@ -19,8 +19,10 @@ use bnf_atlas::build_index;
 mod flags;
 
 fn main() -> ExitCode {
-    let flags = flags::Flags::parse(
+    let (flags, _) = flags::Flags::parse(
         &["--atlas", "--report-json"],
+        &[],
+        false,
         "atlas_index --atlas store.bnfatlas [--report-json report.json]",
     );
     let store = flags.require("--atlas");

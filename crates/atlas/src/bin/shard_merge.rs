@@ -30,6 +30,10 @@
 //! `--report-json` writes the same numbers as a versioned
 //! [`bnf_obs::RunManifest`] with one shard-provenance entry per stored
 //! shard slot.
+//!
+//! Flag mistakes — an unknown flag, a flag without its value, a missing
+//! `--out` or no segment at all — print one `error:` line and exit 2
+//! before any work.
 
 use std::process::ExitCode;
 
@@ -38,39 +42,19 @@ use bnf_atlas::{
     ShardCoverage, ShardMeta,
 };
 
+mod flags;
+
+const USAGE: &str = "shard_merge --out merged.bnfatlas [--recover] [--report-json report.json] \
+     segment.bnfatlas ...";
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let out_path = match args.iter().position(|a| a == "--out") {
-        Some(i) => match args.get(i + 1) {
-            Some(p) => p.clone(),
-            None => {
-                eprintln!("--out wants a path");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => {
-            eprintln!("usage: shard_merge --out merged.bnfatlas segment.bnfatlas ...");
-            return ExitCode::FAILURE;
-        }
-    };
-    let report_json = args
-        .iter()
-        .position(|a| a == "--report-json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let recover = args.iter().any(|a| a == "--recover");
-    let segments: Vec<String> = args
-        .iter()
-        .enumerate()
-        .filter(|&(i, a)| {
-            !a.starts_with("--")
-                && (i == 0 || (args[i - 1] != "--out" && args[i - 1] != "--report-json"))
-        })
-        .map(|(_, a)| a.clone())
-        .collect();
+    let (flags, segments) =
+        flags::Flags::parse(&["--out", "--report-json"], &["--recover"], true, USAGE);
+    let out_path = flags.require("--out");
+    let report_json = flags.get("--report-json");
+    let recover = flags.get("--recover").is_some();
     if segments.is_empty() {
-        eprintln!("no segment files given");
-        return ExitCode::FAILURE;
+        flags.fail("no segment files given");
     }
     // Scope the global recorder to this invocation so the manifest's
     // `merge` span covers exactly this fold.
@@ -79,7 +63,7 @@ fn main() -> ExitCode {
     let mut out = match ClassificationAtlas::open(&out_path) {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("cannot open output atlas {out_path}: {e}");
+            eprintln!("error: cannot open output atlas {out_path}: {e}");
             return ExitCode::FAILURE;
         }
     };
@@ -91,7 +75,7 @@ fn main() -> ExitCode {
     let report = match fold {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("merge failed at {e}");
+            eprintln!("error: merge failed at {e}");
             return ExitCode::FAILURE;
         }
     };

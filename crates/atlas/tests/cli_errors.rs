@@ -1,8 +1,8 @@
 //! Operator errors of the atlas binaries, through the real
-//! `atlas_compact` and `atlas_index`: an unknown flag — such as a
+//! `atlas_compact`, `atlas_index` and `shard_merge`: an unknown flag — such as a
 //! leftover `--format 3` from the days v3 stores could still be
-//! written — a flag without its value, a stray argument or a missing
-//! `--atlas` prints exactly one `error:` line and exits 2 before any
+//! written — a flag without its value, a stray argument, a missing
+//! `--atlas` or `--out`, or a merge without segments prints exactly one `error:` line and exits 2 before any
 //! work; a store the binary cannot read exits 1 with one `error:` line
 //! naming the way out.
 
@@ -73,6 +73,38 @@ fn flag_mistakes_exit_2_before_any_work() {
     assert_eq!(std::fs::read(&store).unwrap(), V3_FIXTURE);
     assert!(!bnf_atlas::index_path(&store).exists());
     std::fs::remove_file(&store).ok();
+}
+
+#[test]
+fn shard_merge_flag_mistakes_exit_2_before_any_work() {
+    let out = scratch_path("merge-out");
+    let segment = scratch_path("merge-seg");
+    std::fs::write(&segment, V3_FIXTURE).unwrap();
+    let (out_path, seg) = (out.to_str().unwrap(), segment.to_str().unwrap());
+    let merge = env!("CARGO_BIN_EXE_shard_merge");
+    let cases: [(&[&str], &str); 7] = [
+        // The value of an unknown flag must not become a segment path.
+        (&["--out", out_path, "--format", "3", seg], "\"--format\""),
+        (&["--out", out_path, "--bogus", seg], "\"--bogus\""),
+        (&[seg, "--out"], "--out needs a value"),
+        (&[seg], "missing --out"),
+        (&["--out", out_path], "no segment files given"),
+        (
+            &["--out", out_path, "--recover", "--recover", seg],
+            "--recover given twice",
+        ),
+        (
+            &["--out", out_path, "--out", out_path, seg],
+            "--out given twice",
+        ),
+    ];
+    for (args, needle) in cases {
+        assert_error(&run(merge, args), 2, needle);
+    }
+    // Nothing was merged: no output store, the segment untouched.
+    assert!(!out.exists());
+    assert_eq!(std::fs::read(&segment).unwrap(), V3_FIXTURE);
+    std::fs::remove_file(&segment).ok();
 }
 
 #[test]

@@ -1,6 +1,7 @@
-//! Kernel equivalence suite: the single-link Δ table and the ranked UCG
-//! tables against the per-query [`DeltaCalc`] window bodies and the
-//! per-wish-set best-response fold they replaced, over every connected
+//! Kernel equivalence suite: the single-link Δ table, the ranked UCG
+//! tables and the α-resolved orientation solver against the per-query
+//! [`DeltaCalc`] window bodies, the per-wish-set best-response fold and
+//! the edge-by-edge backtracker they replaced, over every connected
 //! graph up to order 7 (order 8 behind `--ignored`, run in release).
 //!
 //! [`DeltaCalc`]: crate::DeltaCalc
@@ -8,7 +9,7 @@
 use bnf_games::Ratio;
 use bnf_graph::{BfsScratch, Graph};
 
-use crate::interval::Threshold;
+use crate::interval::{ClosedInterval, Threshold};
 use crate::stability::{is_pairwise_stable, stability_window_oracle, stability_window_with};
 use crate::transfers::{
     is_transfer_stable, transfer_stability_window_with, transfer_window_oracle,
@@ -78,6 +79,7 @@ fn assert_kernels_match(g: &Graph, scratch: &mut BfsScratch) {
     }
 
     assert_tables_match(g);
+    assert_solver_matches(g, necessary);
 }
 
 /// Every (vertex, owned set) entry of the ranked tables equals the
@@ -102,6 +104,53 @@ fn assert_tables_match(g: &Graph) {
             }
             o = (o - 1) & row;
         }
+    }
+}
+
+/// The orientation solver against the backtracking oracle: the
+/// necessary-window probe sequence (a single point probed once, for most
+/// graphs) reports the full support set, every probe of the generic
+/// sequence agrees on supportability, and every witness is valid.
+fn assert_solver_matches(g: &Graph, necessary: Option<ClosedInterval>) {
+    let ucg = UcgAnalyzer::new(g).expect("connected graph in the UCG domain");
+    let full = ucg.support_intervals();
+    match necessary {
+        Some(nec) => assert_eq!(
+            ucg.support_intervals_within(nec),
+            full,
+            "{g:?}: clip {nec} changed the support set"
+        ),
+        None => assert!(full.is_empty(), "{g:?}: supportable without a window"),
+    }
+    for p in ucg.support_probes(ClosedInterval::ALL) {
+        let witness = ucg.find_orientation(p);
+        let oracle = ucg.find_orientation_oracle(p);
+        assert_eq!(witness.is_some(), oracle.is_some(), "{g:?} at alpha={p}");
+        for owners in [witness, oracle].into_iter().flatten() {
+            assert_witness_supports(&ucg, g, &owners, p);
+        }
+    }
+}
+
+/// `owners` orients every edge of `g` exactly once, and every vertex's
+/// owned set has a best-response interval containing `alpha`.
+fn assert_witness_supports(ucg: &UcgAnalyzer, g: &Graph, owners: &[(usize, usize)], alpha: Ratio) {
+    let mut owned = vec![0u64; g.order()];
+    let mut covered = Graph::empty(g.order());
+    for &(buyer, other) in owners {
+        assert!(covered.add_edge(buyer, other), "{g:?}: edge bought twice");
+        owned[buyer] |= 1 << other;
+    }
+    assert_eq!(
+        &covered, g,
+        "{g:?}: witness misses an edge at alpha={alpha}"
+    );
+    for (v, &o) in owned.iter().enumerate() {
+        assert!(
+            ucg.best_response_window(v, o)
+                .is_some_and(|iv| iv.contains(alpha)),
+            "{g:?}: vertex {v} owning {o:#b} is no best response at alpha={alpha}"
+        );
     }
 }
 

@@ -30,24 +30,26 @@
 //!    as a `#[cfg(test)]` oracle.)
 //! 3. Nash-supportability at α is an exact cover problem: assign each
 //!    edge an owner so every vertex's owned set has an interval
-//!    containing α. It is solved by **constraint propagation** over the
-//!    per-vertex best-response tables: per vertex, the masks consistent
-//!    with the current partial orientation are intersected and unioned
-//!    as bit sets — a bit forced into every consistent mask orients its
-//!    edge toward the vertex, a bit absent from all of them orients it
-//!    away (unit-literal propagation) — and only when the fixpoint
-//!    leaves genuinely free edges does the solver branch, fail-first,
-//!    on the most constrained vertex. The consistent-mask sublists are
-//!    α-independent, so they are memoized per `(vertex, owned,
-//!    decided)` prefix and **reused across every α probe** that
-//!    [`UcgAnalyzer::support_intervals_within`] issues for one graph —
-//!    an infeasible prefix (empty sublist) is refuted once, not once
-//!    per endpoint. (The pre-propagation edge-by-edge backtracker
-//!    survives as a `#[cfg(test)]` oracle.)
+//!    containing α. Each α probe first **resolves its admissible
+//!    masks**: per vertex, the owned masks whose interval contains α,
+//!    copied once into one flat buffer, so the search never touches a
+//!    rational again. It is then solved by **constraint propagation**:
+//!    per vertex, the admissible masks consistent with the current
+//!    partial orientation (`m & decided == owned`) are intersected and
+//!    unioned as bit sets — a bit forced into every consistent mask
+//!    orients its edge toward the vertex, a bit absent from all of them
+//!    orients it away (unit-literal propagation); a vertex is re-folded
+//!    only after another vertex orients one of its edges. Only when the
+//!    fixpoint leaves genuinely free edges does the solver branch,
+//!    fail-first, on the most constrained vertex, copying a fixed-size
+//!    state per branch. Probes share no answers: on the sweep
+//!    catalogues nearly every graph's necessary window is a single
+//!    point, which [`UcgAnalyzer::support_intervals_within`] probes
+//!    once, so there are no repeated probes for a memo to catch. (The
+//!    pre-propagation edge-by-edge backtracker survives as a
+//!    `#[cfg(test)]` oracle.)
 
-use std::collections::HashMap;
 use std::fmt;
-use std::rc::Rc;
 
 use bnf_games::Ratio;
 use bnf_graph::{BfsScratch, Graph};
@@ -246,7 +248,19 @@ impl UcgAnalyzer {
     ///
     /// Panics if `alpha <= 0`.
     pub fn find_orientation(&self, alpha: Ratio) -> Option<Vec<(usize, usize)>> {
-        OrientationSolver::new(self).solve(alpha)
+        let state = OrientationSolver::new(self).solve(alpha)?;
+        Some(
+            self.edges
+                .iter()
+                .map(|&(u, v)| {
+                    if state.owned[u] >> v & 1 == 1 {
+                        (u, v)
+                    } else {
+                        (v, u)
+                    }
+                })
+                .collect(),
+        )
     }
 
     /// The pre-propagation reference solver: edge-by-edge backtracking
@@ -255,7 +269,7 @@ impl UcgAnalyzer {
     /// equivalence tests certify [`UcgAnalyzer::find_orientation`]
     /// against over every small connected graph.
     #[cfg(test)]
-    fn find_orientation_oracle(&self, alpha: Ratio) -> Option<Vec<(usize, usize)>> {
+    pub(crate) fn find_orientation_oracle(&self, alpha: Ratio) -> Option<Vec<(usize, usize)>> {
         assert!(alpha > Ratio::ZERO, "link cost must be positive");
         let allowed: Vec<Vec<u64>> = self
             .tables
@@ -353,9 +367,10 @@ impl UcgAnalyzer {
     /// `clip` (e.g. the orientation-free necessary window of
     /// [`ucg_necessary_window`], which provably contains it). Probing is
     /// limited to the table endpoints inside `clip` plus `clip`'s own
-    /// bounds, which is what makes the one-shot window extraction of
-    /// `WindowRecord` affordable: the orientation solver runs per
-    /// surviving endpoint instead of per grid point per run.
+    /// bounds, and a `clip` that is a single positive point is probed
+    /// at that point alone. Each probe resolves its α once — the masks
+    /// admissible there — and solves from scratch: no answer is carried
+    /// from one probe to the next.
     ///
     /// With `clip` = [`ClosedInterval::ALL`] this is exactly
     /// [`UcgAnalyzer::support_intervals`]. With a proper `clip` the
@@ -363,58 +378,8 @@ impl UcgAnalyzer {
     /// is contained in `clip`; callers violating that premise get the
     /// intersection-shaped subset only.
     pub fn support_intervals_within(&self, clip: ClosedInterval) -> Vec<ClosedInterval> {
-        let mut endpoints: Vec<Ratio> = Vec::new();
-        for t in &self.tables {
-            for (_, iv) in t.iter() {
-                if iv.lo > Ratio::ZERO && clip.contains(iv.lo) {
-                    endpoints.push(iv.lo);
-                }
-                if let Threshold::Finite(h) = iv.hi {
-                    if h > Ratio::ZERO && clip.contains(h) {
-                        endpoints.push(h);
-                    }
-                }
-            }
-        }
-        // Supportability only flips at table endpoints, so clip's own
-        // bounds anchor the probe sequence at the boundary segments.
-        if clip.lo > Ratio::ZERO {
-            endpoints.push(clip.lo);
-        }
-        if let Threshold::Finite(h) = clip.hi {
-            if h > Ratio::ZERO {
-                endpoints.push(h);
-            }
-        }
-        if endpoints.is_empty() {
-            endpoints.push(Ratio::new(1, 2)); // ensure at least one probe
-        }
-        endpoints.sort();
-        endpoints.dedup();
-        // Probe sequence: a point below every endpoint (supportability
-        // there means "all α > 0 up to the first endpoint"; skipped when
-        // clip starts above zero — its lower bound is already the first
-        // endpoint), each endpoint, midpoints between neighbours, and —
-        // when unbounded above — one point beyond the largest endpoint.
-        let mut probes: Vec<Ratio> = Vec::with_capacity(endpoints.len() * 2 + 2);
-        if clip.lo <= Ratio::ZERO {
-            probes.push(endpoints[0] / Ratio::from(2));
-        }
-        for (k, &e) in endpoints.iter().enumerate() {
-            if k > 0 {
-                probes.push(Ratio::midpoint(endpoints[k - 1], e));
-            }
-            probes.push(e);
-        }
+        let probes = self.support_probes(clip);
         let unbounded = matches!(clip.hi, Threshold::Infinite);
-        if unbounded {
-            probes.push(*endpoints.last().expect("nonempty") + Ratio::ONE);
-        }
-        probes.retain(|&p| p > Ratio::ZERO);
-        // One solver for the whole probe sequence: the memoized
-        // consistent-mask prefixes (and the infeasible ones especially)
-        // are α-independent, so every endpoint probe after the first
-        // re-uses them instead of re-deriving the same refutations.
         let mut solver = OrientationSolver::new(self);
         let status: Vec<bool> = probes.iter().map(|&p| solver.solve(p).is_some()).collect();
         // A run starting at the eps probe (present only when clip
@@ -456,20 +421,76 @@ impl UcgAnalyzer {
         }
         out
     }
-}
 
-/// Cap on memoized `(vertex, owned, decided)` prefixes — states visited
-/// by realistic solves number in the hundreds; the cap only bounds
-/// pathological search spaces.
-const MEMO_CAP: usize = 1 << 15;
+    /// The α probes of [`UcgAnalyzer::support_intervals_within`]:
+    /// supportability only flips at table endpoints, so the sequence is
+    /// a point below every endpoint (supportability there means "all
+    /// α > 0 up to the first endpoint"; skipped when `clip` starts above
+    /// zero — its lower bound is already the first endpoint), each
+    /// endpoint inside `clip` and `clip`'s own positive bounds, the
+    /// midpoints between neighbours, and — when `clip` is unbounded
+    /// above — one point beyond the largest endpoint.
+    ///
+    /// A single positive point `clip` yields that point alone without
+    /// reading the tables: every endpoint inside it equals the point, and
+    /// there is no point below it or beyond it.
+    pub(crate) fn support_probes(&self, clip: ClosedInterval) -> Vec<Ratio> {
+        if clip.lo > Ratio::ZERO && clip.hi == Threshold::Finite(clip.lo) {
+            return vec![clip.lo];
+        }
+        let mut endpoints: Vec<Ratio> = Vec::new();
+        for t in &self.tables {
+            for (_, iv) in t.iter() {
+                if iv.lo > Ratio::ZERO && clip.contains(iv.lo) {
+                    endpoints.push(iv.lo);
+                }
+                if let Threshold::Finite(h) = iv.hi {
+                    if h > Ratio::ZERO && clip.contains(h) {
+                        endpoints.push(h);
+                    }
+                }
+            }
+        }
+        if clip.lo > Ratio::ZERO {
+            endpoints.push(clip.lo);
+        }
+        if let Threshold::Finite(h) = clip.hi {
+            if h > Ratio::ZERO {
+                endpoints.push(h);
+            }
+        }
+        if endpoints.is_empty() {
+            endpoints.push(Ratio::new(1, 2)); // ensure at least one probe
+        }
+        endpoints.sort();
+        endpoints.dedup();
+        let mut probes: Vec<Ratio> = Vec::with_capacity(endpoints.len() * 2 + 2);
+        if clip.lo <= Ratio::ZERO {
+            probes.push(endpoints[0] / Ratio::from(2));
+        }
+        for (k, &e) in endpoints.iter().enumerate() {
+            if k > 0 {
+                probes.push(Ratio::midpoint(endpoints[k - 1], e));
+            }
+            probes.push(e);
+        }
+        if matches!(clip.hi, Threshold::Infinite) {
+            probes.push(*endpoints.last().expect("nonempty") + Ratio::ONE);
+        }
+        probes.retain(|&p| p > Ratio::ZERO);
+        probes
+    }
+}
 
 /// A partial orientation: per vertex, which incident edges are decided
 /// and which of those the vertex itself owns (bit masks over
-/// neighbours).
-#[derive(Debug, Clone)]
+/// neighbours), plus how many admissible masks agreed with it when the
+/// vertex was last folded. Fixed-size, so a branch is a plain copy.
+#[derive(Debug, Clone, Copy)]
 struct OrientationState {
-    owned: Vec<u64>,
-    decided: Vec<u64>,
+    owned: [u64; MAX_UCG_ORDER],
+    decided: [u64; MAX_UCG_ORDER],
+    count: [u32; MAX_UCG_ORDER],
 }
 
 impl OrientationState {
@@ -485,142 +506,129 @@ impl OrientationState {
 
 /// The propagating orientation solver (see the module docs, step 3).
 ///
-/// Built once per [`UcgAnalyzer::find_orientation`] call — and once per
-/// [`UcgAnalyzer::support_intervals_within`] *probe sequence*, which is
-/// where the memo pays: the consistent-mask sublists keyed by
-/// `(vertex, owned, decided)` do not depend on α, so refutations and
-/// table filters carry over from probe to probe.
+/// Each [`OrientationSolver::solve`] resolves one α: the table masks
+/// admissible there are copied into one flat buffer, after which the
+/// search compares masks only and allocates nothing per node. A solver
+/// is reused across the probes of one
+/// [`UcgAnalyzer::support_intervals_within`] call for its buffer alone;
+/// no answer carries over from one probe to the next.
 struct OrientationSolver<'a> {
     an: &'a UcgAnalyzer,
-    /// `(vertex, owned, decided)` → the vertex's table entries whose
-    /// mask agrees with the prefix (`mask & decided == owned`). An
-    /// empty list proves the prefix infeasible at **every** α.
-    memo: HashMap<(usize, u64, u64), ConsistentMasks>,
+    /// The masks admissible at the current α, vertex `v`'s in
+    /// `masks[start[v]..start[v + 1]]`, in table (mask) order.
+    masks: Vec<u64>,
+    start: [usize; MAX_UCG_ORDER + 1],
 }
-
-/// Shared α-independent sublist of one vertex's best-response table.
-type ConsistentMasks = Rc<Vec<(u64, ClosedInterval)>>;
 
 impl<'a> OrientationSolver<'a> {
     fn new(an: &'a UcgAnalyzer) -> Self {
         OrientationSolver {
             an,
-            memo: HashMap::new(),
+            masks: Vec::with_capacity(an.tables.iter().map(Vec::len).sum()),
+            start: [0; MAX_UCG_ORDER + 1],
         }
     }
 
-    /// The α-independent sublist of `v`'s best-response table masks
-    /// consistent with the prefix, memoized.
-    fn consistent(&mut self, v: usize, owned: u64, decided: u64) -> ConsistentMasks {
-        if let Some(hit) = self.memo.get(&(v, owned, decided)) {
-            return Rc::clone(hit);
-        }
-        let list: Vec<(u64, ClosedInterval)> = self.an.tables[v]
-            .iter()
-            .filter(|&&(m, _)| m & decided == owned)
-            .copied()
-            .collect();
-        let rc = Rc::new(list);
-        if self.memo.len() < MEMO_CAP {
-            self.memo.insert((v, owned, decided), Rc::clone(&rc));
-        }
-        rc
-    }
-
-    /// A witness orientation at `alpha`, or `None`.
+    /// A supporting orientation at `alpha`, or `None`.
     ///
     /// # Panics
     ///
     /// Panics if `alpha <= 0`.
-    fn solve(&mut self, alpha: Ratio) -> Option<Vec<(usize, usize)>> {
+    fn solve(&mut self, alpha: Ratio) -> Option<OrientationState> {
         assert!(alpha > Ratio::ZERO, "link cost must be positive");
-        let n = self.an.n;
-        let mut state = OrientationState {
-            owned: vec![0u64; n],
-            decided: vec![0u64; n],
-        };
-        if !self.search(&mut state, alpha) {
-            return None;
+        self.masks.clear();
+        for (v, table) in self.an.tables.iter().enumerate() {
+            let admissible = table.iter().filter(|(_, iv)| iv.contains(alpha));
+            self.masks.extend(admissible.map(|&(m, _)| m));
+            if self.masks.len() == self.start[v] {
+                return None; // no owned set of v is a best response at α
+            }
+            self.start[v + 1] = self.masks.len();
         }
-        Some(
-            self.an
-                .edges
-                .iter()
-                .map(|&(u, v)| {
-                    if state.owned[u] >> v & 1 == 1 {
-                        (u, v)
-                    } else {
-                        (v, u)
-                    }
-                })
-                .collect(),
-        )
+        let mut state = OrientationState {
+            owned: [0; MAX_UCG_ORDER],
+            decided: [0; MAX_UCG_ORDER],
+            count: [0; MAX_UCG_ORDER],
+        };
+        let every_vertex = (1u64 << self.an.n) - 1;
+        self.search(&mut state, every_vertex).then_some(state)
     }
 
-    /// Unit-literal propagation to fixpoint. Per vertex the consistent,
-    /// α-allowed masks are folded into an intersection and a union over
+    /// `v`'s admissible masks consistent with the partial orientation
+    /// (`m & decided == owned`), folded into their count, union and
+    /// intersection.
+    #[inline]
+    fn fold(&self, v: usize, state: &OrientationState) -> (u32, u64, u64) {
+        let (owned, decided) = (state.owned[v], state.decided[v]);
+        let mut count = 0u32;
+        let mut union = 0u64;
+        let mut inter = !0u64;
+        for &m in &self.masks[self.start[v]..self.start[v + 1]] {
+            if m & decided == owned {
+                count += 1;
+                union |= m;
+                inter &= m;
+            }
+        }
+        (count, union, inter)
+    }
+
+    /// Unit-literal propagation to fixpoint. Per vertex the consistent
+    /// admissible masks are folded into an intersection and a union over
     /// the undecided bits: a bit in every mask is a forced purchase by
     /// the vertex, a bit in none is a forced purchase by the other
-    /// endpoint. Returns `false` on a refuted vertex (no allowed mask).
-    fn propagate(&mut self, state: &mut OrientationState, alpha: Ratio) -> bool {
-        let n = self.an.n;
-        loop {
-            let mut changed = false;
-            for v in 0..n {
-                let list = self.consistent(v, state.owned[v], state.decided[v]);
-                let mut count = 0usize;
-                let mut union = 0u64;
-                let mut inter = !0u64;
-                for &(m, iv) in list.iter() {
-                    if iv.contains(alpha) {
-                        count += 1;
-                        union |= m;
-                        inter &= m;
-                    }
+    /// endpoint. Returns `false` on a refuted vertex (no consistent
+    /// mask).
+    ///
+    /// Passes run over the vertices in index order, folding only the
+    /// `dirty` ones — those whose edges another vertex oriented since
+    /// their last fold. Skipping the rest changes nothing: a vertex's
+    /// own forced orientations keep exactly the masks it folded, so a
+    /// second fold would force nothing and count the same.
+    fn propagate(&self, state: &mut OrientationState, mut dirty: u64) -> bool {
+        while dirty != 0 {
+            for v in 0..self.an.n {
+                if dirty >> v & 1 == 0 {
+                    continue;
                 }
+                dirty &= !(1u64 << v);
+                let (count, union, inter) = self.fold(v, state);
                 if count == 0 {
                     return false;
                 }
+                state.count[v] = count;
                 let und = self.an.rows[v] & !state.decided[v];
-                if und == 0 {
-                    continue;
-                }
                 let mut must = inter & und; // v buys these or nothing fits
-                while must != 0 {
-                    let b = must.trailing_zeros() as usize;
-                    must &= must - 1;
-                    state.orient(v, b);
-                    changed = true;
-                }
                 let mut cant = und & !union; // v never buys: the other end must
-                while cant != 0 {
-                    let b = cant.trailing_zeros() as usize;
-                    cant &= cant - 1;
-                    state.orient(b, v);
-                    changed = true;
+                dirty |= must | cant;
+                while must != 0 {
+                    state.orient(v, must.trailing_zeros() as usize);
+                    must &= must - 1;
                 }
-            }
-            if !changed {
-                return true;
+                while cant != 0 {
+                    state.orient(cant.trailing_zeros() as usize, v);
+                    cant &= cant - 1;
+                }
             }
         }
+        true
     }
 
-    /// Propagate, then branch fail-first on an undecided edge of the
-    /// vertex with the fewest α-allowed consistent masks.
-    fn search(&mut self, state: &mut OrientationState, alpha: Ratio) -> bool {
-        if !self.propagate(state, alpha) {
+    /// Propagate from the `dirty` vertices, then branch fail-first on an
+    /// undecided edge of the vertex with the fewest consistent admissible
+    /// masks.
+    fn search(&self, state: &mut OrientationState, dirty: u64) -> bool {
+        if !self.propagate(state, dirty) {
             return false;
         }
-        let n = self.an.n;
-        // Most-constrained undecided vertex (fail-first ordering).
-        let mut pick: Option<(usize, usize)> = None; // (allowed count, vertex)
-        for v in 0..n {
+        // Most-constrained undecided vertex (fail-first ordering); at the
+        // fixpoint every vertex's last fold count is current.
+        let mut pick: Option<(u32, usize)> = None; // (mask count, vertex)
+        for v in 0..self.an.n {
             if self.an.rows[v] & !state.decided[v] == 0 {
                 continue;
             }
-            let list = self.consistent(v, state.owned[v], state.decided[v]);
-            let count = list.iter().filter(|(_, iv)| iv.contains(alpha)).count();
+            let count = state.count[v];
             if pick.is_none_or(|(c, _)| count < c) {
                 pick = Some((count, v));
             }
@@ -630,9 +638,9 @@ impl<'a> OrientationSolver<'a> {
         };
         let b = (self.an.rows[v] & !state.decided[v]).trailing_zeros() as usize;
         for (buyer, other) in [(v, b), (b, v)] {
-            let mut child = state.clone();
+            let mut child = *state;
             child.orient(buyer, other);
-            if self.search(&mut child, alpha) {
+            if self.search(&mut child, 1u64 << buyer | 1u64 << other) {
                 *state = child;
                 return true;
             }
@@ -1155,46 +1163,12 @@ mod tests {
         }
     }
 
-    /// Probe sequence covering every cell the support set can have:
-    /// all table endpoints, the midpoints between them, a point below
-    /// the first and one beyond the last.
-    fn probe_grid(ucg: &UcgAnalyzer) -> Vec<Ratio> {
-        let mut endpoints: Vec<Ratio> = Vec::new();
-        for t in &ucg.tables {
-            for (_, iv) in t.iter() {
-                if iv.lo > Ratio::ZERO {
-                    endpoints.push(iv.lo);
-                }
-                if let Threshold::Finite(h) = iv.hi {
-                    if h > Ratio::ZERO {
-                        endpoints.push(h);
-                    }
-                }
-            }
-        }
-        if endpoints.is_empty() {
-            endpoints.push(Ratio::ONE);
-        }
-        endpoints.sort();
-        endpoints.dedup();
-        let mut probes = vec![endpoints[0] / Ratio::from(2)];
-        for (k, &e) in endpoints.iter().enumerate() {
-            if k > 0 {
-                probes.push(Ratio::midpoint(endpoints[k - 1], e));
-            }
-            probes.push(e);
-        }
-        probes.push(*endpoints.last().unwrap() + Ratio::ONE);
-        probes.retain(|&p| p > Ratio::ZERO);
-        probes
-    }
-
     /// The propagating solver and the backtracking oracle must agree on
     /// supportability at every probe, and any witness either returns
     /// must actually support the graph.
     fn assert_solver_matches_oracle(g: &Graph) {
         let ucg = UcgAnalyzer::new(g).unwrap();
-        for p in probe_grid(&ucg) {
+        for p in ucg.support_probes(ClosedInterval::ALL) {
             let new = ucg.find_orientation(p);
             let old = ucg.find_orientation_oracle(p);
             assert_eq!(new.is_some(), old.is_some(), "{g:?} at alpha={p}");
@@ -1205,17 +1179,6 @@ mod tests {
                     g,
                     "invalid witness for {g:?} at alpha={p}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn propagating_solver_matches_oracle_exhaustively() {
-        // Every connected graph on up to 7 vertices: identical
-        // supportability at every best-response table endpoint cell.
-        for n in 2..=7 {
-            for g in bnf_enumerate::connected_graphs(n) {
-                assert_solver_matches_oracle(&g);
             }
         }
     }
@@ -1265,7 +1228,7 @@ mod tests {
             for g in bnf_enumerate::connected_graphs(n) {
                 let ucg = UcgAnalyzer::new(&g).unwrap();
                 let ivs = ucg.support_intervals();
-                for p in probe_grid(&ucg) {
+                for p in ucg.support_probes(ClosedInterval::ALL) {
                     let in_support = ivs.iter().any(|iv| iv.contains(p));
                     assert_eq!(
                         in_support,
