@@ -1184,6 +1184,17 @@ mod tests {
     }
 
     #[test]
+    fn propagating_solver_matches_oracle_exhaustively() {
+        // Every connected graph on up to 7 vertices: identical
+        // supportability at every best-response table endpoint cell.
+        for n in 2..=7 {
+            for g in bnf_enumerate::connected_graphs(n) {
+                assert_solver_matches_oracle(&g);
+            }
+        }
+    }
+
+    #[test]
     fn propagating_solver_matches_oracle_on_named_graphs() {
         // The named atlas exhibits within the solver's practical order:
         // Petersen, the octahedron and the 8-star.
