@@ -3,6 +3,9 @@
 //! [`DeltaCalc`] window bodies, the per-wish-set best-response fold and
 //! the edge-by-edge backtracker they replaced, over every connected
 //! graph up to order 7 (order 8 behind `--ignored`, run in release).
+//! Solver against backtracker at order ≤ 7 runs once, in
+//! `ucg::tests::propagating_solver_matches_oracle_exhaustively`, through
+//! the same [`assert_solver_matches_oracle`] the order-8 run uses.
 //!
 //! [`DeltaCalc`]: crate::DeltaCalc
 
@@ -20,7 +23,7 @@ use crate::{UcgAnalyzer, WindowRecord};
 /// Probes covering every cell a window can have: each positive
 /// endpoint, the midpoints between neighbours, a point below the first
 /// and one beyond the last.
-fn probes(endpoints: impl IntoIterator<Item = Ratio>) -> Vec<Ratio> {
+pub(crate) fn probes(endpoints: impl IntoIterator<Item = Ratio>) -> Vec<Ratio> {
     let mut e: Vec<Ratio> = endpoints.into_iter().filter(|&x| x > Ratio::ZERO).collect();
     if e.is_empty() {
         e.push(Ratio::ONE);
@@ -79,7 +82,7 @@ fn assert_kernels_match(g: &Graph, scratch: &mut BfsScratch) {
     }
 
     assert_tables_match(g);
-    assert_solver_matches(g, necessary);
+    assert_clip_keeps_support(g, necessary);
 }
 
 /// Every (vertex, owned set) entry of the ranked tables equals the
@@ -107,11 +110,10 @@ fn assert_tables_match(g: &Graph) {
     }
 }
 
-/// The orientation solver against the backtracking oracle: the
-/// necessary-window probe sequence (a single point probed once, for most
-/// graphs) reports the full support set, every probe of the generic
-/// sequence agrees on supportability, and every witness is valid.
-fn assert_solver_matches(g: &Graph, necessary: Option<ClosedInterval>) {
+/// The necessary window is a valid clip: probing only inside it (a
+/// single point probed once, for most graphs) reports the full support
+/// set.
+fn assert_clip_keeps_support(g: &Graph, necessary: Option<ClosedInterval>) {
     let ucg = UcgAnalyzer::new(g).expect("connected graph in the UCG domain");
     let full = ucg.support_intervals();
     match necessary {
@@ -122,7 +124,38 @@ fn assert_solver_matches(g: &Graph, necessary: Option<ClosedInterval>) {
         ),
         None => assert!(full.is_empty(), "{g:?}: supportable without a window"),
     }
-    for p in ucg.support_probes(ClosedInterval::ALL) {
+}
+
+/// [`probes`] around every endpoint of every vertex's best-response
+/// table, read entry by entry through
+/// [`UcgAnalyzer::best_response_window`] — built apart from the probe
+/// sequence `support_intervals` uses, so a probe that sequence drops
+/// still gets checked.
+pub(crate) fn table_probes(ucg: &UcgAnalyzer, g: &Graph) -> Vec<Ratio> {
+    let mut ends = Vec::new();
+    for v in 0..g.order() {
+        let row = g.neighbor_bits(v);
+        let mut o = row;
+        loop {
+            if let Some(iv) = ucg.best_response_window(v, o) {
+                ends.push(iv.lo);
+                ends.extend(iv.hi.finite());
+            }
+            if o == 0 {
+                break;
+            }
+            o = (o - 1) & row;
+        }
+    }
+    probes(ends)
+}
+
+/// The orientation solver against the backtracking oracle at every
+/// [`table_probes`] point: both agree on supportability and every
+/// witness either returns is valid.
+pub(crate) fn assert_solver_matches_oracle(g: &Graph) {
+    let ucg = UcgAnalyzer::new(g).expect("connected graph in the UCG domain");
+    for p in table_probes(&ucg, g) {
         let witness = ucg.find_orientation(p);
         let oracle = ucg.find_orientation_oracle(p);
         assert_eq!(witness.is_some(), oracle.is_some(), "{g:?} at alpha={p}");
@@ -172,6 +205,9 @@ fn kernels_match_oracles_through_order_7() {
 #[ignore = "exhaustive over the 11 117 connected order-8 graphs; run in release"]
 fn kernels_match_oracles_at_order_8() {
     assert_order(8);
+    for g in bnf_enumerate::connected_graphs(8) {
+        assert_solver_matches_oracle(&g);
+    }
 }
 
 #[test]

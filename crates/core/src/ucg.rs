@@ -434,7 +434,7 @@ impl UcgAnalyzer {
     /// A single positive point `clip` yields that point alone without
     /// reading the tables: every endpoint inside it equals the point, and
     /// there is no point below it or beyond it.
-    pub(crate) fn support_probes(&self, clip: ClosedInterval) -> Vec<Ratio> {
+    fn support_probes(&self, clip: ClosedInterval) -> Vec<Ratio> {
         if clip.lo > Ratio::ZERO && clip.hi == Threshold::Finite(clip.lo) {
             return vec![clip.lo];
         }
@@ -998,6 +998,7 @@ pub(crate) fn necessary_window_oracle(g: &Graph) -> Option<ClosedInterval> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::equivalence::{assert_solver_matches_oracle, table_probes};
 
     fn r(n: i64) -> Ratio {
         Ratio::from(n)
@@ -1163,30 +1164,11 @@ mod tests {
         }
     }
 
-    /// The propagating solver and the backtracking oracle must agree on
-    /// supportability at every probe, and any witness either returns
-    /// must actually support the graph.
-    fn assert_solver_matches_oracle(g: &Graph) {
-        let ucg = UcgAnalyzer::new(g).unwrap();
-        for p in ucg.support_probes(ClosedInterval::ALL) {
-            let new = ucg.find_orientation(p);
-            let old = ucg.find_orientation_oracle(p);
-            assert_eq!(new.is_some(), old.is_some(), "{g:?} at alpha={p}");
-            for owners in [new, old].into_iter().flatten() {
-                let profile = bnf_games::StrategyProfile::supporting_unilateral(g, &owners);
-                assert_eq!(
-                    &profile.induced_graph(bnf_games::GameKind::Unilateral),
-                    g,
-                    "invalid witness for {g:?} at alpha={p}"
-                );
-            }
-        }
-    }
-
     #[test]
     fn propagating_solver_matches_oracle_exhaustively() {
         // Every connected graph on up to 7 vertices: identical
-        // supportability at every best-response table endpoint cell.
+        // supportability at every best-response table endpoint cell,
+        // and valid witnesses.
         for n in 2..=7 {
             for g in bnf_enumerate::connected_graphs(n) {
                 assert_solver_matches_oracle(&g);
@@ -1239,7 +1221,7 @@ mod tests {
             for g in bnf_enumerate::connected_graphs(n) {
                 let ucg = UcgAnalyzer::new(&g).unwrap();
                 let ivs = ucg.support_intervals();
-                for p in ucg.support_probes(ClosedInterval::ALL) {
+                for p in table_probes(&ucg, &g) {
                     let in_support = ivs.iter().any(|iv| iv.contains(p));
                     assert_eq!(
                         in_support,
