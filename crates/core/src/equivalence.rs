@@ -23,7 +23,7 @@ use crate::{UcgAnalyzer, WindowRecord};
 /// Probes covering every cell a window can have: each positive
 /// endpoint, the midpoints between neighbours, a point below the first
 /// and one beyond the last.
-pub(crate) fn probes(endpoints: impl IntoIterator<Item = Ratio>) -> Vec<Ratio> {
+fn probes(endpoints: impl IntoIterator<Item = Ratio>) -> Vec<Ratio> {
     let mut e: Vec<Ratio> = endpoints.into_iter().filter(|&x| x > Ratio::ZERO).collect();
     if e.is_empty() {
         e.push(Ratio::ONE);
