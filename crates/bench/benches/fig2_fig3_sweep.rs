@@ -2,7 +2,8 @@
 //! topologies × α grid × exact equilibrium tests, scheduled by
 //! `bnf_engine::AnalysisEngine`) plus the aggregation passes. These are
 //! the numbers the figure binaries actually pay — the bench and the
-//! binaries share the same `SweepJob`.
+//! binaries share the same orchestrated window sweep and grid
+//! post-pass.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

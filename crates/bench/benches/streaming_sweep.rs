@@ -54,7 +54,7 @@ fn bench_streaming_sweep(c: &mut Criterion) {
             ))
         })
     });
-    let stats = bnf_stream::stream_connected(8, 1, &|_, _| true);
+    let stats = bnf_stream::for_each_connected_stats(8, |_, _| {});
     group.report_metric(
         "candidates_per_survivor/8",
         stats.prune.candidates_per_survivor(),

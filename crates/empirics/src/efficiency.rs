@@ -200,11 +200,7 @@ mod tests {
         // The orchestrated scan against the same fold over the
         // materialized reference catalogue.
         let alphas = [Ratio::new(1, 2), Ratio::ONE, Ratio::from(3)];
-        let reference = WindowSweep {
-            n: 6,
-            records: bnf_engine::AnalysisEngine::new(2)
-                .run_connected(6, &crate::sweep::WindowJob::default()),
-        };
+        let reference = crate::per_alpha::reference_sweep(6);
         let mat = efficiency_scan_windows(&reference, &alphas);
         let stream = efficiency_rows(6, &alphas, 2);
         assert_eq!(stream.topologies, mat.topologies);

@@ -15,8 +15,8 @@
 //! O(|grid|) memory, whatever the catalogue size. The price of anarchy
 //! of an equilibrium pair is one f64 division of exact integers
 //! (see [`GridFold`]); per α, records are added in catalogue order, so
-//! every f64 aggregate is bit-identical to the per-α reference
-//! [`SweepResult::run_per_alpha`].
+//! every f64 aggregate is bit-identical to the legacy per-α
+//! classification, which this crate's tests keep as an oracle.
 
 use std::fmt;
 use std::ops::Range;
@@ -527,8 +527,7 @@ fn unsort<T: Clone + Default>(order: &[usize], sorted: Vec<T>) -> Vec<T> {
 
 /// Evaluates an α grid over a windows-first sweep: the [`GridFold`] of
 /// its records, producing the same per-α aggregates — every f64 bit for
-/// bit — that [`SweepResult::run_per_alpha`] computes by classifying
-/// per grid point.
+/// bit — that classifying every topology per grid point computes.
 pub fn evaluate(windows: &WindowSweep, alphas: &[Ratio]) -> SweepResult {
     let mut fold = GridFold::new(windows.n, alphas);
     for rec in &windows.records {

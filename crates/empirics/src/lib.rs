@@ -50,15 +50,17 @@ pub mod cycles;
 pub mod efficiency;
 pub mod gallery;
 pub mod grid;
+#[cfg(test)]
+mod per_alpha;
 pub mod sweep;
 pub mod tables;
 
 use bnf_games::Ratio;
 
 pub use bounds::{prop3_series, prop4_rows, window_top_poa, LowerBoundRow, UpperBoundRow};
-// Re-exported so the executor keeps its pre-engine `empirics` path; the
-// implementation lives in `bnf-engine` now.
-pub use bnf_engine::{default_threads, parallel_map};
+// Re-exported so the sweep configs' thread default keeps its
+// pre-engine `empirics` path; the implementation lives in `bnf-engine`.
+pub use bnf_engine::default_threads;
 pub use cycles::{lemma6_rows, CycleRow};
 pub use efficiency::{
     efficiency_rows, efficiency_scan_windows, EfficiencyRow, EfficiencyScan, MinimizerShape,
@@ -66,8 +68,7 @@ pub use efficiency::{
 pub use gallery::{extended_gallery, figure1_gallery, GalleryEntry};
 pub use grid::{GridFold, GridSpec, GridSpecError, MAX_GRID_COMPONENT, MAX_GRID_POINTS};
 pub use sweep::{
-    stable_catalog, EquilibriumStats, GraphRecord, SweepConfig, SweepJob, SweepResult, WindowJob,
-    WindowSweep,
+    stable_catalog, EquilibriumStats, SweepConfig, SweepResult, WindowJob, WindowSweep,
 };
 pub use tables::{fmt_stat, render_csv, render_table};
 
@@ -200,7 +201,7 @@ struct SweepFlags {
 }
 
 impl SweepFlags {
-    fn parse(n: usize, args: &[String]) -> Result<SweepFlags, CliError> {
+    fn parse(args: &[String]) -> Result<SweepFlags, CliError> {
         let usage = |m: &str| Err(CliError::Usage(m.to_owned()));
         // `ShardMeta` stores range indices as u32.
         let max_ranges = u32::MAX as usize;
@@ -239,7 +240,6 @@ impl SweepFlags {
                 usage("--shard (one process of a fleet) and --shards are mutually exclusive")
             }
             (Some(_), false) => usage("--shard writes a segment store: pass --atlas <segment>"),
-            (Some(_), _) if n < 2 => usage("--shard needs n >= 2 (a parent frontier to split)"),
             (None, false) if flags.resume => {
                 usage("--resume recovers ranges from the interrupted run's store: pass --atlas")
             }
@@ -255,9 +255,9 @@ impl SweepFlags {
 /// the pruning counters, atlas hit counts and peak RSS to stderr.
 ///
 /// One flow serves every mode. A store that already covers `n` replays
-/// warm, an order below 2 classifies directly, and everything else runs
-/// the orchestrator ([`WindowSweep::run_selected`]) over a
-/// [`RangeSelection`] of the frontier partition:
+/// warm, and everything else runs the orchestrator
+/// ([`WindowSweep::run_selected`]) over a [`RangeSelection`] of the
+/// frontier partition:
 ///
 /// * no range flag — every range of the automatic split; with
 ///   `--atlas`, the fresh records are appended once, in engine order,
@@ -287,7 +287,7 @@ impl SweepFlags {
 /// `--shards` — print one `error:` line and exit with status 2; a store
 /// that cannot be opened, appended to or committed exits with status 1.
 pub fn run_window_sweep_cli(n: usize, threads: usize, args: &[String]) -> WindowSweep {
-    let flags = SweepFlags::parse(n, args).unwrap_or_else(|e| e.exit());
+    let flags = SweepFlags::parse(args).unwrap_or_else(|e| e.exit());
     sweep_cli(n, threads.max(1), flags).unwrap_or_else(|e| e.exit())
 }
 
@@ -340,11 +340,11 @@ fn sweep_cli(n: usize, threads: usize, flags: SweepFlags) -> Result<WindowSweep,
     }
 
     // What runs: nothing to partition when the store replays the order
-    // warm (a fleet process always classifies its block) or the order
-    // has no frontier; otherwise one selection of the partition.
+    // warm (a fleet process always classifies its block); otherwise one
+    // selection of the partition.
     let warm = block.is_none() && atlas.as_ref().is_some_and(|a| a.coverage(n).is_some());
     let mut prior_runs = 0;
-    let selection = (!warm && n >= 2).then(|| {
+    let selection = (!warm).then(|| {
         let base = block.cloned().unwrap_or_else(|| {
             let auto = bnf_engine::auto_range_count(threads);
             RangeSelection::all(flags.shards.flatten().unwrap_or(auto))
@@ -368,8 +368,7 @@ fn sweep_cli(n: usize, threads: usize, flags: SweepFlags) -> Result<WindowSweep,
     eprintln!(
         "classifying all connected topologies on n={n} vertices ({}{})...",
         match &selection {
-            None if warm => "replaying the stored catalogue".to_owned(),
-            None => "no parent frontier below n=2".to_owned(),
+            None => "replaying the stored catalogue".to_owned(),
             Some(sel) => format!(
                 "{threads} worker thread(s) stealing {} of {} frontier ranges",
                 sel.indices().count(),
@@ -395,7 +394,12 @@ fn sweep_cli(n: usize, threads: usize, flags: SweepFlags) -> Result<WindowSweep,
     let replay_served = replayed.is_some();
     let (mut windows, orch) = match (&selection, replayed) {
         (None, Some(records)) => (WindowSweep { n, records }, None),
-        (None, None) => (WindowSweep::run(n, threads, atlas.as_ref()), None),
+        // A covered store whose replay fails is only a cache miss.
+        (None, None) => {
+            let (windows, stats) =
+                WindowSweep::run_orchestrated(n, threads, None, atlas.as_ref(), |_| {});
+            (windows, Some(stats))
+        }
         (Some(selection), _) => {
             // Range commits append through the store while workers read
             // it, so lookups go through a second, read-only handle: its
@@ -456,10 +460,10 @@ fn sweep_cli(n: usize, threads: usize, flags: SweepFlags) -> Result<WindowSweep,
 
     // The report is rendered *from the manifest* (bnf-obs), so the
     // stderr lines and the --report-json numbers cannot disagree.
-    let path = match (&orch, warm) {
-        (Some(_), _) => "orchestrated",
-        (None, true) => "replay",
-        (None, false) => "trivial",
+    let path = if orch.is_some() {
+        "orchestrated"
+    } else {
+        "replay"
     };
     let stats = orch.as_ref().map(|o| &o.stats);
     let mut manifest = build_sweep_manifest(n, path, elapsed_ms, &windows, stats);

@@ -18,21 +18,17 @@
 //! finer Figure 2/3 axes cost O(records · log|grid| + equilibrium pairs)
 //! time and O(|grid|) memory, never a re-classification. A
 //! [`SweepResult`] is the per-α aggregate table that fold produces; it
-//! holds no per-record data. The original per-α job survives as
-//! [`SweepJob`] / [`SweepResult::run_per_alpha`], the reference
-//! implementation the equivalence tests compare against bit for bit.
+//! holds no per-record data. The original per-α job survives only as a
+//! test oracle inside this crate, the reference the equivalence tests
+//! compare the fold against bit for bit.
 
 use bnf_atlas::ClassificationAtlas;
-use bnf_core::{
-    stability_window_with, transfer_stability_window_with, ucg_necessary_window_with, UcgAnalyzer,
-    WindowRecord,
-};
+use bnf_core::{stability_window_with, WindowRecord};
 use bnf_engine::{
     default_threads, Analysis, AnalysisEngine, OrchestratorStats, RangeSegment, RangeSelection,
     WorkerScratch,
 };
-use bnf_enumerate::connected_graphs;
-use bnf_games::{poa_of_summary, CostSummary, GameKind, Ratio};
+use bnf_games::{GameKind, Ratio};
 use bnf_graph::Graph;
 
 /// Configuration of an empirical sweep.
@@ -77,22 +73,6 @@ impl SweepConfig {
             threads: default_threads(),
         }
     }
-}
-
-/// Per-topology classification across the α grid.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GraphRecord {
-    /// Number of edges `|A|`.
-    pub edges: u64,
-    /// Exact ordered-pair distance total `Σ_{i,j} d(i,j)`.
-    pub total_distance: u64,
-    /// Pairwise stable in the BCG at `alphas[k]`?
-    pub bcg_stable: Vec<bool>,
-    /// Nash-supportable in the UCG at `alphas[k]`?
-    pub ucg_nash: Vec<bool>,
-    /// Pairwise stable **with transfers** at `alphas[k]`? (The paper's
-    /// future-work extension; see `bnf_core::is_transfer_stable`.)
-    pub transfer_stable: Vec<bool>,
 }
 
 /// Running totals over one game's equilibrium set at one α: what the
@@ -245,9 +225,7 @@ impl WindowSweep {
     /// ([`ClassificationAtlas::mark_complete`] after a prior full
     /// sweep), the whole catalogue is replayed from the store in engine
     /// order and the enumerator never runs — the warm-run fast path.
-    /// Orders below 2 have no parent frontier and classify the
-    /// materialized catalogue ([`AnalysisEngine::run_connected`]). The
-    /// caller owns appending fresh records (and the coverage marker)
+    /// The caller owns appending fresh records (and the coverage marker)
     /// back to the atlas.
     ///
     /// # Panics
@@ -260,7 +238,7 @@ impl WindowSweep {
 
     /// [`WindowSweep::run`] plus the enumeration's unsharded-equivalent
     /// [`StreamStats`](bnf_stream::StreamStats) when the orchestrator
-    /// ran (`None` on the atlas-replay and trivially-small paths) — the
+    /// ran (`None` on the atlas-replay path) — the
     /// canonical-construction pruning counters the sweep diagnostics
     /// report.
     ///
@@ -274,10 +252,6 @@ impl WindowSweep {
     ) -> (WindowSweep, Option<bnf_stream::StreamStats>) {
         assert_sweep_cap(n);
         if let Some(records) = atlas.and_then(|a| a.complete_sweep(n)) {
-            return (WindowSweep { n, records }, None);
-        }
-        if n < 2 {
-            let records = AnalysisEngine::new(threads).run_connected(n, &WindowJob { atlas });
             return (WindowSweep { n, records }, None);
         }
         let (windows, stats) = Self::run_orchestrated(n, threads, None, atlas, |_| {});
@@ -295,8 +269,8 @@ impl WindowSweep {
     ///
     /// # Panics
     ///
-    /// Panics if `n` exceeds [`crate::max_sweep_n`] or `n <= 1`;
-    /// propagates panics from `on_segment`.
+    /// Panics if `n` exceeds [`crate::max_sweep_n`]; propagates panics
+    /// from `on_segment`.
     pub fn run_orchestrated<W>(
         n: usize,
         threads: usize,
@@ -319,9 +293,9 @@ impl WindowSweep {
     ///
     /// # Panics
     ///
-    /// Panics if `n` exceeds [`crate::max_sweep_n`], `n <= 1`, or the
-    /// selection does not fit the rebuilt frontier; propagates panics
-    /// from `on_segment`.
+    /// Panics if `n` exceeds [`crate::max_sweep_n`] or the selection
+    /// does not fit the rebuilt frontier; propagates panics from
+    /// `on_segment`.
     pub fn run_selected<W>(
         n: usize,
         threads: usize,
@@ -352,73 +326,11 @@ fn assert_sweep_cap(n: usize) {
     );
 }
 
-/// The legacy per-α classification job: equilibrium membership of one
-/// topology across a *fixed* α grid, re-deriving window membership per
-/// grid point.
-///
-/// Kept as the independent reference implementation: every
-/// [`WindowRecord`] predicate must reproduce its flags, and the grid
-/// fold its aggregates, bit for bit (`tests/grid_postpass.rs`) — which
-/// is what certifies the windows as exact rather than approximations.
-#[derive(Debug, Clone)]
-pub struct SweepJob {
-    /// The link-cost grid each topology is classified against.
-    pub alphas: Vec<Ratio>,
-}
-
-impl Analysis for SweepJob {
-    type Output = GraphRecord;
-
-    fn classify(&self, g: &Graph, scratch: &mut WorkerScratch) -> GraphRecord {
-        let alphas = &self.alphas;
-        let edges = g.edge_count() as u64;
-        let total_distance = g
-            .total_distance_with(&mut scratch.bfs)
-            .expect("enumeration yields connected graphs");
-        let window = stability_window_with(g, &mut scratch.bfs);
-        let bcg_stable = alphas
-            .iter()
-            .map(|&a| window.is_some_and(|w| w.contains(a)))
-            .collect();
-        let twindow = transfer_stability_window_with(g, &mut scratch.bfs);
-        let transfer_stable = alphas
-            .iter()
-            .map(|&a| twindow.is_some_and(|w| w.contains(a)))
-            .collect();
-        // Fast necessary check first (the paper's Section 5 footnote), full
-        // orientation solve only where it passes.
-        let necessary = ucg_necessary_window_with(g, &mut scratch.bfs);
-        let ucg_nash = match necessary {
-            None => vec![false; alphas.len()],
-            Some(nec) => {
-                if alphas.iter().any(|&a| nec.contains(a)) {
-                    let solver = UcgAnalyzer::new(g)
-                        .expect("enumerated sweep graphs are connected and small");
-                    alphas
-                        .iter()
-                        .map(|&a| nec.contains(a) && solver.is_nash_supportable(a))
-                        .collect()
-                } else {
-                    vec![false; alphas.len()]
-                }
-            }
-        };
-        GraphRecord {
-            edges,
-            total_distance,
-            bcg_stable,
-            ucg_nash,
-            transfer_stable,
-        }
-    }
-}
-
 impl SweepResult {
     /// Enumerates and classifies all connected topologies on
     /// `config.n` vertices into α-independent [`WindowRecord`]s
     /// ([`WindowSweep::run`]), and evaluates the config's α grid as a
-    /// post-pass. Identical aggregates to the legacy per-α path
-    /// ([`SweepResult::run_per_alpha`]), bit for bit.
+    /// post-pass.
     ///
     /// # Panics
     ///
@@ -428,64 +340,6 @@ impl SweepResult {
     pub fn run(config: &SweepConfig) -> SweepResult {
         let windows = WindowSweep::run(config.n, config.threads, None);
         crate::grid::evaluate(&windows, &config.alphas)
-    }
-
-    /// The legacy reference path: classifies every topology directly
-    /// against the α grid with [`SweepJob`], re-deriving window
-    /// membership per grid point, then aggregates with the per-α loop
-    /// (one [`poa_of_summary`] per equilibrium pair). Quadratic in
-    /// (topologies × grid) the way the windows-first fold is not —
-    /// exists so equivalence tests can certify the fold, and for A/B
-    /// timing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.n` exceeds [`crate::max_sweep_n`].
-    pub fn run_per_alpha(config: &SweepConfig) -> SweepResult {
-        assert_sweep_cap(config.n);
-        let engine = AnalysisEngine::new(config.threads);
-        let job = SweepJob {
-            alphas: config.alphas.clone(),
-        };
-        let records = engine.run_connected(config.n, &job);
-        let alphas = &config.alphas;
-        let series = |flag: fn(&GraphRecord, usize) -> bool, kind: GameKind| {
-            alphas
-                .iter()
-                .enumerate()
-                .map(|(k, &alpha)| {
-                    let mut totals = SeriesTotals::default();
-                    for r in records.iter().filter(|r| flag(r, k)) {
-                        let summary = CostSummary {
-                            order: config.n,
-                            edges: r.edges,
-                            total_distance: Some(r.total_distance),
-                            kind,
-                        };
-                        totals.add(r.edges, poa_of_summary(&summary, alpha));
-                    }
-                    totals
-                })
-                .collect()
-        };
-        SweepResult {
-            n: config.n,
-            alphas: alphas.clone(),
-            topologies: records.len(),
-            bilateral: series(|r, k| r.bcg_stable[k], GameKind::Bilateral),
-            unilateral: series(|r, k| r.ucg_nash[k], GameKind::Unilateral),
-            // Transfers move money between the pair, not in or out: the
-            // bilateral social cost.
-            transfer: series(|r, k| r.transfer_stable[k], GameKind::Bilateral),
-            violations: (0..alphas.len())
-                .map(|k| {
-                    records
-                        .iter()
-                        .filter(|r| r.ucg_nash[k] && !r.bcg_stable[k])
-                        .count()
-                })
-                .collect(),
-        }
     }
 
     fn series_stats(&self, series: &[SeriesTotals]) -> Vec<EquilibriumStats> {
@@ -549,16 +403,23 @@ pub fn stable_catalog(n: usize, alpha: Ratio) -> Vec<Graph> {
         "catalogues beyond n={cap} need a deliberate opt-in (set BNF_MAX_N)"
     );
     assert!(alpha > Ratio::ZERO, "link cost must be positive");
-    let graphs = connected_graphs(n);
-    let engine = AnalysisEngine::with_default_threads();
-    let stable = engine.map(&graphs, |g, s| {
-        stability_window_with(g, &mut s.bfs).is_some_and(|w| w.contains(alpha))
-    });
-    graphs
-        .into_iter()
-        .zip(stable)
-        .filter_map(|(g, keep)| keep.then_some(g))
-        .collect()
+    let (stable, _) = AnalysisEngine::with_default_threads()
+        .run_connected_streaming_keyed_orchestrated(n, None, &StableAt(alpha), |_| {});
+    stable.into_iter().flatten().collect()
+}
+
+/// The [`stable_catalog`] job: keeps a topology iff its BCG stability
+/// window contains the link cost.
+struct StableAt(Ratio);
+
+impl Analysis for StableAt {
+    type Output = Option<Graph>;
+
+    fn classify(&self, g: &Graph, scratch: &mut WorkerScratch) -> Option<Graph> {
+        stability_window_with(g, &mut scratch.bfs)
+            .is_some_and(|w| w.contains(self.0))
+            .then(|| g.clone())
+    }
 }
 
 #[cfg(test)]
@@ -617,10 +478,7 @@ mod tests {
             alphas: vec![Ratio::new(1, 2), Ratio::ONE, Ratio::from(3)],
             threads: 2,
         };
-        let reference = WindowSweep {
-            n: config.n,
-            records: AnalysisEngine::new(2).run_connected(config.n, &WindowJob::default()),
-        };
+        let reference = crate::per_alpha::reference_sweep(config.n);
         let mat = crate::grid::evaluate(&reference, &config.alphas);
         let stream = SweepResult::run(&config);
         assert_eq!(stream, mat, "aggregate tables must match bit for bit");
@@ -637,17 +495,42 @@ mod tests {
     }
 
     #[test]
-    fn trivial_orders_classify_without_a_frontier() {
-        // n ∈ {0, 1} has no parent frontier: `run` falls back to the
-        // materialized catalogue, one record each, with no stats.
+    fn trivial_orders_run_through_the_orchestrator() {
+        // n ∈ {0, 1}: the one-graph frontier is orchestrated like any
+        // other order — one record equal to the materialized oracle's,
+        // and the serial enumeration's stats.
         for n in [0usize, 1] {
             let (windows, stats) = WindowSweep::run_with_stats(n, 2, None);
-            assert!(stats.is_none(), "n={n}");
+            let stats = stats.expect("a cold sweep reports its enumeration stats");
+            let serial = bnf_stream::for_each_connected_stats(n, |_, _| {});
+            assert_eq!(stats.level_sizes, vec![1], "n={n}");
+            assert_eq!(stats.level_sizes, serial.level_sizes, "n={n}");
+            assert_eq!(stats.prune, serial.prune, "n={n}");
             assert_eq!(windows.n, n);
             assert_eq!(windows.records.len(), 1, "n={n}");
-            let reference = AnalysisEngine::new(1).run_connected(n, &WindowJob::default());
-            assert_eq!(windows.records, reference, "n={n}");
+            let reference = crate::per_alpha::reference_sweep(n);
+            assert_eq!(windows.records, reference.records, "n={n}");
             assert_eq!(windows.records[0].order as usize, n);
+        }
+    }
+
+    #[test]
+    fn stable_catalog_matches_the_materialized_filter() {
+        // The orchestrated catalogue keeps exactly the graphs the plain
+        // filter over the materialized catalogue keeps, in its order.
+        for n in 0..=7 {
+            let graphs = bnf_enumerate::connected_graphs(n);
+            let mut scratch = bnf_graph::BfsScratch::new();
+            for alpha in SweepConfig::standard(n).alphas {
+                let expect: Vec<Graph> = graphs
+                    .iter()
+                    .filter(|g| {
+                        stability_window_with(g, &mut scratch).is_some_and(|w| w.contains(alpha))
+                    })
+                    .cloned()
+                    .collect();
+                assert_eq!(stable_catalog(n, alpha), expect, "n={n} alpha={alpha}");
+            }
         }
     }
 

@@ -6,15 +6,19 @@
 
 use bnf_empirics::build_sweep_manifest;
 use bnf_empirics::sweep::{WindowJob, WindowSweep};
-use bnf_engine::AnalysisEngine;
+use bnf_engine::{Analysis, WorkerScratch};
 use bnf_obs::RunManifest;
 
 const N: usize = 7;
 
-/// The references: the materialized catalogue and the serial
-/// enumeration's ground-truth `StreamStats`.
+/// The references: the materialized catalogue classified in a plain
+/// loop, and the serial enumeration's ground-truth `StreamStats`.
 fn unsharded() -> (WindowSweep, bnf_stream::StreamStats) {
-    let records = AnalysisEngine::new(2).run_connected(N, &WindowJob::default());
+    let mut scratch = WorkerScratch::new();
+    let records = bnf_enumerate::connected_graphs(N)
+        .iter()
+        .map(|g| WindowJob::default().classify(g, &mut scratch))
+        .collect();
     let stats = bnf_stream::for_each_connected_stats(N, |_, _| {});
     (WindowSweep { n: N, records }, stats)
 }

@@ -16,7 +16,7 @@ use std::sync::Mutex;
 /// # Panics
 ///
 /// Propagates panics from `f` (the scope join resumes the unwind).
-pub fn parallel_map_with<T, R, S, I, F>(items: &[T], threads: usize, init: I, f: F) -> Vec<R>
+pub(crate) fn parallel_map_with<T, R, S, I, F>(items: &[T], threads: usize, init: I, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -62,8 +62,8 @@ where
 }
 
 /// Applies `f` to every item on `threads` worker threads, preserving
-/// input order in the output. Scratch-free convenience over
-/// [`parallel_map_with`].
+/// input order in the output — the scratch-free form of the chunked
+/// stealing scheduler behind [`crate::AnalysisEngine::map`].
 ///
 /// # Panics
 ///

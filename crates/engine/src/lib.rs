@@ -11,26 +11,24 @@
 //!
 //! The engine fuses three concerns the jobs would otherwise duplicate:
 //!
-//! * **Enumeration** — [`AnalysisEngine::run_connected`] classifies the
-//!   materialized connected-topology catalogue from `bnf-enumerate`
-//!   (the reference path, also used for orders below 2), while the
-//!   **orchestrator**
-//!   ([`AnalysisEngine::run_connected_streaming_keyed_orchestrated`])
-//!   classifies during enumeration without ever materializing the graph
-//!   list: it builds the level-`n − 1` parent frontier once with
-//!   `bnf-stream`'s canonical-construction pruned augmentation (each
-//!   isomorphism class emitted exactly once, no dedup set), oversplits
-//!   it into ≈ [`DEFAULT_OVERSPLIT`]× more ranges than threads, and lets
-//!   workers steal whole ranges while a single writer streams completed
-//!   [`RangeSegment`]s to the caller. Every cold sweep runs here;
+//! * **Enumeration** — the **orchestrator**
+//!   ([`AnalysisEngine::run_connected_streaming_keyed_orchestrated`]) is
+//!   the one enumeration path: it classifies during enumeration without
+//!   ever materializing the graph list. It builds the level-`n − 1`
+//!   parent frontier once with `bnf-stream`'s canonical-construction
+//!   pruned augmentation (each isomorphism class emitted exactly once,
+//!   no dedup set), oversplits it into ≈ [`DEFAULT_OVERSPLIT`]× more
+//!   ranges than threads, and lets workers steal whole ranges while a
+//!   single writer streams completed [`RangeSegment`]s to the caller.
+//!   Every cold sweep, catalogue and count runs here;
 //!   [`AnalysisEngine::run_connected_selected`] runs a
 //!   [`RangeSelection`] of the partition (one process's block of a
 //!   multi-process fleet, or the ranges a resumed run still owes).
 //! * **Work-stealing execution** — a chunked atomic-counter scheduler
 //!   over [`std::thread::scope`] workers (no external thread-pool
-//!   dependency) for explicit item lists ([`AnalysisEngine::run_on`],
-//!   [`AnalysisEngine::map`]); the orchestrator steals whole frontier
-//!   ranges instead.
+//!   dependency) for explicit item lists ([`AnalysisEngine::map`],
+//!   [`parallel_map`]); the orchestrator steals whole frontier ranges
+//!   instead.
 //! * **Per-worker scratch reuse** — each worker owns one
 //!   [`WorkerScratch`] for its whole lifetime, so the BFS/distance hot
 //!   path runs allocation-free instead of re-allocating frontier
@@ -55,8 +53,10 @@
 //! }
 //!
 //! let engine = AnalysisEngine::new(2);
-//! let records = engine.run_connected(5, &Census);
+//! let (records, stats) =
+//!     engine.run_connected_streaming_keyed_orchestrated(5, None, &Census, |_segment| {});
 //! assert_eq!(records.len(), 21); // connected graphs on 5 vertices
+//! assert_eq!(stats.emitted(), 21);
 //! ```
 
 #![warn(missing_docs)]
@@ -67,7 +67,7 @@ mod orchestrator;
 mod pipeline;
 mod scratch;
 
-pub use executor::{default_threads, parallel_map, parallel_map_with};
+pub use executor::{default_threads, parallel_map};
 pub use orchestrator::{
     auto_range_count, OrchestratorStats, RangeSegment, RangeSelection, DEFAULT_OVERSPLIT,
 };

@@ -19,28 +19,32 @@
 //! range serially ([`bnf_stream::ParentFrontier::stream_range`]),
 //! classifies inline with its own [`WorkerScratch`], tag-sorts the
 //! segment, and hands it to a single writer — the calling thread —
-//! through a [`BoundedQueue`]. The writer surfaces every completed
-//! segment to the caller's `on_segment` callback (where `bnf-empirics`
-//! appends records and per-range shard provenance into one
-//! `ClassificationAtlas`, the in-process analogue of
-//! `merge_segments`), then merges all segments and re-sorts by the
+//! through a bounded [`std::sync::mpsc::sync_channel`]. The writer
+//! surfaces every completed segment to the caller's `on_segment`
+//! callback (where `bnf-empirics` appends records and per-range shard
+//! provenance into one `ClassificationAtlas`, the in-process analogue
+//! of `merge_segments`), then merges all segments and re-sorts by the
 //! engine's `(edge count, leading canonical word)` tag, so the final
 //! output order — and therefore every downstream float summation — is
-//! byte-identical to the materialized reference
-//! [`crate::AnalysisEngine::run_connected`].
+//! the deterministic `(edge count, canonical key)` order of
+//! `bnf_enumerate::connected_graphs`, whatever the thread count or
+//! range split. Orders 0 and 1 run the same way over their one-graph
+//! frontier.
 //!
-//! Failure: a panic in any range (or in the writer callback) closes the
-//! queue, which unblocks every other participant, and propagates to the
-//! caller once the scope joins — segments already written stay (the
-//! atlas is append-only and resumable), but control never reaches
-//! coverage declaration, so a poisoned run is visibly incomplete rather
-//! than silently short.
+//! Failure: a panicking worker raises a stop flag so its siblings steal
+//! no further ranges, and a panicking writer callback drops the
+//! receiver, which fails every blocked or later send; either way the
+//! panic propagates to the caller once the scope joins — segments
+//! already written stay (the atlas is append-only and resumable), but
+//! control never reaches coverage declaration, so a poisoned run is
+//! visibly incomplete rather than silently short.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::sync_channel;
 use std::time::Instant;
 
-use bnf_stream::{BoundedQueue, ParentFrontier, PruneCounters, ShardSpec, StreamStats};
+use bnf_stream::{ParentFrontier, PruneCounters, ShardSpec, StreamStats};
 
 use crate::pipeline::{assert_sort_tag_exact, Analysis};
 use crate::scratch::WorkerScratch;
@@ -167,13 +171,13 @@ pub struct RangeSegment<'a, T> {
 /// What an orchestrated run did: the unsharded-equivalent
 /// [`StreamStats`] totals plus the orchestration shape.
 ///
-/// `stats` is constructed to equal the [`StreamStats`] of an unsharded
-/// `stream_connected` run *exactly* — frontier level sizes from the
-/// single build, final level summed over ranges, and pruning counters
-/// as the one frontier share plus the summed per-range final shares —
-/// which is what makes `candidates_per_survivor` and the counter
-/// diagnostics comparable across the unsharded, multi-process, and
-/// orchestrated paths.
+/// `stats` is constructed to equal the [`StreamStats`] of the serial
+/// `bnf_stream::for_each_connected_stats` *exactly* — frontier level
+/// sizes from the single build, final level summed over ranges, and
+/// pruning counters as the one frontier share plus the summed
+/// per-range final shares — which is what makes
+/// `candidates_per_survivor` and the counter diagnostics comparable
+/// across the serial, multi-process, and orchestrated paths.
 #[derive(Debug, Clone)]
 pub struct OrchestratorStats {
     /// Unsharded-equivalent per-level sizes and pruning counters.
@@ -213,21 +217,14 @@ struct Segment<T> {
     records: Vec<T>,
 }
 
-/// Closes the segment queue when a worker leaves: immediately if the
-/// worker is unwinding (cancelling the run so neither the writer nor a
-/// sibling blocked on a full queue can deadlock), otherwise only when
-/// this was the last live worker (a per-worker unconditional close
-/// would starve the siblings still producing).
-struct WorkerExit<'q, T> {
-    queue: &'q BoundedQueue<Segment<T>>,
-    live: &'q AtomicUsize,
-    clean: bool,
-}
+/// Raises the run's stop flag if its worker unwinds, so the siblings
+/// steal no further ranges for a run that is already lost.
+struct StopOnPanic<'a>(&'a AtomicBool);
 
-impl<T> Drop for WorkerExit<'_, T> {
+impl Drop for StopOnPanic<'_> {
     fn drop(&mut self) {
-        if !self.clean || self.live.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.queue.close();
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Relaxed);
         }
     }
 }
@@ -257,8 +254,7 @@ where
         selection.span
     );
     let span = &selection.span;
-    // The one frontier build of the whole run (ParentFrontier::build
-    // rejects n < 2 — trivial orders have no frontier to orchestrate).
+    // The one frontier build of the whole run.
     let frontier = ParentFrontier::build(n, threads);
     let frontier_len = frontier.len() as u64;
     if let Some(stored) = selection.frontier_len {
@@ -272,9 +268,13 @@ where
     }
     let frontier_prune = frontier.frontier_prune();
 
-    let queue: BoundedQueue<Segment<A::Output>> = BoundedQueue::new(threads * 2);
+    let (sender, receiver) = sync_channel::<Segment<A::Output>>(threads * 2);
     let next = AtomicUsize::new(span.start);
-    let live = AtomicUsize::new(threads);
+    let stop = AtomicBool::new(false);
+    // Segments sent and not yet received (blocked sends included): the
+    // writer backlog the telemetry reports.
+    let in_flight = AtomicUsize::new(0);
+    let backlog_high_water = AtomicUsize::new(0);
 
     let mut merged: Vec<((usize, u64), A::Output)> = Vec::new();
     let mut emitted_total = 0u64;
@@ -283,15 +283,14 @@ where
 
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|| {
-                let mut exit = WorkerExit {
-                    queue: &queue,
-                    live: &live,
-                    clean: false,
-                };
+            let sender = sender.clone();
+            let (frontier, next, stop) = (&frontier, &next, &stop);
+            let (in_flight, backlog_high_water) = (&in_flight, &backlog_high_water);
+            scope.spawn(move || {
+                let _stop_on_panic = StopOnPanic(stop);
                 let mut scratch = WorkerScratch::new();
                 let mut stolen = 0u64;
-                loop {
+                while !stop.load(Ordering::Relaxed) {
                     let index = next.fetch_add(1, Ordering::Relaxed);
                     if index >= span.end {
                         break;
@@ -319,44 +318,51 @@ where
                         tags,
                         records,
                     };
-                    // A failed push means some participant panicked and
-                    // closed the queue — stop stealing instead of
+                    let depth = in_flight.fetch_add(1, Ordering::Relaxed) + 1;
+                    backlog_high_water.fetch_max(depth, Ordering::Relaxed);
+                    // A failed send means the writer panicked and dropped
+                    // the receiver — stop stealing instead of
                     // enumerating for nobody.
-                    if !queue.push(segment) {
+                    if sender.send(segment).is_err() {
                         break;
                     }
                 }
                 // The steal-balance histogram: a lopsided distribution
                 // means the oversplit is too coarse for this frontier.
                 bnf_obs::Recorder::global().record_hist("ranges_per_worker", stolen);
-                exit.clean = true;
             });
         }
-        // The calling thread is the single writer. Its guard closes the
-        // queue if `on_segment` panics, so no worker can stay blocked on
-        // a full queue while the scope waits to join it.
-        let _guard = queue.close_guard();
-        while let Some(segment) = queue.pop() {
-            on_segment(RangeSegment {
-                index: segment.index,
-                ranges,
-                frontier_len,
-                frontier_prune,
-                parent_lo: segment.lo as u64,
-                parent_hi: segment.hi as u64,
-                emitted: segment.emitted,
-                elapsed_ms: segment.elapsed_ms,
-                final_prune: segment.final_prune,
-                records: &segment.records,
-            });
-            let recorder = bnf_obs::Recorder::global();
-            recorder.record_hist("range_wall_ms", segment.elapsed_ms);
-            recorder.record_hist("range_emitted", segment.emitted);
-            emitted_total += segment.emitted;
-            final_prune.merge(&segment.final_prune);
-            segments += 1;
-            merged.extend(segment.tags.into_iter().zip(segment.records));
-        }
+        // Only the workers' clones may keep the channel open, so the
+        // writer's loop ends when the last worker leaves.
+        drop(sender);
+        // The calling thread is the single writer. This closure owns the
+        // receiver: if `on_segment` panics, unwinding drops it before the
+        // scope joins, so no worker stays blocked on a full channel.
+        let write = || {
+            for segment in receiver {
+                in_flight.fetch_sub(1, Ordering::Relaxed);
+                on_segment(RangeSegment {
+                    index: segment.index,
+                    ranges,
+                    frontier_len,
+                    frontier_prune,
+                    parent_lo: segment.lo as u64,
+                    parent_hi: segment.hi as u64,
+                    emitted: segment.emitted,
+                    elapsed_ms: segment.elapsed_ms,
+                    final_prune: segment.final_prune,
+                    records: &segment.records,
+                });
+                let recorder = bnf_obs::Recorder::global();
+                recorder.record_hist("range_wall_ms", segment.elapsed_ms);
+                recorder.record_hist("range_emitted", segment.emitted);
+                emitted_total += segment.emitted;
+                final_prune.merge(&segment.final_prune);
+                segments += 1;
+                merged.extend(segment.tags.into_iter().zip(segment.records));
+            }
+        };
+        write();
     });
 
     debug_assert_eq!(
@@ -365,7 +371,10 @@ where
         "selection did not close"
     );
     let _ = segments;
-    bnf_obs::Recorder::global().record_max("writer_backlog_high_water", queue.high_water() as u64);
+    bnf_obs::Recorder::global().record_max(
+        "writer_backlog_high_water",
+        backlog_high_water.into_inner() as u64,
+    );
     bnf_obs::Recorder::global().time("sort", || merged.sort_by_key(|t| t.0));
     let mut stats = StreamStats {
         level_sizes: frontier.level_sizes().to_vec(),
@@ -572,17 +581,31 @@ mod tests {
     }
 
     #[test]
-    fn trivial_orders_are_rejected() {
+    fn trivial_orders_orchestrate_their_single_graph() {
+        // n ∈ {0, 1}: the one-graph frontier runs through the same
+        // steal loop, matches the materialized catalogue, and reports
+        // the serial enumeration's StreamStats exactly.
         for n in [0usize, 1] {
-            let caught = std::panic::catch_unwind(|| {
-                AnalysisEngine::new(1).run_connected_streaming_keyed_orchestrated(
-                    n,
-                    None,
-                    &Tagged,
-                    |_| {},
-                )
-            });
-            assert!(caught.is_err(), "n={n} has no frontier to orchestrate");
+            let whole: Vec<(usize, String)> = bnf_enumerate::connected_graphs(n)
+                .iter()
+                .map(|g| (g.edge_count(), g.to_graph6()))
+                .collect();
+            let serial = bnf_stream::for_each_connected_stats(n, |_, _| {});
+            for (threads, ranges) in [(1usize, None), (3, Some(1)), (2, Some(5))] {
+                let mut segments = 0;
+                let (out, stats) = AnalysisEngine::new(threads)
+                    .run_connected_streaming_keyed_orchestrated(n, ranges, &Tagged, |seg| {
+                        assert_eq!(seg.frontier_len, 1);
+                        segments += 1;
+                    });
+                let label = format!("n={n} threads={threads} ranges={ranges:?}");
+                assert_eq!(out, whole, "{label}");
+                assert_eq!(segments, stats.ranges, "{label}");
+                assert_eq!(stats.frontier_len, 1, "{label}");
+                assert_eq!(stats.stats.level_sizes, vec![1], "{label}");
+                assert_eq!(stats.stats.level_sizes, serial.level_sizes, "{label}");
+                assert_eq!(stats.stats.prune, serial.prune, "{label}");
+            }
         }
     }
 }

@@ -1,6 +1,5 @@
 //! The [`Analysis`] job trait and the [`AnalysisEngine`] runner.
 
-use bnf_enumerate::connected_graphs;
 use bnf_graph::Graph;
 
 use crate::executor::{default_threads, parallel_map_with};
@@ -31,7 +30,7 @@ pub(crate) fn assert_sort_tag_exact(n: usize) {
 ///
 /// Implementations must be pure per item (no cross-item state): the
 /// engine classifies items in an unspecified interleaving across
-/// workers, only the *output* order is guaranteed to match the input.
+/// workers; only the *output* order is deterministic.
 pub trait Analysis: Sync {
     /// The per-graph classification record.
     type Output: Send;
@@ -94,18 +93,6 @@ impl AnalysisEngine {
         self.threads
     }
 
-    /// Enumerates all connected non-isomorphic topologies on `n`
-    /// vertices (canonical forms, deduplicated, deterministic order) and
-    /// classifies each one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > 10` (enumeration bound) and propagates panics from
-    /// the job.
-    pub fn run_connected<A: Analysis>(&self, n: usize, job: &A) -> Vec<A::Output> {
-        self.run_on(&connected_graphs(n), job)
-    }
-
     /// The orchestrator over every range: builds the level-`n − 1`
     /// parent frontier **once**, oversplits it into `ranges` contiguous
     /// parent ranges (`None` → [`crate::auto_range_count`], ≈ 16× the
@@ -116,16 +103,16 @@ impl AnalysisEngine {
     /// in completion order.
     ///
     /// Returns all outputs in the engine's deterministic `(edge count,
-    /// canonical key)` order — identical to
-    /// [`AnalysisEngine::run_connected`] — plus [`OrchestratorStats`]
-    /// whose totals equal the unsharded `bnf_stream::StreamStats`
-    /// exactly.
+    /// canonical key)` order — the order of
+    /// `bnf_enumerate::connected_graphs(n)`, for every `n <= 10`
+    /// including the one-graph orders 0 and 1 — plus
+    /// [`OrchestratorStats`] whose totals equal the serial
+    /// `bnf_stream::for_each_connected_stats` exactly.
     ///
     /// # Panics
     ///
-    /// Panics if `n > 10` or `n <= 1` (no parent frontier — use
-    /// [`AnalysisEngine::run_connected`]); propagates panics from the
-    /// job, the producer, and `on_segment`.
+    /// Panics if `n > 10`; propagates panics from the job, the
+    /// producer, and `on_segment`.
     pub fn run_connected_streaming_keyed_orchestrated<A, W>(
         &self,
         n: usize,
@@ -167,16 +154,9 @@ impl AnalysisEngine {
         crate::orchestrator::run_orchestrated(self.threads, n, selection, job, on_segment)
     }
 
-    /// Classifies an explicit graph list (gallery exhibits, counter-
-    /// example families, …), preserving its order.
-    pub fn run_on<A: Analysis>(&self, graphs: &[Graph], job: &A) -> Vec<A::Output> {
-        parallel_map_with(graphs, self.threads, WorkerScratch::new, |g, s| {
-            job.classify(g, s)
-        })
-    }
-
-    /// Runs an arbitrary per-item function with per-worker scratch —
-    /// for jobs whose items are not graphs (cycle lengths, α grids).
+    /// Runs an arbitrary per-item function with per-worker scratch over
+    /// an explicit item list (cycle lengths, gallery exhibits),
+    /// preserving its order.
     pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -191,6 +171,7 @@ impl AnalysisEngine {
 mod tests {
     use super::*;
     use crate::orchestrator::DEFAULT_OVERSPLIT;
+    use bnf_enumerate::connected_graphs;
     use bnf_stream::{for_each_connected_stats, ShardSpec};
 
     struct EdgeCount;
@@ -208,23 +189,21 @@ mod tests {
             .0
     }
 
-    #[test]
-    fn run_connected_matches_enumeration() {
-        let engine = AnalysisEngine::new(4);
-        let counts = engine.run_connected(6, &EdgeCount);
-        assert_eq!(counts.len(), 112); // A001349(6)
-                                       // Deterministic enumeration order: sorted by edge count first.
-        assert!(counts.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(*counts.first().unwrap(), 5); // a tree
-        assert_eq!(*counts.last().unwrap(), 15); // K6
+    /// The independent oracle: `job.classify` over the materialized
+    /// catalogue, in its order, on one scratch.
+    fn oracle<A: Analysis>(n: usize, job: &A) -> Vec<A::Output> {
+        let mut scratch = WorkerScratch::new();
+        connected_graphs(n)
+            .iter()
+            .map(|g| job.classify(g, &mut scratch))
+            .collect()
     }
 
     #[test]
     fn streaming_matches_materializing_exactly() {
-        // The orchestrator reproduces the materialized reference's
+        // The orchestrator reproduces the materialized catalogue's
         // outputs in the same order — the property the empirics
-        // byte-match guarantee rests on. (Orders below 2 have no
-        // frontier; `trivial_orders_are_rejected` covers them.)
+        // byte-match guarantee rests on — from the one-graph orders up.
         struct Census;
         impl Analysis for Census {
             type Output = (usize, Option<u64>);
@@ -232,11 +211,11 @@ mod tests {
                 (g.edge_count(), g.total_distance_with(&mut s.bfs))
             }
         }
-        for n in 2..8 {
+        for n in 0..8 {
             let engine = AnalysisEngine::new(3);
             assert_eq!(
                 orchestrated(&engine, n, &Census),
-                engine.run_connected(n, &Census),
+                oracle(n, &Census),
                 "n={n}"
             );
         }
@@ -281,12 +260,9 @@ mod tests {
     #[test]
     fn keyed_default_falls_back_to_classify() {
         // A job that does not override classify_keyed behaves exactly
-        // like the unkeyed reference.
+        // like the unkeyed oracle.
         let engine = AnalysisEngine::new(2);
-        assert_eq!(
-            orchestrated(&engine, 5, &EdgeCount),
-            engine.run_connected(5, &EdgeCount)
-        );
+        assert_eq!(orchestrated(&engine, 5, &EdgeCount), oracle(5, &EdgeCount));
     }
 
     #[test]
@@ -314,7 +290,7 @@ mod tests {
             }
         }
         let engine = AnalysisEngine::new(3);
-        let mut expect = engine.run_connected(7, &Tagged);
+        let mut expect = oracle(7, &Tagged);
         expect.sort();
         for count in [1usize, 3, 4] {
             let mut merged = Vec::new();
@@ -359,8 +335,11 @@ mod tests {
     fn streaming_single_thread() {
         let engine = AnalysisEngine::new(1);
         let counts = orchestrated(&engine, 6, &EdgeCount);
-        assert_eq!(counts.len(), 112);
+        assert_eq!(counts.len(), 112); // A001349(6)
+                                       // Deterministic enumeration order: sorted by edge count first.
         assert!(counts.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(*counts.first().unwrap(), 5); // a tree
+        assert_eq!(*counts.last().unwrap(), 15); // K6
     }
 
     #[test]
@@ -378,25 +357,6 @@ mod tests {
             orchestrated(&AnalysisEngine::new(1), 5, &Boom);
         });
         assert!(caught.is_err(), "classifier panic must reach the caller");
-    }
-
-    #[test]
-    fn run_on_preserves_order_and_uses_scratch() {
-        struct TotalDistance;
-        impl Analysis for TotalDistance {
-            type Output = Option<u64>;
-            fn classify(&self, g: &Graph, scratch: &mut WorkerScratch) -> Option<u64> {
-                g.total_distance_with(&mut scratch.bfs)
-            }
-        }
-        let graphs = vec![
-            Graph::complete(4),
-            Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap(),
-            Graph::empty(3),
-        ];
-        let engine = AnalysisEngine::new(2);
-        let totals = engine.run_on(&graphs, &TotalDistance);
-        assert_eq!(totals, vec![Some(12), Some(20), None]);
     }
 
     #[test]

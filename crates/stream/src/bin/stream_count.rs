@@ -8,23 +8,26 @@
 //! Usage: `stream_count --n 10 [--threads T] [--shards auto|R]
 //! [--checkpoint PATH [--resume]] [--expect 11716571] [--report-json PATH]`
 //!
-//! `--shards auto` (or an explicit range count) switches to the
-//! in-process orchestrated path: the parent
-//! frontier is built **once**, oversplit into ranges, and worker threads
-//! steal ranges off an atomic counter — the enumeration-only twin of the
-//! sweep binaries' orchestrator, and the cheapest way to verify the
-//! work-stolen partition reproduces the whole count. Trivial orders
-//! (`n < 2`) have no frontier and fall back to the plain path.
+//! The count runs the same partition as the sweep binaries'
+//! orchestrator: the parent frontier ([`bnf_stream::ParentFrontier`]) is
+//! built **once**, cut into `--shards` ranges (`auto`, the default, is
+//! 16 per worker thread), and worker threads steal ranges off an atomic
+//! counter, summing emissions and per-range pruning counters. Orders 0
+//! and 1 have a one-graph frontier and run the same way. The count
+//! keeps its own loop rather than the engine's classify runner: it
+//! needs neither a per-graph sort tag nor a graph6 key, which at
+//! `n = 10` would cost ~190 MB and a key render per graph.
 //!
-//! `--checkpoint PATH` makes the orchestrated count crash-safe: every
-//! completed range appends one fsynced line (index, emitted, pruning
-//! counters) to a plain-text sidecar. `--resume` re-reads that sidecar
-//! after a crash — a torn final line (the write the kill interrupted) is
-//! dropped and reported — checks its partition against the rebuilt
-//! frontier, folds the recovered ranges' counts in, and enumerates only
-//! the missing ranges. The sweep binaries get the same behaviour from
-//! their `--atlas` store; `stream_count` has no store, hence the
-//! sidecar.
+//! `--checkpoint PATH` makes the count crash-safe: every completed range
+//! appends one fsynced line (index, emitted, pruning counters) to a
+//! plain-text sidecar. `--resume` re-reads that sidecar after a crash —
+//! a torn final line (the write the kill interrupted) is dropped and
+//! reported — checks its partition against the rebuilt frontier, folds
+//! the recovered ranges' counts in, and enumerates only the missing
+//! ranges. The sweep binaries get the same behaviour from their
+//! `--atlas` store; `stream_count` has no store, hence the sidecar. A
+//! sidecar that cannot be read or does not describe this run's
+//! partition prints one `error:` line and exits 1.
 //!
 //! With `--expect`, a count mismatch exits non-zero — the regression
 //! gate. The counter report goes to stdout in `key: value` lines so CI
@@ -32,10 +35,12 @@
 //! writes the versioned [`bnf_obs::RunManifest`] with the same
 //! counters plus spans and histograms.
 
+use std::io::Write;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-use bnf_stream::{stream_connected, ParentFrontier, PruneCounters, ShardSpec, StreamStats};
+use bnf_stream::{ParentFrontier, PruneCounters, ShardSpec, StreamStats};
 
 fn arg_value(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -49,6 +54,14 @@ fn arg_value(args: &[String], name: &str) -> Option<String> {
 fn usage_error(message: &str) -> ! {
     eprintln!("error: {message}");
     std::process::exit(2)
+}
+
+/// Prints one `error:` line and exits 1: the file-error convention of
+/// the sweep binaries, for a checkpoint that cannot be read, written or
+/// trusted.
+fn file_error(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(1)
 }
 
 /// Parses a present flag value, or exits with a usage error — a
@@ -66,6 +79,10 @@ fn parsed<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
 /// partition shape.
 const OVERSPLIT: usize = 16;
 
+/// The largest range count: the sweep binaries' `--shards` bound (their
+/// `ShardMeta` stores range indices as `u32`).
+const MAX_RANGES: usize = u32::MAX as usize;
+
 /// One completed range recovered from a checkpoint sidecar: its index,
 /// emission count, and final-level pruning counters — everything needed
 /// to fold the range into the totals without re-enumerating it.
@@ -81,6 +98,8 @@ struct Recovered {
     ranges: usize,
     frontier_len: u64,
     done: Vec<DoneRange>,
+    /// Bytes of the file up to and including its last newline.
+    clean_len: u64,
     /// Bytes of the torn final line the interrupting kill left behind.
     dropped_bytes: u64,
 }
@@ -93,64 +112,62 @@ const CHECKPOINT_MAGIC: &str = "bnfckpt 1";
 /// `done <index> <emitted> <c> <o> <ch> <s> <d>` line per completed
 /// range. A final line without its newline is the write the kill
 /// interrupted — dropped and counted, never trusted. Anything malformed
-/// *before* the tail is a hard error: a checkpoint is tiny and
+/// *before* the tail is an error: a checkpoint is tiny and
 /// hand-inspectable, so mid-file garbage means the wrong file, not a
 /// crash artifact.
-fn load_checkpoint(path: &str, n: usize) -> Option<Recovered> {
+fn load_checkpoint(path: &str, n: usize) -> Result<Option<Recovered>, String> {
     let bytes = match std::fs::read(path) {
         Ok(b) if !b.is_empty() => b,
-        Ok(_) => return None,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
-        Err(e) => panic!("cannot read checkpoint {path}: {e}"),
+        Ok(_) => return Ok(None),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(format!("cannot read checkpoint {path}: {e}")),
     };
     let text = std::str::from_utf8(&bytes)
-        .unwrap_or_else(|e| panic!("checkpoint {path} is not valid UTF-8: {e}"));
-    let (complete, dropped_bytes) = match text.rfind('\n') {
-        // Everything after the last newline is the torn tail.
-        Some(last) => (&text[..=last], (text.len() - last - 1) as u64),
-        None => ("", text.len() as u64),
+        .map_err(|e| format!("checkpoint {path} is not valid UTF-8: {e}"))?;
+    // Everything after the last newline is the torn tail.
+    let clean_len = text.rfind('\n').map_or(0, |last| last + 1);
+    let mut lines = text[..clean_len].lines();
+    let Some(header) = lines.next() else {
+        return Ok(None); // only a torn header: nothing was ever committed
     };
-    let mut lines = complete.lines();
-    let header = lines.next()?;
-    let mut fields = header.split_whitespace();
-    assert_eq!(
-        (fields.next(), fields.next()),
-        {
-            let mut magic = CHECKPOINT_MAGIC.split_whitespace();
-            (magic.next(), magic.next())
-        },
-        "checkpoint {path}: unrecognized header {header:?}"
-    );
-    let field = |key: &str| -> u64 {
-        let mut fields = header.split_whitespace();
+    let fields: Vec<&str> = header.split_whitespace().collect();
+    if fields.len() != 5 || fields[..2].join(" ") != CHECKPOINT_MAGIC {
+        return Err(format!("checkpoint {path}: unrecognized header {header:?}"));
+    }
+    let field = |key: &str| -> Result<u64, String> {
         fields
+            .iter()
             .find_map(|f| f.strip_prefix(key)?.strip_prefix('=')?.parse().ok())
-            .unwrap_or_else(|| panic!("checkpoint {path}: header lacks {key}=: {header:?}"))
+            .ok_or_else(|| format!("checkpoint {path}: header lacks {key}=: {header:?}"))
     };
-    assert_eq!(
-        field("n") as usize,
-        n,
-        "checkpoint {path} belongs to a different order"
-    );
-    let ranges = field("ranges") as usize;
-    let frontier_len = field("frontier_len");
+    let order = field("n")?;
+    if order != n as u64 {
+        return Err(format!(
+            "checkpoint {path} belongs to order {order}, not n={n}"
+        ));
+    }
+    let ranges = field("ranges")?;
+    if !(1..=MAX_RANGES as u64).contains(&ranges) {
+        return Err(format!(
+            "checkpoint {path}: header ranges={ranges} is outside 1..={MAX_RANGES}"
+        ));
+    }
+    let ranges = ranges as usize;
+    let frontier_len = field("frontier_len")?;
     let mut done = Vec::new();
     for line in lines {
-        let nums: Vec<u64> = line
+        let nums: Option<Vec<u64>> = line
             .strip_prefix("done ")
-            .map(|rest| {
-                rest.split_whitespace()
-                    .filter_map(|v| v.parse().ok())
-                    .collect()
-            })
+            .map(|rest| rest.split_whitespace().map(|v| v.parse().ok()).collect())
             .unwrap_or_default();
-        let [index, emitted, c, o, ch, s, d] = nums[..] else {
-            panic!("checkpoint {path}: malformed line {line:?}");
+        let Some(&[index, emitted, c, o, ch, s, d]) = nums.as_deref() else {
+            return Err(format!("checkpoint {path}: malformed line {line:?}"));
         };
-        assert!(
-            (index as usize) < ranges,
-            "checkpoint {path}: range index {index} outside the {ranges}-range partition"
-        );
+        if index >= ranges as u64 {
+            return Err(format!(
+                "checkpoint {path}: range index {index} outside the {ranges}-range partition"
+            ));
+        }
         done.push(DoneRange {
             index: index as usize,
             emitted,
@@ -165,85 +182,90 @@ fn load_checkpoint(path: &str, n: usize) -> Option<Recovered> {
     }
     done.sort_by_key(|r| r.index);
     done.dedup_by_key(|r| r.index);
-    Some(Recovered {
+    Ok(Some(Recovered {
         ranges,
         frontier_len,
         done,
-        dropped_bytes,
-    })
+        clean_len: clean_len as u64,
+        dropped_bytes: (text.len() - clean_len) as u64,
+    }))
 }
 
-/// The orchestrated count: one frontier build, work-stolen ranges, no
+/// Opens the `--checkpoint` sidecar for appending: a cold run truncates
+/// it and stamps the partition header; a resumed run cuts the torn tail
+/// on disk too, so a second resume does not re-drop (and re-report) the
+/// same bytes.
+fn open_checkpoint(
+    path: &str,
+    header: &str,
+    recovered: Option<&Recovered>,
+) -> Result<std::fs::File, String> {
+    let mut file = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+        .map_err(|e| format!("cannot open checkpoint {path}: {e}"))?;
+    match recovered {
+        None => file
+            .set_len(0)
+            .and_then(|()| writeln!(file, "{header}"))
+            .and_then(|()| file.sync_all())
+            .map_err(|e| format!("cannot stamp checkpoint {path}: {e}"))?,
+        Some(r) => file
+            .set_len(r.clean_len)
+            .and_then(|()| file.sync_all())
+            .map_err(|e| format!("cannot truncate torn checkpoint {path}: {e}"))?,
+    }
+    Ok(file)
+}
+
+/// The partitioned count: one frontier build, work-stolen ranges, no
 /// classification — returns the final-level count and the
 /// unsharded-equivalent [`StreamStats`], plus the range count used and
 /// how many ranges a `--resume` recovered without re-enumeration.
 ///
 /// With `checkpoint`, every completed range appends one fsynced line to
 /// the sidecar — the durability point a later `--resume` rebuilds from.
-fn count_orchestrated(
+fn count_ranges(
     n: usize,
     threads: usize,
-    ranges: Option<usize>,
+    ranges: usize,
     checkpoint: Option<&str>,
     resume: bool,
-) -> (u64, StreamStats, usize, usize) {
+) -> Result<(u64, StreamStats, usize, usize), String> {
     let recovered = match (resume, checkpoint) {
-        (true, Some(path)) => load_checkpoint(path, n),
+        (true, Some(path)) => load_checkpoint(path, n)?,
         _ => None,
     };
-    let ranges = match &recovered {
-        // The stored partition wins: range boundaries are a pure
-        // function of (frontier_len, ranges), so resuming must reuse
-        // the interrupted run's cut exactly.
-        Some(r) => r.ranges.max(1),
-        None => ranges
-            .unwrap_or_else(|| threads.max(1).saturating_mul(OVERSPLIT))
-            .max(1),
-    };
+    // The stored partition wins: range boundaries are a pure function of
+    // (frontier_len, ranges), so resuming must reuse the interrupted
+    // run's cut exactly.
+    let ranges = recovered.as_ref().map_or(ranges, |r| r.ranges);
     let frontier = ParentFrontier::build(n, threads);
-    if let Some(r) = &recovered {
-        assert_eq!(
-            r.frontier_len,
-            frontier.len() as u64,
-            "checkpoint was cut from a different n={n} frontier — incompatible build?"
-        );
-    }
-    let sidecar = checkpoint.map(|path| {
-        use std::io::Write;
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .unwrap_or_else(|e| panic!("cannot open checkpoint {path}: {e}"));
-        if recovered.is_none() {
-            // Fresh (or overwritten-cold) run: truncate any stale state
-            // and stamp the partition header first.
-            file.set_len(0)
-                .unwrap_or_else(|e| panic!("cannot reset checkpoint {path}: {e}"));
-            writeln!(
-                file,
-                "{CHECKPOINT_MAGIC} n={n} ranges={ranges} frontier_len={}",
+    if let (Some(r), Some(path)) = (&recovered, checkpoint) {
+        if r.frontier_len != frontier.len() as u64 {
+            return Err(format!(
+                "checkpoint {path} was cut from a different n={n} frontier (stored \
+                 frontier_len={}, rebuilt {}) — incompatible build?",
+                r.frontier_len,
                 frontier.len()
-            )
-            .and_then(|()| file.sync_all())
-            .unwrap_or_else(|e| panic!("cannot stamp checkpoint {path}: {e}"));
-        } else if let Some(r) = &recovered {
-            // Drop the torn tail on disk too, so a second resume does
-            // not re-drop (and re-report) the same bytes.
-            let clean = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0) - r.dropped_bytes;
-            file.set_len(clean)
-                .and_then(|()| file.sync_all())
-                .unwrap_or_else(|e| panic!("cannot truncate torn checkpoint {path}: {e}"));
+            ));
         }
-        std::sync::Mutex::new(file)
-    });
+    }
+    let header = format!(
+        "{CHECKPOINT_MAGIC} n={n} ranges={ranges} frontier_len={}",
+        frontier.len()
+    );
+    let sidecar = checkpoint
+        .map(|path| open_checkpoint(path, &header, recovered.as_ref()).map(Mutex::new))
+        .transpose()?;
     let completed: Vec<usize> = recovered
         .as_ref()
         .map(|r| r.done.iter().map(|d| d.index).collect())
         .unwrap_or_default();
     let next = AtomicUsize::new(0);
     let count = AtomicU64::new(0);
-    let final_prune = std::sync::Mutex::new(PruneCounters::default());
+    let final_prune = Mutex::new(PruneCounters::default());
     std::thread::scope(|scope| {
         for _ in 0..threads.max(1) {
             scope.spawn(|| {
@@ -259,10 +281,9 @@ fn count_orchestrated(
                     }
                     let (lo, hi) = ShardSpec::new(index, ranges).range(frontier.len());
                     let range = frontier.stream_range(lo, hi, |_, _| {});
-                    if let Some(sidecar) = &sidecar {
-                        use std::io::Write;
+                    if let (Some(sidecar), Some(path)) = (&sidecar, checkpoint) {
                         let p = &range.prune;
-                        let mut file = sidecar.lock().unwrap();
+                        let mut file = bnf_stream::sync::lock(sidecar);
                         // One line, then fsync: the range is durably
                         // complete only once its line is on disk.
                         writeln!(
@@ -276,22 +297,19 @@ fn count_orchestrated(
                             p.duplicates,
                         )
                         .and_then(|()| file.sync_all())
-                        .unwrap_or_else(|e| panic!("checkpoint append failed: {e}"));
+                        .unwrap_or_else(|e| {
+                            file_error(&format!("checkpoint {path}: append failed: {e}"))
+                        });
                         // Armed kill point (BNF_FAULT=range_checkpoint:N
                         // [:tear:B]): fires with the line durably on
                         // disk, the worst moment a resume must survive.
-                        if let Some(path) = checkpoint {
-                            bnf_faults::trip_with_file(
-                                "range_checkpoint",
-                                std::path::Path::new(path),
-                            );
-                        }
+                        bnf_faults::trip_with_file("range_checkpoint", std::path::Path::new(path));
                     }
                     local += range.emitted;
                     prune.merge(&range.prune);
                 }
                 count.fetch_add(local, Ordering::Relaxed);
-                final_prune.lock().unwrap().merge(&prune);
+                bnf_stream::sync::lock(&final_prune).merge(&prune);
             });
         }
     });
@@ -304,7 +322,7 @@ fn count_orchestrated(
     // uninterrupted run — recovery changes what was re-enumerated, not
     // what is true.
     let mut count = count.load(Ordering::Relaxed);
-    let mut prune = final_prune.into_inner().unwrap();
+    let mut prune = bnf_stream::sync::lock_into(final_prune);
     for done in recovered.iter().flat_map(|r| &r.done) {
         count += done.emitted;
         prune.merge(&done.prune);
@@ -320,7 +338,7 @@ fn count_orchestrated(
             r.dropped_bytes,
         );
     }
-    (count, stats, ranges, completed.len())
+    Ok((count, stats, ranges, completed.len()))
 }
 
 fn main() -> ExitCode {
@@ -331,7 +349,15 @@ fn main() -> ExitCode {
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1)
     });
-    let shards = arg_value(&args, "--shards");
+    let ranges = match arg_value(&args, "--shards").as_deref() {
+        None | Some("auto") => threads.max(1).saturating_mul(OVERSPLIT),
+        Some(v) => match v.parse() {
+            Ok(r) if (1..=MAX_RANGES).contains(&r) => r,
+            _ => usage_error(&format!(
+                "--shards wants `auto` or a range count from 1 to {MAX_RANGES}, got {v:?}"
+            )),
+        },
+    };
     let expect: Option<u64> = parsed(&args, "--expect");
     let report_json = arg_value(&args, "--report-json");
     let checkpoint = arg_value(&args, "--checkpoint");
@@ -339,9 +365,6 @@ fn main() -> ExitCode {
     if resume && checkpoint.is_none() {
         usage_error("--resume recovers completed ranges from the sidecar: pass --checkpoint PATH");
     }
-    // Checkpointing is per-range, so both flags imply the orchestrated
-    // partition even without an explicit --shards.
-    let orchestrated = (shards.is_some() || checkpoint.is_some() || resume) && n >= 2;
     // Scope the global recorder to this run, then let the enumeration
     // heartbeat report progress against the known connected count.
     bnf_obs::Recorder::global().take();
@@ -349,56 +372,25 @@ fn main() -> ExitCode {
         &format!("n={n} count"),
         bnf_obs::heartbeat::expected_connected(n),
     );
-    let (count, stats, elapsed_ms, used_ranges, recovered_ranges) = if orchestrated {
-        let ranges = match shards.as_deref() {
-            None | Some("auto") => None,
-            Some(v) => Some(v.parse().unwrap_or_else(|_| {
-                usage_error(&format!(
-                    "--shards wants `auto` or a range count, got {v:?}"
-                ))
-            })),
-        };
-        eprintln!(
-            "orchestrating the n={n} enumeration in-process ({threads} worker threads \
-             stealing frontier ranges)..."
-        );
-        let started = std::time::Instant::now();
-        let (count, stats, ranges, recovered) =
-            count_orchestrated(n, threads, ranges, checkpoint.as_deref(), resume);
-        let elapsed = started.elapsed();
-        println!("n: {n}");
-        println!("threads: {threads}");
-        println!("ranges: {ranges}");
-        println!("frontier_builds: 1");
-        if resume {
-            println!("recovered_ranges: {recovered}");
-        }
-        println!("connected_graphs: {count}");
-        println!("elapsed_ms: {}", elapsed.as_millis());
-        (
-            count,
-            stats,
-            elapsed.as_millis() as u64,
-            Some(ranges),
-            resume.then_some(recovered),
-        )
-    } else {
-        eprintln!("enumerating all connected topologies on n={n} vertices ({threads} threads)...");
-        let started = std::time::Instant::now();
-        let count = AtomicU64::new(0);
-        let stats = stream_connected(n, threads, &|_, _| {
-            count.fetch_add(1, Ordering::Relaxed);
-            true
-        });
-        let elapsed = started.elapsed();
-        let count = count.load(Ordering::Relaxed);
-        println!("n: {n}");
-        println!("threads: {threads}");
-        println!("connected_graphs: {count}");
-        println!("elapsed_ms: {}", elapsed.as_millis());
-        (count, stats, elapsed.as_millis() as u64, None, None)
-    };
+    eprintln!(
+        "counting the connected topologies on n={n} vertices ({threads} worker thread(s) \
+         stealing frontier ranges)..."
+    );
+    let started = std::time::Instant::now();
+    let (count, stats, ranges, recovered) =
+        count_ranges(n, threads, ranges, checkpoint.as_deref(), resume)
+            .unwrap_or_else(|e| file_error(&e));
+    let elapsed_ms = started.elapsed().as_millis() as u64;
     bnf_obs::heartbeat::finish();
+    println!("n: {n}");
+    println!("threads: {threads}");
+    println!("ranges: {ranges}");
+    println!("frontier_builds: 1");
+    if resume {
+        println!("recovered_ranges: {recovered}");
+    }
+    println!("connected_graphs: {count}");
+    println!("elapsed_ms: {elapsed_ms}");
     println!("level_sizes: {:?}", stats.level_sizes);
     println!("candidates: {}", stats.prune.candidates);
     println!("orbit_skipped: {}", stats.prune.orbit_skipped);
@@ -411,15 +403,7 @@ fn main() -> ExitCode {
         stats.prune.candidates_per_survivor()
     );
     if let Some(path) = report_json {
-        let mut manifest = bnf_obs::RunManifest::new(
-            "stream_count",
-            n as u32,
-            if orchestrated {
-                "orchestrated"
-            } else {
-                "streaming"
-            },
-        );
+        let mut manifest = bnf_obs::RunManifest::new("stream_count", n as u32, "orchestrated");
         manifest.emitted = count;
         manifest.elapsed_ms = elapsed_ms;
         manifest.peak_rss_kb = bnf_obs::peak_rss_kb();
@@ -428,14 +412,12 @@ fn main() -> ExitCode {
             manifest.set_counter(name, value);
         }
         manifest.set_counter("threads", threads as u64);
-        if let Some(ranges) = used_ranges {
-            manifest.set_counter("ranges", ranges as u64);
-        }
-        if let Some(recovered) = recovered_ranges {
+        manifest.set_counter("ranges", ranges as u64);
+        if resume {
             manifest.set_counter("resume_recovered_ranges", recovered as u64);
             manifest.set_counter(
                 "resume_redone_ranges",
-                used_ranges.unwrap_or(0).saturating_sub(recovered) as u64,
+                ranges.saturating_sub(recovered) as u64,
             );
         }
         manifest.push_metric(

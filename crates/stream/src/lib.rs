@@ -11,38 +11,34 @@
 //!
 //! The pieces:
 //!
-//! * [`stream_connected`] — the parallel producer: workers pull parent
-//!   chunks off an atomic counter and run the **canonical-construction
-//!   pruned** augmentation ([`prune`]): one representative neighbour
-//!   mask per `Aut(parent)`-orbit, a degree-sequence / deleted-vertex
+//! * [`ParentFrontier`] — the one production producer and its sharding
+//!   seam. [`ParentFrontier::build`] constructs the deterministically
+//!   sorted level-`n − 1` frontier **once**, level by level across
+//!   worker threads, with the **canonical-construction pruned**
+//!   augmentation ([`prune`]): one representative neighbour mask per
+//!   `Aut(parent)`-orbit, a degree-sequence / deleted-vertex
 //!   connectivity reject *before* any canonical search, and a
 //!   McKay-style accept rule that emits every isomorphism class from
 //!   exactly one `(parent, mask)` pair — so there is **no dedup set**
 //!   and the canonical search runs only on survivors and invariant
-//!   ties. [`StreamStats`] reports the per-level sizes plus the
-//!   candidate / orbit-skipped / rejected / duplicate counters
-//!   ([`PruneCounters`]) — the reference counters every orchestrated
-//!   sweep's totals are certified against, and what `stream_count`
-//!   prints.
-//! * [`ParentFrontier`] — the sharding seam: the accept rule makes
-//!   children of distinct parents disjoint classes, so any partition of
-//!   the deterministically sorted level-`n − 1` frontier into
-//!   contiguous ranges ([`ShardSpec`]) partitions the emissions
-//!   exactly. [`ParentFrontier::build`] constructs that frontier
-//!   **once**; [`ParentFrontier::stream_range`] then streams any
-//!   `[lo, hi)` parent slice serially and reports per-range
-//!   [`RangeStats`], which is what the orchestrator (`bnf_engine`)
-//!   work-steals over — every cold sweep, including each process of a
-//!   multi-process `--shard` fleet, runs through it.
+//!   ties. The accept rule also makes children of distinct parents
+//!   disjoint classes, so any partition of the frontier into contiguous
+//!   ranges ([`ShardSpec`]) partitions the emissions exactly:
+//!   [`ParentFrontier::stream_range`] streams any `[lo, hi)` parent
+//!   slice serially and reports per-range [`RangeStats`], which is what
+//!   the orchestrator (`bnf_engine`) work-steals over — every cold
+//!   sweep, each process of a multi-process `--shard` fleet, and the
+//!   `stream_count` binary run through it.
+//! * [`for_each_connected_stats`] / [`for_each_connected`] — the serial
+//!   whole-order enumeration. Its [`StreamStats`] (per-level sizes plus
+//!   the candidate / orbit-skipped / rejected / duplicate counters,
+//!   [`PruneCounters`]) are the reference counters every orchestrated
+//!   run's totals are certified against.
 //! * [`prune::augment_connected_parent`] — the per-parent augmentation
 //!   itself, exported so equivalence and property tests can drive
 //!   single parents directly. The pre-pruning generate-all-and-dedup
 //!   path survives as [`for_each_connected_unpruned`], the oracle the
 //!   pruning is certified against.
-//! * [`BoundedQueue`] — a small bounded MPMC channel (the orchestrator
-//!   hands completed ranges to its single writer through it), with
-//!   [`BoundedQueue::close_guard`] so a panicking stage cancels the
-//!   pipeline instead of deadlocking it.
 
 //! # Quickstart
 //!
@@ -50,27 +46,30 @@
 //! list:
 //!
 //! ```
-//! use std::sync::atomic::{AtomicU64, Ordering};
-//! use bnf_stream::stream_connected;
+//! use bnf_stream::for_each_connected_stats;
 //!
-//! let count = AtomicU64::new(0);
-//! let stats = stream_connected(6, 2, &|graph, _key| {
-//!     assert!(graph.is_connected());
-//!     count.fetch_add(1, Ordering::Relaxed);
-//!     true // keep streaming; false cancels the enumeration
+//! let mut edge_histogram = std::collections::BTreeMap::new();
+//! let stats = for_each_connected_stats(6, |g, _key| {
+//!     assert!(g.is_connected());
+//!     *edge_histogram.entry(g.edge_count()).or_insert(0u32) += 1;
 //! });
-//! assert_eq!(count.load(Ordering::Relaxed), 112); // OEIS A001349(6)
+//! assert_eq!(edge_histogram.values().sum::<u32>(), 112); // OEIS A001349(6)
 //! assert_eq!(stats.peak_level(), 112);
 //! ```
 //!
-//! Single-threaded callers with mutable state use the serial twin:
+//! Partitioned runs build the frontier once and stream ranges of it:
 //!
 //! ```
-//! use bnf_stream::for_each_connected;
+//! use bnf_stream::{ParentFrontier, ShardSpec};
 //!
-//! let mut edge_histogram = std::collections::BTreeMap::new();
-//! for_each_connected(5, |g, _| *edge_histogram.entry(g.edge_count()).or_insert(0u32) += 1);
-//! assert_eq!(edge_histogram.values().sum::<u32>(), 21);
+//! let frontier = ParentFrontier::build(6, 2);
+//! let emitted: u64 = (0..4)
+//!     .map(|i| {
+//!         let (lo, hi) = ShardSpec::new(i, 4).range(frontier.len());
+//!         frontier.stream_range(lo, hi, |_, _| {}).emitted
+//!     })
+//!     .sum();
+//! assert_eq!(emitted, 112);
 //! ```
 //!
 //! For classification workloads, prefer the engine seam
@@ -81,14 +80,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod channel;
 mod producer;
 pub mod prune;
 pub mod sync;
 
-pub use channel::{BoundedQueue, CloseGuard};
 pub use producer::{
-    for_each_connected, for_each_connected_stats, for_each_connected_unpruned, stream_connected,
-    ParentFrontier, RangeStats, ShardSpec, StreamStats,
+    for_each_connected, for_each_connected_stats, for_each_connected_unpruned, ParentFrontier,
+    RangeStats, ShardSpec, StreamStats,
 };
 pub use prune::PruneCounters;

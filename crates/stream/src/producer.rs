@@ -31,7 +31,7 @@
 //! implementation the equivalence tests (and A/B measurements) compare
 //! against.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -155,9 +155,11 @@ fn sort_frontier(frontier: &mut [(Graph, CanonKey)]) {
 /// many ranges are cut.
 #[derive(Debug)]
 pub struct ParentFrontier {
+    /// The order `n` whose final level the ranges stream.
+    order: usize,
     parents: Vec<Graph>,
     /// Level sizes of the build: `[1, |level 1|, …, |level n − 2|]`
-    /// (the last entry is the frontier itself).
+    /// (the last entry is the frontier itself; empty for `n <= 1`).
     level_sizes: Vec<u64>,
     /// Pruning counters of levels `1..n − 1` — the frontier-build share.
     prune: PruneCounters,
@@ -181,41 +183,45 @@ impl ParentFrontier {
     /// the augmentation, each sorted by edge count then canonical key)
     /// across up to `threads` workers.
     ///
+    /// Orders 0 and 1 have a single graph and no augmentation level:
+    /// their frontier is that graph itself (length 1, empty
+    /// [`ParentFrontier::level_sizes`], zero pruning counters), which
+    /// [`ParentFrontier::stream_range`] emits as-is.
+    ///
     /// # Panics
     ///
-    /// Panics if `n > 10` (the enumeration bound) or `n <= 1` (no
-    /// parent frontier exists — run [`stream_connected`]).
+    /// Panics if `n > 10` (the enumeration bound).
     pub fn build(n: usize, threads: usize) -> ParentFrontier {
         assert!(
             n <= 10,
             "exhaustive enumeration beyond n=10 is not supported"
         );
-        assert!(
-            n >= 2,
-            "orders below 2 have no parent frontier; use stream_connected"
-        );
+        if n <= 1 {
+            return ParentFrontier {
+                order: n,
+                parents: vec![Graph::empty(n)],
+                level_sizes: Vec::new(),
+                prune: PruneCounters::default(),
+            };
+        }
         let threads = threads.max(1);
         let build_started = Instant::now();
         let mut level_sizes = vec![1u64];
         let mut prune = PruneCounters::default();
         let mut parents = vec![Graph::empty(1)];
-        // Intermediate levels never invoke the sink, so the build needs
-        // neither a real sink nor a cancellation path.
-        let cancelled = AtomicBool::new(false);
-        let no_sink = |_: Graph, _: CanonKey| true;
         for _ in 1..(n - 1) {
             let level_started = Instant::now();
-            let level = advance_level(&parents, threads, false, &no_sink, &cancelled);
-            record_level_rate(level_started, level.prune.candidates);
-            level_sizes.push(level.emitted);
-            prune.merge(&level.prune);
-            let mut merged = level.frontier;
-            sort_frontier(&mut merged);
-            parents = merged.into_iter().map(|(g, _)| g).collect();
+            let (mut next, level_prune) = advance_level(&parents, threads);
+            record_level_rate(level_started, level_prune.candidates);
+            level_sizes.push(next.len() as u64);
+            prune.merge(&level_prune);
+            sort_frontier(&mut next);
+            parents = next.into_iter().map(|(g, _)| g).collect();
         }
         bnf_obs::Recorder::global()
             .add_span_ms("frontier_build", build_started.elapsed().as_millis() as u64);
         ParentFrontier {
+            order: n,
             parents,
             level_sizes,
             prune,
@@ -227,12 +233,13 @@ impl ParentFrontier {
         self.parents.len()
     }
 
-    /// Whether the frontier is empty (never true for `2 <= n <= 10`).
+    /// Whether the frontier is empty (never true for `n <= 10`).
     pub fn is_empty(&self) -> bool {
         self.parents.is_empty()
     }
 
-    /// Level sizes of the build, `[1, …, frontier size]`.
+    /// Level sizes of the build, `[1, …, frontier size]` (empty for
+    /// `n <= 1`, which has no augmentation level).
     pub fn level_sizes(&self) -> &[u64] {
         &self.level_sizes
     }
@@ -249,7 +256,9 @@ impl ParentFrontier {
     /// work the orchestrator's workers steal. Bounds are clamped to the
     /// frontier; children of disjoint ranges are disjoint isomorphism
     /// classes (the canonical-construction accept rule), so any
-    /// partition of `[0, len)` partitions the emissions exactly.
+    /// partition of `[0, len)` partitions the emissions exactly. For
+    /// `n <= 1` the single frontier graph is itself the final level and
+    /// is emitted in canonical form.
     ///
     /// # Panics
     ///
@@ -264,93 +273,50 @@ impl ParentFrontier {
         let mut stats = RangeStats::default();
         for parent in &self.parents[lo..hi] {
             let before = stats.emitted;
-            augment_connected_parent(parent, &mut stats.prune, |form, key| {
+            if self.order <= 1 {
+                let (form, key) = parent.canonical_form_and_key();
                 stats.emitted += 1;
                 visit(form, key);
-            });
+            } else {
+                augment_connected_parent(parent, &mut stats.prune, |form, key| {
+                    stats.emitted += 1;
+                    visit(form, key);
+                });
+            }
             bnf_obs::heartbeat::tick(stats.emitted - before);
         }
         stats
     }
 }
 
-/// One level's outcome: how many children were accepted, the (unsorted)
-/// next frontier when the level was not the last, and the level's own
-/// pruning counters.
-struct LevelOutcome {
-    emitted: u64,
-    frontier: Vec<(Graph, CanonKey)>,
-    prune: PruneCounters,
-}
-
-/// Augments every parent in `parents` across up to `threads` workers:
-/// final-level children go to `sink` when `last` (whose `false` return
-/// sets `cancelled`), intermediate children are collected for the next
-/// frontier. Shared by [`stream_connected`] and the frontier build.
-fn advance_level<S>(
-    parents: &[Graph],
-    threads: usize,
-    last: bool,
-    sink: &S,
-    cancelled: &AtomicBool,
-) -> LevelOutcome
-where
-    S: Fn(Graph, CanonKey) -> bool + Sync + ?Sized,
-{
-    // The next frontier; workers append their chunk-local buffers,
-    // so the lock is taken once per chunk, not once per child.
+/// Augments every parent in `parents` across up to `threads` workers
+/// and returns the (unsorted) next frontier with the level's pruning
+/// counters — one level of the frontier build.
+fn advance_level(parents: &[Graph], threads: usize) -> (Vec<(Graph, CanonKey)>, PruneCounters) {
+    // Workers append their chunk-local buffers, so the lock is taken
+    // once per chunk, not once per child.
     let frontier: Mutex<Vec<(Graph, CanonKey)>> = Mutex::new(Vec::new());
     let counters: Mutex<PruneCounters> = Mutex::new(PruneCounters::default());
-    let emitted = AtomicU64::new(0);
     let next = AtomicUsize::new(0);
     let chunk = (parents.len() / (threads * 8)).clamp(1, 64);
     let worker = || {
-        let mut fresh = 0u64;
         let mut local_counters = PruneCounters::default();
         let mut local_frontier: Vec<(Graph, CanonKey)> = Vec::new();
-        'chunks: loop {
+        loop {
             let start = next.fetch_add(chunk, Ordering::Relaxed);
-            if start >= parents.len() || cancelled.load(Ordering::Relaxed) {
+            if start >= parents.len() {
                 break;
             }
             let end = (start + chunk).min(parents.len());
             for parent in &parents[start..end] {
-                let mut stop = false;
-                let before = fresh;
+                // Accepted children are unique by construction: push
+                // without any dedup lookup.
                 augment_connected_parent(parent, &mut local_counters, |form, key| {
-                    if stop {
-                        return; // cancelled mid-parent: drop the tail
-                    }
-                    // Accepted children are unique by construction:
-                    // emit or push without any dedup lookup.
-                    fresh += 1;
-                    if last {
-                        if !sink(form, key) {
-                            cancelled.store(true, Ordering::Relaxed);
-                            stop = true;
-                        }
-                    } else {
-                        local_frontier.push((form, key));
-                    }
+                    local_frontier.push((form, key));
                 });
-                if last {
-                    // Final-level emissions drive the progress
-                    // heartbeat; one tick per parent keeps the signal
-                    // fine-grained without a per-child clock read.
-                    bnf_obs::heartbeat::tick(fresh - before);
-                }
-                if stop {
-                    break 'chunks;
-                }
             }
-            if !local_frontier.is_empty() {
-                lock(&frontier).append(&mut local_frontier);
-            }
-        }
-        if !local_frontier.is_empty() {
             lock(&frontier).append(&mut local_frontier);
         }
-        emitted.fetch_add(fresh, Ordering::Relaxed);
         lock(&counters).merge(&local_counters);
     };
     if threads == 1 {
@@ -362,98 +328,14 @@ where
             }
         });
     }
-    LevelOutcome {
-        emitted: emitted.load(Ordering::Relaxed),
-        frontier: lock_into(frontier),
-        prune: lock_into(counters),
-    }
-}
-
-/// Emits the single graph of a trivial order (`n <= 1`) to `sink`.
-fn emit_trivial<S>(n: usize, sink: &S)
-where
-    S: Fn(Graph, CanonKey) -> bool + Sync + ?Sized,
-{
-    let (g, key) = Graph::empty(n).canonical_form_and_key();
-    sink(g, key);
-}
-
-/// Streams every non-isomorphic connected graph on `n` vertices into
-/// `sink`, which is invoked concurrently from up to `threads` producer
-/// workers (in no particular order), exactly once per isomorphism
-/// class. Each graph arrives in canonical form together with its
-/// canonical key.
-///
-/// The sink returns `true` to keep the stream flowing; returning
-/// `false` **cancels** the enumeration — sibling workers observe the
-/// cancellation at their next parent *chunk* (≤ 64 parents, so the sink
-/// may still see a bounded tail of calls) and `stream_connected`
-/// returns early with partial stats.
-///
-/// Memory contract: `O(largest single level)` — neither the final-level
-/// graph list nor any canonical-key dedup set is ever materialized (the
-/// canonical-construction accept rule makes every emission unique by
-/// construction; see [`crate::prune`]).
-///
-/// # Panics
-///
-/// Panics if `n > 10` (the enumeration bound) and propagates panics
-/// from `sink`.
-pub fn stream_connected<S>(n: usize, threads: usize, sink: &S) -> StreamStats
-where
-    S: Fn(Graph, CanonKey) -> bool + Sync + ?Sized,
-{
-    assert!(
-        n <= 10,
-        "exhaustive enumeration beyond n=10 is not supported"
-    );
-    let threads = threads.max(1);
-    let mut stats = StreamStats::default();
-    if n <= 1 {
-        emit_trivial(n, sink);
-        stats.level_sizes.push(1);
-        return stats;
-    }
-    // Level 0: the single one-vertex graph.
-    let mut parents = vec![Graph::empty(1)];
-    stats.level_sizes.push(1);
-    let cancelled = AtomicBool::new(false);
-    let enumeration_started = Instant::now();
-    for k in 1..n {
-        let last = k + 1 == n;
-        let level_started = Instant::now();
-        let level = advance_level(&parents, threads, last, sink, &cancelled);
-        record_level_rate(level_started, level.prune.candidates);
-        stats.level_sizes.push(level.emitted);
-        stats.prune.merge(&level.prune);
-        if cancelled.load(Ordering::Relaxed) {
-            record_enumeration_span(enumeration_started);
-            return stats;
-        }
-        if !last {
-            // The deterministic sort keeps chunk assignment (and
-            // therefore run-to-run thread behaviour) reproducible; the
-            // graph *set* is order-independent either way.
-            let mut merged = level.frontier;
-            sort_frontier(&mut merged);
-            parents = merged.into_iter().map(|(g, _)| g).collect();
-        }
-    }
-    record_enumeration_span(enumeration_started);
-    stats
-}
-
-/// Charges the whole level loop of one [`stream_connected`] run to the
-/// `enumeration` span.
-fn record_enumeration_span(started: Instant) {
-    bnf_obs::Recorder::global().add_span_ms("enumeration", started.elapsed().as_millis() as u64);
+    (lock_into(frontier), lock_into(counters))
 }
 
 /// Serial streaming enumeration: invokes `visit` once per non-isomorphic
 /// connected graph on `n` vertices (canonical form plus key), holding
-/// only the current frontier — the single-threaded, lock-free twin of
-/// [`stream_connected`] for callers with `FnMut` state. Returns the
-/// per-level sizes and pruning counters.
+/// only the current frontier. Returns the per-level sizes and pruning
+/// counters — the reference every orchestrated run's
+/// [`StreamStats`] are certified against.
 ///
 /// # Panics
 ///
@@ -582,18 +464,35 @@ mod tests {
     /// OEIS A001349 — connected graphs on n unlabelled vertices.
     const CONNECTED: [u64; 8] = [1, 1, 1, 2, 6, 21, 112, 853];
 
+    /// One frontier build on `threads` workers streamed as a single
+    /// range: the parallel path's emissions, plus its
+    /// unsharded-equivalent [`StreamStats`].
+    fn frontier_stream<V>(n: usize, threads: usize, visit: V) -> StreamStats
+    where
+        V: FnMut(Graph, CanonKey),
+    {
+        let frontier = ParentFrontier::build(n, threads);
+        let range = frontier.stream_range(0, frontier.len(), visit);
+        let mut stats = StreamStats {
+            level_sizes: frontier.level_sizes().to_vec(),
+            prune: frontier.frontier_prune(),
+        };
+        stats.level_sizes.push(range.emitted);
+        stats.prune.merge(&range.prune);
+        stats
+    }
+
     #[test]
     fn parallel_counts_match_oeis() {
         for (n, &want) in CONNECTED.iter().enumerate() {
-            let count = AtomicU64::new(0);
-            let stats = stream_connected(n, 2, &|g, key| {
+            let mut count = 0u64;
+            let stats = frontier_stream(n, 2, |g, key| {
                 assert_eq!(g.order(), n);
                 assert_eq!(key.order(), n);
                 assert!(n == 0 || g.is_connected());
-                count.fetch_add(1, Ordering::Relaxed);
-                true
+                count += 1;
             });
-            assert_eq!(count.load(Ordering::Relaxed), want, "n={n}");
+            assert_eq!(count, want, "n={n}");
             assert_eq!(stats.emitted(), want, "n={n}");
         }
     }
@@ -603,16 +502,12 @@ mod tests {
         for n in 0..7 {
             let mut serial = Vec::new();
             for_each_connected(n, |_, key| serial.push(key));
-            let parallel = Mutex::new(Vec::new());
-            stream_connected(n, 4, &|_, key| {
-                lock(&parallel).push(key);
-                true
-            });
-            let mut parallel = lock_into(parallel);
+            let mut parallel = Vec::new();
+            frontier_stream(n, 4, |_, key| parallel.push(key));
             // The serial path must already be duplicate-free…
             let distinct: HashSet<_> = serial.iter().cloned().collect();
             assert_eq!(distinct.len(), serial.len(), "n={n}");
-            // …and the parallel path must emit exactly the same multiset.
+            // …and the parallel build must emit exactly the same multiset.
             serial.sort();
             parallel.sort();
             assert_eq!(serial, parallel, "n={n}");
@@ -644,7 +539,7 @@ mod tests {
 
     #[test]
     fn stats_record_every_level() {
-        let stats = stream_connected(6, 2, &|_, _| true);
+        let stats = frontier_stream(6, 2, |_, _| {});
         assert_eq!(stats.level_sizes, vec![1, 1, 2, 6, 21, 112]);
         assert_eq!(stats.peak_level(), 112);
         assert_eq!(stats.emitted(), 112);
@@ -673,40 +568,21 @@ mod tests {
 
     #[test]
     fn sink_panic_propagates() {
+        let frontier = ParentFrontier::build(5, 2);
         let caught = std::panic::catch_unwind(|| {
-            stream_connected(5, 2, &|g, _| {
+            frontier.stream_range(0, frontier.len(), |g, _| {
                 assert!(g.order() < 5, "boom");
-                true
             });
         });
         assert!(caught.is_err());
     }
 
     #[test]
-    fn cancelling_sink_stops_enumeration_early() {
-        for threads in [1, 3] {
-            let emitted = AtomicU64::new(0);
-            let stats = stream_connected(7, threads, &|_, _| {
-                emitted.fetch_add(1, Ordering::Relaxed) < 9
-            });
-            let got = emitted.load(Ordering::Relaxed);
-            assert!(got >= 10, "sink ran until cancellation, got {got}");
-            assert!(
-                got < 853,
-                "threads={threads}: cancellation must cut the final level short, got {got}"
-            );
-            assert!(stats.emitted() < 853);
-        }
-    }
-
-    #[test]
     fn single_thread_avoids_spawning_but_matches() {
-        let count = AtomicU64::new(0);
-        stream_connected(6, 1, &|_, _| {
-            count.fetch_add(1, Ordering::Relaxed);
-            true
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 112);
+        let mut count = 0u64;
+        let stats = frontier_stream(6, 1, |_, _| count += 1);
+        assert_eq!(count, 112);
+        assert_eq!(stats.prune, for_each_connected_stats(6, |_, _| {}).prune);
     }
 
     #[test]
@@ -769,7 +645,7 @@ mod tests {
     fn shard_counters_split_frontier_from_final_level() {
         // One frontier share plus the per-block final-level shares
         // reproduces the unsharded totals.
-        let whole = stream_connected(6, 2, &|_, _| true);
+        let whole = for_each_connected_stats(6, |_, _| {});
         let frontier = ParentFrontier::build(6, 2);
         let mut total = frontier.frontier_prune();
         for index in 0..4 {
@@ -795,10 +671,32 @@ mod tests {
     }
 
     #[test]
-    fn sharding_trivial_orders_is_rejected() {
+    fn trivial_orders_stream_their_single_graph() {
+        // n ∈ {0, 1}: a one-graph frontier with no build level and no
+        // pruning work; any partition emits the canonical Graph::empty(n)
+        // exactly once, and the recombined stats equal the serial ones.
         for n in [0usize, 1] {
-            let caught = std::panic::catch_unwind(|| ParentFrontier::build(n, 1));
-            assert!(caught.is_err(), "n={n} has no parent frontier to build");
+            let frontier = ParentFrontier::build(n, 2);
+            assert_eq!(frontier.len(), 1, "n={n}");
+            assert!(frontier.level_sizes().is_empty(), "n={n}");
+            assert_eq!(frontier.frontier_prune(), PruneCounters::default());
+            let mut serial = Vec::new();
+            let serial_stats = for_each_connected_stats(n, |g, key| serial.push((g, key)));
+            let mut emitted = Vec::new();
+            let stats = frontier_stream(n, 2, |g, key| emitted.push((g, key)));
+            assert_eq!(emitted, serial, "n={n}");
+            assert_eq!(emitted[0].0, Graph::empty(n).canonical_form(), "n={n}");
+            assert_eq!(stats.level_sizes, vec![1], "n={n}");
+            assert_eq!(stats.level_sizes, serial_stats.level_sizes, "n={n}");
+            assert_eq!(stats.prune, serial_stats.prune, "n={n}");
+            for count in [1usize, 4, 16] {
+                let mut total = 0;
+                for index in 0..count {
+                    let (lo, hi) = ShardSpec::new(index, count).range(frontier.len());
+                    total += frontier.stream_range(lo, hi, |_, _| {}).emitted;
+                }
+                assert_eq!(total, 1, "n={n} count={count}");
+            }
         }
     }
 

@@ -4,7 +4,7 @@
 //! policy: a poisoned mutex is recovered, not propagated — the guarded
 //! state (dedup sets, frontier buffers, result vectors) stays
 //! structurally valid under unwinding, and panic propagation is handled
-//! by `std::thread::scope`/[`crate::CloseGuard`] instead of poisoning.
+//! by `std::thread::scope` instead of poisoning.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 

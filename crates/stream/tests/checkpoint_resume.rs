@@ -1,0 +1,94 @@
+//! Crash/resume of `stream_count`'s checkpointed count, through the real
+//! binary and real kills: a count SIGKILLed at its `range_checkpoint`
+//! kill point (the moment a range's line is durably on disk) — plainly,
+//! or after tearing bytes off that line — must resume from the sidecar,
+//! recover exactly the durable ranges, and report the count, level
+//! sizes and every pruning counter of an uninterrupted run.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+/// Arguments every run shares: order 7 (853 graphs) cut into 8 ranges,
+/// one worker so ranges complete in index order.
+const BASE: [&str; 6] = ["--n", "7", "--threads", "1", "--shards", "8"];
+
+/// The stdout lines that must not depend on how the count was reached.
+const INVARIANT: [&str; 9] = [
+    "connected_graphs",
+    "level_sizes",
+    "candidates",
+    "orbit_skipped",
+    "cheap_rejected",
+    "search_rejected",
+    "duplicates",
+    "accepted",
+    "candidates_per_survivor",
+];
+
+fn scratch_path(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!(
+        "bnf-stream-resume-{}-{tag}.ckpt",
+        std::process::id()
+    ))
+}
+
+/// Spawns `stream_count` with the shared arguments plus `extra`, and an
+/// optional armed fault.
+fn run(extra: &[&str], checkpoint: Option<&Path>, fault: Option<&str>) -> Output {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_stream_count"));
+    cmd.args(BASE).args(extra).env_remove("BNF_FAULT");
+    if let Some(path) = checkpoint {
+        cmd.arg("--checkpoint").arg(path);
+    }
+    if let Some(spec) = fault {
+        cmd.env("BNF_FAULT", spec);
+    }
+    cmd.output().expect("spawn stream_count")
+}
+
+/// The value of the `key: value` stdout line `key`.
+fn line<'a>(stdout: &'a str, key: &str) -> Option<&'a str> {
+    stdout
+        .lines()
+        .find_map(|l| l.strip_prefix(key)?.strip_prefix(": "))
+}
+
+#[test]
+fn killed_counts_resume_to_the_uninterrupted_counters() {
+    let whole = run(&[], None, None);
+    assert!(whole.status.success(), "{whole:?}");
+    let whole = String::from_utf8(whole.stdout).unwrap();
+    assert_eq!(line(&whole, "connected_graphs"), Some("853"));
+
+    for (fault, recovered) in [
+        ("range_checkpoint:3", "3"),
+        ("range_checkpoint:3:tear:5", "2"),
+    ] {
+        let path = scratch_path(&fault.replace(':', "-"));
+        std::fs::remove_file(&path).ok();
+        let killed = run(&[], Some(&path), Some(fault));
+        assert!(
+            !killed.status.success() && killed.status.code().is_none(),
+            "{fault}: the armed kill must fire, got {killed:?}"
+        );
+        assert!(
+            killed.stdout.is_empty(),
+            "{fault}: a killed count reports nothing"
+        );
+
+        let resumed = run(&["--resume"], Some(&path), None);
+        let stderr = String::from_utf8_lossy(&resumed.stderr);
+        assert!(resumed.status.success(), "{fault}: {stderr}");
+        let stdout = String::from_utf8(resumed.stdout).unwrap();
+        assert_eq!(
+            line(&stdout, "recovered_ranges"),
+            Some(recovered),
+            "{fault}"
+        );
+        assert_eq!(line(&stdout, "ranges"), Some("8"), "{fault}");
+        for key in INVARIANT {
+            assert_eq!(line(&stdout, key), line(&whole, key), "{fault}: {key}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}

@@ -1,17 +1,23 @@
 //! Operator errors of `stream_count`, through the real binary: a flag
 //! value that is not a number, or `--resume` without the `--checkpoint`
 //! it resumes from, prints exactly one `error:` line and exits with
-//! status 2 — never a panic, and no count is run.
+//! status 2; a checkpoint sidecar that cannot be read or does not
+//! describe the run prints exactly one `error:` line and exits with
+//! status 1 — never a panic, and no count is reported.
 
-/// Runs `stream_count` with `args` and asserts exit status 2, no panic,
-/// no count output, and exactly one `error:` line containing `needle`.
-fn assert_usage_error(args: &[&str], needle: &str) {
+use std::path::PathBuf;
+
+/// Runs `stream_count` with `args` and asserts exit status `status`, no
+/// panic, no count output, and exactly one `error:` line containing
+/// `needle`.
+fn assert_one_error(args: &[&str], status: i32, needle: &str) {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_stream_count"))
         .args(args)
+        .env_remove("BNF_FAULT")
         .output()
         .expect("spawn stream_count");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert_eq!(out.status.code(), Some(status), "{args:?}: {stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(out.stdout.is_empty(), "{args:?} ran a count");
     let errors: Vec<&str> = stderr
@@ -22,6 +28,29 @@ fn assert_usage_error(args: &[&str], needle: &str) {
         errors.len() == 1 && errors[0].contains(needle),
         "{args:?}: {errors:?}"
     );
+}
+
+/// A usage error: one `error:` line, exit status 2.
+fn assert_usage_error(args: &[&str], needle: &str) {
+    assert_one_error(args, 2, needle);
+}
+
+fn scratch_path(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("bnf-stream-cli-{}-{tag}.ckpt", std::process::id()))
+}
+
+/// Resumes an order-5 count (a 6-parent frontier) from a sidecar
+/// holding `bytes`.
+fn resume_from(tag: &str, bytes: &[u8]) -> (PathBuf, std::process::Output) {
+    let path = scratch_path(tag);
+    std::fs::write(&path, bytes).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_stream_count"))
+        .args(["--n", "5", "--threads", "1", "--resume", "--checkpoint"])
+        .arg(&path)
+        .env_remove("BNF_FAULT")
+        .output()
+        .expect("spawn stream_count");
+    (path, out)
 }
 
 #[test]
@@ -42,4 +71,103 @@ fn non_numeric_flags_exit_2_with_one_error_line() {
 fn resume_without_checkpoint_exits_2() {
     assert_usage_error(&["--n", "5", "--resume"], "pass --checkpoint PATH");
     assert_usage_error(&["--n", "5", "--shards", "4", "--resume"], "--checkpoint");
+}
+
+#[test]
+fn bad_checkpoints_exit_1_with_one_error_line() {
+    const HEADER: &str = "bnfckpt 1 n=5 ranges=4 frontier_len=6\n";
+    let with_header = |body: &str| format!("{HEADER}{body}").into_bytes();
+    let cases: Vec<(&str, Vec<u8>, &str)> = vec![
+        ("utf8", vec![0xff, 0xfe, b'\n'], "not valid UTF-8"),
+        ("garbage", b"garbage\n".to_vec(), "unrecognized header"),
+        (
+            "magic",
+            b"bnfckpt 2 n=5 ranges=4 frontier_len=6\n".to_vec(),
+            "unrecognized header",
+        ),
+        (
+            "field",
+            b"bnfckpt 1 n=5 ranges=four frontier_len=6\n".to_vec(),
+            "header lacks ranges=",
+        ),
+        (
+            "order",
+            b"bnfckpt 1 n=6 ranges=4 frontier_len=21\n".to_vec(),
+            "belongs to order 6, not n=5",
+        ),
+        ("done", with_header("done 1 2 3\n"), "malformed line"),
+        (
+            "word",
+            with_header("finished 1 0 0 0 0 0 0\n"),
+            "malformed line",
+        ),
+        (
+            "index",
+            with_header("done 4 0 0 0 0 0 0\n"),
+            "range index 4 outside the 4-range partition",
+        ),
+        (
+            "zero",
+            b"bnfckpt 1 n=5 ranges=0 frontier_len=6\n".to_vec(),
+            "header ranges=0 is outside",
+        ),
+        (
+            "huge",
+            b"bnfckpt 1 n=5 ranges=4294967296 frontier_len=6\n".to_vec(),
+            "header ranges=4294967296 is outside",
+        ),
+        (
+            "frontier",
+            b"bnfckpt 1 n=5 ranges=4 frontier_len=999\n".to_vec(),
+            "different n=5 frontier",
+        ),
+    ];
+    for (tag, bytes, needle) in cases {
+        let path = scratch_path(tag);
+        std::fs::write(&path, &bytes).unwrap();
+        let path_arg = path.to_string_lossy().into_owned();
+        assert_one_error(
+            &[
+                "--n",
+                "5",
+                "--threads",
+                "1",
+                "--resume",
+                "--checkpoint",
+                &path_arg,
+            ],
+            1,
+            needle,
+        );
+        std::fs::remove_file(&path).ok();
+    }
+    // A checkpoint path that cannot be read as a file at all.
+    let dir = std::env::temp_dir();
+    let dir_arg = dir.to_string_lossy().into_owned();
+    assert_one_error(
+        &["--n", "5", "--resume", "--checkpoint", &dir_arg],
+        1,
+        "cannot read checkpoint",
+    );
+}
+
+#[test]
+fn torn_final_line_is_dropped_not_an_error() {
+    let (path, out) = resume_from(
+        "torn",
+        b"bnfckpt 1 n=5 ranges=4 frontier_len=6\ndone 0 1 2 3",
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stdout.contains("recovered_ranges: 0\n"), "{stdout}");
+    assert!(stdout.contains("connected_graphs: 21\n"), "{stdout}");
+    assert!(stderr.contains("torn tail: 12 byte(s) dropped"), "{stderr}");
+    // The tail is cut on disk too, and the redone ranges appended.
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(
+        text.ends_with('\n') && text.lines().count() == 5,
+        "{text:?}"
+    );
+    std::fs::remove_file(&path).ok();
 }

@@ -117,7 +117,8 @@
 //!         g.diameter().expect("connected")
 //!     }
 //! }
-//! let diameters = AnalysisEngine::new(2).run_connected(5, &DiameterCensus);
+//! let (diameters, _stats) = AnalysisEngine::new(2)
+//!     .run_connected_streaming_keyed_orchestrated(5, None, &DiameterCensus, |_| {});
 //! assert_eq!(diameters.len(), 21);
 //! ```
 

@@ -8,8 +8,8 @@
 //! 4. layout 1 with every frame written a second time — identical
 //!    re-appends on disk, which every reader collapses to the last copy.
 //!
-//! On every layout, `complete_sweep` must equal the `run_connected`
-//! reference, `MappedAtlas::stream_sweep` must yield the same sequence,
+//! On every layout, `complete_sweep` must equal the reference catalogue
+//! (`WindowJob::classify` over `connected_graphs`), `MappedAtlas::stream_sweep` must yield the same sequence,
 //! every key must read back its own record, and compaction must write
 //! the same record blocks byte for byte (the commit frames it carries
 //! through differ by layout by design: shard metadata and coverage).
@@ -24,7 +24,8 @@ use bilateral_formation::atlas::{
 use bilateral_formation::core::WindowRecord;
 use bilateral_formation::empirics::sweep::WindowJob;
 use bilateral_formation::empirics::WindowSweep;
-use bilateral_formation::engine::{AnalysisEngine, RangeSegment, RangeSelection};
+use bilateral_formation::engine::{Analysis, RangeSegment, RangeSelection, WorkerScratch};
+use bilateral_formation::enumerate::connected_graphs;
 use bilateral_formation::stream::ShardSpec;
 
 const N: usize = 7;
@@ -127,7 +128,11 @@ fn record_blocks(path: &PathBuf) -> Vec<u8> {
 
 #[test]
 fn every_layout_reads_back_the_reference_catalogue() {
-    let reference = AnalysisEngine::new(2).run_connected(N, &WindowJob::default());
+    let mut scratch = WorkerScratch::new();
+    let reference: Vec<WindowRecord> = connected_graphs(N)
+        .iter()
+        .map(|g| WindowJob::default().classify(g, &mut scratch))
+        .collect();
     assert_eq!(reference.len(), 853);
     let layouts = [
         ("engine order", engine_order_store(&reference)),

@@ -1,7 +1,7 @@
 //! Equivalence properties of the orchestrator, the one cold-sweep
 //! execution path: for seeded random thread budgets and oversplit
 //! factors the orchestrated sweep reproduces the materialized reference
-//! catalogue (`AnalysisEngine::run_connected`) — and a multi-process
+//! catalogue (`WindowJob::classify` over `connected_graphs`) — and a multi-process
 //! segment-merge replay — byte for byte, its counters equal the serial
 //! enumeration's counters exactly, and a panic in the writer callback
 //! poisons the atlas write cleanly (no coverage declared).
@@ -13,7 +13,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use bilateral_formation::atlas::{merge_segments, ClassificationAtlas, ShardCoverage, ShardMeta};
 use bilateral_formation::empirics::sweep::WindowJob;
 use bilateral_formation::empirics::{grid, SweepConfig, SweepResult, WindowSweep};
-use bilateral_formation::engine::{AnalysisEngine, RangeSelection};
+use bilateral_formation::engine::{Analysis, RangeSelection, WorkerScratch};
+use bilateral_formation::enumerate::connected_graphs;
 use bilateral_formation::stream::{for_each_connected_stats, ShardSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -36,9 +37,14 @@ fn table(sweep: &WindowSweep) -> SweepResult {
     grid::evaluate(sweep, &SweepConfig::standard(sweep.n).alphas)
 }
 
-/// The materialized reference catalogue of order `n`.
+/// The materialized reference catalogue of order `n`, classified in a
+/// plain loop.
 fn reference(n: usize) -> WindowSweep {
-    let records = AnalysisEngine::new(2).run_connected(n, &WindowJob::default());
+    let mut scratch = WorkerScratch::new();
+    let records = connected_graphs(n)
+        .iter()
+        .map(|g| WindowJob::default().classify(g, &mut scratch))
+        .collect();
     WindowSweep { n, records }
 }
 

@@ -1,12 +1,10 @@
 //! End-to-end equivalence of the streaming enumeration (`bnf-stream`)
 //! with the materializing path it replaces — same canonical-key
-//! multisets, same counts at n = 8, bit-identical sweep aggregates
-//! through the engine seam — and of the canonical-construction pruned
-//! producer (PR 4) with the generate-all-and-dedup oracle it replaced.
+//! multisets, same counts at n = 8, the same output order through the
+//! engine seam — and of the canonical-construction pruned producer
+//! with the generate-all-and-dedup oracle it replaced.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use bilateral_formation::engine::{Analysis, AnalysisEngine, WorkerScratch};
 use bilateral_formation::enumerate::{
@@ -15,14 +13,15 @@ use bilateral_formation::enumerate::{
 use bilateral_formation::graph::{CanonKey, Graph};
 use bilateral_formation::stream::prune::{augment_connected_parent, PruneCounters};
 use bilateral_formation::stream::{
-    for_each_connected, for_each_connected_unpruned, stream_connected,
+    for_each_connected, for_each_connected_unpruned, ParentFrontier,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 /// The streaming producer and the materialized list agree on the exact
-/// multiset of canonical keys (serial and parallel producers both).
+/// multiset of canonical keys (the serial producer and a frontier built
+/// on four threads both).
 #[test]
 fn key_multisets_match_to_n7() {
     for n in 0..=7 {
@@ -37,12 +36,11 @@ fn key_multisets_match_to_n7() {
         for_each_connected(n, |_, key| *serial.entry(key).or_insert(0) += 1);
         assert_eq!(serial, materialized, "serial streaming differs at n={n}");
 
-        let parallel: Mutex<BTreeMap<CanonKey, u32>> = Mutex::new(BTreeMap::new());
-        stream_connected(n, 4, &|_, key| {
-            *parallel.lock().unwrap().entry(key).or_insert(0) += 1;
-            true
+        let mut parallel: BTreeMap<CanonKey, u32> = BTreeMap::new();
+        let frontier = ParentFrontier::build(n, 4);
+        frontier.stream_range(0, frontier.len(), |_, key| {
+            *parallel.entry(key).or_insert(0) += 1
         });
-        let parallel = parallel.into_inner().unwrap();
         assert_eq!(
             parallel, materialized,
             "parallel streaming differs at n={n}"
@@ -116,7 +114,7 @@ fn orbit_representative_augmentation_never_drops_a_survivor() {
 }
 
 /// The orchestrator returns classification outputs in the materialized
-/// reference runner's exact deterministic order.
+/// catalogue's exact deterministic order.
 #[test]
 fn engine_streaming_output_order_matches() {
     struct DistanceCensus;
@@ -128,32 +126,34 @@ fn engine_streaming_output_order_matches() {
         }
     }
     let engine = AnalysisEngine::new(2);
+    let mut scratch = WorkerScratch::new();
     for n in [5, 6, 7] {
+        let oracle: Vec<(usize, u64)> = connected_graphs(n)
+            .iter()
+            .map(|g| DistanceCensus.classify(g, &mut scratch))
+            .collect();
         assert_eq!(
             engine
                 .run_connected_streaming_keyed_orchestrated(n, None, &DistanceCensus, |_| {})
                 .0,
-            engine.run_connected(n, &DistanceCensus),
+            oracle,
             "n={n}"
         );
     }
 }
 
-/// The parallel producer's per-level stats match the known level sizes
-/// whatever the thread count.
+/// The parallel frontier build's per-level stats match the known level
+/// sizes whatever the thread count.
 #[test]
 fn stream_stats_thread_count_invariant() {
     for threads in [1, 2, 5] {
-        let emitted = AtomicU64::new(0);
-        let stats = stream_connected(7, threads, &|_, _| {
-            emitted.fetch_add(1, Ordering::Relaxed);
-            true
-        });
-        assert_eq!(emitted.load(Ordering::Relaxed), 853, "threads={threads}");
-        assert_eq!(
-            stats.level_sizes,
-            vec![1, 1, 2, 6, 21, 112, 853],
-            "threads={threads}"
-        );
+        let frontier = ParentFrontier::build(7, threads);
+        let mut emitted = 0u64;
+        let range = frontier.stream_range(0, frontier.len(), |_, _| emitted += 1);
+        assert_eq!(emitted, 853, "threads={threads}");
+        assert_eq!(range.emitted, 853, "threads={threads}");
+        let mut levels = frontier.level_sizes().to_vec();
+        levels.push(range.emitted);
+        assert_eq!(levels, vec![1, 1, 2, 6, 21, 112, 853], "threads={threads}");
     }
 }
