@@ -332,14 +332,22 @@ mod tests {
     }
 
     #[test]
-    fn streaming_single_thread() {
-        let engine = AnalysisEngine::new(1);
+    fn run_connected_matches_enumeration() {
+        let engine = AnalysisEngine::new(4);
         let counts = orchestrated(&engine, 6, &EdgeCount);
         assert_eq!(counts.len(), 112); // A001349(6)
                                        // Deterministic enumeration order: sorted by edge count first.
         assert!(counts.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(*counts.first().unwrap(), 5); // a tree
         assert_eq!(*counts.last().unwrap(), 15); // K6
+    }
+
+    #[test]
+    fn streaming_single_thread() {
+        let engine = AnalysisEngine::new(1);
+        let counts = orchestrated(&engine, 6, &EdgeCount);
+        assert_eq!(counts.len(), 112);
+        assert!(counts.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]
