@@ -16,8 +16,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use bnf_empirics::WindowSweep;
-use bnf_engine::RangeSelection;
-use bnf_stream::ShardSpec;
+use bnf_stream::{RangeSelection, ShardSpec};
 
 fn bench_streaming_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("streaming_sweep");
@@ -30,13 +29,16 @@ fn bench_streaming_sweep(c: &mut Criterion) {
         b.iter(|| {
             for index in 0..4 {
                 let block = RangeSelection::shard(ShardSpec::new(index, 4)).expect("4 processes");
-                black_box(WindowSweep::run_selected(
-                    7,
-                    bnf_empirics::default_threads(),
-                    &block,
-                    None,
-                    |_| {},
-                ));
+                black_box(
+                    WindowSweep::run_selected(
+                        7,
+                        bnf_empirics::default_threads(),
+                        &block,
+                        None,
+                        |_| {},
+                    )
+                    .expect("an unpinned block fits the frontier"),
+                );
             }
         })
     });

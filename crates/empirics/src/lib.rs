@@ -97,8 +97,8 @@ fn max_sweep_n_from(raw: Option<String>) -> usize {
 // it too): each process of a multi-process sweep stamps its own VmHWM.
 pub use bnf_core::peak_rss_kb;
 
-use bnf_engine::{RangeSegment, RangeSelection};
-use bnf_stream::ShardSpec;
+use bnf_engine::RangeSegment;
+use bnf_stream::{RangeSelection, ShardSpec};
 
 /// Shared front-end of the sweep-driven binaries: honours `--atlas
 /// <path>`, `--grid <spec>` and the range flags of
@@ -285,7 +285,8 @@ impl SweepFlags {
 /// Operator errors — a bad `--shards`, a malformed or out-of-range
 /// `--shard`, `--shard`/`--resume` without `--atlas`, `--shard` with
 /// `--shards` — print one `error:` line and exit with status 2; a store
-/// that cannot be opened, appended to or committed exits with status 1.
+/// that cannot be opened, appended to or committed, or whose stored
+/// partition was cut from another frontier, exits with status 1.
 pub fn run_window_sweep_cli(n: usize, threads: usize, args: &[String]) -> WindowSweep {
     let flags = SweepFlags::parse(args).unwrap_or_else(|e| e.exit());
     sweep_cli(n, threads.max(1), flags).unwrap_or_else(|e| e.exit())
@@ -346,7 +347,7 @@ fn sweep_cli(n: usize, threads: usize, flags: SweepFlags) -> Result<WindowSweep,
     let mut prior_runs = 0;
     let selection = (!warm).then(|| {
         let base = block.cloned().unwrap_or_else(|| {
-            let auto = bnf_engine::auto_range_count(threads);
+            let auto = bnf_stream::auto_range_count(threads);
             RangeSelection::all(flags.shards.flatten().unwrap_or(auto))
         });
         let resumed = atlas
@@ -369,11 +370,10 @@ fn sweep_cli(n: usize, threads: usize, flags: SweepFlags) -> Result<WindowSweep,
         "classifying all connected topologies on n={n} vertices ({}{})...",
         match &selection {
             None => "replaying the stored catalogue".to_owned(),
-            Some(sel) => format!(
-                "{threads} worker thread(s) stealing {} of {} frontier ranges",
-                sel.indices().count(),
-                sel.ranges
-            ),
+            // The range count is fixed once the frontier is built (a
+            // whole partition gets at most one range per parent); the
+            // report after the run names it.
+            Some(_) => format!("{threads} worker thread(s) stealing frontier ranges"),
         },
         atlas.as_ref().map_or(String::new(), |a| format!(
             ", atlas-backed: {} stored records",
@@ -450,8 +450,15 @@ fn sweep_cli(n: usize, threads: usize, flags: SweepFlags) -> Result<WindowSweep,
                 // bnf-faults) crashes with exactly N ranges recoverable.
                 bnf_faults::trip_with_file("range_commit", atlas.path());
             };
-            let (windows, stats) =
-                WindowSweep::run_selected(n, threads, selection, lookup, on_segment);
+            let (windows, stats) = WindowSweep::run_selected(
+                n, threads, selection, lookup, on_segment,
+            )
+            .map_err(|e| {
+                CliError::Io(format!(
+                    "cannot resume {}: {e}",
+                    flags.atlas.as_deref().unwrap_or("")
+                ))
+            })?;
             (windows, Some(stats))
         }
     };
@@ -676,8 +683,8 @@ fn orchestrator_run_id() -> u64 {
 /// `(shard_count, frontier_len)` — the pair that fixes the range
 /// boundaries — and the group with the most completed ranges wins, so a
 /// stray experiment's stale metas cannot hijack the resume. Returns the
-/// selection still to run (its `frontier_len` is re-asserted against
-/// the rebuilt frontier before any range executes) plus the number of
+/// selection still to run (its `frontier_len` is checked against the
+/// rebuilt frontier before any range executes) plus the number of
 /// distinct prior runs, or `None` for a store without usable metadata.
 fn resume_selection(
     n: usize,

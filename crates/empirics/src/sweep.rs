@@ -25,11 +25,11 @@
 use bnf_atlas::ClassificationAtlas;
 use bnf_core::{stability_window_with, WindowRecord};
 use bnf_engine::{
-    default_threads, Analysis, AnalysisEngine, OrchestratorStats, RangeSegment, RangeSelection,
-    WorkerScratch,
+    default_threads, Analysis, AnalysisEngine, OrchestratorStats, RangeSegment, WorkerScratch,
 };
 use bnf_games::{GameKind, Ratio};
 use bnf_graph::Graph;
+use bnf_stream::{FrontierMismatch, RangeSelection};
 
 /// Configuration of an empirical sweep.
 #[derive(Debug, Clone)]
@@ -260,7 +260,8 @@ impl WindowSweep {
 
     /// The orchestrated sweep: builds the parent frontier **once**,
     /// splits it into `ranges` work-stolen ranges (`None` → ≈ 16× the
-    /// thread count) classified on `threads` workers
+    /// thread count; never more ranges than parents) classified on
+    /// `threads` workers
     /// ([`AnalysisEngine::run_connected_streaming_keyed_orchestrated`]),
     /// and invokes `on_segment` with each completed range — where the
     /// CLI commits records and per-range [`bnf_atlas::ShardMeta`] —
@@ -281,8 +282,9 @@ impl WindowSweep {
     where
         W: FnMut(RangeSegment<'_, WindowRecord>),
     {
-        let ranges = ranges.unwrap_or_else(|| bnf_engine::auto_range_count(threads));
+        let ranges = ranges.unwrap_or_else(|| bnf_stream::auto_range_count(threads));
         Self::run_selected(n, threads, &RangeSelection::all(ranges), atlas, on_segment)
+            .expect("an unpinned selection fits any frontier")
     }
 
     /// [`WindowSweep::run_orchestrated`] over only the ranges
@@ -291,10 +293,15 @@ impl WindowSweep {
     /// owes. The returned [`WindowSweep`] holds the executed ranges'
     /// records only.
     ///
+    /// # Errors
+    ///
+    /// [`FrontierMismatch`] when the selection pins another frontier
+    /// length; nothing has run.
+    ///
     /// # Panics
     ///
-    /// Panics if `n` exceeds [`crate::max_sweep_n`] or the selection
-    /// does not fit the rebuilt frontier; propagates panics from
+    /// Panics if `n` exceeds [`crate::max_sweep_n`] or the selection's
+    /// span does not fit its partition; propagates panics from
     /// `on_segment`.
     pub fn run_selected<W>(
         n: usize,
@@ -302,7 +309,7 @@ impl WindowSweep {
         selection: &RangeSelection,
         atlas: Option<&ClassificationAtlas>,
         on_segment: W,
-    ) -> (WindowSweep, OrchestratorStats)
+    ) -> Result<(WindowSweep, OrchestratorStats), FrontierMismatch>
     where
         W: FnMut(RangeSegment<'_, WindowRecord>),
     {
@@ -312,8 +319,8 @@ impl WindowSweep {
             selection,
             &WindowJob { atlas },
             on_segment,
-        );
-        (WindowSweep { n, records }, stats)
+        )?;
+        Ok((WindowSweep { n, records }, stats))
     }
 }
 

@@ -80,6 +80,49 @@ fn unreadable_store_exits_1() {
 }
 
 #[test]
+fn resume_from_another_frontier_exits_1() {
+    // One committed range of an n = 6 partition cut from a 999-parent
+    // frontier: the rebuilt frontier has 21 parents, so the stored
+    // ranges would skip the wrong parents and the resume is refused
+    // before any range runs.
+    let store = std::env::temp_dir().join(format!(
+        "bnf-cli-errors-{}-frontier.bnfatlas",
+        std::process::id()
+    ));
+    std::fs::remove_file(&store).ok();
+    let mut atlas = bnf_atlas::ClassificationAtlas::open(&store).unwrap();
+    atlas
+        .append_shard_meta(&bnf_atlas::ShardMeta {
+            order: 6,
+            shard_index: 0,
+            shard_count: 4,
+            frontier_len: 999,
+            parent_lo: 0,
+            parent_hi: 249,
+            emitted: 0,
+            elapsed_ms: 0,
+            peak_rss_kb: None,
+            orchestrator_run: Some(1),
+            frontier_prune: Default::default(),
+            final_prune: Default::default(),
+        })
+        .unwrap();
+    drop(atlas);
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_fig2_avg_poa"))
+        .args(["--n", "6", "--csv", "--resume", "--atlas"])
+        .arg(&store)
+        .env_remove("BNF_FAULT")
+        .output()
+        .expect("spawn fig2_avg_poa");
+    assert_error(
+        &out,
+        1,
+        "different n=6 frontier (stored frontier_len=999, rebuilt 21)",
+    );
+    std::fs::remove_file(&store).ok();
+}
+
+#[test]
 fn unwritable_manifest_exits_1() {
     let missing = std::env::temp_dir()
         .join(format!("bnf-cli-errors-{}-no-such-dir", std::process::id()))

@@ -152,3 +152,24 @@ fn killed_and_resumed_sweep_is_byte_identical_to_uninterrupted() {
     }
     std::fs::remove_file(&cold_atlas).ok();
 }
+
+#[test]
+fn whole_partition_gets_at_most_one_range_per_parent() {
+    // n = 1 has a one-parent frontier: `--shards auto` on two threads
+    // asks for 32 ranges but commits exactly one.
+    let atlas = scratch_path("n1.bnfatlas");
+    let cold = Command::new(env!("CARGO_BIN_EXE_fig2_avg_poa"))
+        .args(["--n", "1", "--threads", "2", "--shards", "auto", "--csv"])
+        .arg("--atlas")
+        .arg(&atlas)
+        .env_remove("BNF_FAULT")
+        .output()
+        .expect("spawn fig2_avg_poa");
+    assert!(cold.status.success(), "{cold:?}");
+    let store = ClassificationAtlas::open(&atlas).unwrap();
+    let metas = store.shard_metas();
+    assert_eq!(metas.len(), 1, "{metas:?}");
+    assert_eq!((metas[0].shard_index, metas[0].shard_count), (0, 1));
+    assert_eq!(store.coverage(1), Some(1));
+    std::fs::remove_file(&atlas).ok();
+}

@@ -1,13 +1,8 @@
-//! The work-stealing executor: scoped std threads pulling index chunks
-//! off a shared atomic counter.
-//!
-//! Classification workloads are embarrassingly parallel but uneven (a
-//! dense graph's UCG orientation solve costs orders of magnitude more
-//! than a tree's window scan), so static partitioning stalls; dynamic
-//! chunk stealing keeps every worker busy until the items run out.
+//! The item-list executor: [`bnf_stream::scheduler`] workers steal
+//! index chunks of an explicit item list, and each result lands at its
+//! item's index.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use bnf_stream::scheduler;
 
 /// Applies `f` to every item on `threads` workers, handing each worker a
 /// private scratch value built once by `init`, and preserving input
@@ -15,7 +10,7 @@ use std::sync::Mutex;
 ///
 /// # Panics
 ///
-/// Propagates panics from `f` (the scope join resumes the unwind).
+/// Propagates panics from `init` and `f`.
 pub(crate) fn parallel_map_with<T, R, S, I, F>(items: &[T], threads: usize, init: I, f: F) -> Vec<R>
 where
     T: Sync,
@@ -23,47 +18,25 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&T, &mut S) -> R + Sync,
 {
-    let threads = threads.max(1).min(items.len().max(1));
-    if threads == 1 {
-        let mut scratch = init();
-        return items.iter().map(|t| f(t, &mut scratch)).collect();
-    }
-    // Chunked stealing: big enough to amortize the atomic + lock, small
-    // enough that one expensive tail item cannot strand a whole stripe.
-    let chunk = (items.len() / (threads * 8)).clamp(1, 64);
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut scratch = init();
-                let mut local: Vec<(usize, R)> = Vec::with_capacity(chunk);
-                loop {
-                    let start = next.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= items.len() {
-                        break;
-                    }
-                    let end = (start + chunk).min(items.len());
-                    local.extend((start..end).map(|i| (i, f(&items[i], &mut scratch))));
-                    results
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .append(&mut local);
-                }
-            });
-        }
-    });
-    let mut pairs = results
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    pairs.sort_unstable_by_key(|&(i, _)| i);
-    debug_assert_eq!(pairs.len(), items.len());
-    pairs.into_iter().map(|(_, r)| r).collect()
+    let chunk = scheduler::chunk_len(items.len(), threads);
+    let mut chunks: Vec<Vec<R>> = Vec::new();
+    chunks.resize_with(items.len().div_ceil(chunk), Vec::new);
+    scheduler::run(
+        threads,
+        chunks.len(),
+        init,
+        |scratch, unit| {
+            let chunk_items = items[unit * chunk..].iter().take(chunk);
+            (unit, chunk_items.map(|t| f(t, scratch)).collect())
+        },
+        |(unit, out)| chunks[unit] = out,
+    );
+    chunks.into_iter().flatten().collect()
 }
 
 /// Applies `f` to every item on `threads` worker threads, preserving
-/// input order in the output — the scratch-free form of the chunked
-/// stealing scheduler behind [`crate::AnalysisEngine::map`].
+/// input order in the output — the scratch-free form of
+/// [`crate::AnalysisEngine::map`].
 ///
 /// # Panics
 ///

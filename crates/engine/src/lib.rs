@@ -17,18 +17,19 @@
 //!   ever materializing the graph list. It builds the level-`n − 1`
 //!   parent frontier once with `bnf-stream`'s canonical-construction
 //!   pruned augmentation (each isomorphism class emitted exactly once,
-//!   no dedup set), oversplits it into ≈ [`DEFAULT_OVERSPLIT`]× more
-//!   ranges than threads, and lets workers steal whole ranges while a
-//!   single writer streams completed [`RangeSegment`]s to the caller.
-//!   Every cold sweep, catalogue and count runs here;
-//!   [`AnalysisEngine::run_connected_selected`] runs a
-//!   [`RangeSelection`] of the partition (one process's block of a
-//!   multi-process fleet, or the ranges a resumed run still owes).
-//! * **Work-stealing execution** — a chunked atomic-counter scheduler
-//!   over [`std::thread::scope`] workers (no external thread-pool
-//!   dependency) for explicit item lists ([`AnalysisEngine::map`],
-//!   [`parallel_map`]); the orchestrator steals whole frontier ranges
-//!   instead.
+//!   no dedup set), oversplits it into ≈ [`bnf_stream::DEFAULT_OVERSPLIT`]×
+//!   more ranges than threads, and lets workers steal whole ranges
+//!   while a single writer streams completed [`RangeSegment`]s to the
+//!   caller. Every cold sweep, catalogue and count runs on this
+//!   frontier partition ([`bnf_stream::FrontierPartition`]; `stream_count`
+//!   with a counting worker); [`AnalysisEngine::run_connected_selected`]
+//!   runs a [`bnf_stream::RangeSelection`] of it (one process's block of
+//!   a multi-process fleet, or the ranges a resumed run still owes).
+//! * **Work-stealing execution** — [`bnf_stream::scheduler`], the
+//!   workspace's one work-stealing loop (no external thread-pool
+//!   dependency): the orchestrator steals frontier ranges, and
+//!   [`AnalysisEngine::map`] / [`parallel_map`] steal item chunks and
+//!   place each result at its item's index.
 //! * **Per-worker scratch reuse** — each worker owns one
 //!   [`WorkerScratch`] for its whole lifetime, so the BFS/distance hot
 //!   path runs allocation-free instead of re-allocating frontier
@@ -68,8 +69,6 @@ mod pipeline;
 mod scratch;
 
 pub use executor::{default_threads, parallel_map};
-pub use orchestrator::{
-    auto_range_count, OrchestratorStats, RangeSegment, RangeSelection, DEFAULT_OVERSPLIT,
-};
+pub use orchestrator::{OrchestratorStats, RangeSegment};
 pub use pipeline::{Analysis, AnalysisEngine};
 pub use scratch::WorkerScratch;

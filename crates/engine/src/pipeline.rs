@@ -3,7 +3,6 @@
 use bnf_graph::Graph;
 
 use crate::executor::{default_threads, parallel_map_with};
-use crate::orchestrator::{OrchestratorStats, RangeSegment, RangeSelection};
 use crate::scratch::WorkerScratch;
 
 /// Asserts the orchestrator's sort tag is *exact* at order `n`:
@@ -66,7 +65,7 @@ pub trait Analysis: Sync {
 /// classifications all belong here, behind the same job interface.
 #[derive(Debug, Clone)]
 pub struct AnalysisEngine {
-    threads: usize,
+    pub(crate) threads: usize,
 }
 
 impl Default for AnalysisEngine {
@@ -93,67 +92,6 @@ impl AnalysisEngine {
         self.threads
     }
 
-    /// The orchestrator over every range: builds the level-`n − 1`
-    /// parent frontier **once**, oversplits it into `ranges` contiguous
-    /// parent ranges (`None` → [`crate::auto_range_count`], ≈ 16× the
-    /// thread count), and has this engine's workers steal ranges — each
-    /// fusing the pruned range producer with
-    /// [`Analysis::classify_keyed`] on its own [`WorkerScratch`] — while
-    /// the calling thread drains completed segments into `on_segment`
-    /// in completion order.
-    ///
-    /// Returns all outputs in the engine's deterministic `(edge count,
-    /// canonical key)` order — the order of
-    /// `bnf_enumerate::connected_graphs(n)`, for every `n <= 10`
-    /// including the one-graph orders 0 and 1 — plus
-    /// [`OrchestratorStats`] whose totals equal the serial
-    /// `bnf_stream::for_each_connected_stats` exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > 10`; propagates panics from the job, the
-    /// producer, and `on_segment`.
-    pub fn run_connected_streaming_keyed_orchestrated<A, W>(
-        &self,
-        n: usize,
-        ranges: Option<usize>,
-        job: &A,
-        on_segment: W,
-    ) -> (Vec<A::Output>, OrchestratorStats)
-    where
-        A: Analysis,
-        W: FnMut(RangeSegment<'_, A::Output>),
-    {
-        let ranges = ranges.unwrap_or_else(|| crate::auto_range_count(self.threads));
-        self.run_connected_selected(n, &RangeSelection::all(ranges), job, on_segment)
-    }
-
-    /// [`AnalysisEngine::run_connected_streaming_keyed_orchestrated`]
-    /// restricted to the ranges `selection` names — one process's block
-    /// of a multi-process fleet, or the ranges a resumed run still owes.
-    /// Unselected ranges are never streamed, and a pinned
-    /// `selection.frontier_len` is asserted against the rebuilt frontier
-    /// before any range runs. Outputs and stats cover the executed
-    /// ranges only.
-    ///
-    /// # Panics
-    ///
-    /// As the all-ranges runner, plus when the selection does not fit
-    /// the rebuilt frontier.
-    pub fn run_connected_selected<A, W>(
-        &self,
-        n: usize,
-        selection: &RangeSelection,
-        job: &A,
-        on_segment: W,
-    ) -> (Vec<A::Output>, OrchestratorStats)
-    where
-        A: Analysis,
-        W: FnMut(RangeSegment<'_, A::Output>),
-    {
-        crate::orchestrator::run_orchestrated(self.threads, n, selection, job, on_segment)
-    }
-
     /// Runs an arbitrary per-item function with per-worker scratch over
     /// an explicit item list (cycle lengths, gallery exhibits),
     /// preserving its order.
@@ -170,9 +108,8 @@ impl AnalysisEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::orchestrator::DEFAULT_OVERSPLIT;
     use bnf_enumerate::connected_graphs;
-    use bnf_stream::{for_each_connected_stats, ShardSpec};
+    use bnf_stream::{for_each_connected_stats, RangeSelection, ShardSpec, DEFAULT_OVERSPLIT};
 
     struct EdgeCount;
     impl Analysis for EdgeCount {
@@ -298,13 +235,15 @@ mod tests {
                 let shard = ShardSpec::new(index, count);
                 let block = RangeSelection::shard(shard).unwrap();
                 let mut bounds = Vec::new();
-                let (out, _) = engine.run_connected_selected(7, &block, &Tagged, |seg| {
-                    bounds.push((
-                        seg.parent_lo as usize,
-                        seg.parent_hi as usize,
-                        seg.frontier_len,
-                    ));
-                });
+                let (out, _) = engine
+                    .run_connected_selected(7, &block, &Tagged, |seg| {
+                        bounds.push((
+                            seg.parent_lo as usize,
+                            seg.parent_hi as usize,
+                            seg.frontier_len,
+                        ));
+                    })
+                    .unwrap();
                 assert_eq!(bounds.len(), DEFAULT_OVERSPLIT);
                 bounds.sort_unstable();
                 assert!(bounds.windows(2).all(|w| w[0].1 == w[1].0));

@@ -1,46 +1,39 @@
-//! Enumeration-only counter: streams every non-isomorphic connected
-//! graph on `n` vertices through the canonical-construction pruned
-//! producer and reports the count plus the [`bnf_stream::StreamStats`]
-//! pruning counters — the CI smoke that certifies the `n = 10` scale
-//! (OEIS A001349: 11 716 571 connected topologies) without paying any
-//! classification.
+//! Enumeration-only counter: counts every non-isomorphic connected
+//! graph on `n ≤ 10` vertices and reports the [`bnf_stream::StreamStats`]
+//! level sizes and pruning counters — the CI smoke that certifies the
+//! `n = 10` scale (OEIS A001349: 11 716 571 connected topologies)
+//! without paying any classification.
 //!
 //! Usage: `stream_count --n 10 [--threads T] [--shards auto|R]
 //! [--checkpoint PATH [--resume]] [--expect 11716571] [--report-json PATH]`
 //!
-//! The count runs the same partition as the sweep binaries'
-//! orchestrator: the parent frontier ([`bnf_stream::ParentFrontier`]) is
-//! built **once**, cut into `--shards` ranges (`auto`, the default, is
-//! 16 per worker thread), and worker threads steal ranges off an atomic
-//! counter, summing emissions and per-range pruning counters. Orders 0
-//! and 1 have a one-graph frontier and run the same way. The count
-//! keeps its own loop rather than the engine's classify runner: it
-//! needs neither a per-graph sort tag nor a graph6 key, which at
-//! `n = 10` would cost ~190 MB and a key render per graph.
+//! The count runs the sweep orchestrator's frontier partition
+//! ([`bnf_stream::FrontierPartition`]): one frontier build, `--shards`
+//! ranges (`auto`, the default, is 16 per worker thread; never more
+//! ranges than parents) stolen by worker threads that only count — no
+//! sort tag, no graph6 key, no classification.
 //!
-//! `--checkpoint PATH` makes the count crash-safe: every completed range
-//! appends one fsynced line (index, emitted, pruning counters) to a
-//! plain-text sidecar. `--resume` re-reads that sidecar after a crash —
-//! a torn final line (the write the kill interrupted) is dropped and
-//! reported — checks its partition against the rebuilt frontier, folds
-//! the recovered ranges' counts in, and enumerates only the missing
-//! ranges. The sweep binaries get the same behaviour from their
-//! `--atlas` store; `stream_count` has no store, hence the sidecar. A
-//! sidecar that cannot be read or does not describe this run's
-//! partition prints one `error:` line and exits 1.
+//! `--checkpoint PATH` makes the count crash-safe: the calling thread
+//! appends one fsynced line (index, emitted, pruning counters) per
+//! completed range to a plain-text sidecar. `--resume` re-reads it after
+//! a crash — a torn final line (the write the kill interrupted) is
+//! dropped and reported — checks its partition against the rebuilt
+//! frontier, folds the recovered ranges' counts in, and enumerates only
+//! the missing ranges (the sweep binaries get the same from their
+//! `--atlas` store). A sidecar that cannot be read or does not describe
+//! this run's partition prints one `error:` line and exits 1.
 //!
 //! With `--expect`, a count mismatch exits non-zero — the regression
-//! gate. The counter report goes to stdout in `key: value` lines so CI
-//! can upload it as an artifact; `--report-json PATH` additionally
-//! writes the versioned [`bnf_obs::RunManifest`] with the same
-//! counters plus spans and histograms.
+//! gate. The report goes to stdout in `key: value` lines;
+//! `--report-json PATH` also writes the [`bnf_obs::RunManifest`] with
+//! the same counters plus spans and histograms.
 
 use std::io::Write;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
-use bnf_stream::{ParentFrontier, PruneCounters, ShardSpec, StreamStats};
+use bnf_stream::{
+    FrontierPartition, ParentFrontier, PruneCounters, RangeSelection, RangeStats, StreamStats,
+};
 
 fn arg_value(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -74,30 +67,19 @@ fn parsed<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
     })
 }
 
-/// Ranges cut per worker thread on `--shards auto` — mirrors the
-/// engine orchestrator's oversplit so both paths exercise the same
-/// partition shape.
-const OVERSPLIT: usize = 16;
-
 /// The largest range count: the sweep binaries' `--shards` bound (their
 /// `ShardMeta` stores range indices as `u32`).
 const MAX_RANGES: usize = u32::MAX as usize;
 
-/// One completed range recovered from a checkpoint sidecar: its index,
-/// emission count, and final-level pruning counters — everything needed
-/// to fold the range into the totals without re-enumerating it.
-struct DoneRange {
-    index: usize,
-    emitted: u64,
-    prune: PruneCounters,
-}
-
 /// The prior state a `--resume` run recovered from its `--checkpoint`
 /// sidecar (absent file or empty file ⇒ cold start, no recovery).
 struct Recovered {
-    ranges: usize,
-    frontier_len: u64,
-    done: Vec<DoneRange>,
+    /// The interrupted run's partition, pinned to its frontier length,
+    /// minus the ranges it durably counted.
+    selection: RangeSelection,
+    /// Those ranges' emissions and final-level counters, summed — folded
+    /// into the totals without re-enumerating them.
+    counted: RangeStats,
     /// Bytes of the file up to and including its last newline.
     clean_len: u64,
     /// Bytes of the torn final line the interrupting kill left behind.
@@ -152,9 +134,8 @@ fn load_checkpoint(path: &str, n: usize) -> Result<Option<Recovered>, String> {
             "checkpoint {path}: header ranges={ranges} is outside 1..={MAX_RANGES}"
         ));
     }
-    let ranges = ranges as usize;
     let frontier_len = field("frontier_len")?;
-    let mut done = Vec::new();
+    let mut done = std::collections::BTreeMap::new();
     for line in lines {
         let nums: Option<Vec<u64>> = line
             .strip_prefix("done ")
@@ -163,13 +144,12 @@ fn load_checkpoint(path: &str, n: usize) -> Result<Option<Recovered>, String> {
         let Some(&[index, emitted, c, o, ch, s, d]) = nums.as_deref() else {
             return Err(format!("checkpoint {path}: malformed line {line:?}"));
         };
-        if index >= ranges as u64 {
+        if index >= ranges {
             return Err(format!(
                 "checkpoint {path}: range index {index} outside the {ranges}-range partition"
             ));
         }
-        done.push(DoneRange {
-            index: index as usize,
+        done.entry(index as usize).or_insert(RangeStats {
             emitted,
             prune: PruneCounters {
                 candidates: c,
@@ -180,12 +160,12 @@ fn load_checkpoint(path: &str, n: usize) -> Result<Option<Recovered>, String> {
             },
         });
     }
-    done.sort_by_key(|r| r.index);
-    done.dedup_by_key(|r| r.index);
+    let mut counted = RangeStats::default();
+    done.values().for_each(|range| counted.merge(range));
+    let done: Vec<usize> = done.into_keys().collect();
     Ok(Some(Recovered {
-        ranges,
-        frontier_len,
-        done,
+        selection: RangeSelection::all(ranges as usize).resuming(&done, frontier_len),
+        counted,
         clean_len: clean_len as u64,
         dropped_bytes: (text.len() - clean_len) as u64,
     }))
@@ -219,20 +199,18 @@ fn open_checkpoint(
     Ok(file)
 }
 
-/// The partitioned count: one frontier build, work-stolen ranges, no
-/// classification — returns the final-level count and the
-/// unsharded-equivalent [`StreamStats`], plus the range count used and
-/// how many ranges a `--resume` recovered without re-enumeration.
-///
-/// With `checkpoint`, every completed range appends one fsynced line to
-/// the sidecar — the durability point a later `--resume` rebuilds from.
+/// The partitioned count: returns the unsharded-equivalent
+/// [`StreamStats`], the range count used, and how many ranges a
+/// `--resume` recovered without re-enumeration. With `checkpoint`,
+/// every completed range appends one fsynced line to the sidecar — the
+/// durability point a later `--resume` rebuilds from.
 fn count_ranges(
     n: usize,
     threads: usize,
     ranges: usize,
     checkpoint: Option<&str>,
     resume: bool,
-) -> Result<(u64, StreamStats, usize, usize), String> {
+) -> Result<(StreamStats, usize, usize), String> {
     let recovered = match (resume, checkpoint) {
         (true, Some(path)) => load_checkpoint(path, n)?,
         _ => None,
@@ -240,117 +218,81 @@ fn count_ranges(
     // The stored partition wins: range boundaries are a pure function of
     // (frontier_len, ranges), so resuming must reuse the interrupted
     // run's cut exactly.
-    let ranges = recovered.as_ref().map_or(ranges, |r| r.ranges);
+    let selection = recovered
+        .as_ref()
+        .map_or_else(|| RangeSelection::all(ranges), |r| r.selection.clone());
     let frontier = ParentFrontier::build(n, threads);
-    if let (Some(r), Some(path)) = (&recovered, checkpoint) {
-        if r.frontier_len != frontier.len() as u64 {
-            return Err(format!(
-                "checkpoint {path} was cut from a different n={n} frontier (stored \
-                 frontier_len={}, rebuilt {}) — incompatible build?",
-                r.frontier_len,
-                frontier.len()
-            ));
-        }
-    }
+    let partition = FrontierPartition::new(&frontier, &selection)
+        .map_err(|e| format!("checkpoint {}: {e}", checkpoint.unwrap_or_default()))?;
+    let ranges = partition.ranges;
     let header = format!(
         "{CHECKPOINT_MAGIC} n={n} ranges={ranges} frontier_len={}",
         frontier.len()
     );
-    let sidecar = checkpoint
-        .map(|path| open_checkpoint(path, &header, recovered.as_ref()).map(Mutex::new))
+    let mut sidecar = checkpoint
+        .map(|path| open_checkpoint(path, &header, recovered.as_ref()).map(|file| (path, file)))
         .transpose()?;
-    let completed: Vec<usize> = recovered
-        .as_ref()
-        .map(|r| r.done.iter().map(|d| d.index).collect())
-        .unwrap_or_default();
-    let next = AtomicUsize::new(0);
-    let count = AtomicU64::new(0);
-    let final_prune = Mutex::new(PruneCounters::default());
-    std::thread::scope(|scope| {
-        for _ in 0..threads.max(1) {
-            scope.spawn(|| {
-                let mut local = 0u64;
-                let mut prune = PruneCounters::default();
-                loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    if index >= ranges {
-                        break;
-                    }
-                    if completed.binary_search(&index).is_ok() {
-                        continue; // durably counted by the prior run
-                    }
-                    let (lo, hi) = ShardSpec::new(index, ranges).range(frontier.len());
-                    let range = frontier.stream_range(lo, hi, |_, _| {});
-                    if let (Some(sidecar), Some(path)) = (&sidecar, checkpoint) {
-                        let p = &range.prune;
-                        let mut file = bnf_stream::sync::lock(sidecar);
-                        // One line, then fsync: the range is durably
-                        // complete only once its line is on disk.
-                        writeln!(
-                            file,
-                            "done {index} {} {} {} {} {} {}",
-                            range.emitted,
-                            p.candidates,
-                            p.orbit_skipped,
-                            p.cheap_rejected,
-                            p.search_rejected,
-                            p.duplicates,
-                        )
-                        .and_then(|()| file.sync_all())
-                        .unwrap_or_else(|e| {
-                            file_error(&format!("checkpoint {path}: append failed: {e}"))
-                        });
-                        // Armed kill point (BNF_FAULT=range_checkpoint:N
-                        // [:tear:B]): fires with the line durably on
-                        // disk, the worst moment a resume must survive.
-                        bnf_faults::trip_with_file("range_checkpoint", std::path::Path::new(path));
-                    }
-                    local += range.emitted;
-                    prune.merge(&range.prune);
-                }
-                count.fetch_add(local, Ordering::Relaxed);
-                bnf_stream::sync::lock(&final_prune).merge(&prune);
-            });
-        }
-    });
-    let mut stats = StreamStats {
-        level_sizes: frontier.level_sizes().to_vec(),
-        prune: frontier.frontier_prune(),
-    };
-    // Fold the recovered ranges back in: the reported count and
-    // counters describe the *whole* partition, identical to an
-    // uninterrupted run — recovery changes what was re-enumerated, not
-    // what is true.
-    let mut count = count.load(Ordering::Relaxed);
-    let mut prune = bnf_stream::sync::lock_into(final_prune);
-    for done in recovered.iter().flat_map(|r| &r.done) {
-        count += done.emitted;
-        prune.merge(&done.prune);
-    }
-    stats.level_sizes.push(count);
-    stats.prune.merge(&prune);
+    let mut total = partition.run(
+        threads,
+        || (),
+        |(), lo, hi| (frontier.stream_range(lo, hi, |_, _| {}), ()),
+        |run| {
+            let Some((path, file)) = &mut sidecar else {
+                return;
+            };
+            let p = &run.stats.prune;
+            // One line, then fsync: the range is durably complete only
+            // once its line is on disk.
+            writeln!(
+                file,
+                "done {} {} {} {} {} {} {}",
+                run.index,
+                run.stats.emitted,
+                p.candidates,
+                p.orbit_skipped,
+                p.cheap_rejected,
+                p.search_rejected,
+                p.duplicates,
+            )
+            .and_then(|()| file.sync_all())
+            .unwrap_or_else(|e| file_error(&format!("checkpoint {path}: append failed: {e}")));
+            // Armed kill point (BNF_FAULT=range_checkpoint:N[:tear:B]):
+            // fires with the line durably on disk, the worst moment a
+            // resume must survive.
+            bnf_faults::trip_with_file("range_checkpoint", std::path::Path::new(path));
+        },
+    );
+    let mut recovered_ranges = 0;
     if let Some(r) = &recovered {
+        // Fold the recovered ranges back in: the reported count and
+        // counters describe the *whole* partition, identical to an
+        // uninterrupted run — recovery changes what was re-enumerated,
+        // not what is true.
+        total.merge(&r.counted);
+        recovered_ranges = r.selection.done.len();
         eprintln!(
-            "resumed count: recovered {}/{ranges} completed range(s) from checkpoint, \
-             redoing {}; torn tail: {} byte(s) dropped",
-            r.done.len(),
-            ranges - r.done.len(),
+            "resumed count: recovered {recovered_ranges}/{ranges} completed range(s) from \
+             checkpoint, redoing {}; torn tail: {} byte(s) dropped",
+            ranges - recovered_ranges,
             r.dropped_bytes,
         );
     }
-    Ok((count, stats, ranges, completed.len()))
+    Ok((frontier.stream_stats(total), ranges, recovered_ranges))
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let n: usize = parsed(&args, "--n").unwrap_or(8);
+    if n > 10 {
+        usage_error(&format!("--n {n} is above the enumeration bound n=10"));
+    }
     let threads: usize = parsed(&args, "--threads").unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1)
     });
     let ranges = match arg_value(&args, "--shards").as_deref() {
-        None | Some("auto") => threads.max(1).saturating_mul(OVERSPLIT),
+        None | Some("auto") => bnf_stream::auto_range_count(threads),
         Some(v) => match v.parse() {
             Ok(r) if (1..=MAX_RANGES).contains(&r) => r,
             _ => usage_error(&format!(
@@ -377,9 +319,10 @@ fn main() -> ExitCode {
          stealing frontier ranges)..."
     );
     let started = std::time::Instant::now();
-    let (count, stats, ranges, recovered) =
+    let (stats, ranges, recovered) =
         count_ranges(n, threads, ranges, checkpoint.as_deref(), resume)
             .unwrap_or_else(|e| file_error(&e));
+    let count = stats.emitted();
     let elapsed_ms = started.elapsed().as_millis() as u64;
     bnf_obs::heartbeat::finish();
     println!("n: {n}");
@@ -392,12 +335,9 @@ fn main() -> ExitCode {
     println!("connected_graphs: {count}");
     println!("elapsed_ms: {elapsed_ms}");
     println!("level_sizes: {:?}", stats.level_sizes);
-    println!("candidates: {}", stats.prune.candidates);
-    println!("orbit_skipped: {}", stats.prune.orbit_skipped);
-    println!("cheap_rejected: {}", stats.prune.cheap_rejected);
-    println!("search_rejected: {}", stats.prune.search_rejected);
-    println!("duplicates: {}", stats.prune.duplicates);
-    println!("accepted: {}", stats.prune.accepted());
+    for (name, value) in stats.prune.named() {
+        println!("{name}: {value}");
+    }
     println!(
         "candidates_per_survivor: {:.3}",
         stats.prune.candidates_per_survivor()

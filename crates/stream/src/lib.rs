@@ -25,10 +25,12 @@
 //!   disjoint classes, so any partition of the frontier into contiguous
 //!   ranges ([`ShardSpec`]) partitions the emissions exactly:
 //!   [`ParentFrontier::stream_range`] streams any `[lo, hi)` parent
-//!   slice serially and reports per-range [`RangeStats`], which is what
-//!   the orchestrator (`bnf_engine`) work-steals over — every cold
-//!   sweep, each process of a multi-process `--shard` fleet, and the
-//!   `stream_count` binary run through it.
+//!   slice serially and reports per-range [`RangeStats`].
+//! * [`FrontierPartition`] — checks a [`RangeSelection`] against the
+//!   built frontier and work-steals its ranges ([`scheduler`], the
+//!   workspace's one work-stealing loop): the classify orchestrator
+//!   (`bnf_engine`) runs a classifying worker on it, the `stream_count`
+//!   binary a counting one.
 //! * [`for_each_connected_stats`] / [`for_each_connected`] — the serial
 //!   whole-order enumeration. Its [`StreamStats`] (per-level sizes plus
 //!   the candidate / orbit-skipped / rejected / duplicate counters,
@@ -57,33 +59,35 @@
 //! assert_eq!(stats.peak_level(), 112);
 //! ```
 //!
-//! Partitioned runs build the frontier once and stream ranges of it:
+//! Partitioned runs build the frontier once and steal ranges of it:
 //!
 //! ```
-//! use bnf_stream::{ParentFrontier, ShardSpec};
+//! use bnf_stream::{FrontierPartition, ParentFrontier, RangeSelection};
 //!
 //! let frontier = ParentFrontier::build(6, 2);
-//! let emitted: u64 = (0..4)
-//!     .map(|i| {
-//!         let (lo, hi) = ShardSpec::new(i, 4).range(frontier.len());
-//!         frontier.stream_range(lo, hi, |_, _| {}).emitted
-//!     })
-//!     .sum();
-//! assert_eq!(emitted, 112);
+//! let partition = FrontierPartition::new(&frontier, &RangeSelection::all(4)).unwrap();
+//! let count = |(): &mut (), lo, hi| (frontier.stream_range(lo, hi, |_, _| {}), ());
+//! let final_level = partition.run(2, || (), count, |_range| {});
+//! assert_eq!(frontier.stream_stats(final_level).emitted(), 112);
 //! ```
 //!
 //! For classification workloads, prefer the engine seam
 //! (`AnalysisEngine::run_connected_streaming_keyed_orchestrated` in
-//! `bnf-engine`), which adds work-stolen ranges, per-worker scratch
-//! reuse and a deterministic output order on top of [`ParentFrontier`].
+//! `bnf-engine`), which adds per-worker scratch reuse and a
+//! deterministic output order on top of [`FrontierPartition`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod partition;
 mod producer;
 pub mod prune;
-pub mod sync;
+pub mod scheduler;
 
+pub use partition::{
+    auto_range_count, FrontierMismatch, FrontierPartition, RangeRun, RangeSelection,
+    DEFAULT_OVERSPLIT,
+};
 pub use producer::{
     for_each_connected, for_each_connected_stats, for_each_connected_unpruned, ParentFrontier,
     RangeStats, ShardSpec, StreamStats,

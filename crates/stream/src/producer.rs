@@ -31,23 +31,12 @@
 //! implementation the equivalence tests (and A/B measurements) compare
 //! against.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use bnf_graph::{CanonKey, Graph, VertexSet};
 
 use crate::prune::{augment_connected_parent, PruneCounters};
-use crate::sync::{lock, lock_into};
-
-/// Records one enumeration level's candidate rate into the global
-/// telemetry recorder: candidates constructed per millisecond of level
-/// wall-clock, log-bucketed — the distribution the straggler-level
-/// analysis reads.
-fn record_level_rate(started: Instant, candidates: u64) {
-    let ms = (started.elapsed().as_millis() as u64).max(1);
-    bnf_obs::Recorder::global().record_hist("level_candidates_per_ms", candidates / ms);
-}
+use crate::scheduler;
 
 /// Per-level sizes and pruning work counters observed by one streaming
 /// enumeration run.
@@ -156,7 +145,7 @@ fn sort_frontier(frontier: &mut [(Graph, CanonKey)]) {
 #[derive(Debug)]
 pub struct ParentFrontier {
     /// The order `n` whose final level the ranges stream.
-    order: usize,
+    pub(crate) order: usize,
     parents: Vec<Graph>,
     /// Level sizes of the build: `[1, |level 1|, …, |level n − 2|]`
     /// (the last entry is the frontier itself; empty for `n <= 1`).
@@ -176,6 +165,14 @@ pub struct RangeStats {
     pub emitted: u64,
     /// Pruning counters of the final level restricted to this range.
     pub prune: PruneCounters,
+}
+
+impl RangeStats {
+    /// Adds another range's emissions and counters into `self`.
+    pub fn merge(&mut self, other: &RangeStats) {
+        self.emitted += other.emitted;
+        self.prune.merge(&other.prune);
+    }
 }
 
 impl ParentFrontier {
@@ -204,17 +201,43 @@ impl ParentFrontier {
                 prune: PruneCounters::default(),
             };
         }
-        let threads = threads.max(1);
         let build_started = Instant::now();
         let mut level_sizes = vec![1u64];
         let mut prune = PruneCounters::default();
         let mut parents = vec![Graph::empty(1)];
         for _ in 1..(n - 1) {
-            let level_started = Instant::now();
-            let (mut next, level_prune) = advance_level(&parents, threads);
-            record_level_rate(level_started, level_prune.candidates);
+            // One level: workers steal parent chunks; the children arrive
+            // in any order, and the sort fixes it.
+            let (level_started, candidates_before) = (Instant::now(), prune.candidates);
+            let chunk = scheduler::chunk_len(parents.len(), threads);
+            let mut next: Vec<(Graph, CanonKey)> = Vec::new();
+            scheduler::run(
+                threads,
+                parents.len().div_ceil(chunk),
+                || (),
+                |(), unit| {
+                    let mut counters = PruneCounters::default();
+                    let mut children = Vec::new();
+                    for parent in parents[unit * chunk..].iter().take(chunk) {
+                        // Accepted children are unique by construction:
+                        // push without any dedup lookup.
+                        augment_connected_parent(parent, &mut counters, |form, key| {
+                            children.push((form, key));
+                        });
+                    }
+                    (children, counters)
+                },
+                |(mut children, counters)| {
+                    next.append(&mut children);
+                    prune.merge(&counters);
+                },
+            );
+            // Candidates per millisecond of level wall-clock: the
+            // distribution the straggler-level analysis reads.
+            let ms = (level_started.elapsed().as_millis() as u64).max(1);
+            let rate = (prune.candidates - candidates_before) / ms;
+            bnf_obs::Recorder::global().record_hist("level_candidates_per_ms", rate);
             level_sizes.push(next.len() as u64);
-            prune.merge(&level_prune);
             sort_frontier(&mut next);
             parents = next.into_iter().map(|(g, _)| g).collect();
         }
@@ -287,48 +310,6 @@ impl ParentFrontier {
         }
         stats
     }
-}
-
-/// Augments every parent in `parents` across up to `threads` workers
-/// and returns the (unsorted) next frontier with the level's pruning
-/// counters — one level of the frontier build.
-fn advance_level(parents: &[Graph], threads: usize) -> (Vec<(Graph, CanonKey)>, PruneCounters) {
-    // Workers append their chunk-local buffers, so the lock is taken
-    // once per chunk, not once per child.
-    let frontier: Mutex<Vec<(Graph, CanonKey)>> = Mutex::new(Vec::new());
-    let counters: Mutex<PruneCounters> = Mutex::new(PruneCounters::default());
-    let next = AtomicUsize::new(0);
-    let chunk = (parents.len() / (threads * 8)).clamp(1, 64);
-    let worker = || {
-        let mut local_counters = PruneCounters::default();
-        let mut local_frontier: Vec<(Graph, CanonKey)> = Vec::new();
-        loop {
-            let start = next.fetch_add(chunk, Ordering::Relaxed);
-            if start >= parents.len() {
-                break;
-            }
-            let end = (start + chunk).min(parents.len());
-            for parent in &parents[start..end] {
-                // Accepted children are unique by construction: push
-                // without any dedup lookup.
-                augment_connected_parent(parent, &mut local_counters, |form, key| {
-                    local_frontier.push((form, key));
-                });
-            }
-            lock(&frontier).append(&mut local_frontier);
-        }
-        lock(&counters).merge(&local_counters);
-    };
-    if threads == 1 {
-        worker();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(worker);
-            }
-        });
-    }
-    (lock_into(frontier), lock_into(counters))
 }
 
 /// Serial streaming enumeration: invokes `visit` once per non-isomorphic
@@ -472,14 +453,7 @@ mod tests {
         V: FnMut(Graph, CanonKey),
     {
         let frontier = ParentFrontier::build(n, threads);
-        let range = frontier.stream_range(0, frontier.len(), visit);
-        let mut stats = StreamStats {
-            level_sizes: frontier.level_sizes().to_vec(),
-            prune: frontier.frontier_prune(),
-        };
-        stats.level_sizes.push(range.emitted);
-        stats.prune.merge(&range.prune);
-        stats
+        frontier.stream_stats(frontier.stream_range(0, frontier.len(), visit))
     }
 
     #[test]
@@ -578,7 +552,8 @@ mod tests {
     }
 
     #[test]
-    fn single_thread_avoids_spawning_but_matches() {
+    fn single_thread_build_matches() {
+        // One worker runs the same scheduler path as many.
         let mut count = 0u64;
         let stats = frontier_stream(6, 1, |_, _| count += 1);
         assert_eq!(count, 112);

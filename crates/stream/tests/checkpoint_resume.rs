@@ -3,14 +3,14 @@
 //! kill point (the moment a range's line is durably on disk) — plainly,
 //! or after tearing bytes off that line — must resume from the sidecar,
 //! recover exactly the durable ranges, and report the count, level
-//! sizes and every pruning counter of an uninterrupted run.
+//! sizes and every pruning counter of an uninterrupted run — on one
+//! worker and on two, whose ranges finish out of index order.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-/// Arguments every run shares: order 7 (853 graphs) cut into 8 ranges,
-/// one worker so ranges complete in index order.
-const BASE: [&str; 6] = ["--n", "7", "--threads", "1", "--shards", "8"];
+/// Arguments every run shares: order 7 (853 graphs) cut into 8 ranges.
+const BASE: [&str; 4] = ["--n", "7", "--shards", "8"];
 
 /// The stdout lines that must not depend on how the count was reached.
 const INVARIANT: [&str; 9] = [
@@ -53,20 +53,26 @@ fn line<'a>(stdout: &'a str, key: &str) -> Option<&'a str> {
         .find_map(|l| l.strip_prefix(key)?.strip_prefix(": "))
 }
 
-#[test]
-fn killed_counts_resume_to_the_uninterrupted_counters() {
-    let whole = run(&[], None, None);
+/// The stdout of an uninterrupted count on `threads` workers.
+fn uninterrupted(threads: &str) -> String {
+    let whole = run(&["--threads", threads], None, None);
     assert!(whole.status.success(), "{whole:?}");
     let whole = String::from_utf8(whole.stdout).unwrap();
     assert_eq!(line(&whole, "connected_graphs"), Some("853"));
+    whole
+}
 
+#[test]
+fn killed_counts_resume_to_the_uninterrupted_counters() {
+    // One worker, so ranges complete in index order.
+    let whole = uninterrupted("1");
     for (fault, recovered) in [
         ("range_checkpoint:3", "3"),
         ("range_checkpoint:3:tear:5", "2"),
     ] {
         let path = scratch_path(&fault.replace(':', "-"));
         std::fs::remove_file(&path).ok();
-        let killed = run(&[], Some(&path), Some(fault));
+        let killed = run(&["--threads", "1"], Some(&path), Some(fault));
         assert!(
             !killed.status.success() && killed.status.code().is_none(),
             "{fault}: the armed kill must fire, got {killed:?}"
@@ -76,7 +82,7 @@ fn killed_counts_resume_to_the_uninterrupted_counters() {
             "{fault}: a killed count reports nothing"
         );
 
-        let resumed = run(&["--resume"], Some(&path), None);
+        let resumed = run(&["--threads", "1", "--resume"], Some(&path), None);
         let stderr = String::from_utf8_lossy(&resumed.stderr);
         assert!(resumed.status.success(), "{fault}: {stderr}");
         let stdout = String::from_utf8(resumed.stdout).unwrap();
@@ -91,4 +97,42 @@ fn killed_counts_resume_to_the_uninterrupted_counters() {
         }
         std::fs::remove_file(&path).ok();
     }
+}
+
+#[test]
+fn two_worker_kill_resumes_to_the_uninterrupted_counters() {
+    // Two workers finish ranges out of index order; the calling thread
+    // still writes every checkpoint line, so the kill at the third line
+    // leaves exactly three durable ranges, whichever they are.
+    let whole = uninterrupted("2");
+    let path = scratch_path("two-workers");
+    std::fs::remove_file(&path).ok();
+    let killed = run(&["--threads", "2"], Some(&path), Some("range_checkpoint:3"));
+    assert!(
+        !killed.status.success() && killed.status.code().is_none(),
+        "the armed kill must fire, got {killed:?}"
+    );
+    let resumed = run(&["--threads", "2", "--resume"], Some(&path), None);
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert!(resumed.status.success(), "{stderr}");
+    let stdout = String::from_utf8(resumed.stdout).unwrap();
+    assert_eq!(line(&stdout, "recovered_ranges"), Some("3"));
+    for key in INVARIANT {
+        assert_eq!(line(&stdout, key), line(&whole, key), "{key}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn whole_counts_get_at_most_one_range_per_parent() {
+    // Order 5 has a 6-parent frontier: 100 requested ranges become 6.
+    let out = Command::new(env!("CARGO_BIN_EXE_stream_count"))
+        .args(["--n", "5", "--shards", "100"])
+        .env_remove("BNF_FAULT")
+        .output()
+        .expect("spawn stream_count");
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(line(&stdout, "ranges"), Some("6"));
+    assert_eq!(line(&stdout, "connected_graphs"), Some("21"));
 }

@@ -68,6 +68,13 @@ fn non_numeric_flags_exit_2_with_one_error_line() {
 }
 
 #[test]
+fn orders_above_the_enumeration_bound_exit_2() {
+    for n in ["11", "64"] {
+        assert_usage_error(&["--n", n], "above the enumeration bound n=10");
+    }
+}
+
+#[test]
 fn resume_without_checkpoint_exits_2() {
     assert_usage_error(&["--n", "5", "--resume"], "pass --checkpoint PATH");
     assert_usage_error(&["--n", "5", "--shards", "4", "--resume"], "--checkpoint");

@@ -10,13 +10,14 @@
 //! * [`enumerate`] — exhaustive non-isomorphic enumeration
 //! * [`stream`] — streaming enumeration: canonical-construction pruned
 //!   level-by-level augmentation feeding classification without
-//!   materializing the list (or any dedup set)
+//!   materializing the list (or any dedup set), the frontier partition
+//!   and the work-stealing scheduler
 //! * [`games`] — the UCG/BCG model: strategies, costs, efficiency, PoA
 //! * [`core`] — equilibrium analysis (stability windows, pairwise Nash,
 //!   link convexity, the UCG Nash solver)
 //! * [`dynamics`] — myopic pairwise and best-response dynamics
 //! * [`engine`] — the shared classify-every-graph analysis pipeline
-//!   (work-stealing executor, per-worker scratch, `Analysis` jobs)
+//!   (per-worker scratch, `Analysis` jobs, the classify orchestrator)
 //! * [`empirics`] — the figure-regenerating sweeps, defined as thin
 //!   engine jobs
 //! * [`serve`] — the HTTP query layer over an indexed atlas

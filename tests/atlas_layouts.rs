@@ -24,9 +24,9 @@ use bilateral_formation::atlas::{
 use bilateral_formation::core::WindowRecord;
 use bilateral_formation::empirics::sweep::WindowJob;
 use bilateral_formation::empirics::WindowSweep;
-use bilateral_formation::engine::{Analysis, RangeSegment, RangeSelection, WorkerScratch};
+use bilateral_formation::engine::{Analysis, RangeSegment, WorkerScratch};
 use bilateral_formation::enumerate::connected_graphs;
-use bilateral_formation::stream::ShardSpec;
+use bilateral_formation::stream::{RangeSelection, ShardSpec};
 
 const N: usize = 7;
 
@@ -95,7 +95,8 @@ fn merged_store() -> PathBuf {
                 segment
                     .append_shard_meta(&range_meta(&seg, 10 + i as u64))
                     .unwrap();
-            });
+            })
+            .unwrap();
             path
         })
         .collect();

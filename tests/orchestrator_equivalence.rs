@@ -13,9 +13,9 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use bilateral_formation::atlas::{merge_segments, ClassificationAtlas, ShardCoverage, ShardMeta};
 use bilateral_formation::empirics::sweep::WindowJob;
 use bilateral_formation::empirics::{grid, SweepConfig, SweepResult, WindowSweep};
-use bilateral_formation::engine::{Analysis, RangeSelection, WorkerScratch};
+use bilateral_formation::engine::{Analysis, WorkerScratch};
 use bilateral_formation::enumerate::connected_graphs;
-use bilateral_formation::stream::{for_each_connected_stats, ShardSpec};
+use bilateral_formation::stream::{for_each_connected_stats, RangeSelection, ShardSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -145,7 +145,8 @@ fn orchestrated_store_matches_four_segment_merge_replay() {
             segment
                 .append_shard_meta(&range_meta(n, &seg, 100 + index as u64))
                 .unwrap();
-        });
+        })
+        .unwrap();
         seg_paths.push(path);
     }
     let merged_path = scratch_path("merged");

@@ -11,9 +11,10 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 use bilateral_formation::atlas::{merge_segments, ClassificationAtlas, ShardCoverage, ShardMeta};
 use bilateral_formation::empirics::{grid, WindowSweep};
-use bilateral_formation::engine::{RangeSelection, DEFAULT_OVERSPLIT};
 use bilateral_formation::graph::CanonKey;
-use bilateral_formation::stream::{for_each_connected, ParentFrontier, ShardSpec};
+use bilateral_formation::stream::{
+    for_each_connected, ParentFrontier, RangeSelection, ShardSpec, DEFAULT_OVERSPLIT,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -148,7 +149,8 @@ fn merged_segments_replay_csv_byte_identical_to_single_process_run() {
                 })
                 .unwrap();
             committed += 1;
-        });
+        })
+        .unwrap();
         assert_eq!(committed, DEFAULT_OVERSPLIT, "process {index}");
         seg_paths.push(path);
     }
