@@ -79,6 +79,27 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // The manifest goes first: a path that cannot be written is one
+    // `error:` line with nothing on stdout, not a report followed by a
+    // failure.
+    if let Some(path) = report_json {
+        let mut manifest = bnf_obs::RunManifest::new("shard_merge", 0, "merge");
+        manifest.emitted = out.len() as u64;
+        manifest.elapsed_ms = merge_started.elapsed().as_millis() as u64;
+        manifest.peak_rss_kb = bnf_obs::peak_rss_kb();
+        manifest.set_counter("shard_slots", out.shard_metas().len() as u64);
+        manifest.shards = out
+            .shard_metas()
+            .iter()
+            .map(ShardMeta::provenance)
+            .collect();
+        manifest.absorb(bnf_obs::Recorder::global().take());
+        if let Err(e) = std::fs::write(&path, manifest.to_json()) {
+            eprintln!("error: cannot write run manifest to {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+        eprintln!("run manifest written to {path}");
+    }
     for (path, recovery) in &report.salvaged {
         println!("salvaged {}: {recovery}", path.display());
     }
@@ -110,24 +131,6 @@ fn main() -> ExitCode {
                 );
             }
         }
-    }
-    if let Some(path) = report_json {
-        let mut manifest = bnf_obs::RunManifest::new("shard_merge", 0, "merge");
-        manifest.emitted = out.len() as u64;
-        manifest.elapsed_ms = merge_started.elapsed().as_millis() as u64;
-        manifest.peak_rss_kb = bnf_obs::peak_rss_kb();
-        manifest.set_counter("shard_slots", out.shard_metas().len() as u64);
-        manifest.shards = out
-            .shard_metas()
-            .iter()
-            .map(ShardMeta::provenance)
-            .collect();
-        manifest.absorb(bnf_obs::Recorder::global().take());
-        if let Err(e) = std::fs::write(&path, manifest.to_json()) {
-            eprintln!("cannot write run manifest to {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("run manifest written to {path}");
     }
     ExitCode::SUCCESS
 }

@@ -4,7 +4,8 @@
 //! written — a flag without its value, a stray argument, a missing
 //! `--atlas` or `--out`, or a merge without segments prints exactly one `error:` line and exits 2 before any
 //! work; a store the binary cannot read exits 1 with one `error:` line
-//! naming the way out.
+//! naming the way out, and a merge whose `--report-json` path cannot be
+//! written exits 1 with one `error:` line and no report.
 
 use std::path::PathBuf;
 use std::process::Output;
@@ -105,6 +106,31 @@ fn shard_merge_flag_mistakes_exit_2_before_any_work() {
     assert!(!out.exists());
     assert_eq!(std::fs::read(&segment).unwrap(), V3_FIXTURE);
     std::fs::remove_file(&segment).ok();
+}
+
+#[test]
+fn shard_merge_unwritable_manifest_exits_1_before_any_report() {
+    let segment = scratch_path("manifest-seg");
+    let out = scratch_path("manifest-out");
+    let star = bnf_graph::Graph::from_edges(4, [(0, 1), (0, 2), (0, 3)]).unwrap();
+    let record = bnf_core::WindowRecord::classify(&star, &mut bnf_graph::BfsScratch::new());
+    bnf_atlas::ClassificationAtlas::open(&segment)
+        .unwrap()
+        .append_records(&[record])
+        .unwrap();
+    let json = scratch_path("no-such-dir").join("report.json");
+    let args = [
+        "--out",
+        out.to_str().unwrap(),
+        "--report-json",
+        json.to_str().unwrap(),
+        segment.to_str().unwrap(),
+    ];
+    let result = run(env!("CARGO_BIN_EXE_shard_merge"), &args);
+    assert_error(&result, 1, "cannot write run manifest to");
+    assert!(result.stdout.is_empty(), "the merge report was printed");
+    std::fs::remove_file(&segment).ok();
+    std::fs::remove_file(&out).ok();
 }
 
 #[test]

@@ -1,8 +1,9 @@
 //! Kernel equivalence suite: the single-link Δ table, the ranked UCG
-//! tables and the α-resolved orientation solver against the per-query
-//! [`DeltaCalc`] window bodies, the per-wish-set best-response fold and
-//! the edge-by-edge backtracker they replaced, over every connected
-//! graph up to order 7 (order 8 behind `--ignored`, run in release).
+//! tables, the point branch's masks and the α-resolved orientation
+//! solver against the per-query [`DeltaCalc`] window bodies, the
+//! per-wish-set best-response fold and the edge-by-edge backtracker they
+//! replaced, over every connected graph up to order 7 (order 8 behind
+//! `--ignored`, run in release).
 //! Solver against backtracker at order ≤ 7 runs once, in
 //! `ucg::tests::propagating_solver_matches_oracle_exhaustively`, through
 //! the same [`assert_solver_matches_oracle`] the order-8 run uses.
@@ -17,7 +18,10 @@ use crate::stability::{is_pairwise_stable, stability_window_oracle, stability_wi
 use crate::transfers::{
     is_transfer_stable, transfer_stability_window_with, transfer_window_oracle,
 };
-use crate::ucg::{best_response_tables_oracle, necessary_window_oracle, ucg_necessary_window_with};
+use crate::ucg::{
+    best_response_tables_oracle, necessary_window_oracle, point_masks_per_vertex,
+    ucg_necessary_window_with,
+};
 use crate::{UcgAnalyzer, WindowRecord};
 
 /// Probes covering every cell a window can have: each positive
@@ -81,15 +85,17 @@ fn assert_kernels_match(g: &Graph, scratch: &mut BfsScratch) {
         );
     }
 
-    assert_tables_match(g);
-    assert_clip_keeps_support(g, necessary);
+    let oracle = best_response_tables_oracle(g);
+    assert_tables_match(g, &oracle);
+    assert_point_masks_match(g, &oracle);
+    assert_clip_keeps_support(g, necessary, &record.ucg_support);
 }
 
 /// Every (vertex, owned set) entry of the ranked tables equals the
-/// per-wish-set fold, `None`s included.
-fn assert_tables_match(g: &Graph) {
+/// per-wish-set fold of `oracle`, `None`s included.
+fn assert_tables_match(g: &Graph, oracle: &[Vec<(u64, ClosedInterval)>]) {
     let ucg = UcgAnalyzer::new(g).expect("connected graph in the UCG domain");
-    for (i, oracle) in best_response_tables_oracle(g).iter().enumerate() {
+    for (i, oracle) in oracle.iter().enumerate() {
         let row = g.neighbor_bits(i);
         let mut o = row;
         loop {
@@ -110,10 +116,48 @@ fn assert_tables_match(g: &Graph) {
     }
 }
 
+/// The point branch against the per-wish-set fold: at every positive
+/// integer `a` up to one past the largest finite endpoint of `oracle`,
+/// each vertex's point masks are exactly its oracle entries whose
+/// interval contains `a`, in mask order. The points come from the oracle
+/// tables alone, never from the point branch or the analyzer's probes.
+fn assert_point_masks_match(g: &Graph, oracle: &[Vec<(u64, ClosedInterval)>]) {
+    let top = oracle
+        .iter()
+        .flatten()
+        .flat_map(|(_, iv)| std::iter::once(iv.lo).chain(iv.hi.finite()))
+        .max()
+        .unwrap_or(Ratio::ZERO);
+    let last = top.numer().div_euclid(top.denom()) + 1;
+    for a in 1..=last {
+        let alpha = Ratio::from(a);
+        let expected: Vec<Vec<u64>> = oracle
+            .iter()
+            .map(|t| {
+                t.iter()
+                    .filter(|(_, iv)| iv.contains(alpha))
+                    .map(|&(m, _)| m)
+                    .collect()
+            })
+            .collect();
+        let a = u32::try_from(a).expect("small endpoint");
+        assert_eq!(
+            point_masks_per_vertex(g, a),
+            expected,
+            "{g:?}: point masks at alpha={a}"
+        );
+    }
+}
+
 /// The necessary window is a valid clip: probing only inside it (a
 /// single point probed once, for most graphs) reports the full support
-/// set.
-fn assert_clip_keeps_support(g: &Graph, necessary: Option<ClosedInterval>) {
+/// set — and so does the window record, whose point windows take the
+/// point branch instead of the analyzer.
+fn assert_clip_keeps_support(
+    g: &Graph,
+    necessary: Option<ClosedInterval>,
+    record_support: &[ClosedInterval],
+) {
     let ucg = UcgAnalyzer::new(g).expect("connected graph in the UCG domain");
     let full = ucg.support_intervals();
     match necessary {
@@ -124,6 +168,7 @@ fn assert_clip_keeps_support(g: &Graph, necessary: Option<ClosedInterval>) {
         ),
         None => assert!(full.is_empty(), "{g:?}: supportable without a window"),
     }
+    assert_eq!(record_support, full, "{g:?}: record support");
 }
 
 /// [`probes`] around every endpoint of every vertex's best-response
@@ -222,7 +267,7 @@ fn tables_match_oracle_up_to_the_order_bound() {
     )
     .unwrap();
     for g in [path, cycle, petersen] {
-        assert_tables_match(&g);
+        assert_tables_match(&g, &best_response_tables_oracle(&g));
     }
 }
 

@@ -13,7 +13,6 @@ use bnf_graph::{BfsScratch, Graph};
 
 use crate::delta::DeltaTable;
 use crate::interval::{ClosedInterval, StabilityWindow};
-use crate::ucg::UcgAnalyzer;
 use crate::{stability, transfers, ucg};
 
 use bnf_games::Ratio;
@@ -56,8 +55,12 @@ impl WindowRecord {
     /// change under every one-link toggle, `n²` bitset BFS — is
     /// computed **once**; the total distance, the BCG window, the
     /// transfer window and the UCG necessary window are all folds over
-    /// it. Only a nonempty necessary window builds the exact UCG
-    /// analyzer.
+    /// it. An empty necessary window answers the UCG column at once; a
+    /// single positive point `a` — nearly every sweep graph's — is
+    /// settled at `α = a` alone, from one scalar superset-min per
+    /// vertex and one orientation search, with no interval tables; only
+    /// a proper interval builds the exact [`crate::UcgAnalyzer`] and
+    /// probes its tables.
     ///
     /// # Panics
     ///
@@ -71,9 +74,7 @@ impl WindowRecord {
         // one clips the solver's probe sequence.
         let ucg_support = match ucg::necessary_window_from_table(&deltas) {
             None => Vec::new(),
-            Some(nec) => UcgAnalyzer::new(g)
-                .expect("connected graph within the UCG order bound")
-                .support_intervals_within(nec),
+            Some(nec) => ucg::support_within_necessary(g, nec),
         };
         WindowRecord {
             key,
@@ -121,6 +122,7 @@ impl WindowRecord {
 mod tests {
     use super::*;
     use crate::interval::Threshold;
+    use crate::UcgAnalyzer;
 
     fn cycle(n: usize) -> Graph {
         Graph::from_edges(n, (0..n).map(|i| (i, (i + 1) % n))).unwrap()

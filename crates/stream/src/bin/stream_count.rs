@@ -325,23 +325,9 @@ fn main() -> ExitCode {
     let count = stats.emitted();
     let elapsed_ms = started.elapsed().as_millis() as u64;
     bnf_obs::heartbeat::finish();
-    println!("n: {n}");
-    println!("threads: {threads}");
-    println!("ranges: {ranges}");
-    println!("frontier_builds: 1");
-    if resume {
-        println!("recovered_ranges: {recovered}");
-    }
-    println!("connected_graphs: {count}");
-    println!("elapsed_ms: {elapsed_ms}");
-    println!("level_sizes: {:?}", stats.level_sizes);
-    for (name, value) in stats.prune.named() {
-        println!("{name}: {value}");
-    }
-    println!(
-        "candidates_per_survivor: {:.3}",
-        stats.prune.candidates_per_survivor()
-    );
+    // The manifest goes first: a path that cannot be written is one
+    // `error:` line with nothing on stdout, not a report followed by a
+    // failure.
     if let Some(path) = report_json {
         let mut manifest = bnf_obs::RunManifest::new("stream_count", n as u32, "orchestrated");
         manifest.emitted = count;
@@ -366,11 +352,27 @@ fn main() -> ExitCode {
         );
         manifest.absorb(bnf_obs::Recorder::global().take());
         if let Err(e) = std::fs::write(&path, manifest.to_json()) {
-            eprintln!("cannot write run manifest to {path}: {e}");
-            return ExitCode::FAILURE;
+            file_error(&format!("cannot write run manifest to {path}: {e}"));
         }
         eprintln!("run manifest written to {path}");
     }
+    println!("n: {n}");
+    println!("threads: {threads}");
+    println!("ranges: {ranges}");
+    println!("frontier_builds: 1");
+    if resume {
+        println!("recovered_ranges: {recovered}");
+    }
+    println!("connected_graphs: {count}");
+    println!("elapsed_ms: {elapsed_ms}");
+    println!("level_sizes: {:?}", stats.level_sizes);
+    for (name, value) in stats.prune.named() {
+        println!("{name}: {value}");
+    }
+    println!(
+        "candidates_per_survivor: {:.3}",
+        stats.prune.candidates_per_survivor()
+    );
     if let Some(want) = expect {
         if count != want {
             eprintln!("count mismatch: expected {want}, got {count}");

@@ -3,7 +3,8 @@
 //! it resumes from, prints exactly one `error:` line and exits with
 //! status 2; a checkpoint sidecar that cannot be read or does not
 //! describe the run prints exactly one `error:` line and exits with
-//! status 1 — never a panic, and no count is reported.
+//! status 1, and so does a `--report-json` path that cannot be written
+//! — never a panic, and no count is reported.
 
 use std::path::PathBuf;
 
@@ -78,6 +79,14 @@ fn orders_above_the_enumeration_bound_exit_2() {
 fn resume_without_checkpoint_exits_2() {
     assert_usage_error(&["--n", "5", "--resume"], "pass --checkpoint PATH");
     assert_usage_error(&["--n", "5", "--shards", "4", "--resume"], "--checkpoint");
+}
+
+#[test]
+fn unwritable_manifest_exits_1_before_any_report() {
+    let json = scratch_path("no-such-dir").join("report.json");
+    let json = json.to_str().unwrap();
+    let args = ["--n", "5", "--threads", "1", "--report-json", json];
+    assert_one_error(&args, 1, "cannot write run manifest to");
 }
 
 #[test]
