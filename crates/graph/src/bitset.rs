@@ -35,6 +35,38 @@ pub(crate) fn popcount(words: &[u64]) -> usize {
     words.iter().map(|w| w.count_ones() as usize).sum()
 }
 
+/// The first set bit at or after `from` in a word slice.
+#[inline]
+pub(crate) fn next_bit(words: &[u64], from: usize) -> Option<usize> {
+    let mut wi = from / 64;
+    let mut word = *words.get(wi)? & (!0u64 << (from % 64));
+    loop {
+        if word != 0 {
+            return Some(wi * 64 + word.trailing_zeros() as usize);
+        }
+        wi += 1;
+        word = *words.get(wi)?;
+    }
+}
+
+/// Set bit `v` of a word slice.
+#[inline]
+pub(crate) fn set_bit(words: &mut [u64], v: usize) {
+    words[v / 64] |= 1 << (v % 64);
+}
+
+/// Clear bit `v` of a word slice.
+#[inline]
+pub(crate) fn clear_bit(words: &mut [u64], v: usize) {
+    words[v / 64] &= !(1 << (v % 64));
+}
+
+/// Whether bit `v` of a word slice is set.
+#[inline]
+pub(crate) fn has_bit(words: &[u64], v: usize) -> bool {
+    words[v / 64] >> (v % 64) & 1 == 1
+}
+
 /// A set of vertex indices `0..capacity` backed by a bit vector.
 ///
 /// The capacity is fixed at construction; inserting an index at or beyond

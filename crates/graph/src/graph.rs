@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::bitset::{ones, popcount, words_for, VertexSet};
+use crate::bitset::{ones, popcount, set_bit, words_for, VertexSet};
 use crate::error::GraphError;
 
 /// An undirected simple graph on vertices `0..n`, stored as a bitset
@@ -107,6 +107,12 @@ impl Graph {
     #[inline]
     pub(crate) fn row(&self, v: usize) -> &[u64] {
         &self.bits[v * self.words..(v + 1) * self.words]
+    }
+
+    /// Mutable adjacency row of `v`; the caller keeps the matrix symmetric.
+    #[inline]
+    pub(crate) fn row_mut(&mut self, v: usize) -> &mut [u64] {
+        &mut self.bits[v * self.words..(v + 1) * self.words]
     }
 
     #[inline]
@@ -300,8 +306,11 @@ impl Graph {
             seen[p] = true;
         }
         let mut g = Graph::empty(self.n);
-        for (u, v) in self.edges() {
-            g.add_edge(perm[u], perm[v]);
+        for (u, &pu) in perm.iter().enumerate() {
+            let row = g.row_mut(pu);
+            for v in ones(self.row(u)) {
+                set_bit(row, perm[v]);
+            }
         }
         g
     }
@@ -338,8 +347,8 @@ impl Graph {
     /// Panics if `nbrs` contains an index `>= order`.
     pub fn with_extra_vertex(&self, nbrs: &VertexSet) -> Graph {
         let mut g = Graph::empty(self.n + 1);
-        for (u, v) in self.edges() {
-            g.add_edge(u, v);
+        for u in 0..self.n {
+            g.row_mut(u)[..self.words].copy_from_slice(self.row(u));
         }
         for v in nbrs.iter() {
             assert!(v < self.n, "new-vertex neighbour {v} out of range");

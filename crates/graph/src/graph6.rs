@@ -78,7 +78,7 @@ impl Graph {
             }
             Ok((b - 63) as usize)
         };
-        let (n, mut pos) = if bytes[0] == 126 {
+        let (n, pos) = if bytes[0] == 126 {
             if bytes.len() < 4 {
                 return Err(GraphError::Graph6Parse {
                     reason: "truncated extended order".into(),
@@ -96,32 +96,30 @@ impl Graph {
         } else {
             (parse_byte(bytes[0])?, 1)
         };
-        let mut g = Graph::empty(n);
+        // Check the payload against the header's order before allocating,
+        // so a short input cannot claim a huge graph.
         let total_bits = n * n.saturating_sub(1) / 2;
-        let mut bit_idx = 0usize;
-        let mut pairs = Vec::with_capacity(total_bits);
-        for j in 1..n {
-            for i in 0..j {
-                pairs.push((i, j));
-            }
+        let sextets = total_bits.div_ceil(6);
+        let payload = &bytes[pos..];
+        for &b in payload.iter().take(sextets) {
+            parse_byte(b)?;
         }
-        while bit_idx < total_bits {
-            if pos >= bytes.len() {
-                return Err(GraphError::Graph6Parse {
-                    reason: "truncated bit payload".into(),
-                });
+        if payload.len() < sextets {
+            return Err(GraphError::Graph6Parse {
+                reason: "truncated bit payload".into(),
+            });
+        }
+        let mut g = Graph::empty(n);
+        // Upper triangle, column-major: bit k is the pair (i, j), i < j,
+        // ordered by j then i.
+        let (mut i, mut j) = (0usize, 1usize);
+        for bit in 0..total_bits {
+            if (payload[bit / 6] - 63) >> (5 - bit % 6) & 1 == 1 {
+                g.add_edge(i, j);
             }
-            let chunk = parse_byte(bytes[pos])?;
-            pos += 1;
-            for k in 0..6 {
-                if bit_idx >= total_bits {
-                    break;
-                }
-                if chunk >> (5 - k) & 1 == 1 {
-                    let (i, j) = pairs[bit_idx];
-                    g.add_edge(i, j);
-                }
-                bit_idx += 1;
+            i += 1;
+            if i == j {
+                (i, j) = (0, j + 1);
             }
         }
         Ok(g)
@@ -129,7 +127,7 @@ impl Graph {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -178,6 +176,24 @@ mod tests {
     }
 
     #[test]
+    fn huge_orders_need_their_payload_before_any_allocation() {
+        // `~}~~` declares order 258 047 with no payload: a typed error, not
+        // an 8 GB allocation.
+        for input in ["~}~~", "~}~~~~~~", "~??~"] {
+            assert!(
+                matches!(
+                    Graph::from_graph6(input),
+                    Err(GraphError::Graph6Parse { .. })
+                ),
+                "{input}"
+            );
+        }
+        // A bad byte inside the declared payload is still reported as such.
+        let err = Graph::from_graph6("D?\x1f").unwrap_err().to_string();
+        assert!(err.contains("outside graph6 range"), "{err}");
+    }
+
+    #[test]
     fn trailing_newline_tolerated() {
         let g = Graph::from_graph6("Bw\n").unwrap();
         assert_eq!(g, Graph::complete(3));
@@ -185,7 +201,7 @@ mod tests {
 
     /// SplitMix64 — a tiny deterministic generator so the property tests
     /// need no external dependency.
-    fn splitmix(state: &mut u64) -> u64 {
+    pub(crate) fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = *state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -193,7 +209,8 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    fn random_graph(state: &mut u64, n: usize, density_num: u64) -> Graph {
+    /// A seeded G(n, density_num / 8) graph.
+    pub(crate) fn random_graph(state: &mut u64, n: usize, density_num: u64) -> Graph {
         let mut g = Graph::empty(n);
         for u in 0..n {
             for v in (u + 1)..n {

@@ -190,6 +190,11 @@ impl AppState {
                 )
             }
         };
+        // No stored record and no live classification exceeds this
+        // order: refuse before paying for a canonical search.
+        if g.order() > MAX_UCG_ORDER {
+            return self.out_of_live_range(g.order());
+        }
         let canon = g.canonical_form();
         let ckey = canon.to_graph6();
         if ckey != key {
@@ -201,15 +206,7 @@ impl AppState {
         }
         // Live fallback, bounded: the solver is exponential in order.
         if canon.order() < 2 || canon.order() > self.live_order_cap {
-            return (
-                422,
-                Arc::new(render::error_json(&format!(
-                    "graph not in the atlas and order {} is outside the live classification \
-                     range 2..={}",
-                    canon.order(),
-                    self.live_order_cap
-                ))),
-            );
+            return self.out_of_live_range(canon.order());
         }
         if canon.total_distance_with(scratch).is_none() {
             return (
@@ -222,6 +219,17 @@ impl AppState {
         let rec = WindowRecord::classify_with_key(ckey, &canon, scratch);
         Recorder::global().add("serve_classify_live", 1);
         classify_ok("live", &rec)
+    }
+
+    fn out_of_live_range(&self, order: usize) -> Response {
+        (
+            422,
+            Arc::new(render::error_json(&format!(
+                "graph not in the atlas and order {order} is outside the live classification \
+                 range 2..={}",
+                self.live_order_cap
+            ))),
+        )
     }
 
     fn record_body(&self, idx: &str, order: Option<&str>) -> Response {

@@ -196,6 +196,42 @@ fn classify_rejects_bad_disconnected_and_oversized_graphs() {
 }
 
 #[test]
+fn a_graph6_header_claiming_a_huge_order_gets_400_and_the_server_keeps_serving() {
+    // `~}~~` declares order 258 047 and carries no payload; decoding it
+    // once allocated the 8 GB adjacency matrix and aborted the process.
+    let mut fx = Fixture::start_with("huge-header", std::time::Duration::from_secs(5), 1);
+    let (status, body) = fx.get(&format!("/classify/{}", percent_encode("~}~~")));
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("bad graph6 key"), "{body}");
+    let (status, _) = fx.get("/healthz");
+    assert_eq!(status, 200);
+    fx.finish();
+}
+
+#[test]
+fn keys_above_the_largest_classifiable_order_get_422_without_a_canonical_search() {
+    let mut fx = Fixture::start("huge-order");
+    let path17 = Graph::from_edges(17, (0..16).map(|i| (i, i + 1))).unwrap();
+    // The complement of C300: a dense 7.5 KB key whose canonical search
+    // used to pin a worker for most of a minute before this same answer.
+    let mut anticycle = Graph::complete(300);
+    for i in 0..300 {
+        anticycle.remove_edge(i, (i + 1) % 300);
+    }
+    for g in [path17, anticycle] {
+        let (status, body) = fx.get(&format!("/classify/{}", percent_encode(&g.to_graph6())));
+        assert_eq!(status, 422, "{body}");
+        let expected = bnf_serve::render::error_json(&format!(
+            "graph not in the atlas and order {} is outside the live classification range 2..={}",
+            g.order(),
+            DEFAULT_LIVE_ORDER_CAP
+        ));
+        assert_eq!(body, expected);
+    }
+    fx.finish();
+}
+
+#[test]
 fn record_endpoint_walks_engine_order() {
     let mut fx = Fixture::start("record");
     let count = fx.records.len() as u64;

@@ -60,6 +60,14 @@ use bnf_graph::{CanonKey, Graph, VertexSet};
 /// buffers — the enumeration bound is `n = 10`.
 const MAX_CHILD: usize = 11;
 
+/// Neighbour masks of one parent (order ≤ `MAX_CHILD - 2`): the bound of
+/// the per-parent mask arrays.
+const MAX_MASKS: usize = 1 << (MAX_CHILD - 2);
+
+// A child's whole canonical key fits its prefix word, so accepted keys
+// are compared by that word alone.
+const _: () = assert!((MAX_CHILD - 1) * (MAX_CHILD - 2) / 2 <= 64);
+
 /// Work counters of the pruned augmentation, aggregated over all levels
 /// of one enumeration run and surfaced through
 /// [`crate::StreamStats`] into the sweep reports.
@@ -195,7 +203,11 @@ fn parent_generators(parent: &Graph, rows: &[u64], k: usize) -> Vec<Vec<usize>> 
     for v in 0..k {
         degs[v] = rows[v].count_ones();
     }
-    let mut invs: Vec<u64> = (0..k).map(|v| vertex_invariant(rows, &degs, v)).collect();
+    let mut invs = [0u64; MAX_CHILD];
+    for (v, inv) in invs.iter_mut().enumerate().take(k) {
+        *inv = vertex_invariant(rows, &degs, v);
+    }
+    let invs = &mut invs[..k];
     invs.sort_unstable();
     if invs.windows(2).all(|w| w[0] != w[1]) {
         return Vec::new();
@@ -234,9 +246,13 @@ where
         *r = parent.neighbor_bits(v);
     }
     let gens = parent_generators(parent, &rows, k);
-    // 2^k masks, k <= 9: 512 bits of orbit-visited flags.
-    let mut mask_seen = [0u64; 8];
-    let mut accepted_keys: Vec<CanonKey> = Vec::new();
+    // Orbit-visited flags, and the closure's stack: each mask is pushed
+    // at most once, when first seen.
+    let mut mask_seen = [0u64; MAX_MASKS / 64];
+    let mut stack = [0u64; MAX_MASKS];
+    // Prefix words of the keys accepted so far (at most one per mask).
+    let mut accepted = [0u64; MAX_MASKS];
+    let mut accepted_len = 0usize;
     let mut degs = [0u32; MAX_CHILD];
     let mut tied = [0usize; MAX_CHILD];
     for m in 1..(1u64 << k) {
@@ -248,14 +264,18 @@ where
             // Close the Aut(parent)-orbit of m so equivalent masks are
             // skipped — they would build the same child class with z in
             // the same deletion orbit and be accepted twice.
-            let mut stack = vec![m];
             mask_seen[(m >> 6) as usize] |= 1 << (m & 63);
-            while let Some(x) = stack.pop() {
+            stack[0] = m;
+            let mut depth = 1;
+            while depth > 0 {
+                depth -= 1;
+                let x = stack[depth];
                 for gen in &gens {
                     let y = apply_perm_to_mask(gen, x);
                     if mask_seen[(y >> 6) as usize] >> (y & 63) & 1 == 0 {
                         mask_seen[(y >> 6) as usize] |= 1 << (y & 63);
-                        stack.push(y);
+                        stack[depth] = y;
+                        depth += 1;
                     }
                 }
             }
@@ -295,11 +315,15 @@ where
             counters.cheap_rejected += 1;
             continue;
         }
-        let elig_tied: Vec<usize> = tied[..tied_len]
-            .iter()
-            .copied()
-            .filter(|&v| connected_without(&crows, n, v))
-            .collect();
+        // Keep the eligible tied vertices, in place.
+        let mut elig_len = 0usize;
+        for i in 0..tied_len {
+            if connected_without(&crows, n, tied[i]) {
+                tied[elig_len] = tied[i];
+                elig_len += 1;
+            }
+        }
+        let elig_tied = &tied[..elig_len];
         let child = parent.with_extra_vertex(&VertexSet::from_mask(k, m));
         let (form, key) = if elig_tied.is_empty() {
             // z is the unique eligible maximizer: the deletion orbit is
@@ -311,7 +335,7 @@ where
             // canonical label among the eligible maximizers.
             let s = child.canonical_search();
             let mut l_star = s.labels[z];
-            for &v in &elig_tied {
+            for &v in elig_tied {
                 l_star = l_star.max(s.labels[v]);
             }
             let oz = s.orbits[z];
@@ -326,11 +350,13 @@ where
             }
             (s.form, s.key)
         };
-        if accepted_keys.contains(&key) {
+        let word = key.prefix_word();
+        if accepted[..accepted_len].contains(&word) {
             counters.duplicates += 1;
             continue;
         }
-        accepted_keys.push(key.clone());
+        accepted[accepted_len] = word;
+        accepted_len += 1;
         emit(form, key);
     }
 }
