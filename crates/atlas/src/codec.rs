@@ -287,6 +287,7 @@ enum Fault {
     KeyPrefix { shared: usize, prev: usize },
     KeyUtf8,
     ZeroDenominator,
+    RatioMin,
     ThresholdTag(u8),
     InclusiveTag(u8),
     UcgCount(usize),
@@ -331,6 +332,7 @@ impl std::fmt::Display for Fault {
             }
             Fault::KeyUtf8 => f.write_str("key is not UTF-8"),
             Fault::ZeroDenominator => f.write_str("ratio with zero denominator"),
+            Fault::RatioMin => f.write_str("ratio term i64::MIN has no magnitude in i64"),
             Fault::ThresholdTag(t) => write!(f, "unknown threshold tag {t}"),
             Fault::InclusiveTag(t) => write!(f, "unknown inclusivity tag {t}"),
             Fault::UcgCount(n) => write!(f, "ucg_support count {n} exceeds block"),
@@ -339,8 +341,10 @@ impl std::fmt::Display for Fault {
     }
 }
 
-/// A ratio as stored: numerator and a denominator already checked
-/// non-zero. Only a materialized record pays [`Ratio::new`]'s gcd.
+/// A ratio as stored: a numerator and a non-zero denominator, neither
+/// `i64::MIN` (whose magnitude [`Ratio::new`] cannot hold; no
+/// well-formed `Ratio` stores it). Only a materialized record pays
+/// [`Ratio::new`]'s gcd.
 #[derive(Clone, Copy)]
 struct RawRatio(i64, i64);
 
@@ -419,6 +423,9 @@ impl<'a> Cursor<'a> {
         let den = unzigzag(self.varint()?);
         if den == 0 {
             return Err(Fault::ZeroDenominator);
+        }
+        if num == i64::MIN || den == i64::MIN {
+            return Err(Fault::RatioMin);
         }
         Ok(RawRatio(num, den))
     }
@@ -588,7 +595,8 @@ fn walk(body: &[u8], ordinal: Option<usize>) -> Result<Vec<WindowRecord>, Fault>
 
 /// Decodes one v4 block body (the frame payload after the tag byte)
 /// back into records. Every malformation — bad CRC, truncation,
-/// trailing bytes, non-UTF-8 keys, zero denominators — comes back as a
+/// trailing bytes, non-UTF-8 keys, zero denominators, `i64::MIN` ratio
+/// terms — comes back as a
 /// string diagnosis for the caller to wrap in its typed corruption
 /// error.
 pub fn decode_block(body: &[u8]) -> Result<Vec<WindowRecord>, String> {
@@ -677,6 +685,42 @@ mod tests {
         assert!(decode_block(&body[..body.len() - 1])
             .unwrap_err()
             .contains("CRC"));
+    }
+
+    #[test]
+    fn i64_min_ratio_terms_are_faults_not_panics() {
+        let mut record = rec("D?{", 4);
+        record.stability = Some(StabilityWindow {
+            lower: LowerBound {
+                value: Ratio::new(3, 1),
+                inclusive: true,
+            },
+            upper: Threshold::Infinite,
+        });
+        let mut body = Vec::new();
+        encode_block(&[&record], &mut body);
+        // The stability numerator is the first ratio: zigzag(3) = 6, then
+        // the denominator zigzag(1) = 2. Splice u64::MAX, the zigzag of
+        // i64::MIN, into either varint and restamp the CRC.
+        let at = body
+            .windows(3)
+            .rposition(|w| w == [6, 2, 1])
+            .expect("the stability ratio and inclusivity tag");
+        let min = {
+            let mut v = Vec::new();
+            put_varint(&mut v, zigzag(i64::MIN));
+            v
+        };
+        for term in [at, at + 1] {
+            let mut bad = body.clone();
+            bad.splice(term..term + 1, min.iter().copied());
+            let crc = crc32(&bad[6..]).to_le_bytes();
+            bad[2..6].copy_from_slice(&crc);
+            let err = decode_block(&bad).unwrap_err();
+            assert!(err.contains("i64::MIN"), "term at {term}: {err}");
+            assert_eq!(decode_block_record(&bad, 0).unwrap_err(), err);
+        }
+        assert_eq!(decode_block(&body).unwrap(), vec![record]);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! exhaustive sweeps can skip re-classifying topologies they have
 //! already seen (`--atlas <path>` on the sweep binaries). The store is
 //! read one way: every whole-store reader goes through one frame
-//! walker, and every ordered read through one engine-order reader that
-//! decodes each block once. Two handles sit on top:
+//! walker and decodes each block once, and every ordered read sorts by
+//! one engine key. Two handles sit on top:
 //!
 //! * [`ClassificationAtlas`] — the writer: appends, merges, coverage
 //!   declarations, warm replays. It keeps no records, only a

@@ -8,10 +8,13 @@
 //! has already seen. See `docs/ATLAS_FORMAT.md` for the byte-level
 //! format and the invalidation rules.
 //!
-//! Every reader goes through two pieces of this module: the frame
-//! walker (header, length caps, torn tail vs corruption, tag dispatch)
-//! and the engine-order reader (the records at a list of locations,
-//! each block decoded at most once).
+//! Every whole-store reader goes through the frame walker (header,
+//! length caps, torn tail vs corruption, tag dispatch) and sorts by one
+//! engine key. The streaming readers, which must not hold the
+//! catalogue, take their records through the engine-order reader (the
+//! records at a list of locations, each block decoded at most once); a
+//! warm replay, which returns the catalogue, keeps each record as the
+//! walk decodes it and permutes them in place.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -588,29 +591,34 @@ impl ClassificationAtlas {
     /// stored records do not match the declared count, or the store no
     /// longer reads cleanly (defensive: fall back to classifying).
     ///
-    /// One walk over the store yields a location table sorted by
-    /// engine key; the engine-order reader then moves each record
-    /// into the result, decoding every block once.
+    /// One walk over the store decodes each block once and moves the
+    /// order's records into the result; sorting their engine keys then
+    /// gives the permutation applied in place. No record is read twice
+    /// and no graph is built.
     pub fn complete_sweep(&self, order: usize) -> Option<Vec<WindowRecord>> {
         let declared = self.coverage(order)?;
         bnf_obs::Recorder::global().time("warm_replay", || self.replay_sweep(order, declared))
     }
 
     /// The [`ClassificationAtlas::complete_sweep`] body, split out so
-    /// the telemetry span covers exactly the replay work.
+    /// the telemetry span covers exactly the replay work: the walk moves
+    /// each record of `order` into `records` and keeps an `(engine key,
+    /// index)` row beside it; [`engine_order`] sorts the rows (the
+    /// newest copy of a re-appended key wins), and the records are
+    /// gathered into that order in place.
     fn replay_sweep(&self, order: usize, declared: u64) -> Option<Vec<WindowRecord>> {
         let order = u32::try_from(order).ok()?;
         if self.counts.get(&order) != Some(&declared) {
             return None;
         }
+        let mut records = Vec::with_capacity(declared as usize);
         let mut rows = Vec::with_capacity(declared as usize);
         let end = walk(File::open(&self.path).ok()?, false, |offset, _, frame| {
-            if let Frame::Records(records) = frame {
-                for (ordinal, rec) in records.iter().enumerate() {
-                    if rec.order == order {
-                        let key = engine_key(rec).map_err(corrupt_at(offset))?;
-                        rows.push((key, Loc::new(offset, ordinal)));
-                    }
+            if let Frame::Records(block) = frame {
+                for rec in block.into_iter().filter(|rec| rec.order == order) {
+                    let key = engine_key(&rec).map_err(corrupt_at(offset))?;
+                    rows.push((key, records.len()));
+                    records.push(rec);
                 }
             }
             Ok(())
@@ -620,9 +628,8 @@ impl ClassificationAtlas {
         if end.torn.is_some() || rows.len() as u64 != declared {
             return None;
         }
-        let mut reader = OrderedReader::new(&self.file, end.clean_len, ATLAS_VERSION);
-        rows.iter().for_each(|r| reader.list(r.1));
-        rows.iter().map(|r| reader.take(r.1).ok()).collect()
+        gather(&mut records, &mut rows);
+        Some(records)
     }
 
     /// The shard-segment metadata stored in this file, one entry per
@@ -1243,30 +1250,51 @@ impl<'f> OrderedReader<'f> {
 
 /// A record's place in global engine order, `(order, edges, sort
 /// word)`: the word is the leading word of the packed canonical
-/// adjacency ([`Graph::packed_self_key`]) — no canonical search, and
-/// exact for every enumerable order (n ≤ 11: the packed triangle fits
-/// the word), so equal keys mean one canonical graph.
+/// adjacency ([`Graph::packed_self_key`]), read straight from the key's
+/// graph6 bytes by [`Graph::graph6_prefix_word`] — no graph is built,
+/// no canonical search runs, and the word is exact for every
+/// enumerable order (n ≤ 11: the packed triangle fits the word), so
+/// equal keys mean one canonical graph.
 pub(crate) fn engine_key(rec: &WindowRecord) -> Result<(u16, u64, u64), String> {
     let order = u16::try_from(rec.order).map_err(|_| format!("order {} exceeds u16", rec.order))?;
-    let g = Graph::from_graph6(&rec.key)
+    let word = Graph::graph6_prefix_word(&rec.key)
         .map_err(|e| format!("undecodable key {:?}: {e:?}", rec.key))?;
-    Ok((order, rec.edges, g.packed_self_key().prefix_word()))
+    Ok((order, rec.edges, word))
 }
 
-/// Sorts `(engine key, location)` rows into engine order and collapses
-/// identical keys to their last location — a store may hold idempotent
-/// re-appends, and the newest copy wins in every reader.
-pub(crate) fn engine_order(rows: &mut Vec<((u16, u64, u64), Loc)>) {
+/// Sorts `(engine key, place)` rows into engine order and collapses
+/// identical keys to their last place — a store may hold idempotent
+/// re-appends, and the newest copy wins in every reader. A place is a
+/// store location or a walk-order index: either grows with file
+/// position.
+pub(crate) fn engine_order<T: Ord + Copy>(rows: &mut Vec<((u16, u64, u64), T)>) {
     rows.sort_unstable();
     rows.dedup_by(|next, prev| {
-        // dedup_by drops `next` on true; rows are location-ordered
-        // within a key, so keep the later location in the survivor.
+        // dedup_by drops `next` on true; rows are place-ordered within
+        // a key, so keep the later place in the survivor.
         let same = next.0 == prev.0;
         if same {
             prev.1 = next.1;
         }
         same
     });
+}
+
+/// Reorders `items` so that `items[k]` is the item first at index
+/// `rows[k].1`, then drops the items no row names. The indices must be
+/// distinct. In place, the way `slice::sort_by_cached_key` applies its
+/// sorted indices: an index below `k` names an item already swapped
+/// away, and the index stored at its own step says where it went.
+fn gather<K, T>(items: &mut Vec<T>, rows: &mut [(K, usize)]) {
+    for k in 0..rows.len() {
+        let mut at = rows[k].1;
+        while at < k {
+            at = rows[at].1;
+        }
+        rows[k].1 = at;
+        items.swap(k, at);
+    }
+    items.truncate(rows.len());
 }
 
 /// Writes the pending `block` (if non-empty) as one columnar block
@@ -1739,6 +1767,69 @@ mod tests {
         expect.sort_unstable();
         assert_eq!(by_key, expect);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn undecodable_keys_fail_replay_index_and_compaction() {
+        // "H" is an order-9 graph6 header with no payload: a CRC-valid
+        // block holds it, but it has no engine sort word.
+        let path = scratch_path("undecodable");
+        let bad = WindowRecord {
+            key: "H".into(),
+            order: 9,
+            ..sample_records()[0].clone()
+        };
+        {
+            let mut atlas = ClassificationAtlas::open(&path).unwrap();
+            atlas.append_records([&bad]).unwrap();
+            atlas.mark_complete(9, 1).unwrap();
+        }
+        let atlas = ClassificationAtlas::open(&path).unwrap();
+        assert_eq!(atlas.get("H").unwrap(), Some(bad));
+        assert_eq!(atlas.coverage(9), Some(1));
+        assert_eq!(atlas.complete_sweep(9), None);
+        match crate::build_index(&path) {
+            Err(crate::IndexError::Corrupt { offset: 12, reason }) => {
+                assert!(reason.contains("undecodable key"), "{reason}");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        let dst = scratch_path("undecodable-compacted");
+        match crate::compact_store(&path, &dst) {
+            Err(AtlasError::Corrupt { offset: 12, reason }) => {
+                assert!(reason.contains("undecodable key"), "{reason}");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        assert!(!dst.exists());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn gather_applies_a_sorted_selection_in_place() {
+        // Seeded selections of distinct indices, as engine_order leaves
+        // them after dropping older duplicates, against a copying gather.
+        let mut state = 0x6A7Eu64;
+        let mut next = |bound: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % bound
+        };
+        for len in [0usize, 1, 2, 7, 64, 300] {
+            for _ in 0..20 {
+                let items: Vec<String> = (0..len).map(|i| format!("item {i}")).collect();
+                let mut picked: Vec<usize> = (0..len).filter(|_| next(4) != 0).collect();
+                for i in (1..picked.len()).rev() {
+                    picked.swap(i, next(i + 1));
+                }
+                let expect: Vec<String> = picked.iter().map(|&i| items[i].clone()).collect();
+                let mut rows: Vec<((), usize)> = picked.iter().map(|&i| ((), i)).collect();
+                let mut got = items;
+                gather(&mut got, &mut rows);
+                assert_eq!(got, expect, "len {len}, picked {picked:?}");
+            }
+        }
     }
 
     /// The six connected graphs on 4 vertices, hand-listed (the atlas

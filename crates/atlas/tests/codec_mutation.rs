@@ -8,8 +8,11 @@
 //! `decode_block_record(b, k)` fails exactly when `decode_block(b)`
 //! fails, for every ordinal `k < count`, and otherwise returns
 //! `decode_block(b)?[k]`; an ordinal past the block is an error; and
-//! neither ever panics. Also checked here: the slicing-by-8 `crc32`
-//! against a bitwise reference at every length and alignment.
+//! neither ever panics. A second mutant class splices the varint of
+//! `u64::MAX` — the zigzag of `i64::MIN`, which no `Ratio` can hold —
+//! over every byte of a block, so every ratio term meets it. Also
+//! checked here: the slicing-by-8 `crc32` against a bitwise reference
+//! at every length and alignment.
 
 mod common;
 
@@ -202,6 +205,32 @@ fn mutated_blocks_decode_the_same_through_both_walks() {
         accepted > 0 && crc_rejected > 0 && walker_rejected > accepted,
         "accepted {accepted}, CRC-rejected {crc_rejected}, walker-rejected {walker_rejected}"
     );
+}
+
+#[test]
+fn i64_min_ratio_terms_are_rejected_by_both_walks() {
+    // u64::MAX as a varint: nine 0xFF bytes, then 0x01.
+    let min = [[0xFFu8; 9].as_slice(), &[0x01]].concat();
+    let blocks: Vec<Vec<u8>> = corner_blocks()
+        .into_iter()
+        .chain(n7_store_blocks().into_iter().take(1))
+        .collect();
+    for (b, original) in blocks.iter().enumerate() {
+        let mut named = 0;
+        for at in 6..original.len() {
+            let mut body = original.clone();
+            body.splice(at..at + 1, min.iter().copied());
+            restamp(&mut body);
+            let what = format!("block {b}: u64::MAX varint over byte {at}");
+            if let Err(e) = assert_walks_agree(&body, &what) {
+                named += usize::from(e.contains("i64::MIN"));
+            }
+        }
+        // Every block holds ratios (the corner records and the order-7
+        // catalogue both have stability windows), so some splice lands
+        // on a ratio term.
+        assert!(named > 0, "block {b}: no splice reached a ratio term");
+    }
 }
 
 /// The textbook bit-at-a-time CRC-32/IEEE, independent of any table.

@@ -64,56 +64,12 @@ impl Graph {
     /// Returns [`GraphError::Graph6Parse`] for empty input, characters
     /// outside the printable graph6 range, or truncated bit payloads.
     pub fn from_graph6(s: &str) -> Result<Graph, GraphError> {
-        let bytes = s.trim_end().as_bytes();
-        if bytes.is_empty() {
-            return Err(GraphError::Graph6Parse {
-                reason: "empty string".into(),
-            });
-        }
-        let parse_byte = |b: u8| -> Result<usize, GraphError> {
-            if !(63..=126).contains(&b) {
-                return Err(GraphError::Graph6Parse {
-                    reason: format!("byte {b} outside graph6 range 63..=126"),
-                });
-            }
-            Ok((b - 63) as usize)
-        };
-        let (n, pos) = if bytes[0] == 126 {
-            if bytes.len() < 4 {
-                return Err(GraphError::Graph6Parse {
-                    reason: "truncated extended order".into(),
-                });
-            }
-            if bytes[1] == 126 {
-                return Err(GraphError::Graph6Parse {
-                    reason: "8-byte order form not supported".into(),
-                });
-            }
-            let n = (parse_byte(bytes[1])? << 12)
-                | (parse_byte(bytes[2])? << 6)
-                | parse_byte(bytes[3])?;
-            (n, 4)
-        } else {
-            (parse_byte(bytes[0])?, 1)
-        };
-        // Check the payload against the header's order before allocating,
-        // so a short input cannot claim a huge graph.
-        let total_bits = n * n.saturating_sub(1) / 2;
-        let sextets = total_bits.div_ceil(6);
-        let payload = &bytes[pos..];
-        for &b in payload.iter().take(sextets) {
-            parse_byte(b)?;
-        }
-        if payload.len() < sextets {
-            return Err(GraphError::Graph6Parse {
-                reason: "truncated bit payload".into(),
-            });
-        }
+        let (n, payload) = parse(s)?;
         let mut g = Graph::empty(n);
         // Upper triangle, column-major: bit k is the pair (i, j), i < j,
         // ordered by j then i.
         let (mut i, mut j) = (0usize, 1usize);
-        for bit in 0..total_bits {
+        for bit in 0..n * n.saturating_sub(1) / 2 {
             if (payload[bit / 6] - 63) >> (5 - bit % 6) & 1 == 1 {
                 g.add_edge(i, j);
             }
@@ -124,6 +80,97 @@ impl Graph {
         }
         Ok(g)
     }
+
+    /// The leading word of [`Graph::packed_self_key`] for the graph that
+    /// `s` encodes, read straight from the graph6 bytes: equal to
+    /// `Graph::from_graph6(s)?.packed_self_key().prefix_word()`, without
+    /// building the graph.
+    ///
+    /// The word holds the first 64 pairs (i, j), i < j, of the upper
+    /// triangle in row-major order, most significant bit first. graph6
+    /// stores the same triangle column-major, so pair (i, j) is payload
+    /// bit `j(j − 1)/2 + i`.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`Graph::from_graph6`]: it accepts and rejects
+    /// the same strings, for the same reasons.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use bnf_graph::Graph;
+    ///
+    /// // P4 = 0-1-2-3: row-major pairs (0,1)(0,2)(0,3)(1,2)(1,3)(2,3).
+    /// assert_eq!(Graph::graph6_prefix_word("Ch")?, 0b100101 << 58);
+    /// # Ok::<(), bnf_graph::GraphError>(())
+    /// ```
+    pub fn graph6_prefix_word(s: &str) -> Result<u64, GraphError> {
+        let (n, payload) = parse(s)?;
+        let mut word = 0u64;
+        let mut shift = 64u32;
+        'rows: for i in 0..n {
+            for j in (i + 1)..n {
+                if shift == 0 {
+                    break 'rows;
+                }
+                shift -= 1;
+                let k = j * (j - 1) / 2 + i;
+                word |= u64::from((payload[k / 6] - 63) >> (5 - k % 6) & 1) << shift;
+            }
+        }
+        Ok(word)
+    }
+}
+
+/// Checks a graph6 string's header and declared payload: returns the
+/// order and the payload, whose first `⌈n(n − 1)/12⌉` bytes are present
+/// and in range (bytes past them are ignored).
+fn parse(s: &str) -> Result<(usize, &[u8]), GraphError> {
+    let bytes = s.trim_end().as_bytes();
+    if bytes.is_empty() {
+        return Err(GraphError::Graph6Parse {
+            reason: "empty string".into(),
+        });
+    }
+    let parse_byte = |b: u8| -> Result<usize, GraphError> {
+        if !(63..=126).contains(&b) {
+            return Err(GraphError::Graph6Parse {
+                reason: format!("byte {b} outside graph6 range 63..=126"),
+            });
+        }
+        Ok((b - 63) as usize)
+    };
+    let (n, pos) = if bytes[0] == 126 {
+        if bytes.len() < 4 {
+            return Err(GraphError::Graph6Parse {
+                reason: "truncated extended order".into(),
+            });
+        }
+        if bytes[1] == 126 {
+            return Err(GraphError::Graph6Parse {
+                reason: "8-byte order form not supported".into(),
+            });
+        }
+        let n =
+            (parse_byte(bytes[1])? << 12) | (parse_byte(bytes[2])? << 6) | parse_byte(bytes[3])?;
+        (n, 4)
+    } else {
+        (parse_byte(bytes[0])?, 1)
+    };
+    // Check the payload against the header's order before a caller
+    // allocates, so a short input cannot claim a huge graph.
+    let sextets = (n * n.saturating_sub(1) / 2).div_ceil(6);
+    let payload = &bytes[pos..];
+    for &b in payload.iter().take(sextets) {
+        parse_byte(b)?;
+    }
+    if payload.len() < sextets {
+        return Err(GraphError::Graph6Parse {
+            reason: "truncated bit payload".into(),
+        });
+    }
+    Ok((n, payload))
 }
 
 #[cfg(test)]
@@ -265,6 +312,61 @@ pub(crate) mod tests {
                 assert_eq!(prev, g, "two distinct graphs shared encoding {enc}");
             }
         }
+    }
+
+    /// The byte word against the `Graph` round trip it replaces: the
+    /// same `Ok` word, or the same error.
+    fn assert_prefix_word_parity(s: &str) {
+        let via_graph = Graph::from_graph6(s).map(|g| g.packed_self_key().prefix_word());
+        assert_eq!(Graph::graph6_prefix_word(s), via_graph, "{s:?}");
+    }
+
+    #[test]
+    fn prefix_word_matches_packed_self_key_on_every_small_labelled_graph() {
+        for n in 0..=6usize {
+            let pairs: Vec<(usize, usize)> = (0..n)
+                .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
+                .collect();
+            for mask in 0u32..1 << pairs.len() {
+                let mut g = Graph::empty(n);
+                for (b, &(i, j)) in pairs.iter().enumerate() {
+                    if mask >> b & 1 == 1 {
+                        g.add_edge(i, j);
+                    }
+                }
+                assert_prefix_word_parity(&g.to_graph6());
+            }
+        }
+    }
+
+    #[test]
+    fn prefix_word_matches_packed_self_key_on_random_and_boundary_orders() {
+        // From n = 12 the triangle passes 64 bits: only the first word
+        // counts. n = 63 is the first order with the `~` header.
+        let mut state = 0x9_6E0Du64;
+        for n in (7usize..=16).chain([62, 63]) {
+            for density in [1u64, 4, 7] {
+                for _ in 0..16 {
+                    let g = random_graph(&mut state, n, density);
+                    let word = Graph::graph6_prefix_word(&g.to_graph6()).unwrap();
+                    assert_eq!(word, g.packed_self_key().prefix_word(), "n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prefix_word_rejects_exactly_what_from_graph6_rejects() {
+        let corpus = [
+            "", " ", "\n", "\t \n", "Bw\n", "Bw \n", "\nBw", "\x1f", "\x7f", "B\x1f", "B\x7f",
+            "D?\x1f", "~", "~?", "~??", "~~", "~~??????", "~??~", "~?@?", "~}~~", "C", "D?", "Bww",
+            "Bw\x1f", "Bw~~~~", "?", "?~", "@", "A_", "H",
+        ];
+        for s in corpus {
+            assert_prefix_word_parity(s);
+        }
+        let err = Graph::graph6_prefix_word("C").unwrap_err().to_string();
+        assert!(err.contains("truncated bit payload"), "{err}");
     }
 
     #[test]

@@ -13,6 +13,10 @@
 //! every key must read back its own record, and compaction must write
 //! the same record blocks byte for byte (the commit frames it carries
 //! through differ by layout by design: shard metadata and coverage).
+//!
+//! Every reader sorts by a word read from the stored graph6 key
+//! (`Graph::graph6_prefix_word`); it must equal the word of the decoded
+//! graph's packed adjacency for every key of the catalogue.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -26,6 +30,7 @@ use bilateral_formation::empirics::sweep::WindowJob;
 use bilateral_formation::empirics::WindowSweep;
 use bilateral_formation::engine::{Analysis, RangeSegment, WorkerScratch};
 use bilateral_formation::enumerate::connected_graphs;
+use bilateral_formation::graph::Graph;
 use bilateral_formation::stream::{RangeSelection, ShardSpec};
 
 const N: usize = 7;
@@ -127,14 +132,32 @@ fn record_blocks(path: &PathBuf) -> Vec<u8> {
     bytes[..at].to_vec()
 }
 
-#[test]
-fn every_layout_reads_back_the_reference_catalogue() {
+fn reference_catalogue() -> Vec<WindowRecord> {
     let mut scratch = WorkerScratch::new();
     let reference: Vec<WindowRecord> = connected_graphs(N)
         .iter()
         .map(|g| WindowJob::default().classify(g, &mut scratch))
         .collect();
     assert_eq!(reference.len(), 853);
+    reference
+}
+
+#[test]
+fn sort_words_from_graph6_bytes_equal_the_graph_words() {
+    for rec in reference_catalogue() {
+        let graph = Graph::from_graph6(&rec.key).unwrap();
+        assert_eq!(
+            Graph::graph6_prefix_word(&rec.key),
+            Ok(graph.packed_self_key().prefix_word()),
+            "{}",
+            rec.key
+        );
+    }
+}
+
+#[test]
+fn every_layout_reads_back_the_reference_catalogue() {
+    let reference = reference_catalogue();
     let layouts = [
         ("engine order", engine_order_store(&reference)),
         ("orchestrated", orchestrated_store()),
