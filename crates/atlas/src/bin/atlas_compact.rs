@@ -21,21 +21,19 @@
 use std::process::ExitCode;
 
 use bnf_atlas::{compact_store, ATLAS_VERSION};
-
-mod flags;
+use bnf_obs::cli::Flags;
 
 const USAGE: &str =
     "atlas_compact --atlas store.bnfatlas [--out compacted.bnfatlas] [--report-json report.json]";
 
 fn main() -> ExitCode {
-    let (flags, _) = flags::Flags::parse(&["--atlas", "--out", "--report-json"], &[], false, USAGE);
+    let (flags, _) = Flags::parse(&["--atlas", "--out", "--report-json"], &[], false, USAGE);
     let store = flags.require("--atlas");
-    let out = flags.get("--out").unwrap_or_else(|| store.clone());
-    let report_json = flags.get("--report-json");
+    let out = flags.get("--out").unwrap_or(store);
 
     bnf_obs::Recorder::global().take();
     let started = std::time::Instant::now();
-    let summary = match compact_store(&store, &out) {
+    let summary = match compact_store(store, out) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: compaction failed for {store}: {e}");
@@ -60,7 +58,7 @@ fn main() -> ExitCode {
         summary.path.display()
     );
 
-    if let Some(path) = report_json {
+    if let Some(path) = flags.get("--report-json") {
         let mut manifest =
             bnf_obs::RunManifest::new("atlas_compact", u32::from(summary.max_order), "compact");
         manifest.emitted = summary.records;
@@ -74,12 +72,10 @@ fn main() -> ExitCode {
                 bpr,
             );
         }
-        manifest.absorb(bnf_obs::Recorder::global().take());
-        if let Err(e) = std::fs::write(&path, manifest.to_json()) {
+        if let Err(e) = manifest.write(path) {
             eprintln!("error: cannot write run manifest to {path}: {e}");
             return ExitCode::FAILURE;
         }
-        eprintln!("run manifest written to {path}");
     }
     ExitCode::SUCCESS
 }

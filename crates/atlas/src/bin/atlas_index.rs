@@ -15,21 +15,19 @@
 use std::process::ExitCode;
 
 use bnf_atlas::build_index;
-
-mod flags;
+use bnf_obs::cli::Flags;
 
 fn main() -> ExitCode {
-    let (flags, _) = flags::Flags::parse(
+    let (flags, _) = Flags::parse(
         &["--atlas", "--report-json"],
         &[],
         false,
         "atlas_index --atlas store.bnfatlas [--report-json report.json]",
     );
     let store = flags.require("--atlas");
-    let report_json = flags.get("--report-json");
     bnf_obs::Recorder::global().take();
     let started = std::time::Instant::now();
-    let summary = match build_index(&store) {
+    let summary = match build_index(store) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: index build failed for {store}: {e}");
@@ -45,7 +43,7 @@ fn main() -> ExitCode {
     for (order, count) in &summary.sweeps {
         println!("engine-order table: order {order} with {count} records");
     }
-    if let Some(path) = report_json {
+    if let Some(path) = flags.get("--report-json") {
         let max_order = summary.sweeps.iter().map(|&(o, _)| o).max().unwrap_or(0);
         let mut manifest = bnf_obs::RunManifest::new("atlas_index", u32::from(max_order), "index");
         manifest.emitted = summary.records;
@@ -53,12 +51,10 @@ fn main() -> ExitCode {
         manifest.peak_rss_kb = bnf_obs::peak_rss_kb();
         manifest.set_counter("index_sweep_tables", summary.sweeps.len() as u64);
         manifest.set_counter("index_key_width", u64::from(summary.key_width));
-        manifest.absorb(bnf_obs::Recorder::global().take());
-        if let Err(e) = std::fs::write(&path, manifest.to_json()) {
+        if let Err(e) = manifest.write(path) {
             eprintln!("error: cannot write run manifest to {path}: {e}");
             return ExitCode::FAILURE;
         }
-        eprintln!("run manifest written to {path}");
     }
     ExitCode::SUCCESS
 }

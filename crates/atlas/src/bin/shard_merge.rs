@@ -41,18 +41,14 @@ use bnf_atlas::{
     merge_segments, merge_segments_recovering, render_shard_report, ClassificationAtlas,
     ShardCoverage, ShardMeta,
 };
-
-mod flags;
+use bnf_obs::cli::Flags;
 
 const USAGE: &str = "shard_merge --out merged.bnfatlas [--recover] [--report-json report.json] \
      segment.bnfatlas ...";
 
 fn main() -> ExitCode {
-    let (flags, segments) =
-        flags::Flags::parse(&["--out", "--report-json"], &["--recover"], true, USAGE);
+    let (flags, segments) = Flags::parse(&["--out", "--report-json"], &["--recover"], true, USAGE);
     let out_path = flags.require("--out");
-    let report_json = flags.get("--report-json");
-    let recover = flags.get("--recover").is_some();
     if segments.is_empty() {
         flags.fail("no segment files given");
     }
@@ -60,14 +56,14 @@ fn main() -> ExitCode {
     // `merge` span covers exactly this fold.
     bnf_obs::Recorder::global().take();
     let merge_started = std::time::Instant::now();
-    let mut out = match ClassificationAtlas::open(&out_path) {
+    let mut out = match ClassificationAtlas::open(out_path) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: cannot open output atlas {out_path}: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let fold = if recover {
+    let fold = if flags.switch("--recover") {
         merge_segments_recovering(&mut out, &segments)
     } else {
         merge_segments(&mut out, &segments)
@@ -82,7 +78,7 @@ fn main() -> ExitCode {
     // The manifest goes first: a path that cannot be written is one
     // `error:` line with nothing on stdout, not a report followed by a
     // failure.
-    if let Some(path) = report_json {
+    if let Some(path) = flags.get("--report-json") {
         let mut manifest = bnf_obs::RunManifest::new("shard_merge", 0, "merge");
         manifest.emitted = out.len() as u64;
         manifest.elapsed_ms = merge_started.elapsed().as_millis() as u64;
@@ -93,12 +89,10 @@ fn main() -> ExitCode {
             .iter()
             .map(ShardMeta::provenance)
             .collect();
-        manifest.absorb(bnf_obs::Recorder::global().take());
-        if let Err(e) = std::fs::write(&path, manifest.to_json()) {
+        if let Err(e) = manifest.write(path) {
             eprintln!("error: cannot write run manifest to {path}: {e}");
             return ExitCode::FAILURE;
         }
-        eprintln!("run manifest written to {path}");
     }
     for (path, recovery) in &report.salvaged {
         println!("salvaged {}: {recovery}", path.display());

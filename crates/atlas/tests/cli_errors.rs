@@ -1,7 +1,7 @@
 //! Operator errors of the atlas binaries, through the real
 //! `atlas_compact`, `atlas_index` and `shard_merge`: an unknown flag — such as a
 //! leftover `--format 3` from the days v3 stores could still be
-//! written — a flag without its value, a stray argument, a missing
+//! written — a flag without its value, a repeated flag, a stray argument, a missing
 //! `--atlas` or `--out`, or a merge without segments prints exactly one `error:` line and exits 2 before any
 //! work; a store the binary cannot read exits 1 with one `error:` line
 //! naming the way out, and a merge whose `--report-json` path cannot be
@@ -154,4 +154,61 @@ fn v3_stores_are_indexed_only_after_compaction() {
     assert!(run(index, &["--atlas", path]).status.success());
     std::fs::remove_file(&store).ok();
     std::fs::remove_file(bnf_atlas::index_path(&store)).ok();
+}
+
+#[test]
+fn unknown_repeated_and_stray_arguments_exit_2_with_nothing_on_stdout() {
+    let store = scratch_path("strict");
+    std::fs::write(&store, V3_FIXTURE).unwrap();
+    let path = store.to_str().unwrap();
+    let out = scratch_path("strict-out");
+    let out_path = out.to_str().unwrap();
+    let compact = env!("CARGO_BIN_EXE_atlas_compact");
+    let index = env!("CARGO_BIN_EXE_atlas_index");
+    let merge = env!("CARGO_BIN_EXE_shard_merge");
+    let cases: [(&str, &[&str], &str); 11] = [
+        (compact, &["--atlas", path, "--bogus"], "\"--bogus\""),
+        (compact, &["--atlas", path, "--bogus", "1"], "\"--bogus\""),
+        (
+            compact,
+            &["--atlas", path, "--out", out_path, "--out", out_path],
+            "--out given twice",
+        ),
+        (compact, &["--atlas", path, "stray"], "\"stray\""),
+        (index, &["--atlas", path, "--bogus"], "\"--bogus\""),
+        (index, &["--atlas", path, "--bogus", "1"], "\"--bogus\""),
+        (
+            index,
+            &["--atlas", path, "--atlas", path],
+            "--atlas given twice",
+        ),
+        (index, &["--atlas", path, "stray"], "\"stray\""),
+        (merge, &["--out", out_path, path, "--bogus"], "\"--bogus\""),
+        (
+            merge,
+            &["--out", out_path, path, "--bogus", "1"],
+            "\"--bogus\"",
+        ),
+        (
+            merge,
+            &[
+                "--out",
+                out_path,
+                "--report-json",
+                out_path,
+                "--report-json",
+                out_path,
+                path,
+            ],
+            "--report-json given twice",
+        ),
+    ];
+    for (bin, args, needle) in cases {
+        let result = run(bin, args);
+        assert_error(&result, 2, needle);
+        assert!(result.stdout.is_empty(), "{args:?} printed a report");
+    }
+    assert_eq!(std::fs::read(&store).unwrap(), V3_FIXTURE);
+    assert!(!out.exists() && !bnf_atlas::index_path(&store).exists());
+    std::fs::remove_file(&store).ok();
 }

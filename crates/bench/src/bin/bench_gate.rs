@@ -21,9 +21,15 @@
 //! counter-derived work metrics alike. `manifest/...` ids print raw
 //! values instead of milliseconds. See `crates/bench/README.md` for the
 //! baseline-refresh procedure.
+//! A usage mistake exits 2, a file that cannot be read or parsed exits
+//! 1, each with one `error:` line.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
+
+use bnf_obs::cli::Flags;
+
+const USAGE: &str = "bench_gate [--strict] <BENCH_BASELINE.json> <tolerance> <estimates.json>...";
 
 /// Extracts `id → value` pairs from one JSON document: the shim's
 /// `"mean_ns"` estimates or a run manifest's `"value"` metrics —
@@ -86,23 +92,15 @@ fn fmt_value(id: &str, v: f64) -> String {
     }
 }
 
-fn run(args: &[String]) -> Result<bool, String> {
-    let (strict, args) = match args {
-        [first, rest @ ..] if first == "--strict" => (true, rest),
-        _ => (false, args),
-    };
-    let [baseline_path, tolerance, estimate_paths @ ..] = args else {
-        return Err(
-            "usage: bench_gate [--strict] <BENCH_BASELINE.json> <tolerance> <estimates.json>..."
-                .into(),
-        );
-    };
-    if estimate_paths.is_empty() {
-        return Err("no estimate files given".into());
-    }
-    let tolerance: f64 = tolerance
-        .parse()
-        .map_err(|_| format!("bad tolerance {tolerance:?} (want e.g. 0.25)"))?;
+/// Gates the estimate files against the baseline: `Ok(false)` on a
+/// regression (or a missing / ungated id), `Err` when a file cannot be
+/// read or parsed.
+fn run(
+    strict: bool,
+    baseline_path: &str,
+    tolerance: f64,
+    estimate_paths: &[String],
+) -> Result<bool, String> {
     let baseline = load(baseline_path)?;
     if baseline.is_empty() {
         return Err(format!("{baseline_path}: no benchmarks in baseline"));
@@ -167,15 +165,24 @@ fn run(args: &[String]) -> Result<bool, String> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let (flags, args) = Flags::parse(&[], &["--strict"], true, USAGE);
+    let [baseline, tolerance, estimates @ ..] = &args[..] else {
+        flags.fail("expected a baseline, a tolerance and estimate files")
+    };
+    if estimates.is_empty() {
+        flags.fail("no estimate files given");
+    }
+    let tolerance: f64 = tolerance
+        .parse()
+        .unwrap_or_else(|_| flags.fail(&format!("bad tolerance {tolerance:?} (want e.g. 0.25)")));
+    match run(flags.switch("--strict"), baseline, tolerance, estimates) {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => {
             eprintln!("bench gate FAILED: regression beyond tolerance (or missing benchmark)");
             ExitCode::FAILURE
         }
         Err(e) => {
-            eprintln!("bench gate error: {e}");
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
@@ -250,19 +257,18 @@ mod tests {
         std::fs::write(&base, r#"{"benchmarks":[{"id":"a","mean_ns":100.0}]}"#).unwrap();
         // Within tolerance (20% over, 25% allowed).
         std::fs::write(&est, r#"{"benchmarks":[{"id":"a","mean_ns":120.0}]}"#).unwrap();
-        let args = |tol: &str| {
-            vec![
-                base.to_str().unwrap().to_string(),
-                tol.to_string(),
-                est.to_str().unwrap().to_string(),
-            ]
-        };
-        assert_eq!(run(&args("0.25")), Ok(true));
-        assert_eq!(run(&args("0.1")), Ok(false), "20% over a 10% gate fails");
+        let base_path = base.to_str().unwrap();
+        let estimates = [est.to_str().unwrap().to_string()];
+        assert_eq!(run(false, base_path, 0.25, &estimates), Ok(true));
+        assert_eq!(
+            run(false, base_path, 0.1, &estimates),
+            Ok(false),
+            "20% over a 10% gate fails"
+        );
         // A baseline id absent from the estimates fails (no silent
         // skip for unmeasured baselines).
         std::fs::write(&est, r#"{"benchmarks":[{"id":"b","mean_ns":1.0}]}"#).unwrap();
-        assert_eq!(run(&args("0.25")), Ok(false));
+        assert_eq!(run(false, base_path, 0.25, &estimates), Ok(false));
         std::fs::remove_file(&base).ok();
         std::fs::remove_file(&est).ok();
     }
@@ -279,15 +285,18 @@ mod tests {
             r#"{"benchmarks":[{"id":"a","mean_ns":100.0},{"id":"fresh","mean_ns":1.0}]}"#,
         )
         .unwrap();
-        let plain = vec![
-            base.to_str().unwrap().to_string(),
-            "0.25".to_string(),
-            est.to_str().unwrap().to_string(),
-        ];
-        let mut strict = vec!["--strict".to_string()];
-        strict.extend(plain.iter().cloned());
-        assert_eq!(run(&plain), Ok(true), "lenient mode only reports extras");
-        assert_eq!(run(&strict), Ok(false), "strict mode gates them");
+        let base_path = base.to_str().unwrap();
+        let estimates = [est.to_str().unwrap().to_string()];
+        assert_eq!(
+            run(false, base_path, 0.25, &estimates),
+            Ok(true),
+            "lenient mode only reports extras"
+        );
+        assert_eq!(
+            run(true, base_path, 0.25, &estimates),
+            Ok(false),
+            "strict mode gates them"
+        );
         std::fs::remove_file(&base).ok();
         std::fs::remove_file(&est).ok();
     }

@@ -8,10 +8,11 @@
 //! Usage: efficiency_scan [--n 7] [--threads T]
 //!        [--atlas PATH] [--shards auto|R | --shard i/m] [--resume]
 //!        [--grid paper|linear:LO:HI:STEPS|log2:LO:HI:PER_OCT]
+//!        [--report-json PATH]
 
 use bnf_empirics::MinimizerShape;
 use bnf_empirics::{
-    default_threads, efficiency_scan_windows, grid_from_args, numeric_flag, render_table,
+    default_threads, efficiency_scan_windows, grid_from_args, parse_sweep_flags, render_table,
     run_window_sweep_cli, sweep_order_flag,
 };
 use bnf_games::Ratio;
@@ -46,10 +47,10 @@ fn minimizer_cell(minimizers: &[MinimizerShape]) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let n: usize = sweep_order_flag(&args, 7);
-    let threads: usize = numeric_flag(&args, "--threads", default_threads());
-    let alphas = grid_from_args(&args, || {
+    let flags = parse_sweep_flags("efficiency_scan", &[]);
+    let n: usize = sweep_order_flag(&flags, 7);
+    let threads: usize = flags.number("--threads", default_threads());
+    let alphas = grid_from_args(&flags, || {
         vec![
             Ratio::new(1, 4),
             Ratio::new(1, 2),
@@ -61,7 +62,7 @@ fn main() {
             Ratio::from(8),
         ]
     });
-    let windows = run_window_sweep_cli(n, threads, &args);
+    let windows = run_window_sweep_cli(n, threads, &flags);
     let scan = efficiency_scan_windows(&windows, &alphas);
     let rows: Vec<Vec<String>> = scan
         .rows

@@ -1,8 +1,11 @@
 //! Reproduces Figure 1: the paper's gallery of pairwise-stable graphs,
 //! each re-verified (structure certificates, link convexity, exact
 //! stability window, PoA at a representative stable link cost).
+//!
+//! Usage: fig1_gallery
 
 use bnf_empirics::{extended_gallery, figure1_gallery, fmt_stat, render_table, GalleryEntry};
+use bnf_obs::cli::Flags;
 
 fn rows(entries: &[GalleryEntry]) -> Vec<Vec<String>> {
     entries
@@ -27,6 +30,7 @@ fn rows(entries: &[GalleryEntry]) -> Vec<Vec<String>> {
 }
 
 fn main() {
+    Flags::parse(&[], &[], false, "fig1_gallery");
     let headers = [
         "graph",
         "n",

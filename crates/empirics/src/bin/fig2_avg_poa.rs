@@ -5,6 +5,7 @@
 //! Usage: fig2_avg_poa [--n 7] [--threads T] [--csv]
 //!        [--atlas PATH] [--shards auto|R | --shard i/m] [--resume]
 //!        [--grid paper|linear:LO:HI:STEPS|log2:LO:HI:PER_OCT]
+//!        [--report-json PATH]
 //!
 //! (The paper used n = 10; see DESIGN.md §4 for the n-substitution.
 //! Graphs are classified as the enumeration generates them — the graph
@@ -17,17 +18,17 @@
 //! same records.)
 
 use bnf_empirics::{
-    arg_flag, fmt_stat, numeric_flag, render_csv, render_table, run_sweep_cli, sweep_order_flag,
+    fmt_stat, parse_sweep_flags, render_csv, render_table, run_sweep_cli, sweep_order_flag,
     SweepConfig,
 };
 use bnf_games::GameKind;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let n: usize = sweep_order_flag(&args, 7);
+    let flags = parse_sweep_flags("fig2_avg_poa", &["--csv"]);
+    let n: usize = sweep_order_flag(&flags, 7);
     let mut config = SweepConfig::standard(n);
-    config.threads = numeric_flag(&args, "--threads", config.threads);
-    let sweep = run_sweep_cli(&config, &args);
+    config.threads = flags.number("--threads", config.threads);
+    let sweep = run_sweep_cli(&config, &flags);
     let bcg = sweep.stats(GameKind::Bilateral);
     let ucg = sweep.stats(GameKind::Unilateral);
     let headers = [
@@ -54,7 +55,7 @@ fn main() {
             ]
         })
         .collect();
-    if arg_flag(&args, "--csv") {
+    if flags.switch("--csv") {
         print!("{}", render_csv(&headers, &rows));
     } else {
         println!("Figure 2 — average PoA of equilibrium networks, n={n}");

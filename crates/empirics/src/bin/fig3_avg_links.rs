@@ -4,19 +4,20 @@
 //! Usage: fig3_avg_links [--n 7] [--threads T] [--csv]
 //!        [--atlas PATH] [--shards auto|R | --shard i/m] [--resume]
 //!        [--grid paper|linear:LO:HI:STEPS|log2:LO:HI:PER_OCT]
+//!        [--report-json PATH]
 
 use bnf_empirics::{
-    arg_flag, fmt_stat, numeric_flag, render_csv, render_table, run_sweep_cli, sweep_order_flag,
+    fmt_stat, parse_sweep_flags, render_csv, render_table, run_sweep_cli, sweep_order_flag,
     SweepConfig,
 };
 use bnf_games::GameKind;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let n: usize = sweep_order_flag(&args, 7);
+    let flags = parse_sweep_flags("fig3_avg_links", &["--csv"]);
+    let n: usize = sweep_order_flag(&flags, 7);
     let mut config = SweepConfig::standard(n);
-    config.threads = numeric_flag(&args, "--threads", config.threads);
-    let sweep = run_sweep_cli(&config, &args);
+    config.threads = flags.number("--threads", config.threads);
+    let sweep = run_sweep_cli(&config, &flags);
     let bcg = sweep.stats(GameKind::Bilateral);
     let ucg = sweep.stats(GameKind::Unilateral);
     let headers = [
@@ -41,7 +42,7 @@ fn main() {
             ]
         })
         .collect();
-    if arg_flag(&args, "--csv") {
+    if flags.switch("--csv") {
         print!("{}", render_csv(&headers, &rows));
     } else {
         println!("Figure 3 — average number of links in equilibrium networks, n={n}\n");

@@ -4,11 +4,12 @@
 //!
 //! Usage: lemma6_cycles [--max 20]
 
-use bnf_empirics::{lemma6_rows, numeric_flag, render_table};
+use bnf_empirics::{lemma6_rows, render_table};
+use bnf_obs::cli::Flags;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let max: usize = numeric_flag(&args, "--max", 20);
+    let (flags, _) = Flags::parse(&["--max"], &[], false, "lemma6_cycles [--max 20]");
+    let max: usize = flags.number("--max", 20);
     let rows: Vec<Vec<String>> = lemma6_rows(4..=max)
         .into_iter()
         .map(|r| {

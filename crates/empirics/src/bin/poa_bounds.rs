@@ -6,21 +6,25 @@
 //! Usage: poa_bounds [--n 7] [--threads T]
 //!        [--atlas PATH] [--shards auto|R | --shard i/m] [--resume]
 //!        [--grid paper|linear:LO:HI:STEPS|log2:LO:HI:PER_OCT]
+//!        [--report-json PATH]
 //!
 //! The Prop 4 table reads the same shared window records as the figure
 //! sweeps (no inline window extraction of its own), so `--atlas` makes
 //! its exhaustive half incremental too.
 
 use bnf_empirics::{
-    fmt_stat, numeric_flag, prop3_series, prop4_rows, render_table, run_sweep_cli,
+    fmt_stat, parse_sweep_flags, prop3_series, prop4_rows, render_table, run_sweep_cli,
     sweep_order_flag, SweepConfig,
 };
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let n: usize = sweep_order_flag(&args, 7);
+    let flags = parse_sweep_flags("poa_bounds", &[]);
+    let n: usize = sweep_order_flag(&flags, 7);
     let mut config = SweepConfig::standard(n);
-    config.threads = numeric_flag(&args, "--threads", config.threads);
+    config.threads = flags.number("--threads", config.threads);
+    // The sweep runs before anything is printed, so a flag mistake it
+    // refuses (a bad --grid or range flag) leaves stdout empty.
+    let sweep = run_sweep_cli(&config, &flags);
     println!("Proposition 3 — Moore-bound family: stable windows and PoA growth\n");
     let rows: Vec<Vec<String>> = prop3_series()
         .into_iter()
@@ -54,8 +58,6 @@ fn main() {
         )
     );
 
-    // run_sweep_cli prints the enumeration banner and peak RSS.
-    let sweep = run_sweep_cli(&config, &args);
     let rows: Vec<Vec<String>> = prop4_rows(&sweep)
         .into_iter()
         .map(|r| {

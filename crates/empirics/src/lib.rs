@@ -98,95 +98,92 @@ fn max_sweep_n_from(raw: Option<String>) -> usize {
 pub use bnf_core::peak_rss_kb;
 
 use bnf_engine::RangeSegment;
+use bnf_obs::cli::Flags;
 use bnf_stream::{RangeSelection, ShardSpec};
+
+/// The valued flags every sweep binary declares; [`parse_sweep_flags`]
+/// adds the one sweep switch, `--resume`.
+pub const SWEEP_FLAGS: &[&str] = &[
+    "--n",
+    "--threads",
+    "--atlas",
+    "--shards",
+    "--shard",
+    "--grid",
+    "--report-json",
+];
+
+/// Parses a sweep binary's command line: [`SWEEP_FLAGS`], `--resume`
+/// and the binary's own `switches` (fig2/fig3's `--csv`), which the
+/// usage line names too. Anything else is a usage error: one `error:`
+/// line, exit status 2.
+pub fn parse_sweep_flags(binary: &str, switches: &[&'static str]) -> Flags {
+    let own: String = switches.iter().map(|s| format!(" [{s}]")).collect();
+    let usage = format!(
+        "{binary} [--n 7] [--threads T]{own} [--atlas PATH] [--shards auto|R | --shard i/m] \
+         [--resume] [--grid paper|linear:LO:HI:STEPS|log2:LO:HI:PER_OCT] [--report-json PATH]"
+    );
+    let switches = [&["--resume"], switches].concat();
+    Flags::parse(SWEEP_FLAGS, &switches, false, &usage).0
+}
 
 /// Shared front-end of the sweep-driven binaries: honours `--atlas
 /// <path>`, `--grid <spec>` and the range flags of
 /// [`run_window_sweep_cli`], runs the windows-first classification, and
 /// evaluates the α grid as a post-pass ([`grid::evaluate`]) — so each
 /// binary carries one call instead of a drifting copy of this block.
-pub fn run_sweep_cli(config: &SweepConfig, args: &[String]) -> SweepResult {
+pub fn run_sweep_cli(config: &SweepConfig, flags: &Flags) -> SweepResult {
     // Parse the grid *before* the sweep: a typo in --grid must fail in
     // milliseconds, not after minutes of classification.
-    let alphas = grid_from_args(args, || config.alphas.clone());
-    let windows = run_window_sweep_cli(config.n, config.threads, args);
+    let alphas = grid_from_args(flags, || config.alphas.clone());
+    let windows = run_window_sweep_cli(config.n, config.threads, flags);
     grid::evaluate(&windows, &alphas)
 }
 
 /// The α grid selected by `--grid <spec>`, or `default()` when the flag
 /// is absent — the one shared grid-flag front-end of every sweep
-/// binary. A malformed spec prints one `error:` line and exits with
-/// status 2.
-pub fn grid_from_args(args: &[String], default: impl FnOnce() -> Vec<Ratio>) -> Vec<Ratio> {
-    match flag_value(args, "--grid").unwrap_or_else(|e| e.exit()) {
-        Some(spec) => GridSpec::parse(&spec)
-            .unwrap_or_else(|e| CliError::Usage(format!("bad --grid: {e}")).exit())
+/// binary. A malformed spec is a usage error (exit status 2).
+pub fn grid_from_args(flags: &Flags, default: impl FnOnce() -> Vec<Ratio>) -> Vec<Ratio> {
+    match flags.get("--grid") {
+        Some(spec) => GridSpec::parse(spec)
+            .unwrap_or_else(|e| flags.fail(&format!("bad --grid: {e}")))
             .alphas(),
         None => default(),
     }
 }
 
-/// An operator error of a sweep binary: printed as one `error:` line,
-/// then the process exits — status 2 for a bad or contradictory flag,
-/// status 1 when a file of the run fails (the `--atlas` store cannot be
-/// opened, appended to or committed, or the `--report-json` manifest
-/// cannot be written), so scripts can tell the two apart.
+/// A file of a sweep run failed — the `--atlas` store cannot be opened,
+/// appended to or committed, or the `--report-json` manifest cannot be
+/// written: printed as one `error:` line, then the process exits with
+/// status 1 (a usage error exits 2, see [`Flags::fail`]), so scripts
+/// can tell the two apart.
 #[derive(Debug)]
-enum CliError {
-    Usage(String),
-    Io(String),
-}
+struct CliError(String);
 
 impl CliError {
     fn io(what: &str, e: impl std::fmt::Display) -> CliError {
-        CliError::Io(format!("{what}: {e}"))
+        CliError(format!("{what}: {e}"))
     }
 
     fn exit(self) -> ! {
-        let (status, message) = match self {
-            CliError::Usage(m) => (2, m),
-            CliError::Io(m) => (1, m),
-        };
-        eprintln!("error: {message}");
-        std::process::exit(status)
-    }
-}
-
-/// The number after `--name`, or `default` when the flag is absent. A
-/// value that does not parse (or a missing value) is a usage error: one
-/// `error:` line, then exit status 2.
-pub fn numeric_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    match flag_value(args, name).unwrap_or_else(|e| e.exit()) {
-        None => default,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            CliError::Usage(format!("{name} wants a number, got {v:?}")).exit()
-        }),
+        eprintln!("error: {}", self.0);
+        std::process::exit(1)
     }
 }
 
 /// The `--n` of a sweep binary (`default` when absent), refused up
 /// front when it exceeds [`max_sweep_n`]: one `error:` line naming
 /// `BNF_MAX_N`, then exit status 2 — before any output or enumeration.
-pub fn sweep_order_flag(args: &[String], default: usize) -> usize {
-    let n = numeric_flag(args, "--n", default);
+pub fn sweep_order_flag(flags: &Flags, default: usize) -> usize {
+    let n = flags.number("--n", default);
     let cap = max_sweep_n();
     if n > cap {
-        CliError::Usage(format!(
+        flags.fail(&format!(
             "--n {n} is above the sweep cap n={cap}: set BNF_MAX_N (at most 10) \
              to opt in to larger orders"
         ))
-        .exit()
     }
     n
-}
-
-/// `--name value`, or a usage error when the flag is present without a
-/// value.
-fn flag_value(args: &[String], name: &str) -> Result<Option<String>, CliError> {
-    match arg_value(args, name) {
-        None if arg_flag(args, name) => Err(CliError::Usage(format!("{name} wants a value"))),
-        value => Ok(value),
-    }
 }
 
 /// The range flags of one sweep invocation, validated up front.
@@ -201,49 +198,44 @@ struct SweepFlags {
 }
 
 impl SweepFlags {
-    fn parse(args: &[String]) -> Result<SweepFlags, CliError> {
-        let usage = |m: &str| Err(CliError::Usage(m.to_owned()));
+    fn parse(flags: &Flags) -> SweepFlags {
         // `ShardMeta` stores range indices as u32.
         let max_ranges = u32::MAX as usize;
-        let shards = match flag_value(args, "--shards")?.as_deref() {
-            None => None,
-            Some("auto") => Some(None),
-            Some(v) => match v.parse() {
-                Ok(r) if (1..=max_ranges).contains(&r) => Some(Some(r)),
-                _ => {
-                    return usage(&format!(
-                        "--shards wants `auto` or a range count from 1 to {max_ranges}, got {v:?}"
-                    ))
-                }
+        let shards = flags.get("--shards").map(|v| match v {
+            "auto" => None,
+            v => match v.parse() {
+                Ok(r) if (1..=max_ranges).contains(&r) => Some(r),
+                _ => flags.fail(&format!(
+                    "--shards wants `auto` or a range count from 1 to {max_ranges}, got {v:?}"
+                )),
             },
-        };
-        let shard = match flag_value(args, "--shard")? {
-            None => None,
-            Some(v) => {
-                let spec = ShardSpec::parse(&v)
-                    .map_err(|e| CliError::Usage(format!("bad --shard: {e}")))?;
-                match RangeSelection::shard(spec).filter(|s| s.ranges <= max_ranges) {
-                    None => return usage(&format!("bad --shard: more than {max_ranges} ranges")),
-                    block => block,
-                }
-            }
-        };
-        let flags = SweepFlags {
+        });
+        let shard = flags.get("--shard").map(|v| {
+            let spec =
+                ShardSpec::parse(v).unwrap_or_else(|e| flags.fail(&format!("bad --shard: {e}")));
+            RangeSelection::shard(spec)
+                .filter(|s| s.ranges <= max_ranges)
+                .unwrap_or_else(|| {
+                    flags.fail(&format!("bad --shard: more than {max_ranges} ranges"))
+                })
+        });
+        let sweep = SweepFlags {
             shards,
             shard,
-            resume: arg_flag(args, "--resume"),
-            atlas: flag_value(args, "--atlas")?,
-            report_json: flag_value(args, "--report-json")?,
+            resume: flags.switch("--resume"),
+            atlas: flags.get("--atlas").map(str::to_owned),
+            report_json: flags.get("--report-json").map(str::to_owned),
         };
-        match (&flags.shard, flags.atlas.is_some()) {
-            (Some(_), _) if flags.shards.is_some() => {
-                usage("--shard (one process of a fleet) and --shards are mutually exclusive")
+        match (&sweep.shard, sweep.atlas.is_some()) {
+            (Some(_), _) if sweep.shards.is_some() => {
+                flags.fail("--shard (one process of a fleet) and --shards are mutually exclusive")
             }
-            (Some(_), false) => usage("--shard writes a segment store: pass --atlas <segment>"),
-            (None, false) if flags.resume => {
-                usage("--resume recovers ranges from the interrupted run's store: pass --atlas")
+            (Some(_), false) => {
+                flags.fail("--shard writes a segment store: pass --atlas <segment>")
             }
-            _ => Ok(flags),
+            (None, false) if sweep.resume => flags
+                .fail("--resume recovers ranges from the interrupted run's store: pass --atlas"),
+            _ => sweep,
         }
     }
 }
@@ -287,8 +279,8 @@ impl SweepFlags {
 /// `--shards` — print one `error:` line and exit with status 2; a store
 /// that cannot be opened, appended to or committed, or whose stored
 /// partition was cut from another frontier, exits with status 1.
-pub fn run_window_sweep_cli(n: usize, threads: usize, args: &[String]) -> WindowSweep {
-    let flags = SweepFlags::parse(args).unwrap_or_else(|e| e.exit());
+pub fn run_window_sweep_cli(n: usize, threads: usize, flags: &Flags) -> WindowSweep {
+    let flags = SweepFlags::parse(flags);
     sweep_cli(n, threads.max(1), flags).unwrap_or_else(|e| e.exit())
 }
 
@@ -454,7 +446,7 @@ fn sweep_cli(n: usize, threads: usize, flags: SweepFlags) -> Result<WindowSweep,
                 n, threads, selection, lookup, on_segment,
             )
             .map_err(|e| {
-                CliError::Io(format!(
+                CliError(format!(
                     "cannot resume {}: {e}",
                     flags.atlas.as_deref().unwrap_or("")
                 ))
@@ -557,9 +549,9 @@ fn sweep_cli(n: usize, threads: usize, flags: SweepFlags) -> Result<WindowSweep,
             // The resumed run's merge holds only the redone ranges —
             // figure output always replays from the now-complete store,
             // byte-identical to an uninterrupted run.
-            windows.records = atlas.complete_sweep(n).ok_or_else(|| {
-                CliError::Io(format!("resumed n={n} sweep did not close coverage"))
-            })?;
+            windows.records = atlas
+                .complete_sweep(n)
+                .ok_or_else(|| CliError(format!("resumed n={n} sweep did not close coverage")))?;
         }
         manifest.set_counter("atlas_hits", hits as u64);
         manifest.set_counter("atlas_appended", appended as u64);
@@ -571,7 +563,15 @@ fn sweep_cli(n: usize, threads: usize, flags: SweepFlags) -> Result<WindowSweep,
     }
     manifest.peak_rss_kb = peak_rss_kb();
     eprintln!("{}", bnf_obs::format_peak_rss(manifest.peak_rss_kb, path));
-    finish_manifest(manifest, flags.report_json)?;
+    // Drained even without a report, so consecutive runs in one
+    // process (tests, warm replays after a cold run) never leak
+    // telemetry into each other.
+    match &flags.report_json {
+        Some(path) => manifest
+            .write(path)
+            .map_err(|e| CliError::io(&format!("cannot write run manifest to {path}"), e))?,
+        None => drop(bnf_obs::Recorder::global().take()),
+    }
     if block.is_some() {
         eprintln!(
             "segment written; fold segments with `shard_merge --out merged.bnfatlas <segments>` \
@@ -599,16 +599,12 @@ pub fn build_sweep_manifest(
     windows: &WindowSweep,
     stats: Option<&bnf_stream::StreamStats>,
 ) -> bnf_obs::RunManifest {
-    let tool = std::env::args()
-        .next()
-        .as_deref()
-        .map(|arg0| {
-            std::path::Path::new(arg0)
-                .file_stem()
-                .map_or_else(|| arg0.to_owned(), |s| s.to_string_lossy().into_owned())
-        })
-        .unwrap_or_else(|| "sweep".to_owned());
-    let mut manifest = bnf_obs::RunManifest::new(&tool, n as u32, path);
+    let mut manifest = bnf_obs::RunManifest::new("sweep", n as u32, path);
+    // The tool is the binary's name, from the argv the manifest captured.
+    if let Some(arg0) = manifest.command.first() {
+        let stem = std::path::Path::new(arg0).file_stem();
+        manifest.tool = stem.map_or_else(|| arg0.clone(), |s| s.to_string_lossy().into_owned());
+    }
     manifest.emitted = windows.records.len() as u64;
     manifest.elapsed_ms = elapsed_ms;
     manifest.peak_rss_kb = peak_rss_kb();
@@ -644,24 +640,6 @@ fn push_atlas_density_metric(
         &format!("manifest/atlas_bytes_per_record/{n}"),
         meta.len() as f64 / atlas.len() as f64,
     );
-}
-
-/// Folds the global recorder's spans / counters / histograms into the
-/// manifest and writes it to `report_json` when given. Draining the
-/// recorder even when no report was requested keeps consecutive runs in
-/// one process (tests, warm replays after a cold run) from leaking
-/// telemetry into each other.
-fn finish_manifest(
-    mut manifest: bnf_obs::RunManifest,
-    report_json: Option<String>,
-) -> Result<(), CliError> {
-    manifest.absorb(bnf_obs::Recorder::global().take());
-    if let Some(path) = report_json {
-        std::fs::write(&path, manifest.to_json())
-            .map_err(|e| CliError::io(&format!("cannot write run manifest to {path}"), e))?;
-        eprintln!("run manifest written to {path}");
-    }
-    Ok(())
 }
 
 /// A per-invocation tag linking the `ShardMeta` frames of one run, so
@@ -716,19 +694,6 @@ fn resume_selection(
     Some((base.resuming(&done, frontier_len), runs.len() as u64))
 }
 
-/// Parses `--name value` from a raw argument list (first occurrence).
-pub fn arg_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// Whether a bare `--flag` is present.
-pub fn arg_flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -743,17 +708,5 @@ mod tests {
         // Garbage falls back to the default.
         assert_eq!(max_sweep_n_from(Some("many".into())), DEFAULT_MAX_SWEEP_N);
         assert_eq!(max_sweep_n_from(Some(String::new())), DEFAULT_MAX_SWEEP_N);
-    }
-
-    #[test]
-    fn arg_parsing() {
-        let args: Vec<String> = ["--n", "7", "--csv"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(arg_value(&args, "--n"), Some("7".into()));
-        assert_eq!(arg_value(&args, "--threads"), None);
-        assert!(arg_flag(&args, "--csv"));
-        assert!(!arg_flag(&args, "--json"));
     }
 }

@@ -2,7 +2,8 @@
 //! `fig2_avg_poa` binary: every bad or contradictory flag prints exactly
 //! one `error:` line and exits with status 2 — never a panic — while a
 //! store that cannot be opened or a manifest that cannot be written
-//! exits with the distinct status 1.
+//! exits with the distinct status 1. Every bnf-empirics binary refuses
+//! an unknown, repeated or stray argument the same way (exit 2).
 
 use std::process::Output;
 
@@ -41,7 +42,7 @@ fn bad_flags_exit_2_with_one_error_line() {
     let cases: [(&[&str], &str); 12] = [
         (&["--shards", "many"], "--shards"),
         (&["--shards", "0"], "--shards"),
-        (&["--shards"], "--shards wants a value"),
+        (&["--shards"], "--shards needs a value"),
         (&["--shard", "1-4", "--atlas", seg], "bad --shard"),
         (&["--shard", "4/4", "--atlas", seg], "out of range"),
         (&["--shard", "0/0", "--atlas", seg], "bad --shard"),
@@ -185,4 +186,56 @@ fn non_numeric_counts_exit_2_in_every_binary() {
         .output()
         .expect("spawn lemma6_cycles");
     assert_error(&out, 2, "--max wants a number");
+}
+
+#[test]
+fn unknown_repeated_and_stray_arguments_exit_2_in_every_binary() {
+    let store = std::env::temp_dir().join(format!("bnf-cli-errors-{}-stray", std::process::id()));
+    let store = store.to_str().unwrap();
+    let sweeps = [
+        env!("CARGO_BIN_EXE_fig2_avg_poa"),
+        env!("CARGO_BIN_EXE_fig3_avg_links"),
+        env!("CARGO_BIN_EXE_poa_bounds"),
+        env!("CARGO_BIN_EXE_efficiency_scan"),
+    ];
+    for exe in sweeps {
+        // Each mistake follows an --atlas the run must never open.
+        let cases: [(&[&str], &str); 5] = [
+            (&["--bogus"], "unknown argument \"--bogus\""),
+            (&["--bogus", "1"], "unknown argument \"--bogus\""),
+            (&["--thread", "2"], "unknown argument \"--thread\""),
+            (&["--n", "4", "--n", "5"], "--n given twice"),
+            (&["stray"], "unknown argument \"stray\""),
+        ];
+        for (args, needle) in cases {
+            let out = std::process::Command::new(exe)
+                .args(["--atlas", store])
+                .args(args)
+                .output()
+                .unwrap_or_else(|e| panic!("spawn {exe}: {e}"));
+            assert_error(&out, 2, needle);
+        }
+    }
+    assert!(
+        !std::path::Path::new(store).exists(),
+        "a refused run opened its store"
+    );
+    let lemma6 = env!("CARGO_BIN_EXE_lemma6_cycles");
+    let gallery = env!("CARGO_BIN_EXE_fig1_gallery");
+    let cases: [(&str, &[&str], &str); 7] = [
+        (lemma6, &["--max", "5", "--x"], "unknown argument \"--x\""),
+        (lemma6, &["--bogus", "1"], "unknown argument \"--bogus\""),
+        (lemma6, &["--max", "5", "--max", "6"], "--max given twice"),
+        (lemma6, &["5"], "unknown argument \"5\""),
+        (gallery, &["--bogus"], "unknown argument \"--bogus\""),
+        (gallery, &["--bogus", "1"], "unknown argument \"--bogus\""),
+        (gallery, &["stray"], "unknown argument \"stray\""),
+    ];
+    for (exe, args, needle) in cases {
+        let out = std::process::Command::new(exe)
+            .args(args)
+            .output()
+            .unwrap_or_else(|e| panic!("spawn {exe}: {e}"));
+        assert_error(&out, 2, needle);
+    }
 }

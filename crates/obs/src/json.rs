@@ -1,7 +1,6 @@
-//! A minimal JSON reader/writer for the run manifest — and for every
-//! other offline JSON consumer in the workspace (`bnf-serve` renders
-//! its responses and parses nothing else; `bench_gate` scans manifest
-//! text).
+//! A minimal JSON reader/writer for the run manifest — and for
+//! `bnf-serve`, which renders its responses with it and parses nothing
+//! else. (`bench_gate` scans manifest text with its own scanner.)
 //!
 //! The container builds offline, so there is no serde; the manifest
 //! needs exactly this much JSON: objects, arrays, strings, numbers,

@@ -24,7 +24,9 @@
 //!   the human report and the machine report can never disagree.
 //! * [`json`] — the minimal JSON reader/writer under the manifest,
 //!   public so offline JSON consumers and producers elsewhere in the
-//!   workspace (`bench_gate`, `bnf-serve`) share one implementation.
+//!   workspace (`bnf-serve`) share one implementation.
+//! * [`cli`] — the one flag parser every binary uses: unknown, repeated
+//!   or stray arguments are a usage error (one `error:` line, exit 2).
 //!
 //! Std-only and dependency-free, like the shims: telemetry must never
 //! be the thing that fails to build.
@@ -32,6 +34,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod cli;
 pub mod heartbeat;
 pub mod json;
 pub mod manifest;

@@ -186,6 +186,17 @@ impl RunManifest {
         self.histograms.sort_by(|a, b| a.0.cmp(&b.0));
     }
 
+    /// The `--report-json` epilogue every binary shares: folds the
+    /// global [`Recorder`](crate::Recorder)'s telemetry in, writes the
+    /// manifest as JSON to `path` and notes the path on stderr. The
+    /// caller reports a write failure.
+    pub fn write(mut self, path: &str) -> std::io::Result<()> {
+        self.absorb(crate::Recorder::global().take());
+        std::fs::write(path, self.to_json())?;
+        eprintln!("run manifest written to {path}");
+        Ok(())
+    }
+
     /// Serializes the manifest (one top-level key per line — small
     /// enough to read as a CI artifact, still plain JSON).
     pub fn to_json(&self) -> String {

@@ -12,50 +12,29 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use bnf_atlas::MappedAtlas;
+use bnf_obs::cli::Flags;
 use bnf_serve::{AppState, Server, DEFAULT_LIVE_ORDER_CAP};
 
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+const USAGE: &str =
+    "bnf_serve --atlas store.bnfatlas [--addr 127.0.0.1:7878] [--threads N] [--live-cap K]";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(store) = flag_value(&args, "--atlas") else {
-        eprintln!(
-            "usage: bnf_serve --atlas store.bnfatlas [--addr 127.0.0.1:7878] [--threads N] \
-             [--live-cap K]"
-        );
-        return ExitCode::FAILURE;
-    };
-    let addr = flag_value(&args, "--addr").unwrap_or_else(|| "127.0.0.1:7878".to_owned());
-    let threads = match flag_value(&args, "--threads") {
-        None => bnf_engine::default_threads(),
-        Some(raw) => match raw.parse() {
-            Ok(t) if t > 0 => t,
-            _ => {
-                eprintln!("--threads must be a positive integer, got {raw:?}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    let live_cap = match flag_value(&args, "--live-cap") {
-        None => DEFAULT_LIVE_ORDER_CAP,
-        Some(raw) => match raw.parse() {
-            Ok(k) => k,
-            Err(_) => {
-                eprintln!("--live-cap must be an integer, got {raw:?}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    let atlas = match MappedAtlas::open(&store) {
+    let known = ["--atlas", "--addr", "--threads", "--live-cap"];
+    let (flags, _) = Flags::parse(&known, &[], false, USAGE);
+    let store = flags.require("--atlas");
+    let addr = flags.get("--addr").unwrap_or("127.0.0.1:7878");
+    let threads: usize = flags.number("--threads", bnf_engine::default_threads());
+    if threads == 0 {
+        flags.fail("--threads must be a positive integer, got 0");
+    }
+    let live_cap = flags.number("--live-cap", DEFAULT_LIVE_ORDER_CAP);
+    let atlas = match MappedAtlas::open(store) {
         Ok(atlas) => atlas,
         Err(e) => {
-            eprintln!("cannot open indexed atlas {store}: {e}");
-            eprintln!("(build or refresh the sidecar with: atlas_index --atlas {store})");
+            eprintln!(
+                "error: cannot open indexed atlas {store}: {e} \
+                 (build or refresh the sidecar with: atlas_index --atlas {store})"
+            );
             return ExitCode::FAILURE;
         }
     };
@@ -66,10 +45,10 @@ fn main() -> ExitCode {
         // A store without declared coverage still serves point lookups.
         Err(e) => eprintln!("paper grid unavailable: {e}"),
     }
-    let server = match Server::start(state, &addr, threads) {
+    let server = match Server::start(state, addr, threads) {
         Ok(server) => server,
         Err(e) => {
-            eprintln!("cannot bind {addr}: {e}");
+            eprintln!("error: cannot bind {addr}: {e}");
             return ExitCode::FAILURE;
         }
     };

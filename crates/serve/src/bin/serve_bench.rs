@@ -22,7 +22,11 @@ use std::sync::Arc;
 
 use bnf_atlas::MappedAtlas;
 use bnf_engine::parallel_map;
+use bnf_obs::cli::Flags;
 use bnf_serve::{percent_encode, AppState, MiniClient, Server, DEFAULT_LIVE_ORDER_CAP};
+
+const USAGE: &str = "serve_bench --atlas store.bnfatlas [--clients C] [--requests R] \
+     [--threads N] [--seed S] [--report-json report.json]";
 
 /// How many stored keys the hit mix samples from.
 const KEY_SAMPLE: u64 = 1024;
@@ -35,22 +39,6 @@ fn xorshift(state: &mut u64) -> u64 {
     x ^= x << 17;
     *state = x;
     x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-}
-
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
-    match flag_value(args, name) {
-        None => Ok(default),
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| format!("{name} must be a number, got {raw:?}")),
-    }
 }
 
 /// One measured request: mix bucket tag plus latency in nanoseconds.
@@ -74,32 +62,41 @@ fn quantile_ns(sorted: &[u64], q: f64) -> u64 {
 }
 
 fn main() -> ExitCode {
-    match run() {
+    let known = [
+        "--atlas",
+        "--clients",
+        "--requests",
+        "--threads",
+        "--seed",
+        "--report-json",
+    ];
+    let (flags, _) = Flags::parse(&known, &[], false, USAGE);
+    match run(&flags) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("serve_bench: {e}");
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
 }
 
-fn run() -> Result<(), String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(store) = flag_value(&args, "--atlas") else {
-        return Err(
-            "usage: serve_bench --atlas store.bnfatlas [--clients C] [--requests R] \
-             [--threads N] [--seed S] [--report-json report.json]"
-                .into(),
-        );
-    };
-    let clients: usize = parse_flag(&args, "--clients", 4)?;
-    let requests: usize = parse_flag(&args, "--requests", 2000)?;
-    let threads: usize = parse_flag(&args, "--threads", bnf_engine::default_threads())?;
-    let seed: u64 = parse_flag(&args, "--seed", 1)?;
-    let report_json = flag_value(&args, "--report-json");
+/// One load run. Every flag is read and checked before the store is
+/// opened, so a usage error (exit 2) never starts the server.
+fn run(flags: &Flags) -> Result<(), String> {
+    let store = flags.require("--atlas");
+    let clients: usize = flags.number("--clients", 4);
+    let requests: usize = flags.number("--requests", 2000);
+    for (name, value) in [("--clients", clients), ("--requests", requests)] {
+        if value == 0 {
+            flags.fail(&format!("{name} must be at least 1"));
+        }
+    }
+    let threads: usize = flags.number("--threads", bnf_engine::default_threads());
+    let seed: u64 = flags.number("--seed", 1);
+    let report_json = flags.get("--report-json");
 
     bnf_obs::Recorder::global().take();
-    let atlas = MappedAtlas::open(&store).map_err(|e| format!("cannot open {store}: {e}"))?;
+    let atlas = MappedAtlas::open(store).map_err(|e| format!("cannot open {store}: {e}"))?;
     if atlas.is_empty() {
         return Err(format!("{store} has no records to query"));
     }
@@ -196,7 +193,7 @@ fn run() -> Result<(), String> {
     }
 
     if let Some(path) = report_json {
-        let mut manifest = bnf_obs::RunManifest::new("serve_bench", u32::from(order), &store);
+        let mut manifest = bnf_obs::RunManifest::new("serve_bench", u32::from(order), store);
         manifest.emitted = total;
         manifest.elapsed_ms = elapsed.as_millis() as u64;
         manifest.peak_rss_kb = bnf_obs::peak_rss_kb();
@@ -212,10 +209,9 @@ fn run() -> Result<(), String> {
             ns_per_query,
         );
         manifest.push_metric(&format!("manifest/serve_qps/{order}"), qps);
-        manifest.absorb(bnf_obs::Recorder::global().take());
-        std::fs::write(&path, manifest.to_json())
+        manifest
+            .write(path)
             .map_err(|e| format!("cannot write run manifest to {path}: {e}"))?;
-        eprintln!("run manifest written to {path}");
     }
     Ok(())
 }

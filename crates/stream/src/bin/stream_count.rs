@@ -4,8 +4,9 @@
 //! `n = 10` scale (OEIS A001349: 11 716 571 connected topologies)
 //! without paying any classification.
 //!
-//! Usage: `stream_count --n 10 [--threads T] [--shards auto|R]
-//! [--checkpoint PATH [--resume]] [--expect 11716571] [--report-json PATH]`
+//! Usage: `stream_count [--n 8] [--threads T] [--shards auto|R]
+//! [--checkpoint PATH [--resume]] [--expect COUNT] [--report-json PATH]`
+//! (the CI smoke runs `--n 10 --expect 11716571`)
 //!
 //! The count runs the sweep orchestrator's frontier partition
 //! ([`bnf_stream::FrontierPartition`]): one frontier build, `--shards`
@@ -31,23 +32,13 @@
 use std::io::Write;
 use std::process::ExitCode;
 
+use bnf_obs::cli::Flags;
 use bnf_stream::{
     FrontierPartition, ParentFrontier, PruneCounters, RangeSelection, RangeStats, StreamStats,
 };
 
-fn arg_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// Prints one `error:` line and exits 2: the usage-error convention of
-/// every binary in the workspace.
-fn usage_error(message: &str) -> ! {
-    eprintln!("error: {message}");
-    std::process::exit(2)
-}
+const USAGE: &str = "stream_count [--n 8] [--threads T] [--shards auto|R] \
+     [--checkpoint PATH [--resume]] [--expect COUNT] [--report-json PATH]";
 
 /// Prints one `error:` line and exits 1: the file-error convention of
 /// the sweep binaries, for a checkpoint that cannot be read, written or
@@ -55,16 +46,6 @@ fn usage_error(message: &str) -> ! {
 fn file_error(message: &str) -> ! {
     eprintln!("error: {message}");
     std::process::exit(1)
-}
-
-/// Parses a present flag value, or exits with a usage error — a
-/// malformed gate invocation must fail the CI step, never silently
-/// disable the check.
-fn parsed<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
-    arg_value(args, name).map(|v| {
-        v.parse()
-            .unwrap_or_else(|_| usage_error(&format!("{name} wants a number, got {v:?}")))
-    })
 }
 
 /// The largest range count: the sweep binaries' `--shards` bound (their
@@ -281,31 +262,39 @@ fn count_ranges(
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let n: usize = parsed(&args, "--n").unwrap_or(8);
+    let known = [
+        "--n",
+        "--threads",
+        "--shards",
+        "--checkpoint",
+        "--expect",
+        "--report-json",
+    ];
+    let (flags, _) = Flags::parse(&known, &["--resume"], false, USAGE);
+    let n: usize = flags.number("--n", 8);
     if n > 10 {
-        usage_error(&format!("--n {n} is above the enumeration bound n=10"));
+        flags.fail(&format!("--n {n} is above the enumeration bound n=10"));
     }
-    let threads: usize = parsed(&args, "--threads").unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    });
-    let ranges = match arg_value(&args, "--shards").as_deref() {
+    let threads: usize = flags.number(
+        "--threads",
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+    );
+    let ranges = match flags.get("--shards") {
         None | Some("auto") => bnf_stream::auto_range_count(threads),
         Some(v) => match v.parse() {
             Ok(r) if (1..=MAX_RANGES).contains(&r) => r,
-            _ => usage_error(&format!(
+            _ => flags.fail(&format!(
                 "--shards wants `auto` or a range count from 1 to {MAX_RANGES}, got {v:?}"
             )),
         },
     };
-    let expect: Option<u64> = parsed(&args, "--expect");
-    let report_json = arg_value(&args, "--report-json");
-    let checkpoint = arg_value(&args, "--checkpoint");
-    let resume = args.iter().any(|a| a == "--resume");
+    let expect = flags
+        .get("--expect")
+        .map(|_| flags.number::<u64>("--expect", 0));
+    let checkpoint = flags.get("--checkpoint");
+    let resume = flags.switch("--resume");
     if resume && checkpoint.is_none() {
-        usage_error("--resume recovers completed ranges from the sidecar: pass --checkpoint PATH");
+        flags.fail("--resume recovers completed ranges from the sidecar: pass --checkpoint PATH");
     }
     // Scope the global recorder to this run, then let the enumeration
     // heartbeat report progress against the known connected count.
@@ -320,15 +309,14 @@ fn main() -> ExitCode {
     );
     let started = std::time::Instant::now();
     let (stats, ranges, recovered) =
-        count_ranges(n, threads, ranges, checkpoint.as_deref(), resume)
-            .unwrap_or_else(|e| file_error(&e));
+        count_ranges(n, threads, ranges, checkpoint, resume).unwrap_or_else(|e| file_error(&e));
     let count = stats.emitted();
     let elapsed_ms = started.elapsed().as_millis() as u64;
     bnf_obs::heartbeat::finish();
     // The manifest goes first: a path that cannot be written is one
     // `error:` line with nothing on stdout, not a report followed by a
     // failure.
-    if let Some(path) = report_json {
+    if let Some(path) = flags.get("--report-json") {
         let mut manifest = bnf_obs::RunManifest::new("stream_count", n as u32, "orchestrated");
         manifest.emitted = count;
         manifest.elapsed_ms = elapsed_ms;
@@ -350,11 +338,9 @@ fn main() -> ExitCode {
             &format!("manifest/candidates_per_survivor/{n}"),
             stats.prune.candidates_per_survivor(),
         );
-        manifest.absorb(bnf_obs::Recorder::global().take());
-        if let Err(e) = std::fs::write(&path, manifest.to_json()) {
+        if let Err(e) = manifest.write(path) {
             file_error(&format!("cannot write run manifest to {path}: {e}"));
         }
-        eprintln!("run manifest written to {path}");
     }
     println!("n: {n}");
     println!("threads: {threads}");

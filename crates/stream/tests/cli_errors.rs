@@ -1,7 +1,7 @@
-//! Operator errors of `stream_count`, through the real binary: a flag
-//! value that is not a number, or `--resume` without the `--checkpoint`
-//! it resumes from, prints exactly one `error:` line and exits with
-//! status 2; a checkpoint sidecar that cannot be read or does not
+//! Operator errors of `stream_count`, through the real binary: an
+//! unknown, repeated or stray argument, a flag value that is not a
+//! number, or `--resume` without the `--checkpoint` it resumes from,
+//! prints exactly one `error:` line and exits with status 2; a checkpoint sidecar that cannot be read or does not
 //! describe the run prints exactly one `error:` line and exits with
 //! status 1, and so does a `--report-json` path that cannot be written
 //! — never a panic, and no count is reported.
@@ -186,4 +186,24 @@ fn torn_final_line_is_dropped_not_an_error() {
         "{text:?}"
     );
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn unknown_repeated_and_stray_arguments_exit_2() {
+    let cases: [(&[&str], &str); 5] = [
+        (&["--n", "4", "--bogus"], "unknown argument \"--bogus\""),
+        (
+            &["--n", "4", "--bogus", "1"],
+            "unknown argument \"--bogus\"",
+        ),
+        (&["--n", "4", "--n", "5"], "--n given twice"),
+        (
+            &["--n", "4", "--resume", "--resume"],
+            "--resume given twice",
+        ),
+        (&["--n", "4", "stray"], "unknown argument \"stray\""),
+    ];
+    for (args, needle) in cases {
+        assert_usage_error(args, needle);
+    }
 }
