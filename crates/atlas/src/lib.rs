@@ -81,7 +81,7 @@ pub use mapped::MappedAtlas;
 pub use merge::{
     merge_segments, merge_segments_recovering, render_shard_report, MergeReport, SegmentError,
 };
-pub use shard::ShardMeta;
+pub use shard::{ShardMeta, ShardPartition};
 pub use store::{
     AtlasError, ClassificationAtlas, MergeOutcome, RecoveredAtlas, RecoveryReport, ShardCoverage,
     ATLAS_MAGIC, ATLAS_VERSION, MAX_BLOCK_FRAME_LEN,

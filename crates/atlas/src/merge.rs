@@ -30,7 +30,7 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use crate::shard::ShardMeta;
+use crate::shard::{ShardMeta, ShardPartition};
 use crate::store::{AtlasError, ClassificationAtlas, RecoveryReport, ShardCoverage};
 
 /// What one [`merge_segments`] call did, plus the output store's
@@ -186,10 +186,8 @@ fn merge_segments_inner(
 pub fn render_shard_report(metas: &[ShardMeta]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    let mut orders: Vec<u16> = metas.iter().map(|m| m.order).collect();
-    orders.sort_unstable();
-    orders.dedup();
-    for order in orders {
+    for own in ShardMeta::partitions(metas).chunk_by(|a, b| a.order == b.order) {
+        let order = own[0].order;
         let group: Vec<ShardMeta> = metas.iter().filter(|m| m.order == order).cloned().collect();
         for m in &group {
             // `unavailable` is an explicit outcome (non-Linux shard, no
@@ -222,7 +220,15 @@ pub fn render_shard_report(metas: &[ShardMeta]) -> String {
                 rss,
             );
         }
-        if let Some(total) = ShardMeta::merged_counters(&group) {
+        // Merged counters exist only for an order whose ranges form one
+        // partition of one build.
+        if let [ShardPartition {
+            frontier_prune: Some(mut total),
+            final_prune,
+            ..
+        }] = own
+        {
+            total.merge(final_prune);
             let _ = writeln!(
                 out,
                 "  n={order} merged enumeration counters: {} candidates, {} orbit-skipped, \

@@ -5,7 +5,7 @@
 //! `shard_merge` and the sweep reports use. See
 //! `docs/ATLAS_FORMAT.md` for the byte layout.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use bnf_stream::PruneCounters;
 
@@ -95,24 +95,49 @@ impl ShardMeta {
         }
     }
 
-    /// Folds one partition's worth of metas into total enumeration
-    /// counters: the (shared, identical) frontier-build share once plus
-    /// every shard's final-level share. `None` when the metas span
-    /// mixed partitions or disagree on the frontier share — no single
-    /// total exists then.
-    pub fn merged_counters(metas: &[ShardMeta]) -> Option<PruneCounters> {
-        let first = metas.first()?;
-        let group = (first.order, first.shard_count, first.frontier_len);
-        let mut total = first.frontier_prune;
-        for m in metas {
-            if (m.order, m.shard_count, m.frontier_len) != group
-                || m.frontier_prune != first.frontier_prune
-            {
-                return None;
+    /// The one partition fold: groups `metas` by `(order, shard_count,
+    /// frontier_len)` — the triple that fixes every range boundary — into
+    /// one [`ShardPartition`] each, sorted by that triple. Coverage
+    /// declaration, the merge report and the `--resume` rule all read
+    /// partitions from here. A slot outside its partition belongs to
+    /// none, and a repeated slot counts once (a store already keeps one
+    /// meta per slot).
+    pub fn partitions(metas: &[ShardMeta]) -> Vec<ShardPartition> {
+        let mut sorted: Vec<&ShardMeta> = metas
+            .iter()
+            .filter(|m| m.shard_index < m.shard_count)
+            .collect();
+        sorted.sort_by_key(|m| m.identity());
+        let mut out: Vec<ShardPartition> = Vec::new();
+        for m in sorted {
+            let key = (m.order, m.shard_count, m.frontier_len);
+            match out.last_mut() {
+                Some(p) if (p.order, p.shard_count, p.frontier_len) == key => {
+                    if p.done.last() == Some(&(m.shard_index as usize)) {
+                        continue;
+                    }
+                    if p.frontier_prune != Some(m.frontier_prune) {
+                        p.frontier_prune = None;
+                    }
+                }
+                _ => out.push(ShardPartition {
+                    order: m.order,
+                    shard_count: m.shard_count,
+                    frontier_len: m.frontier_len,
+                    done: Vec::new(),
+                    emitted: 0,
+                    frontier_prune: Some(m.frontier_prune),
+                    final_prune: PruneCounters::default(),
+                    runs: BTreeSet::new(),
+                }),
             }
-            total.merge(&m.final_prune);
+            let p = out.last_mut().expect("pushed above");
+            p.done.push(m.shard_index as usize);
+            p.emitted += m.emitted;
+            p.final_prune.merge(&m.final_prune);
+            p.runs.insert(m.orchestrator_run);
         }
-        Some(total)
+        out
     }
 
     /// Max and sum of peak RSS **per process**, over the metas that
@@ -164,6 +189,32 @@ impl ShardMeta {
         }
         standalone + runs.len()
     }
+}
+
+/// One partition of stored ranges, as [`ShardMeta::partitions`] folds
+/// it: which ranges of the `shard_count`-way cut of an order's
+/// `frontier_len`-parent frontier are stored, and their summed shares.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShardPartition {
+    /// Graph order of the partition.
+    pub order: u16,
+    /// Ranges the frontier is cut into.
+    pub shard_count: u32,
+    /// Parents of the frontier the ranges were cut from.
+    pub frontier_len: u64,
+    /// The stored range indices, ascending, each once.
+    pub done: Vec<usize>,
+    /// Final-level graphs the stored ranges emitted, summed.
+    pub emitted: u64,
+    /// The frontier-build share every stored range carries — `None`
+    /// when they disagree (incompatible builds), so no single total
+    /// exists.
+    pub frontier_prune: Option<PruneCounters>,
+    /// The stored ranges' final-level counters, summed.
+    pub final_prune: PruneCounters,
+    /// The distinct [`ShardMeta::orchestrator_run`] ids of the stored
+    /// ranges — one per prior run (`None` for standalone processes).
+    pub runs: BTreeSet<Option<u64>>,
 }
 
 fn put_counters(out: &mut Vec<u8>, c: &PruneCounters) {

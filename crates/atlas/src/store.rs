@@ -756,7 +756,7 @@ impl ClassificationAtlas {
 
     /// Declares complete coverage for every order whose stored shard
     /// metadata contains a full partition — all indices `0..count` of
-    /// one `(shard_count, frontier_len)` group — whose summed emission
+    /// one [`ShardMeta::partitions`] entry — whose summed emission
     /// count equals the number of stored records of that order. Orders
     /// already covered are reported as such; incomplete or
     /// count-mismatched orders are reported, not errors (merge more
@@ -767,55 +767,37 @@ impl ClassificationAtlas {
     /// [`AtlasError::CoverageConflict`] when a declaration contradicts
     /// a stored coverage frame, [`AtlasError::Io`] on write failure.
     pub fn declare_sharded_coverage(&mut self) -> Result<Vec<(usize, ShardCoverage)>, AtlasError> {
-        let mut orders: Vec<u16> = self.shards.iter().map(|m| m.order).collect();
-        orders.sort_unstable();
-        orders.dedup();
         let mut out = Vec::new();
-        for order in orders {
+        let partitions = ShardMeta::partitions(&self.shards);
+        for own in partitions.chunk_by(|a, b| a.order == b.order) {
+            let order = own[0].order;
             if let Some(count) = self.coverage.get(&order) {
                 out.push((order as usize, ShardCoverage::AlreadyDeclared(*count)));
                 continue;
             }
             let stored = self.counts.get(&u32::from(order)).copied().unwrap_or(0);
-            let mut groups: Vec<(u32, u64)> = self
-                .shards
-                .iter()
-                .filter(|m| m.order == order)
-                .map(|m| (m.shard_count, m.frontier_len))
-                .collect();
-            groups.sort_unstable();
-            groups.dedup();
             let mut status = ShardCoverage::Incomplete { have: 0, want: 0 };
-            for (count, frontier_len) in groups {
-                let members: Vec<&ShardMeta> = self
-                    .shards
-                    .iter()
-                    .filter(|m| {
-                        m.order == order && m.shard_count == count && m.frontier_len == frontier_len
-                    })
-                    .collect();
-                // Per-slot uniqueness is enforced at append time, so
-                // membership count is the distinct-index count.
-                if members.len() < count as usize {
-                    // Keep the fullest incomplete group as the status
-                    // (a CountMismatch from an earlier group wins).
-                    if let ShardCoverage::Incomplete { have, want } = status {
-                        if members.len() > have || want == 0 {
-                            status = ShardCoverage::Incomplete {
-                                have: members.len(),
-                                want: count as usize,
-                            };
-                        }
+            for p in own {
+                let (have, want) = (p.done.len(), p.shard_count as usize);
+                if have < want {
+                    // Keep the fullest incomplete partition as the status
+                    // (a CountMismatch from an earlier partition wins).
+                    let fuller = matches!(status, ShardCoverage::Incomplete { have: h, want: w }
+                        if have > h || w == 0);
+                    if fuller {
+                        status = ShardCoverage::Incomplete { have, want };
                     }
                     continue;
                 }
-                let emitted: u64 = members.iter().map(|m| m.emitted).sum();
-                if emitted != stored {
-                    status = ShardCoverage::CountMismatch { emitted, stored };
+                if p.emitted != stored {
+                    status = ShardCoverage::CountMismatch {
+                        emitted: p.emitted,
+                        stored,
+                    };
                     continue;
                 }
-                self.mark_complete(order as usize, emitted as usize)?;
-                status = ShardCoverage::Declared(emitted);
+                self.mark_complete(order as usize, p.emitted as usize)?;
+                status = ShardCoverage::Declared(p.emitted);
                 break;
             }
             out.push((order as usize, status));
@@ -1960,7 +1942,12 @@ mod tests {
             ShardMeta::rss_summary(atlas.shard_metas()),
             Some((3072, 5120))
         );
-        let total = ShardMeta::merged_counters(atlas.shard_metas()).unwrap();
+        let [p] = &ShardMeta::partitions(atlas.shard_metas())[..] else {
+            panic!("one partition expected");
+        };
+        assert_eq!((p.done.as_slice(), p.emitted), (&[0, 1][..], 2));
+        let mut total = p.frontier_prune.unwrap();
+        total.merge(&p.final_prune);
         // Frontier share once, final shares summed: 10 + 5 + 6.
         assert_eq!(total.candidates, 21);
         assert_eq!(total.cheap_rejected, 11);
@@ -1969,12 +1956,21 @@ mod tests {
 
     #[test]
     fn merged_counters_and_rss_handle_edge_sets() {
-        assert_eq!(ShardMeta::merged_counters(&[]), None);
-        // Mixed partitions have no single total.
-        assert_eq!(
-            ShardMeta::merged_counters(&[sample_meta(0, 2), sample_meta(0, 3)]),
-            None
-        );
+        assert_eq!(ShardMeta::partitions(&[]), vec![]);
+        // Mixed partitions fold apart, sorted by range count; a repeated
+        // slot counts once.
+        let parts =
+            ShardMeta::partitions(&[sample_meta(0, 3), sample_meta(0, 2), sample_meta(0, 2)]);
+        let cut: Vec<(u32, &[usize], u64)> = parts
+            .iter()
+            .map(|p| (p.shard_count, p.done.as_slice(), p.emitted))
+            .collect();
+        assert_eq!(cut, vec![(2, &[0][..], 1), (3, &[0][..], 1)]);
+        // Ranges that disagree on the frontier share have no total.
+        let mut other_build = sample_meta(1, 2);
+        other_build.frontier_prune.candidates += 1;
+        let parts = ShardMeta::partitions(&[sample_meta(0, 2), other_build]);
+        assert_eq!(parts[0].frontier_prune, None);
         let mut no_rss = sample_meta(0, 1);
         no_rss.peak_rss_kb = None;
         assert_eq!(ShardMeta::rss_summary(&[no_rss]), None);
@@ -2010,8 +2006,11 @@ mod tests {
         );
         assert_eq!(ShardMeta::process_count(atlas.shard_metas()), 2);
         // The orchestrator stamps an identical frontier share per range,
-        // so the counter fold is unaffected by the run tag.
-        assert!(ShardMeta::merged_counters(atlas.shard_metas()).is_some());
+        // so the counter fold is unaffected by the run tag, which the
+        // fold lists once per run.
+        let parts = ShardMeta::partitions(atlas.shard_metas());
+        assert!(parts[0].frontier_prune.is_some());
+        assert_eq!(parts[0].runs, [None, Some(42)].into_iter().collect());
         std::fs::remove_file(&path).ok();
     }
 

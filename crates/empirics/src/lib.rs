@@ -41,6 +41,10 @@
 //! into a per-process segment file; the `shard_merge` binary in
 //! `bnf-atlas` folds segments into one coverage-complete store that
 //! every binary replays warm. See `crates/atlas/README.md`.
+//!
+//! The enumeration-only `stream_count` binary counts over the same
+//! partition ([`run_count_cli`]); its `--checkpoint` store is committed
+//! and resumed through the same range ledger as a sweep's `--atlas`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -103,7 +107,7 @@ use bnf_stream::{RangeSelection, ShardSpec};
 
 /// The valued flags every sweep binary declares; [`parse_sweep_flags`]
 /// adds the one sweep switch, `--resume`.
-pub const SWEEP_FLAGS: &[&str] = &[
+const SWEEP_FLAGS: &[&str] = &[
     "--n",
     "--threads",
     "--atlas",
@@ -113,10 +117,11 @@ pub const SWEEP_FLAGS: &[&str] = &[
     "--report-json",
 ];
 
-/// Parses a sweep binary's command line: [`SWEEP_FLAGS`], `--resume`
-/// and the binary's own `switches` (fig2/fig3's `--csv`), which the
-/// usage line names too. Anything else is a usage error: one `error:`
-/// line, exit status 2.
+/// Parses a sweep binary's command line: the sweep flags (`--n`,
+/// `--threads`, `--atlas`, `--shards`, `--shard`, `--grid`,
+/// `--report-json`), `--resume` and the binary's own `switches`
+/// (fig2/fig3's `--csv`), which the usage line names too. Anything else
+/// is a usage error: one `error:` line, exit status 2.
 pub fn parse_sweep_flags(binary: &str, switches: &[&'static str]) -> Flags {
     let own: String = switches.iter().map(|s| format!(" [{s}]")).collect();
     let usage = format!(
@@ -186,6 +191,27 @@ pub fn sweep_order_flag(flags: &Flags, default: usize) -> usize {
     n
 }
 
+/// The most ranges a partition may have: `ShardMeta` stores range
+/// indices as `u32`.
+const MAX_RANGES: usize = u32::MAX as usize;
+
+/// `--shards auto|R`, the range count of a partitioned run — the one
+/// validator the sweep binaries and `stream_count` share: `None`
+/// absent, `Some(None)` for `auto`, `Some(Some(r))` for an explicit
+/// count. Anything but `auto` or a count from 1 to [`MAX_RANGES`] is a
+/// usage error.
+fn shards_flag(flags: &Flags) -> Option<Option<usize>> {
+    flags.get("--shards").map(|v| match v {
+        "auto" => None,
+        v => match v.parse() {
+            Ok(r) if (1..=MAX_RANGES).contains(&r) => Some(r),
+            _ => flags.fail(&format!(
+                "--shards wants `auto` or a range count from 1 to {MAX_RANGES}, got {v:?}"
+            )),
+        },
+    })
+}
+
 /// The range flags of one sweep invocation, validated up front.
 struct SweepFlags {
     /// `--shards`: `None` absent, `Some(None)` auto, `Some(Some(r))`.
@@ -199,24 +225,14 @@ struct SweepFlags {
 
 impl SweepFlags {
     fn parse(flags: &Flags) -> SweepFlags {
-        // `ShardMeta` stores range indices as u32.
-        let max_ranges = u32::MAX as usize;
-        let shards = flags.get("--shards").map(|v| match v {
-            "auto" => None,
-            v => match v.parse() {
-                Ok(r) if (1..=max_ranges).contains(&r) => Some(r),
-                _ => flags.fail(&format!(
-                    "--shards wants `auto` or a range count from 1 to {max_ranges}, got {v:?}"
-                )),
-            },
-        });
+        let shards = shards_flag(flags);
         let shard = flags.get("--shard").map(|v| {
             let spec =
                 ShardSpec::parse(v).unwrap_or_else(|e| flags.fail(&format!("bad --shard: {e}")));
             RangeSelection::shard(spec)
-                .filter(|s| s.ranges <= max_ranges)
+                .filter(|s| s.ranges <= MAX_RANGES)
                 .unwrap_or_else(|| {
-                    flags.fail(&format!("bad --shard: more than {max_ranges} ranges"))
+                    flags.fail(&format!("bad --shard: more than {MAX_RANGES} ranges"))
                 })
         });
         let sweep = SweepFlags {
@@ -264,9 +280,10 @@ impl SweepFlags {
 ///   only gate-facing metric becomes
 ///   `manifest/ranges_redone_on_resume/{n}`;
 /// * `--shard i/m` (requires `--atlas`, which names the **segment**
-///   file) — ranges `[16i, 16(i + 1))` of the `16m`-range partition,
-///   i.e. exactly parent range `i` of `m`, committed range by range; the
-///   process then **exits** without figure output. Fold the segments
+///   file) — its block of the fleet partition (up to 16 ranges, at most
+///   one per parent; see [`RangeSelection::shard`]), i.e. exactly parent
+///   range `i` of `m`, committed range by range; the process then
+///   **exits** without figure output. Fold the segments
 ///   with `shard_merge` (bnf-atlas).
 ///
 /// Every stderr line is rendered from a [`bnf_obs::RunManifest`]
@@ -286,26 +303,7 @@ pub fn run_window_sweep_cli(n: usize, threads: usize, flags: &Flags) -> WindowSw
 
 fn sweep_cli(n: usize, threads: usize, flags: SweepFlags) -> Result<WindowSweep, CliError> {
     use bnf_atlas::{ClassificationAtlas, ShardCoverage, ShardMeta};
-    let mut dropped_tail = 0u64;
-    let mut atlas = match &flags.atlas {
-        None => None,
-        Some(p) if flags.resume => {
-            // A store left behind by a killed run may end mid-frame:
-            // recovery truncates the torn tail (reporting what it
-            // dropped) instead of refusing the whole store as Corrupt.
-            let recovered = ClassificationAtlas::open_recovering(p)
-                .map_err(|e| CliError::io(&format!("cannot recover atlas {p}"), e))?;
-            if recovered.report.was_torn() {
-                eprintln!("atlas {p}: {}", recovered.report);
-            }
-            dropped_tail = recovered.report.dropped_bytes;
-            Some(recovered.atlas)
-        }
-        Some(p) => Some(
-            ClassificationAtlas::open(p)
-                .map_err(|e| CliError::io(&format!("cannot open atlas {p}"), e))?,
-        ),
-    };
+    let (mut atlas, dropped_tail) = open_store(flags.atlas.as_deref(), flags.resume)?;
     // Scope the process-wide recorder to this run, then let the
     // enumeration layers heartbeat progress against the known connected
     // count for this order.
@@ -345,10 +343,10 @@ fn sweep_cli(n: usize, threads: usize, flags: SweepFlags) -> Result<WindowSweep,
         let resumed = atlas
             .as_ref()
             .filter(|_| flags.resume)
-            .and_then(|a| resume_selection(n, a.shard_metas(), block));
+            .and_then(|a| resume_selection(n, a.shard_metas(), &base));
         match resumed {
-            Some((selection, runs)) => {
-                prior_runs = runs;
+            Some((selection, partition)) => {
+                prior_runs = partition.runs.len() as u64;
                 selection
             }
             None => base,
@@ -433,14 +431,7 @@ fn sweep_cli(n: usize, threads: usize, flags: SweepFlags) -> Result<WindowSweep,
                     .unwrap_or_else(|e| CliError::io("atlas append failed", e).exit());
                 appended += fresh;
                 hits += seg.records.len() - fresh;
-                atlas
-                    .append_shard_meta(&meta)
-                    .unwrap_or_else(|e| CliError::io("atlas metadata append failed", e).exit());
-                // The crash-safety kill point of the whole sweep stack:
-                // this range is now durably committed (records + meta
-                // fsynced), so a fault armed here (BNF_FAULT, see
-                // bnf-faults) crashes with exactly N ranges recoverable.
-                bnf_faults::trip_with_file("range_commit", atlas.path());
+                commit_range(atlas, &meta);
             };
             let (windows, stats) = WindowSweep::run_selected(
                 n, threads, selection, lookup, on_segment,
@@ -582,6 +573,129 @@ fn sweep_cli(n: usize, threads: usize, flags: SweepFlags) -> Result<WindowSweep,
     Ok(windows)
 }
 
+/// The front-end of the `stream_count` binary: counts the connected
+/// topologies on `n` vertices without classifying them, over the
+/// frontier partition `--shards auto|R` selects (validated as the sweep
+/// binaries validate it). Returns the unsharded-equivalent
+/// [`bnf_stream::StreamStats`], the range count, and how many ranges a
+/// `--resume` recovered.
+///
+/// `--checkpoint PATH` is the count's range ledger: an atlas store that
+/// holds only [`bnf_atlas::ShardMeta`] frames, one committed per
+/// finished range through the sweeps' `range_commit` kill point.
+/// `--resume` (requires `--checkpoint`) rebuilds the interrupted
+/// partition from it exactly as a sweep `--resume` does — torn-tail
+/// recovery, then the same resume rule — folds the recovered ranges'
+/// emissions and final-level counters back into the totals, and counts
+/// only the missing ranges.
+///
+/// `--resume` without `--checkpoint` prints one `error:` line and exits
+/// with status 2; a checkpoint that is not an atlas store, cannot be
+/// appended to, or holds a partition cut from another frontier exits
+/// with status 1.
+pub fn run_count_cli(
+    n: usize,
+    threads: usize,
+    flags: &Flags,
+) -> (bnf_stream::StreamStats, usize, usize) {
+    let shards = shards_flag(flags);
+    let checkpoint = flags.get("--checkpoint");
+    let resume = flags.switch("--resume");
+    if resume && checkpoint.is_none() {
+        flags
+            .fail("--resume recovers completed ranges from the checkpoint: pass --checkpoint PATH");
+    }
+    let ranges = shards
+        .flatten()
+        .unwrap_or_else(|| bnf_stream::auto_range_count(threads));
+    count_cli(n, threads, ranges, checkpoint, resume).unwrap_or_else(|e| e.exit())
+}
+
+fn count_cli(
+    n: usize,
+    threads: usize,
+    ranges: usize,
+    checkpoint: Option<&str>,
+    resume: bool,
+) -> Result<(bnf_stream::StreamStats, usize, usize), CliError> {
+    use bnf_stream::{FrontierPartition, ParentFrontier, RangeStats};
+    let (mut ledger, dropped_tail) = open_store(checkpoint, resume)?;
+    // Scope the global recorder to this run, then let the enumeration
+    // heartbeat report progress against the known connected count.
+    bnf_obs::Recorder::global().take();
+    bnf_obs::heartbeat::install(
+        &format!("n={n} count"),
+        bnf_obs::heartbeat::expected_connected(n),
+    );
+    eprintln!(
+        "counting the connected topologies on n={n} vertices ({threads} worker thread(s) \
+         stealing frontier ranges)..."
+    );
+    // The stored partition wins: range boundaries are a pure function
+    // of (frontier_len, ranges), so resuming must reuse the interrupted
+    // run's cut exactly.
+    let base = RangeSelection::all(ranges);
+    let resumed = ledger
+        .as_ref()
+        .filter(|_| resume)
+        .and_then(|a| resume_selection(n, a.shard_metas(), &base));
+    let selection = resumed.as_ref().map_or(base, |(s, _)| s.clone());
+    let frontier = ParentFrontier::build(n, threads);
+    let partition = FrontierPartition::new(&frontier, &selection).map_err(|e| {
+        CliError(format!(
+            "cannot resume {}: {e}",
+            checkpoint.unwrap_or_default()
+        ))
+    })?;
+    let run_id = orchestrator_run_id();
+    let mut total = partition.run(
+        threads,
+        || (),
+        |(), lo, hi| (frontier.stream_range(lo, hi, |_, _| {}), ()),
+        |run| {
+            let Some(atlas) = ledger.as_mut() else {
+                return;
+            };
+            let meta = bnf_atlas::ShardMeta {
+                order: n as u16,
+                shard_index: run.index as u32,
+                shard_count: partition.ranges as u32,
+                frontier_len: frontier.len() as u64,
+                parent_lo: run.lo as u64,
+                parent_hi: run.hi as u64,
+                emitted: run.stats.emitted,
+                elapsed_ms: run.elapsed_ms,
+                peak_rss_kb: peak_rss_kb(),
+                orchestrator_run: Some(run_id),
+                frontier_prune: frontier.frontier_prune(),
+                final_prune: run.stats.prune,
+            };
+            commit_range(atlas, &meta);
+        },
+    );
+    bnf_obs::heartbeat::finish();
+    let recovered = selection.done.len();
+    if let Some((_, prior)) = &resumed {
+        // Fold the recovered ranges back in: the reported count and
+        // counters describe the *whole* partition, identical to an
+        // uninterrupted run — recovery changes what was re-enumerated,
+        // not what is true.
+        total.merge(&RangeStats {
+            emitted: prior.emitted,
+            prune: prior.final_prune,
+        });
+    }
+    if resume {
+        eprintln!(
+            "resumed count: recovered {recovered}/{} completed range(s) from checkpoint, \
+             redoing {}; torn tail: {dropped_tail} byte(s) dropped",
+            partition.ranges,
+            partition.ranges - recovered,
+        );
+    }
+    Ok((frontier.stream_stats(total), partition.ranges, recovered))
+}
+
 /// The run-manifest skeleton every sweep CLI path shares: identity
 /// (tool, order, path, exact argv), outcome (emitted, wall-clock) and —
 /// when the run enumerated — the exact [`bnf_stream::StreamStats`]
@@ -655,43 +769,65 @@ fn orchestrator_run_id() -> u64 {
     (u64::from(std::process::id()) << 32) ^ nanos
 }
 
-/// Reconstructs an interrupted run's partition from the
-/// [`bnf_atlas::ShardMeta`] frames its store holds: metas of order `n`
-/// (of `block`'s partition, for a `--shard` process) are grouped by
-/// `(shard_count, frontier_len)` — the pair that fixes the range
-/// boundaries — and the group with the most completed ranges wins, so a
-/// stray experiment's stale metas cannot hijack the resume. Returns the
-/// selection still to run (its `frontier_len` is checked against the
-/// rebuilt frontier before any range executes) plus the number of
-/// distinct prior runs, or `None` for a store without usable metadata.
+/// Opens the store a run reads and commits to, if it names one. Under
+/// `--resume` it goes through torn-tail recovery — a killed run may
+/// have died mid-frame — and reports what it dropped; returns the store
+/// and the dropped bytes.
+fn open_store(
+    path: Option<&str>,
+    resume: bool,
+) -> Result<(Option<bnf_atlas::ClassificationAtlas>, u64), CliError> {
+    use bnf_atlas::ClassificationAtlas;
+    let Some(path) = path else {
+        return Ok((None, 0));
+    };
+    if !resume {
+        let atlas = ClassificationAtlas::open(path)
+            .map_err(|e| CliError::io(&format!("cannot open atlas {path}"), e))?;
+        return Ok((Some(atlas), 0));
+    }
+    let recovered = ClassificationAtlas::open_recovering(path)
+        .map_err(|e| CliError::io(&format!("cannot recover atlas {path}"), e))?;
+    if recovered.report.was_torn() {
+        eprintln!("atlas {path}: {}", recovered.report);
+    }
+    Ok((Some(recovered.atlas), recovered.report.dropped_bytes))
+}
+
+/// Commits one finished range: its [`bnf_atlas::ShardMeta`] frame,
+/// fsynced on both sides (after the range's records, when the run
+/// stores any), then the `range_commit` kill point — the crash-safety
+/// point of every range-committing run. A fault armed there (BNF_FAULT,
+/// see bnf-faults) crashes with exactly N ranges recoverable.
+fn commit_range(atlas: &mut bnf_atlas::ClassificationAtlas, meta: &bnf_atlas::ShardMeta) {
+    atlas
+        .append_shard_meta(meta)
+        .unwrap_or_else(|e| CliError::io("atlas metadata append failed", e).exit());
+    bnf_faults::trip_with_file("range_commit", atlas.path());
+}
+
+/// The resume rule of every range-committing run: of the stored
+/// partitions of order `n` ([`bnf_atlas::ShardMeta::partitions`]) that
+/// `base` can continue ([`RangeSelection::resuming`]), the one with the
+/// most completed ranges in `base`'s block wins (ties: the finer cut),
+/// so a stray experiment's stale metas cannot hijack the resume.
+/// Returns the selection still to run — its `frontier_len` is checked
+/// against the rebuilt frontier before any range executes — and the
+/// partition it continues, or `None` for a store without usable
+/// metadata.
 fn resume_selection(
     n: usize,
     metas: &[bnf_atlas::ShardMeta],
-    block: Option<&RangeSelection>,
-) -> Option<(RangeSelection, u64)> {
-    use std::collections::{BTreeMap, BTreeSet};
-    type Group = (Vec<usize>, BTreeSet<Option<u64>>);
-    let mut groups: BTreeMap<(u32, u64), Group> = BTreeMap::new();
-    for meta in metas {
-        if usize::from(meta.order) != n
-            || meta.shard_index >= meta.shard_count
-            || block.is_some_and(|b| b.ranges != meta.shard_count as usize)
-        {
-            continue;
-        }
-        let (done, runs) = groups
-            .entry((meta.shard_count, meta.frontier_len))
-            .or_default();
-        done.push(meta.shard_index as usize);
-        runs.insert(meta.orchestrator_run);
-    }
-    let ((shard_count, frontier_len), (done, runs)) = groups
+    base: &RangeSelection,
+) -> Option<(RangeSelection, bnf_atlas::ShardPartition)> {
+    bnf_atlas::ShardMeta::partitions(metas)
         .into_iter()
-        .max_by_key(|(key, (done, _))| (done.len(), key.0))?;
-    let base = block
-        .cloned()
-        .unwrap_or_else(|| RangeSelection::all(shard_count as usize));
-    Some((base.resuming(&done, frontier_len), runs.len() as u64))
+        .filter(|p| usize::from(p.order) == n)
+        .filter_map(|p| {
+            let count = p.shard_count as usize;
+            Some((base.clone().resuming(count, &p.done, p.frontier_len)?, p))
+        })
+        .max_by_key(|(selection, p)| (selection.done.len(), p.shard_count))
 }
 
 #[cfg(test)]

@@ -1,10 +1,12 @@
 //! Crash/resume of `stream_count`'s checkpointed count, through the real
-//! binary and real kills: a count SIGKILLed at its `range_checkpoint`
-//! kill point (the moment a range's line is durably on disk) — plainly,
-//! or after tearing bytes off that line — must resume from the sidecar,
-//! recover exactly the durable ranges, and report the count, level
-//! sizes and every pruning counter of an uninterrupted run — on one
-//! worker and on two, whose ranges finish out of index order.
+//! binary and real kills: a count SIGKILLed at the sweeps' `range_commit`
+//! kill point (the moment a range's `ShardMeta` frame is durably in the
+//! checkpoint store) — plainly, or after tearing bytes off that frame —
+//! must resume from the store, recover exactly the durable ranges, and
+//! report the count, level sizes and every pruning counter of an
+//! uninterrupted run — on one worker and on two, whose ranges finish
+//! out of index order. A count checkpoint holds no records, so a sweep
+//! `--resume` handed one refuses it without printing a figure.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -27,7 +29,7 @@ const INVARIANT: [&str; 9] = [
 
 fn scratch_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
-        "bnf-stream-resume-{}-{tag}.ckpt",
+        "bnf-count-resume-{}-{tag}.bnfatlas",
         std::process::id()
     ))
 }
@@ -66,10 +68,7 @@ fn uninterrupted(threads: &str) -> String {
 fn killed_counts_resume_to_the_uninterrupted_counters() {
     // One worker, so ranges complete in index order.
     let whole = uninterrupted("1");
-    for (fault, recovered) in [
-        ("range_checkpoint:3", "3"),
-        ("range_checkpoint:3:tear:5", "2"),
-    ] {
+    for (fault, recovered) in [("range_commit:3", "3"), ("range_commit:3:tear:5", "2")] {
         let path = scratch_path(&fault.replace(':', "-"));
         std::fs::remove_file(&path).ok();
         let killed = run(&["--threads", "1"], Some(&path), Some(fault));
@@ -102,25 +101,32 @@ fn killed_counts_resume_to_the_uninterrupted_counters() {
 #[test]
 fn two_worker_kill_resumes_to_the_uninterrupted_counters() {
     // Two workers finish ranges out of index order; the calling thread
-    // still writes every checkpoint line, so the kill at the third line
-    // leaves exactly three durable ranges, whichever they are.
+    // still commits every range, so the kill at the third commit leaves
+    // exactly three durable ranges, whichever they are — two when the
+    // kill also tears the third frame.
     let whole = uninterrupted("2");
-    let path = scratch_path("two-workers");
-    std::fs::remove_file(&path).ok();
-    let killed = run(&["--threads", "2"], Some(&path), Some("range_checkpoint:3"));
-    assert!(
-        !killed.status.success() && killed.status.code().is_none(),
-        "the armed kill must fire, got {killed:?}"
-    );
-    let resumed = run(&["--threads", "2", "--resume"], Some(&path), None);
-    let stderr = String::from_utf8_lossy(&resumed.stderr);
-    assert!(resumed.status.success(), "{stderr}");
-    let stdout = String::from_utf8(resumed.stdout).unwrap();
-    assert_eq!(line(&stdout, "recovered_ranges"), Some("3"));
-    for key in INVARIANT {
-        assert_eq!(line(&stdout, key), line(&whole, key), "{key}");
+    for (fault, recovered) in [("range_commit:3", "3"), ("range_commit:3:tear:5", "2")] {
+        let path = scratch_path(&format!("two-workers-{}", fault.replace(':', "-")));
+        std::fs::remove_file(&path).ok();
+        let killed = run(&["--threads", "2"], Some(&path), Some(fault));
+        assert!(
+            !killed.status.success() && killed.status.code().is_none(),
+            "{fault}: the armed kill must fire, got {killed:?}"
+        );
+        let resumed = run(&["--threads", "2", "--resume"], Some(&path), None);
+        let stderr = String::from_utf8_lossy(&resumed.stderr);
+        assert!(resumed.status.success(), "{fault}: {stderr}");
+        let stdout = String::from_utf8(resumed.stdout).unwrap();
+        assert_eq!(
+            line(&stdout, "recovered_ranges"),
+            Some(recovered),
+            "{fault}"
+        );
+        for key in INVARIANT {
+            assert_eq!(line(&stdout, key), line(&whole, key), "{fault}: {key}");
+        }
+        std::fs::remove_file(&path).ok();
     }
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -135,4 +141,45 @@ fn whole_counts_get_at_most_one_range_per_parent() {
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert_eq!(line(&stdout, "ranges"), Some("6"));
     assert_eq!(line(&stdout, "connected_graphs"), Some("21"));
+}
+
+#[test]
+fn zero_threads_run_and_report_one_worker() {
+    let json = scratch_path("threads-0.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_stream_count"))
+        .args(["--n", "4", "--threads", "0", "--report-json"])
+        .arg(&json)
+        .env_remove("BNF_FAULT")
+        .output()
+        .expect("spawn stream_count");
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(line(&stdout, "threads"), Some("1"));
+    assert_eq!(line(&stdout, "connected_graphs"), Some("6"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("(1 worker thread(s)"), "{stderr}");
+    let manifest = std::fs::read_to_string(&json).unwrap();
+    let manifest = bnf_obs::RunManifest::from_json(&manifest).unwrap();
+    assert_eq!(manifest.counter("threads"), Some(1));
+    std::fs::remove_file(&json).ok();
+}
+
+#[test]
+fn sweep_resume_refuses_a_count_checkpoint_without_a_figure() {
+    // A finished order-7 count: every range committed, no records.
+    let path = scratch_path("sweep-resume");
+    std::fs::remove_file(&path).ok();
+    let count = run(&["--threads", "1"], Some(&path), None);
+    assert!(count.status.success(), "{count:?}");
+    let sweep = Command::new(env!("CARGO_BIN_EXE_fig2_avg_poa"))
+        .args(["--n", "7", "--threads", "1", "--csv", "--resume", "--atlas"])
+        .arg(&path)
+        .env_remove("BNF_FAULT")
+        .output()
+        .expect("spawn fig2_avg_poa");
+    let stderr = String::from_utf8_lossy(&sweep.stderr);
+    assert_eq!(sweep.status.code(), Some(1), "{stderr}");
+    assert!(sweep.stdout.is_empty(), "a partial figure was printed");
+    assert!(stderr.contains("error: "), "{stderr}");
+    std::fs::remove_file(&path).ok();
 }

@@ -4,6 +4,11 @@
 //! store that cannot be opened or a manifest that cannot be written
 //! exits with the distinct status 1. Every bnf-empirics binary refuses
 //! an unknown, repeated or stray argument the same way (exit 2).
+//!
+//! `stream_count` follows the same split: a usage error exits 2, and a
+//! `--checkpoint` that is not an atlas store (left byte for byte as it
+//! was) or holds ranges of another frontier exits 1; a torn final
+//! commit frame is recovered, not an error.
 
 use std::process::Output;
 
@@ -237,5 +242,178 @@ fn unknown_repeated_and_stray_arguments_exit_2_in_every_binary() {
             .output()
             .unwrap_or_else(|e| panic!("spawn {exe}: {e}"));
         assert_error(&out, 2, needle);
+    }
+}
+
+/// Runs `stream_count` with `args` and no armed fault.
+fn run_count(args: &[&str]) -> Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_stream_count"))
+        .args(args)
+        .env_remove("BNF_FAULT")
+        .output()
+        .expect("spawn stream_count")
+}
+
+/// A `stream_count` usage error: one `error:` line, exit status 2.
+fn assert_usage_error(args: &[&str], needle: &str) {
+    assert_error(&run_count(args), 2, needle);
+}
+
+fn scratch_path(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("bnf-count-cli-{}-{tag}.ckpt", std::process::id()))
+}
+
+/// `stream_count` on order 5 (a 6-parent frontier) with `--checkpoint
+/// path`, plus `extra`.
+fn count_into(path: &std::path::Path, extra: &[&str]) -> Output {
+    let path = path.to_str().unwrap();
+    let args = [
+        &["--n", "5", "--threads", "1", "--checkpoint", path][..],
+        extra,
+    ]
+    .concat();
+    run_count(&args)
+}
+
+#[test]
+fn non_numeric_flags_exit_2_with_one_error_line() {
+    let cases: [(&[&str], &str); 5] = [
+        (&["--n", "eight"], "--n wants a number"),
+        (&["--n", "5", "--threads", "x"], "--threads wants a number"),
+        (&["--n", "5", "--expect", "many"], "--expect wants a number"),
+        (&["--n", "5", "--shards", "lots"], "--shards wants"),
+        (&["--n", "-3"], "--n wants a number"),
+    ];
+    for (args, needle) in cases {
+        assert_usage_error(args, needle);
+    }
+}
+
+#[test]
+fn orders_above_the_enumeration_bound_exit_2() {
+    for n in ["11", "64"] {
+        assert_usage_error(&["--n", n], "above the enumeration bound n=10");
+    }
+}
+
+#[test]
+fn resume_without_checkpoint_exits_2() {
+    assert_usage_error(&["--n", "5", "--resume"], "pass --checkpoint PATH");
+    assert_usage_error(&["--n", "5", "--shards", "4", "--resume"], "--checkpoint");
+}
+
+#[test]
+fn unwritable_manifest_exits_1_before_any_report() {
+    let json = scratch_path("no-such-dir").join("report.json");
+    let json = json.to_str().unwrap();
+    let args = ["--n", "5", "--threads", "1", "--report-json", json];
+    assert_error(&run_count(&args), 1, "cannot write run manifest to");
+}
+
+#[test]
+fn bad_checkpoints_exit_1_with_one_error_line() {
+    use bnf_atlas::{ClassificationAtlas, ShardMeta};
+    // Files that are not atlas stores — cold or resumed, the run refuses
+    // them and leaves every byte as it found it.
+    for (tag, bytes) in [
+        ("garbage", b"garbage\n".to_vec()),
+        ("binary", vec![0xff, 0xfe, b'\n']),
+        ("text", b"done 0 1 2 3 4 5 6\ndone 1 1 2 3 4 5 6\n".to_vec()),
+    ] {
+        let path = scratch_path(tag);
+        for resume in [&[][..], &["--resume"]] {
+            std::fs::write(&path, &bytes).unwrap();
+            assert_error(&count_into(&path, resume), 1, "not an atlas file");
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "{tag} {resume:?}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+    // Ranges committed from another n=5 frontier.
+    let path = scratch_path("frontier");
+    std::fs::remove_file(&path).ok();
+    let mut store = ClassificationAtlas::open(&path).unwrap();
+    store
+        .append_shard_meta(&ShardMeta {
+            order: 5,
+            shard_index: 1,
+            shard_count: 4,
+            frontier_len: 999,
+            parent_lo: 249,
+            parent_hi: 499,
+            emitted: 3,
+            elapsed_ms: 0,
+            peak_rss_kb: None,
+            orchestrator_run: Some(7),
+            frontier_prune: Default::default(),
+            final_prune: Default::default(),
+        })
+        .unwrap();
+    assert_error(
+        &count_into(&path, &["--resume"]),
+        1,
+        "different n=5 frontier",
+    );
+    std::fs::remove_file(&path).ok();
+    // A checkpoint path that cannot be read as a file at all.
+    let dir = std::env::temp_dir();
+    let dir_arg = dir.to_string_lossy().into_owned();
+    assert_error(
+        &run_count(&["--n", "5", "--resume", "--checkpoint", &dir_arg]),
+        1,
+        "cannot recover atlas",
+    );
+}
+
+#[test]
+fn torn_final_frame_is_dropped_not_an_error() {
+    let path = scratch_path("torn");
+    std::fs::remove_file(&path).ok();
+    let whole = count_into(&path, &["--shards", "4"]);
+    assert!(whole.status.success(), "{whole:?}");
+    // Tear the last range's commit frame, as a kill mid-append would:
+    // the store is a 12-byte header and four equal ShardMeta frames.
+    let len = std::fs::metadata(&path).unwrap().len();
+    let dropped = (len - 12) / 4 - 12;
+    let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+    file.set_len(len - 12).unwrap();
+    drop(file);
+    let out = count_into(&path, &["--shards", "4", "--resume"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stdout.contains("recovered_ranges: 3\n"), "{stdout}");
+    assert!(stdout.contains("connected_graphs: 21\n"), "{stdout}");
+    let report = format!("torn tail: {dropped} byte(s) dropped");
+    assert!(stderr.contains(&report), "{stderr}");
+    // The tail is cut on disk too, and the redone range committed: a
+    // second resume recovers all four ranges and drops nothing.
+    let again = count_into(&path, &["--shards", "4", "--resume"]);
+    let stdout = String::from_utf8_lossy(&again.stdout);
+    let stderr = String::from_utf8_lossy(&again.stderr);
+    assert!(stdout.contains("recovered_ranges: 4\n"), "{stdout}");
+    assert!(
+        stderr.contains("redoing 0; torn tail: 0 byte(s)"),
+        "{stderr}"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn unknown_repeated_and_stray_arguments_exit_2() {
+    let cases: [(&[&str], &str); 5] = [
+        (&["--n", "4", "--bogus"], "unknown argument \"--bogus\""),
+        (
+            &["--n", "4", "--bogus", "1"],
+            "unknown argument \"--bogus\"",
+        ),
+        (&["--n", "4", "--n", "5"], "--n given twice"),
+        (
+            &["--n", "4", "--resume", "--resume"],
+            "--resume given twice",
+        ),
+        (&["--n", "4", "stray"], "unknown argument \"stray\""),
+    ];
+    for (args, needle) in cases {
+        assert_usage_error(args, needle);
     }
 }

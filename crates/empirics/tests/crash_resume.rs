@@ -173,3 +173,84 @@ fn whole_partition_gets_at_most_one_range_per_parent() {
     assert_eq!(store.coverage(1), Some(1));
     std::fs::remove_file(&atlas).ok();
 }
+
+/// Spawns `fig2_avg_poa --n n --shard spec --atlas segment` on one
+/// thread, plus `extra`, with an optional armed fault.
+fn run_block(
+    n: &str,
+    spec: &str,
+    segment: &PathBuf,
+    extra: &[&str],
+    fault: Option<&str>,
+) -> Output {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_fig2_avg_poa"));
+    cmd.args(["--n", n, "--threads", "1", "--shard", spec, "--atlas"]);
+    cmd.arg(segment).args(extra).env_remove("BNF_FAULT");
+    if let Some(spec) = fault {
+        cmd.env("BNF_FAULT", spec);
+    }
+    cmd.output().expect("spawn fig2_avg_poa")
+}
+
+#[test]
+fn fleet_blocks_get_at_most_one_range_per_parent() {
+    // n = 1 has a one-parent frontier: a two-process fleet cuts it into
+    // min(16·2, 1) = 1 range, which block 1/2 owns and block 0/2 leaves
+    // empty — the merge adds one slot, not 32.
+    let segments: Vec<PathBuf> = (0..2)
+        .map(|i| {
+            let segment = scratch_path(&format!("n1-seg{i}.bnfatlas"));
+            let out = run_block("1", &format!("{i}/2"), &segment, &[], None);
+            assert!(out.status.success(), "{out:?}");
+            segment
+        })
+        .collect();
+    let merged_path = scratch_path("n1-merged.bnfatlas");
+    let mut merged = ClassificationAtlas::open(&merged_path).unwrap();
+    let report = bnf_atlas::merge_segments(&mut merged, &segments).unwrap();
+    assert_eq!(report.metas_added, 1);
+    assert_eq!(
+        report.coverage,
+        vec![(1, bnf_atlas::ShardCoverage::Declared(1))]
+    );
+    for p in segments.iter().chain([&merged_path]) {
+        std::fs::remove_file(p).ok();
+    }
+}
+
+#[test]
+fn killed_clamped_block_resumes_its_ranges() {
+    // n = 5 has a six-parent frontier: block 1/2 of the clamped
+    // min(32, 6) = 6-range cut owns ranges 3..6. Killed at its second
+    // commit, the resume recovers those two and redoes one.
+    let segment = scratch_path("n5-block.bnfatlas");
+    let killed = run_block("5", "1/2", &segment, &[], Some("range_commit:2"));
+    assert!(
+        !killed.status.success() && killed.status.code().is_none(),
+        "the armed kill must fire, got {killed:?}"
+    );
+    let manifest_path = scratch_path("n5-block.json");
+    let manifest_arg = manifest_path.to_str().unwrap();
+    let resumed = run_block(
+        "5",
+        "1/2",
+        &segment,
+        &["--resume", "--report-json", manifest_arg],
+        None,
+    );
+    assert!(resumed.status.success(), "{resumed:?}");
+    let manifest =
+        RunManifest::from_json(&std::fs::read_to_string(&manifest_path).unwrap()).unwrap();
+    assert_eq!(manifest.counter("resume_recovered_ranges"), Some(2));
+    assert_eq!(manifest.counter("resume_redone_ranges"), Some(1));
+    let store = ClassificationAtlas::open(&segment).unwrap();
+    let mut slots: Vec<(u32, u32)> = store
+        .shard_metas()
+        .iter()
+        .map(|m| (m.shard_index, m.shard_count))
+        .collect();
+    slots.sort_unstable();
+    assert_eq!(slots, vec![(3, 6), (4, 6), (5, 6)]);
+    std::fs::remove_file(&segment).ok();
+    std::fs::remove_file(&manifest_path).ok();
+}

@@ -44,7 +44,7 @@ pub struct RangeSegment<'a, T> {
     pub frontier_len: u64,
     /// Pruning counters of the single frontier build — identical for
     /// every segment of the run; provenance writers stamp it per range
-    /// so `ShardMeta::merged_counters` can count it exactly once.
+    /// so the `ShardMeta::partitions` fold can count it exactly once.
     pub frontier_prune: PruneCounters,
     /// First parent index owned by this range.
     pub parent_lo: u64,
@@ -353,9 +353,10 @@ mod tests {
 
         // Resume with ranges {0, 2, 5} already done: only {1, 3, 4} may
         // execute, with byte-identical per-range boundaries.
-        let plan = RangeSelection::all(6).resuming(&[5, 0, 2, 2], frontier_len);
+        let plan = RangeSelection::all(6)
+            .resuming(6, &[5, 0, 2, 2], frontier_len)
+            .unwrap();
         assert_eq!(plan.done, vec![0, 2, 5]);
-        assert_eq!(plan.indices().collect::<Vec<_>>(), vec![1, 3, 4]);
         let mut warm: Vec<(usize, u64, u64, u64)> = Vec::new();
         let (out, stats) = engine
             .run_connected_selected(6, &plan, &Tagged, |seg| {
@@ -364,6 +365,7 @@ mod tests {
             })
             .unwrap();
         warm.sort_unstable();
+        assert_eq!(warm.iter().map(|s| s.0).collect::<Vec<_>>(), vec![1, 3, 4]);
         let expected: Vec<_> = cold
             .iter()
             .filter(|s| plan.done.binary_search(&s.0).is_err())
@@ -379,7 +381,9 @@ mod tests {
         assert_eq!(out.len() as u64, stats.emitted());
 
         // An all-complete plan executes nothing at all.
-        let full = RangeSelection::all(6).resuming(&[0, 1, 2, 3, 4, 5], frontier_len);
+        let full = RangeSelection::all(6)
+            .resuming(6, &[0, 1, 2, 3, 4, 5], frontier_len)
+            .unwrap();
         let (out, stats) = engine
             .run_connected_selected(6, &full, &Tagged, |seg| {
                 panic!("range {} re-executed despite full coverage", seg.index)
@@ -392,7 +396,7 @@ mod tests {
     #[test]
     fn resume_plan_from_wrong_frontier_is_refused() {
         // level-5 frontier has 21 parents, not 999
-        let plan = RangeSelection::all(4).resuming(&[1], 999);
+        let plan = RangeSelection::all(4).resuming(4, &[1], 999).unwrap();
         let refused = AnalysisEngine::new(1).run_connected_selected(6, &plan, &Tagged, |_| {
             panic!("no range may run against a mismatched frontier")
         });

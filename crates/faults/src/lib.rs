@@ -18,8 +18,9 @@
 //! ```
 //!
 //! * `point` — the kill-point name passed to [`trip`], e.g.
-//!   `range_commit` (the sweep orchestrator's per-range durability
-//!   point).
+//!   `range_commit`, the one per-range durability point: a sweep
+//!   binary's range commit and a `stream_count --checkpoint` range
+//!   commit both trip it, once the range's `ShardMeta` frame is fsynced.
 //! * `n` — trip on the `n`-th hit of that point (1-based), so a test
 //!   can let a prefix of the run commit durably before the crash.
 //! * `action` — what tripping does:

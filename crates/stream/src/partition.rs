@@ -30,10 +30,13 @@ pub fn auto_range_count(threads: usize) -> usize {
 ///
 /// A whole run is [`RangeSelection::all`], one process of a
 /// multi-process fleet is [`RangeSelection::shard`], and a resumed run
-/// is either of those [`RangeSelection::resuming`] after a crash.
+/// is either of those [`RangeSelection::resuming`] after a crash. The
+/// first two are unpinned: [`FrontierPartition::new`] cuts them into
+/// at most one range per parent once the frontier is built.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RangeSelection {
-    /// Total ranges the frontier is cut into.
+    /// Total ranges the frontier is cut into (for an unpinned
+    /// selection, before the cut is clamped to the frontier's length).
     pub ranges: usize,
     /// The contiguous block of range indices this run owns (`⊆ 0..ranges`).
     pub span: Range<usize>,
@@ -42,8 +45,9 @@ pub struct RangeSelection {
     /// For a partition reconstructed from a prior run: the frontier
     /// length it was cut from, checked before any range runs.
     pub frontier_len: Option<u64>,
-    /// An unpinned whole partition, cut into at most one range per parent.
-    whole: bool,
+    /// An unpinned selection's block: parent range `index` of `count`,
+    /// whatever range count the frontier's length clamps the cut to.
+    block: Option<ShardSpec>,
 }
 
 impl RangeSelection {
@@ -52,39 +56,55 @@ impl RangeSelection {
     /// would only cost a hand-off and a commit).
     pub fn all(ranges: usize) -> RangeSelection {
         let ranges = ranges.max(1);
-        RangeSelection {
-            whole: true,
-            ..Self::block(ranges, 0..ranges)
-        }
+        Self::block(ranges, ShardSpec::new(0, 1))
     }
 
     /// Process `shard.index`'s block of a `shard.count`-process fleet:
-    /// ranges `[k·i, k·(i + 1))` of the `k·m`-range partition, with the
-    /// fixed `k = `[`DEFAULT_OVERSPLIT`] (never a thread count, so every
-    /// process cuts the same partition). Floor splits nest exactly —
-    /// `⌊k·i·L / k·m⌋ = ⌊i·L / m⌋` — so the block is precisely parent
-    /// range `i` of `m`, still stolen as `k` ranges across the process's
-    /// own threads. `None` when `k·m` overflows.
+    /// ranges `[⌊i·R/m⌋, ⌊(i + 1)·R/m⌋)` of the `R`-range partition,
+    /// `R = min(k·m, L)` for a frontier of `L` parents and the fixed
+    /// `k = `[`DEFAULT_OVERSPLIT`] (never a thread count, so every
+    /// process cuts the same partition). Both cuts nest in the plain
+    /// split — `⌊⌊i·R/m⌋·L/R⌋ = ⌊i·L/m⌋` when `m` divides `R` or `R =
+    /// L` — so the block is precisely parent range `i` of `m`, still
+    /// stolen as up to `k` ranges across the process's own threads.
+    /// `None` when `k·m` overflows.
     pub fn shard(shard: ShardSpec) -> Option<RangeSelection> {
-        let k = DEFAULT_OVERSPLIT;
-        let ranges = shard.count.checked_mul(k)?;
-        Some(Self::block(ranges, k * shard.index..k * (shard.index + 1)))
+        let ranges = shard.count.checked_mul(DEFAULT_OVERSPLIT)?;
+        Some(Self::block(ranges, shard))
     }
 
-    fn block(ranges: usize, span: Range<usize>) -> RangeSelection {
+    fn block(ranges: usize, block: ShardSpec) -> RangeSelection {
+        let (lo, hi) = block.range(ranges);
         RangeSelection {
             ranges,
-            span,
+            span: lo..hi,
             done: Vec::new(),
             frontier_len: None,
-            whole: false,
+            block: Some(block),
         }
     }
 
-    /// This selection minus the ranges `done` lists (indices outside
-    /// `span` are ignored), pinned to the frontier length and range
-    /// count the stored partition was cut with.
-    pub fn resuming(mut self, done: &[usize], frontier_len: u64) -> RangeSelection {
+    /// This selection continued from a stored partition: `ranges`
+    /// ranges cut from a `frontier_len`-parent frontier, of which `done`
+    /// are complete (indices outside this run's block are ignored). The
+    /// result is pinned to that cut. `None` when the stored cut does not
+    /// nest this selection's block (see [`RangeSelection::shard`]), or
+    /// differs from an already pinned selection's.
+    pub fn resuming(
+        mut self,
+        ranges: usize,
+        done: &[usize],
+        frontier_len: u64,
+    ) -> Option<RangeSelection> {
+        match self.block.take() {
+            Some(block) if ranges.is_multiple_of(block.count) || ranges as u64 == frontier_len => {
+                let (lo, hi) = block.range(ranges);
+                self.span = lo..hi;
+            }
+            None if ranges == self.ranges => {}
+            _ => return None,
+        }
+        self.ranges = ranges;
         self.done = done
             .iter()
             .copied()
@@ -93,13 +113,23 @@ impl RangeSelection {
         self.done.sort_unstable();
         self.done.dedup();
         self.frontier_len = Some(frontier_len);
-        self.whole = false;
-        self
+        Some(self)
     }
 
-    /// The range indices this run executes, in index order.
-    pub fn indices(&self) -> impl Iterator<Item = usize> + '_ {
-        self.span.clone().filter(|i| !self.done.contains(i))
+    /// The range count and the indices this selection executes over a
+    /// frontier of `frontier_len` parents, in index order.
+    fn cut(&self, frontier_len: usize) -> (usize, Vec<usize>) {
+        match self.block {
+            Some(block) => {
+                let ranges = self.ranges.min(frontier_len).max(1);
+                let (lo, hi) = block.range(ranges);
+                (ranges, (lo..hi).collect())
+            }
+            None => {
+                let indices = self.span.clone().filter(|i| !self.done.contains(i));
+                (self.ranges, indices.collect())
+            }
+        }
     }
 }
 
@@ -156,8 +186,8 @@ pub struct FrontierPartition<'a> {
 
 impl<'a> FrontierPartition<'a> {
     /// Checks `selection` against `frontier` before any range runs: a
-    /// [`RangeSelection::all`] gets at most one range per parent, a fleet
-    /// block or a resumed partition keeps its range count.
+    /// [`RangeSelection::all`] or [`RangeSelection::shard`] gets at most
+    /// one range per parent, a resumed partition keeps its range count.
     ///
     /// # Errors
     ///
@@ -186,12 +216,7 @@ impl<'a> FrontierPartition<'a> {
                 rebuilt,
             });
         }
-        let (ranges, indices) = if selection.whole {
-            let ranges = selection.ranges.min(frontier.len()).max(1);
-            (ranges, (0..ranges).collect())
-        } else {
-            (selection.ranges, selection.indices().collect())
-        };
+        let (ranges, indices) = selection.cut(frontier.len());
         Ok(FrontierPartition {
             frontier,
             ranges,

@@ -13,7 +13,8 @@ use bilateral_formation::atlas::{merge_segments, ClassificationAtlas, ShardCover
 use bilateral_formation::empirics::{grid, WindowSweep};
 use bilateral_formation::graph::CanonKey;
 use bilateral_formation::stream::{
-    for_each_connected, ParentFrontier, RangeSelection, ShardSpec, DEFAULT_OVERSPLIT,
+    for_each_connected, FrontierPartition, ParentFrontier, RangeSelection, RangeStats, ShardSpec,
+    DEFAULT_OVERSPLIT,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -73,9 +74,13 @@ fn random_partitions_union_to_the_unsharded_multiset() {
 
 /// The fleet partition nests in the plain split: for random frontier
 /// lengths L, process counts m and oversplit factors k, the union of
-/// ranges `[k·i, k·(i + 1))` of the `k·m`-way split is exactly range i
-/// of the m-way split (⌊k·i·L / k·m⌋ = ⌊i·L / m⌋), contiguous and in
-/// order — so a `--shard i/m` process covers precisely its parents.
+/// ranges `[⌊i·R/m⌋, ⌊(i + 1)·R/m⌋)` of the `R`-way split is exactly
+/// range i of the m-way split, contiguous and in order — both for the
+/// full `R = k·m` (⌊k·i·L / k·m⌋ = ⌊i·L / m⌋) and for the cut clamped
+/// to a frontier shorter than `k·m` (`R = L`, one range per parent) —
+/// so a `--shard i/m` process covers precisely its parents. Real
+/// frontiers shorter than `16·m` check the same through
+/// [`RangeSelection::shard`] and the partition that runs it.
 #[test]
 fn oversplit_blocks_equal_the_plain_split() {
     let mut rng = StdRng::seed_from_u64(0x5AAD_0003);
@@ -88,17 +93,46 @@ fn oversplit_blocks_equal_the_plain_split() {
         let m = rng.gen_range(1..70usize);
         let k = rng.gen_range(1..40usize);
         let i = rng.gen_range(0..m);
-        let mut next = ShardSpec::new(i, m).range(len).0;
-        for j in k * i..k * (i + 1) {
-            let (lo, hi) = ShardSpec::new(j, k * m).range(len);
-            assert_eq!(lo, next, "L={len} m={m} k={k} i={i} j={j}");
-            next = hi;
+        for ranges in [k * m, (k * m).min(len).max(1)] {
+            let (first, end) = ShardSpec::new(i, m).range(ranges);
+            let mut next = ShardSpec::new(i, m).range(len).0;
+            for j in first..end {
+                let (lo, hi) = ShardSpec::new(j, ranges).range(len);
+                assert_eq!(lo, next, "L={len} m={m} R={ranges} i={i} j={j}");
+                next = hi;
+            }
+            assert_eq!(
+                next,
+                ShardSpec::new(i, m).range(len).1,
+                "L={len} m={m} R={ranges} i={i}"
+            );
         }
-        assert_eq!(
-            next,
-            ShardSpec::new(i, m).range(len).1,
-            "L={len} m={m} k={k} i={i}"
-        );
+    }
+    for n in [1usize, 4, 5, 6, 7] {
+        let frontier = ParentFrontier::build(n, 1);
+        let len = frontier.len();
+        for m in 1..40usize {
+            for i in 0..m {
+                let block = RangeSelection::shard(ShardSpec::new(i, m)).unwrap();
+                let partition = FrontierPartition::new(&frontier, &block).unwrap();
+                assert_eq!(
+                    partition.ranges,
+                    (DEFAULT_OVERSPLIT * m).min(len),
+                    "n={n} m={m}"
+                );
+                let mut spans = Vec::new();
+                let parents = |(): &mut (), lo, hi| (RangeStats::default(), (lo, hi));
+                partition.run(1, || (), parents, |run| spans.push(run.output));
+                assert!(spans.len() <= DEFAULT_OVERSPLIT, "n={n} m={m} i={i}");
+                let (lo, hi) = ShardSpec::new(i, m).range(len);
+                let mut next = lo;
+                for (a, b) in spans {
+                    assert_eq!(a, next, "n={n} m={m} i={i}");
+                    next = b;
+                }
+                assert_eq!(next, hi, "n={n} m={m} i={i}");
+            }
+        }
     }
 }
 
