@@ -115,16 +115,8 @@ fn compact_store_inner(src: &Path, dst: &Path) -> Result<CompactSummary, AtlasEr
             Frame::Coverage { .. } | Frame::Shard(_) => carried.push(payload.to_vec()),
         }
         Ok(())
-    })?;
-    if end.clean_len < 12 {
-        return Err(AtlasError::BadMagic); // too short for a header
-    }
-    if let Some(reason) = end.torn {
-        return Err(AtlasError::Corrupt {
-            offset: end.clean_len,
-            reason: format!("{reason} — torn tail; recover the store before compacting"),
-        });
-    }
+    })?
+    .strict()?;
     engine_order(&mut rows);
     let records = rows.len() as u64;
     let max_order = rows.last().map_or(0, |r| r.0 .0);

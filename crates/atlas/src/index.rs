@@ -21,7 +21,7 @@
 //!
 //! The sidecar is a pure cache: it never changes the store, and it
 //! self-invalidates (header records the store length it indexed; see
-//! [`IndexError::Stale`]) when the store grows after indexing. See
+//! [`AtlasError::StaleIndex`]) when the store grows after indexing. See
 //! `docs/ATLAS_FORMAT.md` for the byte-level layout and the full
 //! invalidation rules.
 
@@ -29,9 +29,7 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use crate::store::{
-    corrupt_at, engine_key, engine_order, version_diagnosis, walk, AtlasError, Frame, Loc,
-};
+use crate::store::{corrupt_at, engine_key, engine_order, walk, AtlasError, Frame, Loc};
 
 /// Leading magic bytes of an index sidecar file.
 pub const INDEX_MAGIC: [u8; 8] = *b"BNFATIDX";
@@ -47,107 +45,6 @@ pub const INDEX_VERSION: u32 = 2;
 
 /// Byte length of the fixed sidecar header (see `docs/ATLAS_FORMAT.md`).
 pub const INDEX_HEADER_LEN: u64 = 36;
-
-/// Why an index sidecar could not be built, opened or read.
-#[derive(Debug)]
-pub enum IndexError {
-    /// Underlying filesystem failure.
-    Io(std::io::Error),
-    /// The sidecar does not start with [`INDEX_MAGIC`] — not an index.
-    BadMagic,
-    /// The sidecar's layout version differs from [`INDEX_VERSION`];
-    /// rebuild it with [`build_index`].
-    VersionMismatch {
-        /// Version found in the sidecar header.
-        found: u32,
-    },
-    /// The store (or the store the sidecar was built over) is not a
-    /// v4 store: a v3 store must be migrated with `atlas_compact`
-    /// first.
-    AtlasVersionMismatch {
-        /// Store version recorded in the sidecar header.
-        found: u32,
-    },
-    /// The store grew (or shrank) since the sidecar was built — the
-    /// offsets can no longer be trusted; rebuild with [`build_index`].
-    Stale {
-        /// Store length recorded at index time.
-        indexed: u64,
-        /// Store length found now.
-        actual: u64,
-    },
-    /// Structurally invalid sidecar or store bytes at `offset`
-    /// (truncation counts — a half-written sidecar means the indexing
-    /// run died before its atomic rename, which [`build_index`]
-    /// prevents, so this indicates external tampering).
-    Corrupt {
-        /// Byte offset of the offending data, in the file named by
-        /// `reason`.
-        offset: u64,
-        /// Human-readable diagnosis.
-        reason: String,
-    },
-    /// The underlying store failed to open or scan
-    /// ([`crate::AtlasError`] rendered to text to keep this enum flat).
-    Store {
-        /// Human-readable store-level diagnosis.
-        reason: String,
-    },
-}
-
-impl std::fmt::Display for IndexError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            IndexError::Io(e) => write!(f, "index I/O error: {e}"),
-            IndexError::BadMagic => write!(f, "not an atlas index file (bad magic)"),
-            IndexError::VersionMismatch { found } => write!(
-                f,
-                "index version {found} != supported {INDEX_VERSION}; rebuild the sidecar"
-            ),
-            IndexError::AtlasVersionMismatch { found } => write!(
-                f,
-                "{}; rebuild the sidecar afterwards",
-                version_diagnosis(*found)
-            ),
-            IndexError::Stale { indexed, actual } => write!(
-                f,
-                "index is stale: store was {indexed} bytes at index time, {actual} now; rebuild the sidecar"
-            ),
-            IndexError::Corrupt { offset, reason } => {
-                write!(f, "corrupt index data at byte {offset}: {reason}")
-            }
-            IndexError::Store { reason } => write!(f, "index build failed on store: {reason}"),
-        }
-    }
-}
-
-impl std::error::Error for IndexError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            IndexError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for IndexError {
-    fn from(e: std::io::Error) -> Self {
-        IndexError::Io(e)
-    }
-}
-
-impl From<AtlasError> for IndexError {
-    fn from(e: AtlasError) -> Self {
-        match e {
-            AtlasError::Io(e) => IndexError::Io(e),
-            AtlasError::VersionMismatch { found } => IndexError::AtlasVersionMismatch { found },
-            AtlasError::Corrupt { offset, reason } => IndexError::Corrupt { offset, reason },
-            other => IndexError::Store {
-                reason: other.to_string(),
-            },
-        }
-    }
-}
 
 /// The sidecar path for a store path: `<store>.idx` appended to the
 /// full file name (`n9.bnfatlas` → `n9.bnfatlas.idx`).
@@ -197,18 +94,18 @@ struct ScanEntry {
 ///
 /// # Errors
 ///
-/// [`IndexError::Corrupt`] for malformed stores — a torn tail counts:
-/// recover the store first
-/// ([`crate::ClassificationAtlas::open_recovering`]);
-/// [`IndexError::Store`] for a file that is not an atlas;
-/// [`IndexError::AtlasVersionMismatch`] for any store but v4;
-/// [`IndexError::Io`] on filesystem failure.
-pub fn build_index(store: impl AsRef<Path>) -> Result<IndexSummary, IndexError> {
+/// As every strict reader of the store ([`crate::ClassificationAtlas::open`]):
+/// [`AtlasError::BadMagic`] for a file that is not an atlas (or is
+/// torn inside its header), [`AtlasError::VersionMismatch`] for any
+/// store but v4, [`AtlasError::Corrupt`] for malformed stores — a torn
+/// tail counts: recover the store first — and [`AtlasError::Io`] on
+/// filesystem failure.
+pub fn build_index(store: impl AsRef<Path>) -> Result<IndexSummary, AtlasError> {
     let store = store.as_ref();
     bnf_obs::Recorder::global().time("index_build", || build_index_inner(store))
 }
 
-fn build_index_inner(store: &Path) -> Result<IndexSummary, IndexError> {
+fn build_index_inner(store: &Path) -> Result<IndexSummary, AtlasError> {
     let mut arena: Vec<u8> = Vec::new();
     let mut entries: Vec<ScanEntry> = Vec::new();
     let mut coverage: Vec<(u16, u64)> = Vec::new();
@@ -236,21 +133,8 @@ fn build_index_inner(store: &Path) -> Result<IndexSummary, IndexError> {
             Frame::Shard(_) => {} // provenance only; nothing to index
         }
         Ok(())
-    })?;
-    match end.torn {
-        None => {}
-        Some(_) if end.clean_len < 12 => {
-            return Err(IndexError::Store {
-                reason: "store too short for its header".into(),
-            })
-        }
-        Some(reason) => {
-            return Err(IndexError::Corrupt {
-                offset: end.clean_len,
-                reason: format!("{reason} — torn tail; recover the store before indexing"),
-            })
-        }
-    }
+    })?
+    .strict()?;
     // The walk ended on a frame boundary at the end of the file: that
     // is the store length the sidecar vouches for.
     let store_len = end.clean_len;
@@ -414,8 +298,8 @@ mod tests {
         let path = scratch_path("garbage");
         std::fs::write(&path, b"not an atlas at all").unwrap();
         match build_index(&path) {
-            Err(IndexError::Store { .. }) => {}
-            other => panic!("expected Store error, got {other:?}"),
+            Err(AtlasError::BadMagic) => {}
+            other => panic!("expected BadMagic, got {other:?}"),
         }
         std::fs::remove_file(&path).unwrap();
     }

@@ -6,7 +6,7 @@
 //! star), the cages and Moore graphs behind Proposition 3's lower bound,
 //! the link-convexity pair (Desargues / dodecahedron) of Section 4.1, the
 //! elementary families (stars, cycles, complete and complete multipartite
-//! graphs), and random models for dynamics experiments.
+//! graphs).
 //!
 //! The [`store`] module adds the *other* kind of atlas: a persistent
 //! append-only store of per-graph classification records
@@ -31,6 +31,13 @@
 //! readable only by [`compact_store`] (the `atlas_compact` binary),
 //! which migrates it to v4.
 //!
+//! Both handles, the index build, compaction and the segment merge
+//! report every failure as one [`AtlasError`], and every strict reader
+//! ends its walk through one rule: a file torn inside its 12-byte
+//! header is [`AtlasError::BadMagic`], a torn tail is
+//! [`AtlasError::Corrupt`] at the last clean frame boundary, and only
+//! [`ClassificationAtlas::open_recovering`] truncates a tear away.
+//!
 //! See `docs/ATLAS_FORMAT.md` for the byte-level store and sidecar
 //! formats and the compatibility/invalidation rules.
 //!
@@ -42,7 +49,7 @@
 //! if let Some(rec) = atlas.lookup("D?{")? {
 //!     println!("{} edges, distance {}", rec.edges, rec.total_distance);
 //! }
-//! # Ok::<(), bnf_atlas::IndexError>(())
+//! # Ok::<(), bnf_atlas::AtlasError>(())
 //! ```
 //!
 //! # Examples
@@ -65,7 +72,6 @@ pub mod lcf;
 pub mod mapped;
 pub mod merge;
 pub mod named;
-pub mod random;
 mod shard;
 pub mod store;
 
@@ -75,7 +81,7 @@ pub use families::{
     circulant, complete, complete_bipartite, complete_multipartite, cycle, grid, hypercube, path,
     star, wheel,
 };
-pub use index::{build_index, index_path, IndexError, IndexSummary, INDEX_MAGIC, INDEX_VERSION};
+pub use index::{build_index, index_path, IndexSummary, INDEX_MAGIC, INDEX_VERSION};
 pub use lcf::{lcf, try_lcf};
 pub use mapped::MappedAtlas;
 pub use merge::{

@@ -20,8 +20,10 @@ use std::path::{Path, PathBuf};
 
 use bnf_core::WindowRecord;
 
-use crate::index::{index_path, IndexError, INDEX_HEADER_LEN, INDEX_MAGIC, INDEX_VERSION};
-use crate::store::{check_header, read_block_record, Loc, OrderedReader, ATLAS_VERSION};
+use crate::index::{index_path, INDEX_HEADER_LEN, INDEX_MAGIC, INDEX_VERSION};
+use crate::store::{
+    check_header, read_block_record, AtlasError, Loc, OrderedReader, ATLAS_VERSION,
+};
 
 /// Locations a streaming replay reads from the sidecar at a time.
 const LOCATION_WINDOW: u64 = 4096;
@@ -70,111 +72,76 @@ impl MappedAtlas {
     ///
     /// # Errors
     ///
-    /// [`IndexError::BadMagic`] / [`IndexError::VersionMismatch`] /
-    /// [`IndexError::AtlasVersionMismatch`] for foreign or stale-layout
-    /// files, [`IndexError::Stale`] when the store changed size since
-    /// the sidecar was built (rebuild with [`crate::build_index`]),
-    /// [`IndexError::Corrupt`] for truncated sidecars,
-    /// [`IndexError::Io`] on filesystem failure (including a missing
+    /// [`AtlasError::BadMagic`] / [`AtlasError::VersionMismatch`] for a
+    /// store the strict readers refuse, [`AtlasError::BadIndex`] for a
+    /// foreign, other-version or truncated sidecar,
+    /// [`AtlasError::StaleIndex`] when the store changed size since the
+    /// sidecar was built (rebuild with [`crate::build_index`]), and
+    /// [`AtlasError::Io`] on filesystem failure (including a missing
     /// sidecar).
-    pub fn open(path: impl AsRef<Path>) -> Result<MappedAtlas, IndexError> {
+    pub fn open(path: impl AsRef<Path>) -> Result<MappedAtlas, AtlasError> {
         let store_path = path.as_ref().to_path_buf();
         let store = File::open(&store_path)?;
         let mut header = [0u8; 12];
+        // A store torn inside its header is no atlas, as for a walk.
         store
             .read_exact_at(&mut header, 0)
-            .map_err(|_| IndexError::Store {
-                reason: "store too short for its header".into(),
-            })?;
+            .map_err(|_| AtlasError::BadMagic)?;
         check_header(&header, false)?;
 
         let index = File::open(index_path(&store_path))?;
         let index_len = index.metadata()?.len();
+        let span = |at: u64, count: u64, size: u64, what: &str| {
+            sidecar_span(at, count, size, index_len, what)
+        };
         let mut head = [0u8; INDEX_HEADER_LEN as usize];
-        index
-            .read_exact_at(&mut head, 0)
-            .map_err(|_| IndexError::Corrupt {
-                offset: 0,
-                reason: "sidecar too short for its header".into(),
-            })?;
+        span(0, 1, INDEX_HEADER_LEN, "the header")?;
+        index.read_exact_at(&mut head, 0)?;
+        let field = |at: usize| u64::from_le_bytes(head[at..at + 8].try_into().expect("8 bytes"));
+        let word = |at: usize| u32::from_le_bytes(head[at..at + 4].try_into().expect("4 bytes"));
+        let half = |at: usize| u16::from_le_bytes(head[at..at + 2].try_into().expect("2 bytes"));
+        let refuse = |offset: u64, reason: String| Err(AtlasError::BadIndex { offset, reason });
         if head[..8] != INDEX_MAGIC {
-            return Err(IndexError::BadMagic);
+            return refuse(0, "not an atlas index file (bad magic)".into());
         }
-        let version = u32::from_le_bytes(head[8..12].try_into().expect("4 bytes"));
-        if version != INDEX_VERSION {
-            return Err(IndexError::VersionMismatch { found: version });
+        if word(8) != INDEX_VERSION {
+            let reason = format!(
+                "index version {} != supported {INDEX_VERSION}; rebuild the sidecar",
+                word(8)
+            );
+            return refuse(8, reason);
         }
-        let atlas_version = u32::from_le_bytes(head[12..16].try_into().expect("4 bytes"));
-        if atlas_version != ATLAS_VERSION {
-            // The sidecar was built over a store of another format than
-            // the one now beside it: the locations are meaningless.
-            return Err(IndexError::AtlasVersionMismatch {
-                found: atlas_version,
-            });
+        if word(12) != ATLAS_VERSION {
+            // Built over a store of another format than the one now
+            // beside it: the locations are meaningless.
+            let reason = format!(
+                "sidecar indexes an atlas v{} store; rebuild the sidecar",
+                word(12)
+            );
+            return refuse(12, reason);
         }
-        let indexed = u64::from_le_bytes(head[16..24].try_into().expect("8 bytes"));
-        let actual = store.metadata()?.len();
+        let (indexed, actual) = (field(16), store.metadata()?.len());
         if indexed != actual {
-            return Err(IndexError::Stale { indexed, actual });
+            return Err(AtlasError::StaleIndex { indexed, actual });
         }
-        let entries = u64::from_le_bytes(head[24..32].try_into().expect("8 bytes"));
-        let key_width = u16::from_le_bytes(head[32..34].try_into().expect("2 bytes"));
-        let sweep_count = u16::from_le_bytes(head[34..36].try_into().expect("2 bytes"));
+        let (entries, key_width, sweep_count) = (field(24), half(32), half(34));
 
-        let entry_size = 11 + key_width as u64;
-        let table_at = INDEX_HEADER_LEN
-            .checked_add(entries.checked_mul(entry_size).ok_or(IndexError::Corrupt {
-                offset: 24,
-                reason: "entry count overflows the sidecar".into(),
-            })?)
-            .ok_or(IndexError::Corrupt {
-                offset: 24,
-                reason: "entry count overflows the sidecar".into(),
-            })?;
-        if table_at > index_len {
-            return Err(IndexError::Corrupt {
-                offset: index_len,
-                reason: format!(
-                    "sidecar truncated: key table needs {table_at} bytes, file has {index_len}"
-                ),
-            });
-        }
+        let entry_size = 11 + u64::from(key_width);
+        let mut at = span(INDEX_HEADER_LEN, entries, entry_size, "the key table")?;
         let mut sweeps = Vec::with_capacity(sweep_count as usize);
-        let mut at = table_at;
         for _ in 0..sweep_count {
             let mut th = [0u8; 10];
-            index
-                .read_exact_at(&mut th, at)
-                .map_err(|_| IndexError::Corrupt {
-                    offset: at,
-                    reason: "sidecar truncated inside a sweep-table header".into(),
-                })?;
+            span(at, 1, 10, "a sweep-table header")?;
+            index.read_exact_at(&mut th, at)?;
             let order = u16::from_le_bytes(th[..2].try_into().expect("2 bytes"));
             let count = u64::from_le_bytes(th[2..10].try_into().expect("8 bytes"));
             let locations_at = at + 10;
-            let end = locations_at
-                .checked_add(count.checked_mul(10).ok_or(IndexError::Corrupt {
-                    offset: at,
-                    reason: "sweep-table count overflows the sidecar".into(),
-                })?)
-                .ok_or(IndexError::Corrupt {
-                    offset: at,
-                    reason: "sweep-table count overflows the sidecar".into(),
-                })?;
-            if end > index_len {
-                return Err(IndexError::Corrupt {
-                    offset: at,
-                    reason: format!(
-                        "sidecar truncated: sweep table for order {order} needs {end} bytes, file has {index_len}"
-                    ),
-                });
-            }
+            at = span(locations_at, count, 10, "a sweep table")?;
             sweeps.push(SweepTable {
                 order,
                 count,
                 locations_at,
             });
-            at = end;
         }
 
         Ok(MappedAtlas {
@@ -225,19 +192,14 @@ impl MappedAtlas {
 
     /// One sidecar entry: key bytes into `scratch`, returning the
     /// record's location.
-    fn entry_at(&self, i: u64, scratch: &mut Vec<u8>) -> Result<Loc, IndexError> {
+    fn entry_at(&self, i: u64, scratch: &mut Vec<u8>) -> Result<Loc, AtlasError> {
         let entry_size = 11 + self.key_width as usize;
         scratch.resize(entry_size, 0);
         let at = INDEX_HEADER_LEN + i * entry_size as u64;
-        self.index
-            .read_exact_at(scratch, at)
-            .map_err(|_| IndexError::Corrupt {
-                offset: at,
-                reason: "sidecar truncated inside the key table".into(),
-            })?;
+        self.index.read_exact_at(scratch, at)?;
         let key_len = scratch[0] as usize;
         if key_len > self.key_width as usize {
-            return Err(IndexError::Corrupt {
+            return Err(AtlasError::BadIndex {
                 offset: at,
                 reason: format!("entry key length {key_len} exceeds column width"),
             });
@@ -250,11 +212,11 @@ impl MappedAtlas {
     }
 
     /// A 10-byte sidecar location: `u64` frame offset, `u16` ordinal.
-    fn location(&self, bytes: &[u8]) -> Result<Loc, IndexError> {
+    fn location(&self, bytes: &[u8]) -> Result<Loc, AtlasError> {
         let offset = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
         let ordinal = u16::from_le_bytes(bytes[8..10].try_into().expect("2 bytes"));
         if offset >= self.store_len {
-            return Err(IndexError::Corrupt {
+            return Err(AtlasError::BadIndex {
                 offset,
                 reason: format!("location past the {}-byte store", self.store_len),
             });
@@ -267,18 +229,18 @@ impl MappedAtlas {
     ///
     /// # Errors
     ///
-    /// [`IndexError::Corrupt`] when `i` is out of range or the sidecar
-    /// is truncated.
-    pub fn key_at(&self, i: u64) -> Result<String, IndexError> {
+    /// [`AtlasError::BadIndex`] when `i` is out of range or the entry
+    /// is malformed.
+    pub fn key_at(&self, i: u64) -> Result<String, AtlasError> {
         if i >= self.entries {
-            return Err(IndexError::Corrupt {
+            return Err(AtlasError::BadIndex {
                 offset: 0,
                 reason: format!("entry {i} out of range 0..{}", self.entries),
             });
         }
         let mut scratch = Vec::new();
         self.entry_at(i, &mut scratch)?;
-        String::from_utf8(scratch).map_err(|_| IndexError::Corrupt {
+        String::from_utf8(scratch).map_err(|_| AtlasError::BadIndex {
             offset: 0,
             reason: format!("entry {i} key is not UTF-8"),
         })
@@ -290,9 +252,10 @@ impl MappedAtlas {
     ///
     /// # Errors
     ///
-    /// [`IndexError::Corrupt`] when the sidecar or the record frame it
-    /// points at is malformed, [`IndexError::Io`] on read failure.
-    pub fn lookup(&self, key: &str) -> Result<Option<WindowRecord>, IndexError> {
+    /// [`AtlasError::BadIndex`] when the sidecar is malformed,
+    /// [`AtlasError::Corrupt`] when the record frame it points at is,
+    /// [`AtlasError::Io`] on read failure.
+    pub fn lookup(&self, key: &str) -> Result<Option<WindowRecord>, AtlasError> {
         let mut buf = Vec::new();
         self.lookup_with(key, &mut buf)
     }
@@ -303,7 +266,7 @@ impl MappedAtlas {
         &self,
         key: &str,
         buf: &mut Vec<u8>,
-    ) -> Result<Option<WindowRecord>, IndexError> {
+    ) -> Result<Option<WindowRecord>, AtlasError> {
         if key.len() > self.key_width as usize {
             return Ok(None); // longer than every stored key
         }
@@ -334,9 +297,8 @@ impl MappedAtlas {
     ///
     /// # Errors
     ///
-    /// [`IndexError::Corrupt`] / [`IndexError::Io`] as for
-    /// [`MappedAtlas::lookup`].
-    pub fn record_at(&self, order: usize, idx: u64) -> Result<Option<WindowRecord>, IndexError> {
+    /// As for [`MappedAtlas::lookup`].
+    pub fn record_at(&self, order: usize, idx: u64) -> Result<Option<WindowRecord>, AtlasError> {
         let Ok(order) = u16::try_from(order) else {
             return Ok(None);
         };
@@ -347,13 +309,8 @@ impl MappedAtlas {
             return Ok(None);
         }
         let mut loc_buf = [0u8; 10];
-        let at = table.locations_at + idx * 10;
         self.index
-            .read_exact_at(&mut loc_buf, at)
-            .map_err(|_| IndexError::Corrupt {
-                offset: at,
-                reason: "sidecar truncated inside a sweep table".into(),
-            })?;
+            .read_exact_at(&mut loc_buf, table.locations_at + idx * 10)?;
         let loc = self.location(&loc_buf)?;
         let record = read_block_record(&self.store, self.store_len, loc, &mut Vec::new())?;
         Ok(Some(record))
@@ -367,13 +324,12 @@ impl MappedAtlas {
     ///
     /// # Errors
     ///
-    /// [`IndexError::Corrupt`] / [`IndexError::Io`] as for
-    /// [`MappedAtlas::lookup`].
+    /// As for [`MappedAtlas::lookup`].
     pub fn stream_sweep(
         &self,
         order: usize,
         mut f: impl FnMut(WindowRecord),
-    ) -> Result<Option<u64>, IndexError> {
+    ) -> Result<Option<u64>, AtlasError> {
         let Ok(order) = u16::try_from(order) else {
             return Ok(None);
         };
@@ -400,20 +356,15 @@ impl MappedAtlas {
     fn for_each_location(
         &self,
         table: SweepTable,
-        mut f: impl FnMut(Loc) -> Result<(), IndexError>,
-    ) -> Result<(), IndexError> {
+        mut f: impl FnMut(Loc) -> Result<(), AtlasError>,
+    ) -> Result<(), AtlasError> {
         let mut window = Vec::new();
         let mut done = 0u64;
         while done < table.count {
             let len = (table.count - done).min(LOCATION_WINDOW);
             let at = table.locations_at + done * 10;
             window.resize((len * 10) as usize, 0);
-            self.index
-                .read_exact_at(&mut window, at)
-                .map_err(|_| IndexError::Corrupt {
-                    offset: at,
-                    reason: "sidecar truncated inside a sweep table".into(),
-                })?;
+            self.index.read_exact_at(&mut window, at)?;
             for chunk in window.chunks_exact(10) {
                 f(self.location(chunk)?)?;
             }
@@ -421,6 +372,24 @@ impl MappedAtlas {
         }
         Ok(())
     }
+}
+
+/// The end of the sidecar span of `count` entries of `size` bytes that
+/// starts at `at`, or [`AtlasError::BadIndex`] at `at` when the span
+/// overflows or runs past the `len`-byte sidecar — so every later read
+/// of a span [`MappedAtlas::open`] checked lies inside the file.
+fn sidecar_span(at: u64, count: u64, size: u64, len: u64, what: &str) -> Result<u64, AtlasError> {
+    count
+        .checked_mul(size)
+        .and_then(|bytes| bytes.checked_add(at))
+        .filter(|&end| end <= len)
+        .ok_or_else(|| AtlasError::BadIndex {
+            offset: at,
+            reason: format!(
+                "sidecar truncated: {what} ({count} × {size} bytes from byte {at}) runs past \
+                 its {len} bytes"
+            ),
+        })
 }
 
 #[cfg(test)]
@@ -491,7 +460,7 @@ mod tests {
         let path = scratch_path("nosidecar");
         let _ = ClassificationAtlas::open(&path).unwrap();
         match MappedAtlas::open(&path) {
-            Err(IndexError::Io(_)) => {}
+            Err(AtlasError::Io(_)) => {}
             other => panic!("expected Io error, got {other:?}"),
         }
         let _ = std::fs::remove_file(&path);
@@ -511,7 +480,7 @@ mod tests {
             atlas.append_records([&classified("DQw")]).unwrap();
         }
         match MappedAtlas::open(&path) {
-            Err(IndexError::Stale { indexed, actual }) => assert!(actual > indexed),
+            Err(AtlasError::StaleIndex { indexed, actual }) => assert!(actual > indexed),
             other => panic!("expected Stale, got {other:?}"),
         }
         build_index(&path).unwrap();
@@ -535,13 +504,13 @@ mod tests {
         // Cut inside the key table: open() must fail with Corrupt.
         std::fs::write(&sidecar, &full[..INDEX_HEADER_LEN as usize + 3]).unwrap();
         match MappedAtlas::open(&path) {
-            Err(IndexError::Corrupt { .. }) => {}
+            Err(AtlasError::BadIndex { .. }) => {}
             other => panic!("expected Corrupt, got {other:?}"),
         }
         // Cut inside the sweep table directory instead.
         std::fs::write(&sidecar, &full[..full.len() - 4]).unwrap();
         match MappedAtlas::open(&path) {
-            Err(IndexError::Corrupt { .. }) => {}
+            Err(AtlasError::BadIndex { .. }) => {}
             other => panic!("expected Corrupt, got {other:?}"),
         }
         cleanup(&path);
@@ -588,18 +557,18 @@ mod tests {
         let path = scratch_path("v3refused");
         std::fs::write(&path, include_bytes!("../tests/fixtures/v3-n6.bnfatlas")).unwrap();
         match build_index(&path) {
-            Err(e @ IndexError::AtlasVersionMismatch { found: 3 }) => {
+            Err(e @ AtlasError::VersionMismatch { found: 3 }) => {
                 assert!(e.to_string().contains("atlas_compact"), "{e}");
             }
-            other => panic!("expected AtlasVersionMismatch {{ found: 3 }}, got {other:?}"),
+            other => panic!("expected VersionMismatch {{ found: 3 }}, got {other:?}"),
         }
         // A sidecar left over from before a downgrade does not help.
         std::fs::write(index_path(&path), b"not consulted").unwrap();
         match MappedAtlas::open(&path) {
-            Err(e @ IndexError::AtlasVersionMismatch { found: 3 }) => {
+            Err(e @ AtlasError::VersionMismatch { found: 3 }) => {
                 assert!(e.to_string().contains("atlas_compact"), "{e}");
             }
-            other => panic!("expected AtlasVersionMismatch {{ found: 3 }}, got {other:?}"),
+            other => panic!("expected VersionMismatch {{ found: 3 }}, got {other:?}"),
         }
         cleanup(&path);
     }

@@ -135,9 +135,10 @@ fn merge_segments_inner(
             path: path.to_path_buf(),
             error,
         };
-        // `open` creates missing stores — right for the output, wrong
-        // for an input: a typo'd segment path must fail, not fold an
-        // empty store it just invented.
+        // `open` creates missing or empty stores — right for the
+        // output, wrong for an input: a typo'd segment path must fail,
+        // not fold an empty store it just invented, and the strict fold
+        // reads an empty segment as torn inside its header.
         if !path.exists() {
             return Err(wrap(AtlasError::Io(std::io::Error::new(
                 std::io::ErrorKind::NotFound,
@@ -153,7 +154,7 @@ fn merge_segments_inner(
             }
             recovered.atlas
         } else {
-            ClassificationAtlas::open(path).map_err(wrap)?
+            ClassificationAtlas::open_strict(path, false).map_err(wrap)?
         };
         let outcome = out.merge_from(&segment).map_err(wrap)?;
         report.appended += outcome.appended;
@@ -182,13 +183,17 @@ fn merge_segments_inner(
 
 /// One human-readable line per shard slot, plus partition totals —
 /// shared by `shard_merge` and the sweep binaries' warm-replay
-/// diagnostics.
+/// diagnostics. Each order's slots are listed by `(shard_count,
+/// shard_index)`, not in store order, so two merges of the same
+/// segments render the same text whatever order they were folded in.
 pub fn render_shard_report(metas: &[ShardMeta]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     for own in ShardMeta::partitions(metas).chunk_by(|a, b| a.order == b.order) {
         let order = own[0].order;
-        let group: Vec<ShardMeta> = metas.iter().filter(|m| m.order == order).cloned().collect();
+        let mut group: Vec<ShardMeta> =
+            metas.iter().filter(|m| m.order == order).cloned().collect();
+        group.sort_by_key(|m| (m.shard_count, m.shard_index, m.frontier_len));
         for m in &group {
             // `unavailable` is an explicit outcome (non-Linux shard, no
             // /proc): a dash read as a placeholder someone forgot to
@@ -485,5 +490,41 @@ mod tests {
         ]);
         assert!(both.contains("peak RSS unavailable"), "{both}");
         assert!(both.contains("peak RSS 3.0 MiB"), "{both}");
+    }
+
+    /// Segments folded in another order, or ranges committed in
+    /// another completion order, store the same metas in another order:
+    /// the report must not change.
+    #[test]
+    fn report_ignores_store_order() {
+        let meta = |order: u16, shard_count: u32, shard_index: u32| ShardMeta {
+            order,
+            shard_index,
+            shard_count,
+            frontier_len: 8,
+            parent_lo: u64::from(shard_index),
+            parent_hi: u64::from(shard_index) + 1,
+            emitted: 10 + u64::from(shard_index),
+            elapsed_ms: 3 * u64::from(shard_index),
+            peak_rss_kb: Some(1024 * (1 + u64::from(shard_index))),
+            orchestrator_run: (shard_count == 4).then_some(9),
+            frontier_prune: PruneCounters::default(),
+            final_prune: PruneCounters::default(),
+        };
+        let sorted: Vec<ShardMeta> = [(5, 2, 0), (5, 2, 1), (5, 4, 0), (5, 4, 2), (6, 8, 7)]
+            .iter()
+            .map(|&(order, count, index)| meta(order, count, index))
+            .collect();
+        let expected = render_shard_report(&sorted);
+        for shuffle in [[4, 3, 2, 1, 0], [2, 0, 4, 1, 3], [1, 0, 3, 2, 4]] {
+            let shuffled: Vec<ShardMeta> = shuffle.iter().map(|&i| sorted[i].clone()).collect();
+            assert_eq!(render_shard_report(&shuffled), expected, "{shuffle:?}");
+        }
+        let slots: Vec<&str> = expected
+            .lines()
+            .filter(|l| l.contains(": parents "))
+            .collect();
+        assert_eq!(slots.len(), 5, "{expected}");
+        assert!(slots[0].contains("n=5 shard 0/2") && slots[3].contains("n=5 shard 2/4"));
     }
 }

@@ -126,6 +126,25 @@ pub enum AtlasError {
         /// Human-readable diagnosis.
         reason: String,
     },
+    /// The store changed length since its index sidecar was built, so
+    /// the sidecar's locations can no longer be trusted; rebuild it
+    /// with [`crate::build_index`].
+    StaleIndex {
+        /// Store length recorded at index time.
+        indexed: u64,
+        /// Store length found now.
+        actual: u64,
+    },
+    /// Structurally invalid index sidecar bytes at `offset`: a foreign
+    /// file, another sidecar layout version, or a truncated table (a
+    /// half-written sidecar never survives [`crate::build_index`]'s
+    /// atomic rename, so this means tampering). Rebuild the sidecar.
+    BadIndex {
+        /// Byte offset of the offending sidecar data.
+        offset: u64,
+        /// Human-readable diagnosis.
+        reason: String,
+    },
 }
 
 impl fmt::Display for AtlasError {
@@ -133,7 +152,16 @@ impl fmt::Display for AtlasError {
         match self {
             AtlasError::Io(e) => write!(f, "atlas I/O error: {e}"),
             AtlasError::BadMagic => write!(f, "not an atlas file (bad magic)"),
-            AtlasError::VersionMismatch { found } => write!(f, "{}", version_diagnosis(*found)),
+            AtlasError::VersionMismatch { found: V3 } => write!(
+                f,
+                "atlas version 3 is readable only by atlas_compact; migrate the store with \
+                 `atlas_compact --atlas <store>` first"
+            ),
+            AtlasError::VersionMismatch { found } => write!(
+                f,
+                "atlas version {found} is not the supported v{ATLAS_VERSION}; delete the file to \
+                 rebuild"
+            ),
             AtlasError::Corrupt { offset, reason } => {
                 write!(f, "corrupt atlas record at byte {offset}: {reason}")
             }
@@ -147,19 +175,15 @@ impl fmt::Display for AtlasError {
             AtlasError::ShardConflict { order, reason } => {
                 write!(f, "conflicting shard metadata for order {order}: {reason}")
             }
+            AtlasError::StaleIndex { indexed, actual } => write!(
+                f,
+                "index is stale: store was {indexed} bytes at index time, {actual} now; \
+                 rebuild the sidecar"
+            ),
+            AtlasError::BadIndex { offset, reason } => {
+                write!(f, "corrupt index data at byte {offset}: {reason}")
+            }
         }
-    }
-}
-
-/// What to do about a store stamped `found` — shared by the store's and
-/// the index's version errors.
-pub(crate) fn version_diagnosis(found: u32) -> String {
-    if found == V3 {
-        "atlas version 3 is readable only by atlas_compact; migrate the store with \
-         `atlas_compact --atlas <store>` first"
-            .into()
-    } else {
-        format!("atlas version {found} is not the supported v{ATLAS_VERSION}; delete the file to rebuild")
     }
 }
 
@@ -238,19 +262,19 @@ impl ClassificationAtlas {
     /// first), [`AtlasError::Corrupt`] for truncated or malformed
     /// frames, [`AtlasError::Io`] on filesystem failure.
     pub fn open(path: impl AsRef<Path>) -> Result<ClassificationAtlas, AtlasError> {
-        let (atlas, end) = Self::load(path.as_ref(), key_hash)?;
-        match end.torn {
-            // A torn tail is *recoverable* — but only on explicit
-            // request ([`ClassificationAtlas::open_recovering`]): the
-            // default open refuses rather than silently shortening a
-            // store the caller believed complete.
-            None => Ok(atlas),
-            Some(_) if end.clean_len < 12 => Err(AtlasError::BadMagic),
-            Some(reason) => Err(AtlasError::Corrupt {
-                offset: end.clean_len,
-                reason,
-            }),
-        }
+        Self::open_strict(path.as_ref(), true)
+    }
+
+    /// The strict open: a torn tail is *recoverable*, but only on
+    /// explicit request ([`ClassificationAtlas::open_recovering`]), so
+    /// the walk ends through [`WalkEnd::strict`] rather than silently
+    /// shortening a store the caller believed complete. With `create`
+    /// unset, nothing is written: a missing file is an I/O error and an
+    /// empty one is torn inside its header, as for every strict reader.
+    pub(crate) fn open_strict(path: &Path, create: bool) -> Result<Self, AtlasError> {
+        let (atlas, end) = Self::load(path, key_hash, create)?;
+        end.strict()?;
+        Ok(atlas)
     }
 
     /// Opens an atlas at `path` like [`ClassificationAtlas::open`], but
@@ -276,7 +300,7 @@ impl ClassificationAtlas {
     /// As [`ClassificationAtlas::open`], minus the torn-tail cases.
     pub fn open_recovering(path: impl AsRef<Path>) -> Result<RecoveredAtlas, AtlasError> {
         let path = path.as_ref();
-        let (atlas, end) = Self::load(path, key_hash)?;
+        let (atlas, end) = Self::load(path, key_hash, true)?;
         let file_len = std::fs::metadata(path)?.len();
         let report = match end.torn {
             None => RecoveryReport {
@@ -304,12 +328,17 @@ impl ClassificationAtlas {
         Ok(RecoveredAtlas { atlas, report })
     }
 
-    /// The shared body of both opens: stamps a missing or empty store,
-    /// then walks it into the location table and the commit state.
-    fn load(path: &Path, hash: fn(&str) -> u64) -> Result<(Self, WalkEnd), AtlasError> {
+    /// The shared body of both opens: stamps a missing or empty store
+    /// when `create` is set, then walks it into the location table and
+    /// the commit state.
+    fn load(
+        path: &Path,
+        hash: fn(&str) -> u64,
+        create: bool,
+    ) -> Result<(Self, WalkEnd), AtlasError> {
         match std::fs::metadata(path) {
-            Ok(meta) if meta.len() > 0 => {}
-            Err(e) if e.kind() != ErrorKind::NotFound => return Err(e.into()),
+            Ok(meta) if meta.len() > 0 || !create => {}
+            Err(e) if e.kind() != ErrorKind::NotFound || !create => return Err(e.into()),
             _ => stamp_header(path)?,
         }
         let mut atlas = ClassificationAtlas {
@@ -432,6 +461,14 @@ impl ClassificationAtlas {
     /// Number of stored records (distinct keys).
     pub fn len(&self) -> usize {
         self.counts.values().sum::<u64>() as usize
+    }
+
+    /// Number of stored records (distinct keys) of `order`.
+    pub fn stored(&self, order: usize) -> u64 {
+        let order = u32::try_from(order).ok();
+        order
+            .and_then(|o| self.counts.get(&o).copied())
+            .unwrap_or(0)
     }
 
     /// Whether the store holds no records.
@@ -613,7 +650,7 @@ impl ClassificationAtlas {
         }
         let mut records = Vec::with_capacity(declared as usize);
         let mut rows = Vec::with_capacity(declared as usize);
-        let end = walk(File::open(&self.path).ok()?, false, |offset, _, frame| {
+        walk(File::open(&self.path).ok()?, false, |offset, _, frame| {
             if let Frame::Records(block) = frame {
                 for rec in block.into_iter().filter(|rec| rec.order == order) {
                     let key = engine_key(&rec).map_err(corrupt_at(offset))?;
@@ -623,9 +660,10 @@ impl ClassificationAtlas {
             }
             Ok(())
         })
+        .and_then(WalkEnd::strict)
         .ok()?;
         engine_order(&mut rows);
-        if end.torn.is_some() || rows.len() as u64 != declared {
+        if rows.len() as u64 != declared {
             return None;
         }
         gather(&mut records, &mut rows);
@@ -726,18 +764,13 @@ impl ClassificationAtlas {
     /// other store no longer reads cleanly, or [`AtlasError::Io`].
     pub fn merge_from(&mut self, other: &ClassificationAtlas) -> Result<MergeOutcome, AtlasError> {
         let mut appended = 0;
-        let end = walk(File::open(&other.path)?, false, |_, _, frame| {
+        walk(File::open(&other.path)?, false, |_, _, frame| {
             if let Frame::Records(records) = frame {
                 appended += self.append_records(&records)?;
             }
             Ok(())
-        })?;
-        if let Some(reason) = end.torn {
-            return Err(AtlasError::Corrupt {
-                offset: end.clean_len,
-                reason,
-            });
-        }
+        })?
+        .strict()?;
         let mut outcome = MergeOutcome {
             appended,
             duplicates: other.len() - appended,
@@ -775,7 +808,7 @@ impl ClassificationAtlas {
                 out.push((order as usize, ShardCoverage::AlreadyDeclared(*count)));
                 continue;
             }
-            let stored = self.counts.get(&u32::from(order)).copied().unwrap_or(0);
+            let stored = self.stored(order.into());
             let mut status = ShardCoverage::Incomplete { have: 0, want: 0 };
             for p in own {
                 let (have, want) = (p.done.len(), p.shard_count as usize);
@@ -941,8 +974,31 @@ pub(crate) struct WalkEnd {
     pub(crate) clean_len: u64,
     /// `Some(diagnosis)` when the file ends mid-frame — recoverable by
     /// truncating to `clean_len`; `None` when it ends exactly on a
-    /// frame boundary.
-    pub(crate) torn: Option<String>,
+    /// frame boundary. Only [`ClassificationAtlas::open_recovering`]
+    /// reads it; every other reader ends through [`WalkEnd::strict`].
+    torn: Option<String>,
+}
+
+impl WalkEnd {
+    /// The one rule for how a strict reader's walk ends (open, merge,
+    /// warm replay, index build, compaction): on a frame boundary it
+    /// passes; a tear inside the 12-byte header is
+    /// [`AtlasError::BadMagic`], as nothing there is an atlas yet; a
+    /// torn tail is [`AtlasError::Corrupt`] at the clean length, naming
+    /// the way to recover it.
+    pub(crate) fn strict(self) -> Result<WalkEnd, AtlasError> {
+        match self.torn {
+            None => Ok(self),
+            Some(_) if self.clean_len < 12 => Err(AtlasError::BadMagic),
+            Some(reason) => Err(AtlasError::Corrupt {
+                offset: self.clean_len,
+                reason: format!(
+                    "{reason} — torn tail; recover the store first (`--resume`, \
+                     `shard_merge --recover`, or `ClassificationAtlas::open_recovering`)"
+                ),
+            }),
+        }
+    }
 }
 
 /// The frame walker every reader of a whole store goes through (open,
@@ -1771,7 +1827,7 @@ mod tests {
         assert_eq!(atlas.coverage(9), Some(1));
         assert_eq!(atlas.complete_sweep(9), None);
         match crate::build_index(&path) {
-            Err(crate::IndexError::Corrupt { offset: 12, reason }) => {
+            Err(AtlasError::Corrupt { offset: 12, reason }) => {
                 assert!(reason.contains("undecodable key"), "{reason}");
             }
             other => panic!("expected Corrupt, got {other:?}"),
@@ -2158,7 +2214,7 @@ mod tests {
         // reads, and a new key must never displace a stored one.
         let path = scratch_path("collision");
         let records = sample_records();
-        let (mut atlas, _) = ClassificationAtlas::load(&path, |_| 7).unwrap();
+        let (mut atlas, _) = ClassificationAtlas::load(&path, |_| 7, true).unwrap();
         assert_eq!(atlas.append_records(&records).unwrap(), 2);
         assert_eq!(atlas.append_records(&records).unwrap(), 0);
         let mut altered = records[1].clone();
@@ -2180,7 +2236,7 @@ mod tests {
         };
         check(&atlas);
         // The open walk files colliding keys the same way.
-        check(&ClassificationAtlas::load(&path, |_| 7).unwrap().0);
+        check(&ClassificationAtlas::load(&path, |_| 7, true).unwrap().0);
         check(&ClassificationAtlas::open(&path).unwrap());
         std::fs::remove_file(&path).ok();
     }

@@ -49,8 +49,12 @@ fn n7_store_blocks() -> Vec<Vec<u8>> {
         records.push(WindowRecord::classify(&g, &mut scratch));
     });
     assert_eq!(records.len(), 853);
+    // One file per call: the tests of this binary run in parallel and
+    // each builds its own store.
+    static CALLS: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+    let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let path = std::env::temp_dir().join(format!(
-        "bnf-codec-mutation-{}.bnfatlas",
+        "bnf-codec-mutation-{}-{call}.bnfatlas",
         std::process::id()
     ));
     std::fs::remove_file(&path).ok();

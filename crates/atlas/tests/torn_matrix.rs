@@ -1,13 +1,15 @@
 //! The torn-write matrix: a real store truncated at **every** byte
 //! offset must either recover to a clean prefix replay or fail with a
 //! typed error — never panic, never silently lose data that recovery
-//! did not report dropping. Every whole-store reader walks the same
-//! frames, so the index build and compaction are held to the same
-//! line: they succeed exactly on a clean frame boundary.
+//! did not report dropping. Every strict reader ends its walk through
+//! one rule, so the strict open, the index build, compaction and the
+//! segment merge return the same outcome at every cut: success exactly
+//! on a clean frame boundary, `BadMagic` inside the header, `Corrupt`
+//! at the last clean boundary otherwise.
 
 use bnf_atlas::{
-    build_index, compact_store, index_path, AtlasError, ClassificationAtlas, IndexError, ShardMeta,
-    ATLAS_MAGIC, ATLAS_VERSION, MAX_BLOCK_FRAME_LEN,
+    build_index, compact_store, index_path, merge_segments, AtlasError, ClassificationAtlas,
+    ShardMeta, ATLAS_MAGIC, ATLAS_VERSION, MAX_BLOCK_FRAME_LEN,
 };
 use bnf_core::WindowRecord;
 use bnf_stream::PruneCounters;
@@ -82,6 +84,16 @@ fn build_reference(path: &PathBuf) -> Vec<WindowRecord> {
     records
 }
 
+/// A reader's outcome in one comparable line: `ok`, `Corrupt at
+/// <offset>: <reason>`, or the error's debug form.
+fn outcome<T>(result: Result<T, AtlasError>) -> String {
+    match result {
+        Ok(_) => "ok".into(),
+        Err(AtlasError::Corrupt { offset, reason }) => format!("Corrupt at {offset}: {reason}"),
+        Err(other) => format!("{other:?}"),
+    }
+}
+
 /// The frame boundaries of a well-formed store: the end of the header,
 /// then the end of each frame.
 fn boundaries(bytes: &[u8]) -> Vec<usize> {
@@ -102,36 +114,53 @@ fn truncation_at_every_offset_recovers_or_fails_typed() {
     let clean = boundaries(&bytes);
     let work = scratch_path("work");
     let compacted = scratch_path("compacted");
+    let merged = scratch_path("merged");
 
     for cut in 0..=bytes.len() {
-        // The whole-store readers first, on the torn file itself: each
-        // succeeds exactly on a clean frame boundary and otherwise
-        // returns a typed error.
+        // The read-only strict readers first, on the torn file itself.
         std::fs::write(&work, &bytes[..cut]).unwrap();
         let on_boundary = clean.contains(&cut);
-        match build_index(&work) {
-            Ok(summary) => assert!(on_boundary, "cut={cut}: indexed a torn store {summary:?}"),
-            Err(IndexError::Corrupt { .. } | IndexError::Store { .. }) => {
-                assert!(!on_boundary, "cut={cut}: refused a clean boundary")
-            }
-            Err(other) => panic!("cut={cut}: unexpected index error {other:?}"),
+        let expected = if on_boundary {
+            "ok".to_string()
+        } else if cut < 12 {
+            format!("{:?}", AtlasError::BadMagic)
+        } else {
+            let at = clean.iter().rev().find(|&&b| b < cut).unwrap();
+            format!("Corrupt at {at}")
+        };
+        let index = outcome(build_index(&work));
+        let compact = compact_store(&work, &compacted);
+        if let Ok(summary) = &compact {
+            let out = ClassificationAtlas::open(&compacted).unwrap();
+            assert_eq!(out.len() as u64, summary.records, "cut={cut}");
         }
-        match compact_store(&work, &compacted) {
-            Ok(summary) => {
-                assert!(on_boundary, "cut={cut}: compacted a torn store {summary:?}");
-                let out = ClassificationAtlas::open(&compacted).unwrap();
-                assert_eq!(out.len() as u64, summary.records, "cut={cut}");
-            }
-            Err(AtlasError::Corrupt { .. } | AtlasError::BadMagic) => {
-                assert!(!on_boundary, "cut={cut}: refused a clean boundary")
-            }
-            Err(other) => panic!("cut={cut}: unexpected compaction error {other:?}"),
-        }
+        let compact = outcome(compact);
+        remove(&merged);
+        let mut out = ClassificationAtlas::open(&merged).unwrap();
+        let merge = outcome(merge_segments(&mut out, &[&work]).map_err(|e| e.error));
         assert_eq!(
             std::fs::read(&work).unwrap(),
             &bytes[..cut],
             "cut={cut}: reader wrote"
         );
+        // The strict open agrees, except where the file is empty: it
+        // creates a store there, the one reader meant to write one.
+        let open = outcome(ClassificationAtlas::open(&work));
+        let mut readers = vec![("compact_store", compact), ("merge_segments", merge)];
+        if cut == 0 {
+            assert_eq!(open, "ok", "cut=0");
+            assert_eq!(std::fs::metadata(&work).unwrap().len(), 12, "cut=0");
+        } else {
+            readers.push(("open", open));
+        }
+        assert!(
+            index.starts_with(&expected),
+            "cut={cut}: build_index {index}"
+        );
+        for (reader, got) in readers {
+            assert_eq!(got, index, "cut={cut}: {reader} and build_index disagree");
+        }
+        std::fs::write(&work, &bytes[..cut]).unwrap();
 
         // Recovery must succeed at every truncation offset: the file is
         // a clean prefix plus (possibly) a torn tail, never mid-store
@@ -173,29 +202,9 @@ fn truncation_at_every_offset_recovers_or_fails_typed() {
         let reopened = ClassificationAtlas::open(&work)
             .unwrap_or_else(|e| panic!("cut={cut}: post-recovery open failed: {e}"));
         assert_eq!(reopened.len(), recovered.atlas.len(), "cut={cut}");
-
-        // The strict open of the *torn* file (before recovery fixed it)
-        // must agree with the report: clean boundary ⇔ Ok.
-        std::fs::write(&work, &bytes[..cut]).unwrap();
-        match ClassificationAtlas::open(&work) {
-            Ok(atlas) => {
-                assert!(
-                    !report.was_torn() || cut == 0,
-                    "cut={cut}: strict open accepted a torn file"
-                );
-                assert_eq!(atlas.len(), recovered.atlas.len(), "cut={cut}");
-            }
-            Err(AtlasError::Corrupt { .. }) | Err(AtlasError::BadMagic) => {
-                assert!(
-                    report.was_torn(),
-                    "cut={cut}: strict open rejected a clean boundary"
-                );
-            }
-            Err(other) => panic!("cut={cut}: unexpected error kind {other:?}"),
-        }
     }
 
-    for p in [&reference, &work, &compacted] {
+    for p in [&reference, &work, &compacted, &merged] {
         remove(p);
     }
 }
@@ -227,16 +236,13 @@ fn mid_store_corruption_stays_typed_for_both_opens() {
         for result in [
             ClassificationAtlas::open(&work).map(|_| ()),
             ClassificationAtlas::open_recovering(&work).map(|_| ()),
+            build_index(&work).map(|_| ()),
             compact_store(&work, &work).map(|_| ()),
         ] {
             match result {
                 Err(AtlasError::Corrupt { offset: 12, reason }) => check(&reason),
                 other => panic!("expected Corrupt at 12, got {other:?}"),
             }
-        }
-        match build_index(&work) {
-            Err(IndexError::Corrupt { offset: 12, reason }) => check(&reason),
-            other => panic!("expected Corrupt at 12, got {other:?}"),
         }
     }
 
@@ -253,7 +259,7 @@ fn mid_store_corruption_stays_typed_for_both_opens() {
     ));
     assert!(matches!(
         build_index(&work),
-        Err(IndexError::Corrupt { offset: 12, .. })
+        Err(AtlasError::Corrupt { offset: 12, .. })
     ));
     assert!(matches!(
         compact_store(&work, &work),
@@ -277,7 +283,7 @@ fn mid_store_corruption_stays_typed_for_both_opens() {
     ));
     assert!(matches!(
         build_index(&work),
-        Err(IndexError::Corrupt { offset: 12, .. })
+        Err(AtlasError::Corrupt { offset: 12, .. })
     ));
 
     for p in [&reference, &work] {

@@ -335,23 +335,36 @@ fn sweep_cli(n: usize, threads: usize, flags: SweepFlags) -> Result<WindowSweep,
     // selection of the partition.
     let warm = block.is_none() && atlas.as_ref().is_some_and(|a| a.coverage(n).is_some());
     let mut prior_runs = 0;
-    let selection = (!warm).then(|| {
-        let base = block.cloned().unwrap_or_else(|| {
-            let auto = bnf_stream::auto_range_count(threads);
-            RangeSelection::all(flags.shards.flatten().unwrap_or(auto))
-        });
-        let resumed = atlas
-            .as_ref()
-            .filter(|_| flags.resume)
-            .and_then(|a| resume_selection(n, a.shard_metas(), &base));
-        match resumed {
-            Some((selection, partition)) => {
-                prior_runs = partition.runs.len() as u64;
-                selection
+    let selection = (!warm)
+        .then(|| {
+            let base = block.cloned().unwrap_or_else(|| {
+                let auto = bnf_stream::auto_range_count(threads);
+                RangeSelection::all(flags.shards.flatten().unwrap_or(auto))
+            });
+            let resumed = atlas
+                .as_ref()
+                .filter(|_| flags.resume)
+                .and_then(|a| resume_selection(n, a.shard_metas(), &base));
+            let stored = atlas.as_ref().map_or(0, |a| a.stored(n));
+            match resumed {
+                // A committed range vouches for its records, so a store
+                // holding fewer (a stream_count checkpoint holds none)
+                // cannot be continued: refused before any range runs.
+                Some((_, partition)) if partition.emitted > stored => Err(CliError(format!(
+                    "cannot resume {}: its committed n={n} ranges emitted {} records but \
+                     the store holds {stored} of that order (a stream_count checkpoint \
+                     holds none; resume it with stream_count)",
+                    flags.atlas.as_deref().unwrap_or(""),
+                    partition.emitted,
+                ))),
+                Some((selection, partition)) => {
+                    prior_runs = partition.runs.len() as u64;
+                    Ok(selection)
+                }
+                None => Ok(base),
             }
-            None => base,
-        }
-    });
+        })
+        .transpose()?;
     // Range commits (records + ShardMeta per range, crash-safe) whenever
     // a range flag asked for them; otherwise one append after the run.
     let commit_ranges =

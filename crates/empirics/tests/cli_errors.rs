@@ -129,6 +129,35 @@ fn resume_from_another_frontier_exits_1() {
 }
 
 #[test]
+fn resume_from_a_count_checkpoint_exits_1_before_any_range() {
+    // A stream_count checkpoint commits ranges without records: killed
+    // after its second n = 6 range, it holds two ShardMeta frames that
+    // vouch for records the store does not hold, so a sweep may not
+    // continue it — one error line, and the store keeps every byte.
+    let store = scratch_path("count-checkpoint");
+    std::fs::remove_file(&store).ok();
+    let killed = std::process::Command::new(env!("CARGO_BIN_EXE_stream_count"))
+        .args(["--n", "6", "--shards", "4", "--checkpoint"])
+        .arg(&store)
+        .env("BNF_FAULT", "range_commit:2")
+        .output()
+        .expect("spawn stream_count");
+    let stderr = String::from_utf8_lossy(&killed.stderr);
+    assert!(!killed.status.success(), "{stderr}");
+    assert!(stderr.contains("tripping range_commit:2"), "{stderr}");
+    let bytes = std::fs::read(&store).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_fig2_avg_poa"))
+        .args(["--n", "6", "--csv", "--resume", "--atlas"])
+        .arg(&store)
+        .env_remove("BNF_FAULT")
+        .output()
+        .expect("spawn fig2_avg_poa");
+    assert_error(&out, 1, "the store holds 0 of that order");
+    assert_eq!(std::fs::read(&store).unwrap(), bytes, "the store changed");
+    std::fs::remove_file(&store).ok();
+}
+
+#[test]
 fn unwritable_manifest_exits_1() {
     let missing = std::env::temp_dir()
         .join(format!("bnf-cli-errors-{}-no-such-dir", std::process::id()))

@@ -15,6 +15,12 @@
 //! `500` and counted in the `serve_panics` counter; the worker keeps
 //! serving.
 //!
+//! Every atlas failure is one [`bnf_atlas::AtlasError`]: `bnf_serve`
+//! refuses to start on any `MappedAtlas::open` error (a stale sidecar is
+//! `StaleIndex`, a malformed one `BadIndex`) with one `error:` line
+//! naming `atlas_index`, and a lookup or stream that fails later (say, a
+//! corrupt block) is answered `500` with the error text.
+//!
 //! # Endpoints
 //!
 //! | Endpoint | Response |

@@ -12,7 +12,7 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use bilateral_formation::atlas::{
-    build_index, index_path, ClassificationAtlas, IndexError, MappedAtlas,
+    build_index, index_path, AtlasError, ClassificationAtlas, MappedAtlas,
 };
 use bilateral_formation::empirics::WindowSweep;
 
@@ -94,12 +94,12 @@ fn truncated_sidecars_fail_with_typed_corruption_errors() {
     let sidecar = index_path(&store);
     let full = std::fs::read(&sidecar).unwrap();
     // Cut inside the key table and inside the engine-order tables: both
-    // must surface as IndexError::Corrupt from open (bounds checks),
+    // must surface as AtlasError::BadIndex from open (bounds checks),
     // never as a wrong lookup answer later.
     for cut in [full.len() / 3, full.len() - 4] {
         std::fs::write(&sidecar, &full[..cut]).unwrap();
         match MappedAtlas::open(&store) {
-            Err(IndexError::Corrupt { .. }) => {}
+            Err(AtlasError::BadIndex { .. }) => {}
             other => panic!("cut at {cut}: expected Corrupt, got {other:?}"),
         }
     }
