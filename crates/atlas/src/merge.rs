@@ -137,8 +137,9 @@ fn merge_segments_inner(
         };
         // `open` creates missing or empty stores — right for the
         // output, wrong for an input: a typo'd segment path must fail,
-        // not fold an empty store it just invented, and the strict fold
-        // reads an empty segment as torn inside its header.
+        // not fold an empty store it just invented. Inputs open without
+        // creation, so an empty segment is torn inside its header:
+        // refused by the strict fold, salvaged by the recovering one.
         if !path.exists() {
             return Err(wrap(AtlasError::Io(std::io::Error::new(
                 std::io::ErrorKind::NotFound,
@@ -146,7 +147,7 @@ fn merge_segments_inner(
             ))));
         }
         let segment = if recover {
-            let recovered = ClassificationAtlas::open_recovering(path).map_err(wrap)?;
+            let recovered = ClassificationAtlas::recover(path, false).map_err(wrap)?;
             if recovered.report.was_torn() {
                 report
                     .salvaged

@@ -299,8 +299,14 @@ impl ClassificationAtlas {
     ///
     /// As [`ClassificationAtlas::open`], minus the torn-tail cases.
     pub fn open_recovering(path: impl AsRef<Path>) -> Result<RecoveredAtlas, AtlasError> {
-        let path = path.as_ref();
-        let (atlas, end) = Self::load(path, key_hash, true)?;
+        Self::recover(path.as_ref(), true)
+    }
+
+    /// The recovering open. With `create` unset, nothing is stamped
+    /// before the walk: a missing file is an I/O error and an empty one
+    /// is torn inside its header, recovered like any other such tear.
+    pub(crate) fn recover(path: &Path, create: bool) -> Result<RecoveredAtlas, AtlasError> {
+        let (atlas, end) = Self::load(path, key_hash, create)?;
         let file_len = std::fs::metadata(path)?.len();
         let report = match end.torn {
             None => RecoveryReport {
@@ -901,9 +907,10 @@ pub struct RecoveryReport {
 }
 
 impl RecoveryReport {
-    /// Whether recovery actually truncated anything.
+    /// Whether recovery found a tear — an empty file opened without
+    /// creation is torn inside its header with 0 bytes to drop.
     pub fn was_torn(&self) -> bool {
-        self.dropped_bytes > 0
+        self.torn.is_some()
     }
 }
 

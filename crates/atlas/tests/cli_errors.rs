@@ -5,7 +5,8 @@
 //! `--atlas` or `--out`, or a merge without segments prints exactly one `error:` line and exits 2 before any
 //! work; a store the binary cannot read exits 1 with one `error:` line
 //! naming the way out, and a merge whose `--report-json` path cannot be
-//! written exits 1 with one `error:` line and no report.
+//! written exits 1 with one `error:` line and no report. An empty merge
+//! segment is refused by the strict merge and salvaged by `--recover`.
 
 use std::path::PathBuf;
 use std::process::Output;
@@ -129,6 +130,32 @@ fn shard_merge_unwritable_manifest_exits_1_before_any_report() {
     let result = run(env!("CARGO_BIN_EXE_shard_merge"), &args);
     assert_error(&result, 1, "cannot write run manifest to");
     assert!(result.stdout.is_empty(), "the merge report was printed");
+    std::fs::remove_file(&segment).ok();
+    std::fs::remove_file(&out).ok();
+}
+
+#[test]
+fn empty_segment_is_refused_strict_and_salvaged_under_recover() {
+    // An empty segment is torn inside its header: the strict merge
+    // refuses it and leaves it empty; `--recover` salvages it like any
+    // other tear, printing a `salvaged` line with 0 bytes dropped.
+    let segment = scratch_path("empty-seg");
+    let out = scratch_path("empty-out");
+    std::fs::write(&segment, b"").unwrap();
+    let merge = env!("CARGO_BIN_EXE_shard_merge");
+    let args = ["--out", out.to_str().unwrap(), segment.to_str().unwrap()];
+    assert_error(&run(merge, &args), 1, "not an atlas file (bad magic)");
+    assert_eq!(std::fs::metadata(&segment).unwrap().len(), 0);
+
+    let recovered = run(merge, &[&args[..], &["--recover"][..]].concat());
+    let stdout = String::from_utf8_lossy(&recovered.stdout);
+    assert_eq!(recovered.status.code(), Some(0), "{stdout}");
+    let want = format!(
+        "salvaged {}: recovered: dropped 0 torn tail byte(s) at offset 12 \
+         (file ends 0 bytes into the 12-byte header)",
+        segment.display()
+    );
+    assert!(stdout.lines().any(|l| l == want), "{stdout}");
     std::fs::remove_file(&segment).ok();
     std::fs::remove_file(&out).ok();
 }

@@ -30,14 +30,8 @@ fn bench_streaming_sweep(c: &mut Criterion) {
             for index in 0..4 {
                 let block = RangeSelection::shard(ShardSpec::new(index, 4)).expect("4 processes");
                 black_box(
-                    WindowSweep::run_selected(
-                        7,
-                        bnf_empirics::default_threads(),
-                        &block,
-                        None,
-                        |_| {},
-                    )
-                    .expect("an unpinned block fits the frontier"),
+                    WindowSweep::run_selected(7, bnf_empirics::default_threads(), &block, |_| {})
+                        .expect("an unpinned block fits the frontier"),
                 );
             }
         })

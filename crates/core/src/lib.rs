@@ -46,7 +46,6 @@ mod interval;
 mod pairwise_nash;
 mod record;
 mod stability;
-mod sys;
 mod theorems;
 mod transfers;
 mod ucg;
@@ -62,7 +61,6 @@ pub use stability::{
     addition_thresholds, deletion_thresholds, is_pairwise_stable, stability_window,
     stability_window_with,
 };
-pub use sys::peak_rss_kb;
 pub use theorems::{
     conjecture_counterexample, conjecture_ucg_subset_bcg, cycle_stability_window,
     lemma6_paper_window, prop4_envelope, prop5_holds_for_tree,

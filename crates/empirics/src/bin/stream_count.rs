@@ -71,20 +71,13 @@ fn main() -> ExitCode {
         manifest.emitted = count;
         manifest.elapsed_ms = elapsed_ms;
         manifest.peak_rss_kb = bnf_obs::peak_rss_kb();
-        manifest.level_sizes = stats.level_sizes.clone();
-        for (name, value) in stats.prune.named() {
-            manifest.set_counter(name, value);
-        }
+        bnf_empirics::push_stream_stats(&mut manifest, n, &stats);
         manifest.set_counter("threads", threads as u64);
         manifest.set_counter("ranges", ranges as u64);
         if resume {
             manifest.set_counter("resume_recovered_ranges", recovered as u64);
             manifest.set_counter("resume_redone_ranges", (ranges - recovered) as u64);
         }
-        manifest.push_metric(
-            &format!("manifest/candidates_per_survivor/{n}"),
-            stats.prune.candidates_per_survivor(),
-        );
         if let Err(e) = manifest.write(path) {
             eprintln!("error: cannot write run manifest to {path}: {e}");
             return ExitCode::FAILURE;

@@ -31,8 +31,10 @@
 //! topology yields one α-independent window record, any α grid is a
 //! post-pass ([`grid`], `--grid paper|linear:..|log2:..`), and
 //! `--atlas <path>` persists the records in an append-only store
-//! ([`bnf_atlas::ClassificationAtlas`]) so re-runs — finer grids,
-//! follow-up workloads — skip classification for keys already seen.
+//! ([`bnf_atlas::ClassificationAtlas`]). Once a store covers an order,
+//! re-runs — finer grids, follow-up workloads — replay it without
+//! enumerating; a sweep never looks single keys up, so a store that
+//! does not cover the order is only appended to.
 //!
 //! The sweep binaries share one front-end ([`run_window_sweep_cli`]):
 //! `--shards auto|R` commits each range into the `--atlas` store as it
@@ -97,12 +99,9 @@ fn max_sweep_n_from(raw: Option<String>) -> usize {
         .min(10)
 }
 
-// Re-exported from bnf-core (where the shard-segment writers can reach
-// it too): each process of a multi-process sweep stamps its own VmHWM.
-pub use bnf_core::peak_rss_kb;
-
 use bnf_engine::RangeSegment;
 use bnf_obs::cli::Flags;
+use bnf_obs::peak_rss_kb;
 use bnf_stream::{RangeSelection, ShardSpec};
 
 /// The valued flags every sweep binary declares; [`parse_sweep_flags`]
@@ -262,8 +261,9 @@ impl SweepFlags {
 /// time in milliseconds (the number the CI cold/warm ≥ 10× gate reads),
 /// the pruning counters, atlas hit counts and peak RSS to stderr.
 ///
-/// One flow serves every mode. A store that already covers `n` replays
-/// warm, and everything else runs the orchestrator
+/// One flow serves every mode, with one store handle. A store that
+/// covers `n` and replays cleanly serves the run, and everything else
+/// classifies every topology with the orchestrator
 /// ([`WindowSweep::run_selected`]) over a [`RangeSelection`] of the
 /// frontier partition:
 ///
@@ -294,15 +294,16 @@ impl SweepFlags {
 /// Operator errors — a bad `--shards`, a malformed or out-of-range
 /// `--shard`, `--shard`/`--resume` without `--atlas`, `--shard` with
 /// `--shards` — print one `error:` line and exit with status 2; a store
-/// that cannot be opened, appended to or committed, or whose stored
-/// partition was cut from another frontier, exits with status 1.
+/// that cannot be opened, appended to or committed (a stored record
+/// that disagrees with classification is a `KeyConflict`), or whose
+/// stored partition was cut from another frontier, exits with status 1.
 pub fn run_window_sweep_cli(n: usize, threads: usize, flags: &Flags) -> WindowSweep {
     let flags = SweepFlags::parse(flags);
     sweep_cli(n, threads.max(1), flags).unwrap_or_else(|e| e.exit())
 }
 
 fn sweep_cli(n: usize, threads: usize, flags: SweepFlags) -> Result<WindowSweep, CliError> {
-    use bnf_atlas::{ClassificationAtlas, ShardCoverage, ShardMeta};
+    use bnf_atlas::{ShardCoverage, ShardMeta};
     let (mut atlas, dropped_tail) = open_store(flags.atlas.as_deref(), flags.resume)?;
     // Scope the process-wide recorder to this run, then let the
     // enumeration layers heartbeat progress against the known connected
@@ -330,12 +331,17 @@ fn sweep_cli(n: usize, threads: usize, flags: SweepFlags) -> Result<WindowSweep,
         }
     }
 
-    // What runs: nothing to partition when the store replays the order
-    // warm (a fleet process always classifies its block); otherwise one
-    // selection of the partition.
-    let warm = block.is_none() && atlas.as_ref().is_some_and(|a| a.coverage(n).is_some());
+    // What runs: a store that covers n and replays cleanly serves the
+    // run (a fleet process always classifies its block); anything else
+    // runs one selection of the partition.
+    let started = std::time::Instant::now();
+    let replayed = atlas
+        .as_ref()
+        .filter(|_| block.is_none())
+        .and_then(|a| a.complete_sweep(n));
     let mut prior_runs = 0;
-    let selection = (!warm)
+    let selection = replayed
+        .is_none()
         .then(|| {
             let base = block.cloned().unwrap_or_else(|| {
                 let auto = bnf_stream::auto_range_count(threads);
@@ -384,42 +390,12 @@ fn sweep_cli(n: usize, threads: usize, flags: SweepFlags) -> Result<WindowSweep,
         ))
     );
 
-    let started = std::time::Instant::now();
     let run_id = orchestrator_run_id();
     let mut provenance: Vec<bnf_obs::ShardProvenance> = Vec::new();
     let (mut hits, mut appended) = (0usize, 0usize);
-    // A warm store that replays cleanly serves its own records: every
-    // one is a hit, and there is nothing to append or declare.
-    let replayed = atlas
-        .as_ref()
-        .filter(|_| warm)
-        .and_then(|a| a.complete_sweep(n));
-    let replay_served = replayed.is_some();
     let (mut windows, orch) = match (&selection, replayed) {
-        (None, Some(records)) => (WindowSweep { n, records }, None),
-        // A covered store whose replay fails is only a cache miss.
-        (None, None) => {
-            let (windows, stats) =
-                WindowSweep::run_orchestrated(n, threads, None, atlas.as_ref(), |_| {});
-            (windows, Some(stats))
-        }
         (Some(selection), _) => {
-            // Range commits append through the store while workers read
-            // it, so lookups go through a second, read-only handle: its
-            // location table is a snapshot taken at open, and the bytes
-            // it points at never change in an append-only file.
-            let reopened = match &atlas {
-                Some(a) if commit_ranges && !a.is_empty() => Some(
-                    ClassificationAtlas::open(a.path())
-                        .map_err(|e| CliError::io("cannot reopen atlas for lookups", e))?,
-                ),
-                _ => None,
-            };
-            let (lookup, mut writer) = if commit_ranges {
-                (reopened.as_ref(), atlas.as_mut())
-            } else {
-                (atlas.as_ref(), None)
-            };
+            let mut writer = atlas.as_mut().filter(|_| commit_ranges);
             let on_segment = |seg: RangeSegment<'_, bnf_core::WindowRecord>| {
                 let meta = ShardMeta {
                     order: n as u16,
@@ -446,17 +422,23 @@ fn sweep_cli(n: usize, threads: usize, flags: SweepFlags) -> Result<WindowSweep,
                 hits += seg.records.len() - fresh;
                 commit_range(atlas, &meta);
             };
-            let (windows, stats) = WindowSweep::run_selected(
-                n, threads, selection, lookup, on_segment,
-            )
-            .map_err(|e| {
-                CliError(format!(
-                    "cannot resume {}: {e}",
-                    flags.atlas.as_deref().unwrap_or("")
-                ))
-            })?;
+            let (windows, stats) = WindowSweep::run_selected(n, threads, selection, on_segment)
+                .map_err(|e| {
+                    CliError(format!(
+                        "cannot resume {}: {e}",
+                        flags.atlas.as_deref().unwrap_or("")
+                    ))
+                })?;
             (windows, Some(stats))
         }
+        // No selection: the replay served every record.
+        (None, records) => (
+            WindowSweep {
+                n,
+                records: records.unwrap_or_default(),
+            },
+            None,
+        ),
     };
     let elapsed_ms = started.elapsed().as_millis() as u64;
     bnf_obs::heartbeat::finish();
@@ -515,7 +497,7 @@ fn sweep_cli(n: usize, threads: usize, flags: SweepFlags) -> Result<WindowSweep,
         eprintln!("{line}");
     }
     if let Some(atlas) = atlas.as_mut() {
-        if replay_served {
+        if selection.is_none() {
             hits = windows.records.len();
         } else if !commit_ranges {
             appended = atlas
@@ -711,9 +693,7 @@ fn count_cli(
 
 /// The run-manifest skeleton every sweep CLI path shares: identity
 /// (tool, order, path, exact argv), outcome (emitted, wall-clock) and —
-/// when the run enumerated — the exact [`bnf_stream::StreamStats`]
-/// level sizes and pruning counters, plus the gated
-/// `manifest/candidates_per_survivor/{n}` metric.
+/// when the run enumerated — its stream stats ([`push_stream_stats`]).
 ///
 /// Counters are seeded from `stats` (deterministic, exactly what the
 /// run computed), never from the global recorder — recorder values are
@@ -736,16 +716,28 @@ pub fn build_sweep_manifest(
     manifest.elapsed_ms = elapsed_ms;
     manifest.peak_rss_kb = peak_rss_kb();
     if let Some(stats) = stats {
-        manifest.level_sizes = stats.level_sizes.clone();
-        for (name, value) in stats.prune.named() {
-            manifest.set_counter(name, value);
-        }
-        manifest.push_metric(
-            &format!("manifest/candidates_per_survivor/{n}"),
-            stats.prune.candidates_per_survivor(),
-        );
+        push_stream_stats(&mut manifest, n, stats);
     }
     manifest
+}
+
+/// Sets an enumerating run's [`bnf_stream::StreamStats`] on its
+/// manifest: the level sizes, the named pruning counters and the gated
+/// `manifest/candidates_per_survivor/{n}` metric — the one block the
+/// sweep and `stream_count` manifests share.
+pub fn push_stream_stats(
+    manifest: &mut bnf_obs::RunManifest,
+    n: usize,
+    stats: &bnf_stream::StreamStats,
+) {
+    manifest.level_sizes = stats.level_sizes.clone();
+    for (name, value) in stats.prune.named() {
+        manifest.set_counter(name, value);
+    }
+    manifest.push_metric(
+        &format!("manifest/candidates_per_survivor/{n}"),
+        stats.prune.candidates_per_survivor(),
+    );
 }
 
 /// Pushes `manifest/atlas_bytes_per_record/{n}` — the gated on-disk

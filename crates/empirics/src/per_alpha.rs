@@ -25,7 +25,7 @@ pub(crate) fn reference_sweep(n: usize) -> WindowSweep {
     let mut scratch = WorkerScratch::new();
     let records = connected_graphs(n)
         .iter()
-        .map(|g| WindowJob::default().classify(g, &mut scratch))
+        .map(|g| WindowJob.classify(g, &mut scratch))
         .collect();
     WindowSweep { n, records }
 }
@@ -341,8 +341,8 @@ mod tests {
         let cold = WindowSweep::run(config.n, config.threads, Some(&atlas));
         let appended = atlas.append_records(&cold.records).unwrap();
         assert_eq!(appended, cold.records.len(), "cold run stores every record");
-        // Warm, per-key path (no coverage marker yet): every record served
-        // from the store (0 fresh appends).
+        // Warm store without a coverage marker: every record is
+        // classified again and matches the stored one (0 fresh appends).
         let warm = WindowSweep::run(config.n, config.threads, Some(&atlas));
         assert_eq!(warm.records, cold.records);
         assert_eq!(atlas.append_records(&warm.records).unwrap(), 0);

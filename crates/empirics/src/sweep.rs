@@ -11,7 +11,7 @@
 //!
 //! The sweep is **windows-first**: classification emits one
 //! α-independent [`WindowRecord`] per topology ([`WindowSweep`],
-//! optionally backed by a persistent
+//! optionally replayed from a persistent
 //! [`ClassificationAtlas`]), and any α
 //! grid is evaluated afterwards as a pure post-pass
 //! ([`crate::grid::evaluate`], one [`crate::grid::GridFold`] pass) — so
@@ -167,23 +167,21 @@ pub struct EquilibriumStats {
 }
 
 /// The windows-first classification job: emits one α-independent
-/// [`WindowRecord`] per topology, consulting a persistent
-/// [`ClassificationAtlas`] first when one is attached.
+/// [`WindowRecord`] per topology.
 ///
-/// This is the workhorse [`Analysis`] of the workspace since PR 3: the
-/// figure binaries, the efficiency scan, the Proposition 4 table and
-/// the conjecture checks all fold its records (through
+/// This is the workhorse [`Analysis`] of the workspace: the figure
+/// binaries, the efficiency scan, the Proposition 4 table and the
+/// conjecture checks all fold its records (through
 /// [`crate::grid::evaluate`] for α-grid questions). The orchestrator
 /// classifies through [`Analysis::classify_keyed`], so each record
-/// carries its canonical graph6 key and atlas hits skip classification.
+/// carries the canonical graph6 key the enumeration already computed.
+/// The job never reads a store: classification is a pure function of
+/// the key, and a store is read only to replay a covered order
+/// ([`WindowSweep::run`]).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct WindowJob<'a> {
-    /// Warm store to consult before classifying; records found here are
-    /// returned as-is (classification is a pure function of the key).
-    pub atlas: Option<&'a ClassificationAtlas>,
-}
+pub struct WindowJob;
 
-impl Analysis for WindowJob<'_> {
+impl Analysis for WindowJob {
     type Output = WindowRecord;
 
     fn classify(&self, g: &Graph, scratch: &mut WorkerScratch) -> WindowRecord {
@@ -193,11 +191,8 @@ impl Analysis for WindowJob<'_> {
     }
 
     fn classify_keyed(&self, key: &str, g: &Graph, scratch: &mut WorkerScratch) -> WindowRecord {
-        // A stored record is read back from disk; a store that fails to
-        // read is only a cache miss — classify live instead.
-        if let Some(Ok(Some(hit))) = self.atlas.map(|a| a.get(key)) {
-            return hit;
-        }
+        // The enumeration emits canonical forms, so `key` is stamped
+        // as given and no second canonical search runs.
         WindowRecord::classify_with_key(key.to_owned(), g, &mut scratch.bfs)
     }
 }
@@ -219,43 +214,25 @@ pub struct WindowSweep {
 impl WindowSweep {
     /// Enumerates and classifies all connected topologies on `n`
     /// vertices into window records with the orchestrator
-    /// ([`WindowSweep::run_orchestrated`], automatic range split);
-    /// `atlas` skips classification for already-stored keys. When the
-    /// atlas declares *complete* coverage for `n`
-    /// ([`ClassificationAtlas::mark_complete`] after a prior full
-    /// sweep), the whole catalogue is replayed from the store in engine
-    /// order and the enumerator never runs — the warm-run fast path.
-    /// The caller owns appending fresh records (and the coverage marker)
-    /// back to the atlas.
+    /// ([`WindowSweep::run_orchestrated`], automatic range split). The
+    /// `atlas` is read only as a replay source: when it declares
+    /// *complete* coverage for `n` ([`ClassificationAtlas::mark_complete`]
+    /// after a prior full sweep) and replays cleanly, the whole
+    /// catalogue comes from the store in engine order and the enumerator
+    /// never runs — the warm-run fast path. Otherwise every topology is
+    /// classified; the caller owns appending the records (and the
+    /// coverage marker) back to the atlas.
     ///
     /// # Panics
     ///
     /// Panics if `n` exceeds [`crate::max_sweep_n`] (default 8; opt in
     /// via `BNF_MAX_N`).
     pub fn run(n: usize, threads: usize, atlas: Option<&ClassificationAtlas>) -> WindowSweep {
-        Self::run_with_stats(n, threads, atlas).0
-    }
-
-    /// [`WindowSweep::run`] plus the enumeration's unsharded-equivalent
-    /// [`StreamStats`](bnf_stream::StreamStats) when the orchestrator
-    /// ran (`None` on the atlas-replay path) — the
-    /// canonical-construction pruning counters the sweep diagnostics
-    /// report.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` exceeds [`crate::max_sweep_n`].
-    pub fn run_with_stats(
-        n: usize,
-        threads: usize,
-        atlas: Option<&ClassificationAtlas>,
-    ) -> (WindowSweep, Option<bnf_stream::StreamStats>) {
         assert_sweep_cap(n);
         if let Some(records) = atlas.and_then(|a| a.complete_sweep(n)) {
-            return (WindowSweep { n, records }, None);
+            return WindowSweep { n, records };
         }
-        let (windows, stats) = Self::run_orchestrated(n, threads, None, atlas, |_| {});
-        (windows, Some(stats.stats))
+        Self::run_orchestrated(n, threads, None, None, |_| {}).0
     }
 
     /// The orchestrated sweep: builds the parent frontier **once**,
@@ -268,6 +245,10 @@ impl WindowSweep {
     /// before returning the full catalogue in engine order plus the
     /// run's [`OrchestratorStats`].
     ///
+    /// The store argument is not read: every topology is classified.
+    /// It stays only because the repository benchmark calls this
+    /// five-argument form.
+    ///
     /// # Panics
     ///
     /// Panics if `n` exceeds [`crate::max_sweep_n`]; propagates panics
@@ -276,14 +257,14 @@ impl WindowSweep {
         n: usize,
         threads: usize,
         ranges: Option<usize>,
-        atlas: Option<&ClassificationAtlas>,
+        _atlas: Option<&ClassificationAtlas>,
         on_segment: W,
     ) -> (WindowSweep, OrchestratorStats)
     where
         W: FnMut(RangeSegment<'_, WindowRecord>),
     {
         let ranges = ranges.unwrap_or_else(|| bnf_stream::auto_range_count(threads));
-        Self::run_selected(n, threads, &RangeSelection::all(ranges), atlas, on_segment)
+        Self::run_selected(n, threads, &RangeSelection::all(ranges), on_segment)
             .expect("an unpinned selection fits any frontier")
     }
 
@@ -307,19 +288,14 @@ impl WindowSweep {
         n: usize,
         threads: usize,
         selection: &RangeSelection,
-        atlas: Option<&ClassificationAtlas>,
         on_segment: W,
     ) -> Result<(WindowSweep, OrchestratorStats), FrontierMismatch>
     where
         W: FnMut(RangeSegment<'_, WindowRecord>),
     {
         assert_sweep_cap(n);
-        let (records, stats) = AnalysisEngine::new(threads).run_connected_selected(
-            n,
-            selection,
-            &WindowJob { atlas },
-            on_segment,
-        )?;
+        let (records, stats) = AnalysisEngine::new(threads)
+            .run_connected_selected(n, selection, &WindowJob, on_segment)?;
         Ok((WindowSweep { n, records }, stats))
     }
 }
@@ -507,8 +483,8 @@ mod tests {
         // other order — one record equal to the materialized oracle's,
         // and the serial enumeration's stats.
         for n in [0usize, 1] {
-            let (windows, stats) = WindowSweep::run_with_stats(n, 2, None);
-            let stats = stats.expect("a cold sweep reports its enumeration stats");
+            let (windows, orch) = WindowSweep::run_orchestrated(n, 2, None, None, |_| {});
+            let stats = orch.stats;
             let serial = bnf_stream::for_each_connected_stats(n, |_, _| {});
             assert_eq!(stats.level_sizes, vec![1], "n={n}");
             assert_eq!(stats.level_sizes, serial.level_sizes, "n={n}");

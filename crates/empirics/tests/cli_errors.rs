@@ -2,7 +2,8 @@
 //! `fig2_avg_poa` binary: every bad or contradictory flag prints exactly
 //! one `error:` line and exits with status 2 — never a panic — while a
 //! store that cannot be opened or a manifest that cannot be written
-//! exits with the distinct status 1. Every bnf-empirics binary refuses
+//! exits with the distinct status 1, as does a store holding a record
+//! that disagrees with classification. Every bnf-empirics binary refuses
 //! an unknown, repeated or stray argument the same way (exit 2).
 //!
 //! `stream_count` follows the same split: a usage error exits 2, and a
@@ -153,6 +154,33 @@ fn resume_from_a_count_checkpoint_exits_1_before_any_range() {
         .output()
         .expect("spawn fig2_avg_poa");
     assert_error(&out, 1, "the store holds 0 of that order");
+    assert_eq!(std::fs::read(&store).unwrap(), bytes, "the store changed");
+    std::fs::remove_file(&store).ok();
+}
+
+#[test]
+fn wrong_stored_record_is_a_key_conflict_not_a_figure() {
+    // A CRC-valid record that disagrees with classification — one real
+    // n = 5 key with its total distance off by one, stored without a
+    // coverage frame — cannot serve the sweep: classification runs, the
+    // append refuses the disagreement, and nothing is printed or stored.
+    let store = scratch_path("wrong-record");
+    std::fs::remove_file(&store).ok();
+    let graph = &bnf_enumerate::connected_graphs(5)[0];
+    let mut record = bnf_core::WindowRecord::classify(graph, &mut bnf_graph::BfsScratch::new());
+    record.total_distance += 1;
+    let mut atlas = bnf_atlas::ClassificationAtlas::open(&store).unwrap();
+    atlas.append_records([&record]).unwrap();
+    drop(atlas);
+    let bytes = std::fs::read(&store).unwrap();
+    assert_error(
+        &run_fig2(&["--atlas", store.to_str().unwrap()]),
+        1,
+        &format!(
+            "atlas append failed: conflicting record for key {}",
+            record.key
+        ),
+    );
     assert_eq!(std::fs::read(&store).unwrap(), bytes, "the store changed");
     std::fs::remove_file(&store).ok();
 }

@@ -17,7 +17,7 @@ fn unsharded() -> (WindowSweep, bnf_stream::StreamStats) {
     let mut scratch = WorkerScratch::new();
     let records = bnf_enumerate::connected_graphs(N)
         .iter()
-        .map(|g| WindowJob::default().classify(g, &mut scratch))
+        .map(|g| WindowJob.classify(g, &mut scratch))
         .collect();
     let stats = bnf_stream::for_each_connected_stats(N, |_, _| {});
     (WindowSweep { n: N, records }, stats)
@@ -61,8 +61,8 @@ fn orchestrated_manifest_counters_equal_unsharded_stats_exactly() {
 
 #[test]
 fn sweep_manifest_round_trips_through_json() {
-    let (windows, stats) = WindowSweep::run_with_stats(N, 2, None);
-    let stats = stats.expect("a cold orchestrated run reports stats");
+    let (windows, orch) = WindowSweep::run_orchestrated(N, 2, None, None, |_| {});
+    let stats = orch.stats;
     let mut manifest = build_sweep_manifest(N, "orchestrated", 42, &windows, Some(&stats));
     manifest.set_counter("atlas_hits", 0);
     manifest.set_counter("atlas_appended", windows.records.len() as u64);

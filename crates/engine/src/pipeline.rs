@@ -43,9 +43,9 @@ pub trait Analysis: Sync {
     /// canonical forms, so that string *is* the canonical key).
     ///
     /// The default ignores the key and delegates to
-    /// [`Analysis::classify`]; jobs backed by a persistent store (the
-    /// classification atlas) override it to consult the store before
-    /// computing, and to stamp the key into the emitted record.
+    /// [`Analysis::classify`]; jobs whose records carry the key (the
+    /// window sweep's) override it to stamp the key into the emitted
+    /// record instead of running a second canonical search.
     fn classify_keyed(
         &self,
         key: &str,

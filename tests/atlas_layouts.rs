@@ -95,7 +95,7 @@ fn merged_store() -> PathBuf {
             let path = scratch_path(&format!("segment-{i}"));
             let mut segment = ClassificationAtlas::open(&path).unwrap();
             let block = RangeSelection::shard(ShardSpec::new(i, 4)).unwrap();
-            WindowSweep::run_selected(N, 2, &block, None, |seg| {
+            WindowSweep::run_selected(N, 2, &block, |seg| {
                 segment.append_records(seg.records).unwrap();
                 segment
                     .append_shard_meta(&range_meta(&seg, 10 + i as u64))
@@ -136,7 +136,7 @@ fn reference_catalogue() -> Vec<WindowRecord> {
     let mut scratch = WorkerScratch::new();
     let reference: Vec<WindowRecord> = connected_graphs(N)
         .iter()
-        .map(|g| WindowJob::default().classify(g, &mut scratch))
+        .map(|g| WindowJob.classify(g, &mut scratch))
         .collect();
     assert_eq!(reference.len(), 853);
     reference

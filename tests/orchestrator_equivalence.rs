@@ -43,7 +43,7 @@ fn reference(n: usize) -> WindowSweep {
     let mut scratch = WorkerScratch::new();
     let records = connected_graphs(n)
         .iter()
-        .map(|g| WindowJob::default().classify(g, &mut scratch))
+        .map(|g| WindowJob.classify(g, &mut scratch))
         .collect();
     WindowSweep { n, records }
 }
@@ -140,7 +140,7 @@ fn orchestrated_store_matches_four_segment_merge_replay() {
         let path = scratch_path(&format!("seg{index}"));
         let mut segment = ClassificationAtlas::open(&path).unwrap();
         let block = RangeSelection::shard(ShardSpec::new(index, 4)).unwrap();
-        WindowSweep::run_selected(n, threads, &block, None, |seg| {
+        WindowSweep::run_selected(n, threads, &block, |seg| {
             segment.append_records(seg.records).unwrap();
             segment
                 .append_shard_meta(&range_meta(n, &seg, 100 + index as u64))

@@ -164,7 +164,7 @@ fn merged_segments_replay_csv_byte_identical_to_single_process_run() {
         let path = scratch_path(&format!("seg{index}"));
         let mut segment = ClassificationAtlas::open(&path).unwrap();
         let mut committed = 0;
-        WindowSweep::run_selected(n, threads, &block, None, |seg| {
+        WindowSweep::run_selected(n, threads, &block, |seg| {
             segment.append_records(seg.records).unwrap();
             segment
                 .append_shard_meta(&ShardMeta {
