@@ -200,6 +200,11 @@ pub(crate) fn decode_row(body: &[u8]) -> Result<WindowRecord, String> {
         if den == 0 {
             return Err("ratio with zero denominator".into());
         }
+        // The v4 codec's check: no well-formed `Ratio` stores a term
+        // whose magnitude `Ratio::new` cannot hold.
+        if num == i64::MIN || den == i64::MIN {
+            return Err("ratio term i64::MIN has no magnitude in i64".into());
+        }
         Ok(Ratio::new(num, den))
     }
     fn threshold(c: &mut Cursor<'_>) -> Result<Threshold, String> {
@@ -403,6 +408,51 @@ mod tests {
         assert!(ClassificationAtlas::open(&dst).unwrap().is_empty());
         std::fs::remove_file(&src).ok();
         std::fs::remove_file(&dst).ok();
+    }
+
+    /// A v3 store of one row frame — the order-2 edge `A_` — whose
+    /// stability lower bound is the ratio `num/den`.
+    fn v3_one_row(num: i64, den: i64) -> Vec<u8> {
+        let mut row = vec![1u8]; // the v3 row frame tag
+        row.extend_from_slice(&2u16.to_le_bytes());
+        row.extend_from_slice(b"A_");
+        row.extend_from_slice(&2u16.to_le_bytes()); // order
+        row.extend_from_slice(&1u32.to_le_bytes()); // edges
+        row.extend_from_slice(&2u64.to_le_bytes()); // total distance
+        row.push(1); // a stability window: lower bound num/den, exclusive, no upper
+        row.extend_from_slice(&num.to_le_bytes());
+        row.extend_from_slice(&den.to_le_bytes());
+        row.extend_from_slice(&[0, 1]);
+        row.push(0); // no transfer window
+        row.extend_from_slice(&0u16.to_le_bytes()); // no UCG intervals
+        let mut bytes = ATLAS_MAGIC.to_vec();
+        bytes.extend_from_slice(&3u32.to_le_bytes());
+        bytes.extend_from_slice(&(row.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&row);
+        bytes
+    }
+
+    #[test]
+    fn v3_ratio_with_an_i64_min_term_is_corrupt_and_writes_nothing() {
+        let src = scratch_path("v3min");
+        let dst = scratch_path("v3min-out");
+        std::fs::write(&src, v3_one_row(0, 1)).unwrap();
+        assert_eq!(compact_store(&src, &dst).unwrap().records, 1);
+        std::fs::remove_file(&dst).unwrap();
+        for (num, den) in [(i64::MIN, 1), (1, i64::MIN), (i64::MIN, i64::MIN)] {
+            let bytes = v3_one_row(num, den);
+            std::fs::write(&src, &bytes).unwrap();
+            match compact_store(&src, &dst) {
+                Err(AtlasError::Corrupt { offset, reason }) => {
+                    assert_eq!(offset, 12, "{num}/{den}");
+                    assert_eq!(reason, "ratio term i64::MIN has no magnitude in i64");
+                }
+                other => panic!("{num}/{den}: expected Corrupt, got {other:?}"),
+            }
+            assert!(!dst.exists(), "{num}/{den}: output written");
+            assert_eq!(std::fs::read(&src).unwrap(), bytes, "source touched");
+        }
+        std::fs::remove_file(&src).ok();
     }
 
     #[test]

@@ -183,6 +183,58 @@ fn v3_stores_are_indexed_only_after_compaction() {
     std::fs::remove_file(bnf_atlas::index_path(&store)).ok();
 }
 
+/// A v3 store of one row frame — the order-2 edge `A_` — whose
+/// stability lower bound is `i64::MIN/1`. v3 rows carry no CRC.
+fn v3_store_with_an_i64_min_ratio() -> Vec<u8> {
+    let mut row = vec![1u8]; // the v3 row frame tag
+    row.extend_from_slice(&2u16.to_le_bytes());
+    row.extend_from_slice(b"A_");
+    row.extend_from_slice(&2u16.to_le_bytes()); // order
+    row.extend_from_slice(&1u32.to_le_bytes()); // edges
+    row.extend_from_slice(&2u64.to_le_bytes()); // total distance
+    row.push(1); // a stability window: lower bound i64::MIN/1, exclusive, no upper
+    row.extend_from_slice(&i64::MIN.to_le_bytes());
+    row.extend_from_slice(&1i64.to_le_bytes());
+    row.extend_from_slice(&[0, 1]);
+    row.push(0); // no transfer window
+    row.extend_from_slice(&0u16.to_le_bytes()); // no UCG intervals
+    let mut bytes = b"BNFATLAS".to_vec();
+    bytes.extend_from_slice(&3u32.to_le_bytes());
+    bytes.extend_from_slice(&(row.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(&row);
+    bytes
+}
+
+#[test]
+fn v3_i64_min_ratio_exits_1_corrupt_and_writes_no_output() {
+    let store = scratch_path("v3min");
+    let out = scratch_path("v3min-out");
+    let bytes = v3_store_with_an_i64_min_ratio();
+    std::fs::write(&store, &bytes).unwrap();
+    let run_out = run(
+        env!("CARGO_BIN_EXE_atlas_compact"),
+        &[
+            "--atlas",
+            store.to_str().unwrap(),
+            "--out",
+            out.to_str().unwrap(),
+        ],
+    );
+    assert_error(
+        &run_out,
+        1,
+        "corrupt atlas record at byte 12: ratio term i64::MIN has no magnitude in i64",
+    );
+    assert!(run_out.stdout.is_empty());
+    assert!(!out.exists(), "atlas_compact wrote {out:?}");
+    assert_eq!(
+        std::fs::read(&store).unwrap(),
+        bytes,
+        "source store touched"
+    );
+    std::fs::remove_file(&store).ok();
+}
+
 #[test]
 fn unknown_repeated_and_stray_arguments_exit_2_with_nothing_on_stdout() {
     let store = scratch_path("strict");

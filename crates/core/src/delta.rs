@@ -6,156 +6,329 @@
 //! (or infinite, when a move disconnects/connects components).
 //!
 //! Two forms answer the same question: [`DeltaCalc`] computes one
-//! delta per query (point checks, dynamics), and [`DeltaTable`] measures
-//! every single-link delta of a connected graph at once — the one pass
-//! the BCG, transfer and UCG-necessary windows all fold over.
+//! delta per query (point checks, dynamics), and [`link_windows`] folds
+//! every single-link delta of a connected graph in one pass over its
+//! vertex pairs — the total distance, the BCG window, the transfer
+//! window and the UCG necessary window at once. Up to order 64 the
+//! deltas come from a [`DeltaTable`]: `n` bitset BFS give every byte
+//! distance row, an addition delta is a sum over two of those rows, and
+//! only an edge drop runs one more BFS.
 
+use bnf_games::Ratio;
 use bnf_graph::{BfsScratch, Graph};
 
+use crate::interval::{ClosedInterval, LowerBound, StabilityWindow, Threshold};
+
 /// Distance sums from `src` over the row-substituted graph: the base rows
-/// of `g` with `rows[src]` replaced by `src_row`. Only expansion *out of*
-/// `src` uses the substituted row, which is sound because `src` is the
-/// BFS source (edges into `src` are never needed).
+/// of `g` with `rows[src]` replaced by `src_row` (which must not hold
+/// `src`). Only expansion *out of* `src` uses the substituted row, which
+/// is sound because `src` is the BFS source (edges into `src` are never
+/// needed). Every reached vertex is expanded once, at its own distance,
+/// so the sum adds up there and needs no popcount per level.
 pub(crate) fn distsum_with_row(rows: &[u64], n: usize, src: usize, src_row: u64) -> Option<u64> {
     let full: u64 = if n == 64 { !0 } else { (1u64 << n) - 1 };
-    let mut seen = 1u64 << src;
-    let mut frontier = seen;
-    let mut d = 0u64;
+    let mut seen = 1u64 << src | src_row;
+    let mut frontier = src_row;
+    let mut d = 1u64;
     let mut sum = 0u64;
     while frontier != 0 {
         let mut next = 0u64;
-        let mut f = frontier;
-        while f != 0 {
-            let v = f.trailing_zeros() as usize;
-            f &= f - 1;
-            next |= if v == src { src_row } else { rows[v] };
+        while frontier != 0 {
+            next |= rows[frontier.trailing_zeros() as usize];
+            frontier &= frontier - 1;
+            sum += d;
         }
-        next &= !seen;
+        frontier = next & !seen;
+        seen |= frontier;
         d += 1;
-        sum += d * u64::from(next.count_ones());
-        seen |= next;
-        frontier = next;
     }
     (seen == full).then_some(sum)
 }
 
-/// The single-link deltas of one vertex pair `u < v`, as
-/// [`DeltaTable::pairs`] yields them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LinkDeltas {
-    /// An existing link: the increase in `u`'s and in `v`'s distance sum
-    /// when that endpoint severs it (`None` for a bridge).
-    Edge(Option<u64>, Option<u64>),
-    /// A missing link: the decrease in `u`'s and in `v`'s distance sum
-    /// when it is added.
-    NonEdge(u64, u64),
-}
-
-/// Every single-link distance-sum delta of one **connected** graph,
-/// measured once: the base sum `D_i` of every player and, for every
-/// ordered pair `i ≠ j`, the change `|D_i(row_i ⊕ {j}) − D_i|` when `i`
-/// toggles its link to `j`.
+/// The single-link deltas of one **connected** graph of order at most
+/// 64: its adjacency rows and every distance `d(i, v)` as a byte (a
+/// connected graph on 64 vertices has no distance above 63), measured
+/// by `n` bitset BFS. The base sums `D_i` fall out of the same BFS, and
+/// every single-link delta is read from them on demand
+/// ([`DeltaTable::delta`]):
 ///
-/// For orders up to 64 that is `n²` bitset BFS over the adjacency rows
-/// ([`distsum_with_row`]: toggling a link only changes the source's own
-/// row, which is the only row a BFS from the source expands through
-/// it). Larger orders fill the same table through [`DeltaCalc`]. The
-/// BCG, transfer and UCG-necessary windows are min/max folds over
-/// [`DeltaTable::pairs`].
+/// - adding the missing link `i–j` saves `i` exactly
+///   `Σ_v max(0, d(i,v) − 1 − d(j,v))` — a shortest path that uses the
+///   new link leaves `i` through it, and the rest of it, from `j`, is
+///   an old shortest path;
+/// - dropping the link `i–j` runs one BFS from `i` over the rows with
+///   `i`'s own row toggled ([`distsum_with_row`]: a BFS from the source
+///   expands through no other copy of the link).
 #[derive(Debug)]
-pub(crate) struct DeltaTable<'g> {
-    g: &'g Graph,
+pub(crate) struct DeltaTable {
+    n: usize,
+    rows: [u64; 64],
     /// `D_i` per vertex.
-    base: Vec<u64>,
-    /// `delta[i * n + j]`: drop delta for an edge, add delta for a
-    /// non-edge; [`DeltaTable::BRIDGE`] when dropping disconnects `i`.
-    delta: Vec<u64>,
+    base: [u64; 64],
+    /// `dist[i][v] = d(i, v)`; every lane at or past `n` is 0.
+    dist: [[u8; 64]; 64],
 }
 
-impl<'g> DeltaTable<'g> {
+impl DeltaTable {
     /// Sentinel delta of a bridge drop (infinite cost).
-    const BRIDGE: u64 = u64::MAX;
+    pub(crate) const BRIDGE: u64 = u64::MAX;
 
-    /// Measures every single-link delta of `g`, or `None` when `g` is
-    /// disconnected. `scratch` serves the BFS of orders above 64.
-    pub(crate) fn new(g: &'g Graph, scratch: &mut BfsScratch) -> Option<DeltaTable<'g>> {
+    /// Measures the distance rows of `g`, or `None` when `g` is
+    /// disconnected.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the order exceeds 64.
+    #[cfg(test)]
+    pub(crate) fn new(g: &Graph) -> Option<DeltaTable> {
+        let mut t = DeltaTable::EMPTY;
+        t.measure(g).then_some(t)
+    }
+
+    const EMPTY: DeltaTable = DeltaTable {
+        n: 0,
+        rows: [0; 64],
+        base: [0; 64],
+        dist: [[0; 64]; 64],
+    };
+
+    /// Fills a [`DeltaTable::EMPTY`] table with the rows of `g`;
+    /// `false` when `g` is disconnected.
+    fn measure(&mut self, g: &Graph) -> bool {
         let n = g.order();
-        let mut t = DeltaTable {
-            g,
-            base: Vec::with_capacity(n),
-            delta: vec![0; n * n],
-        };
-        if n <= 64 {
-            t.fill_bitset()?;
-        } else {
-            let mut calc = DeltaCalc::with_scratch(g, std::mem::take(scratch));
-            let filled = t.fill_calc(&mut calc);
-            *scratch = calc.into_scratch();
-            filled?;
+        assert!(n <= 64, "the distance-row table covers orders up to 64");
+        self.n = n;
+        for (v, row) in self.rows.iter_mut().enumerate().take(n) {
+            *row = g.neighbor_bits(v);
         }
-        Some(t)
-    }
-
-    fn fill_bitset(&mut self) -> Option<()> {
-        let n = self.g.order();
-        let mut rows = [0u64; 64];
-        for (v, row) in rows.iter_mut().enumerate().take(n) {
-            *row = self.g.neighbor_bits(v);
-        }
-        let rows = &rows[..n];
-        for i in 0..n {
-            let base = distsum_with_row(rows, n, i, rows[i])?;
-            self.base.push(base);
-            for j in (0..n).filter(|&j| j != i) {
-                let after = distsum_with_row(rows, n, i, rows[i] ^ (1u64 << j));
-                self.delta[i * n + j] = if rows[i] >> j & 1 == 1 {
-                    after.map_or(Self::BRIDGE, |a| a - base)
-                } else {
-                    base - after.expect("adding a link keeps a connected graph connected")
-                };
+        let full: u64 = if n == 64 { !0 } else { (1u64 << n) - 1 };
+        for src in 0..n {
+            let dist = &mut self.dist[src];
+            let mut seen = 1u64 << src | self.rows[src];
+            let mut frontier = self.rows[src];
+            let mut d = 1u8;
+            let mut sum = 0u64;
+            while frontier != 0 {
+                let mut next = 0u64;
+                while frontier != 0 {
+                    let v = frontier.trailing_zeros() as usize;
+                    frontier &= frontier - 1;
+                    next |= self.rows[v];
+                    dist[v] = d;
+                    sum += u64::from(d);
+                }
+                frontier = next & !seen;
+                seen |= frontier;
+                d += 1;
             }
-        }
-        Some(())
-    }
-
-    fn fill_calc(&mut self, calc: &mut DeltaCalc<'_>) -> Option<()> {
-        let n = self.g.order();
-        for i in 0..n {
-            self.base.push(calc.base_distance_sum(i)?);
-        }
-        for i in 0..n {
-            for j in (0..n).filter(|&j| j != i) {
-                let d = if self.g.has_edge(i, j) {
-                    calc.drop_delta(i, j)
-                } else {
-                    calc.add_delta(i, j)
-                };
-                self.delta[i * n + j] = d.finite().unwrap_or(Self::BRIDGE);
+            if seen != full {
+                return false;
             }
+            self.base[src] = sum;
         }
-        Some(())
+        true
     }
 
     /// The ordered-pair distance total `Σ_i D_i`.
     pub(crate) fn total_distance(&self) -> u64 {
-        self.base.iter().sum()
+        self.base[..self.n].iter().sum()
     }
 
-    /// Every vertex pair `u < v` with its two endpoint deltas.
-    pub(crate) fn pairs(&self) -> impl Iterator<Item = LinkDeltas> + '_ {
-        let n = self.g.order();
-        (0..n).flat_map(move |u| {
-            (u + 1..n).map(move |v| {
-                let (uv, vu) = (self.delta[u * n + v], self.delta[v * n + u]);
-                if self.g.has_edge(u, v) {
-                    let finite = |d: u64| (d != Self::BRIDGE).then_some(d);
-                    LinkDeltas::Edge(finite(uv), finite(vu))
-                } else {
-                    LinkDeltas::NonEdge(uv, vu)
-                }
-            })
-        })
+    /// `D_i`.
+    #[cfg(test)]
+    pub(crate) fn base(&self, i: usize) -> u64 {
+        self.base[i]
     }
+
+    /// Whether `i–j` is a link.
+    #[inline]
+    fn linked(&self, i: usize, j: usize) -> bool {
+        self.rows[i] >> j & 1 == 1
+    }
+
+    /// The change in `i`'s distance sum when `i` toggles its link to
+    /// `j ≠ i`: the increase for a drop ([`DeltaTable::BRIDGE`] when the
+    /// drop disconnects `i`), the decrease for an addition.
+    #[inline]
+    pub(crate) fn delta(&self, i: usize, j: usize) -> u64 {
+        if self.linked(i, j) {
+            let row = self.rows[i] & !(1u64 << j);
+            distsum_with_row(&self.rows[..self.n], self.n, i, row)
+                .map_or(Self::BRIDGE, |after| after - self.base[i])
+        } else {
+            add_saving(&self.dist[i], &self.dist[j], self.n.div_ceil(8))
+        }
+    }
+}
+
+/// `Σ_v max(0, from[v] − 1 − to[v])` over the first `words` eight-byte
+/// words of two distance rows, in SWAR: every distance is at most 63,
+/// so per byte `128 + from − to − 1` lies in `[64, 191]` — no borrow
+/// crosses a byte, and the high bit is set exactly where the saving is
+/// nonnegative. The savings (at most 62 each) add up in 16-bit lanes.
+#[inline]
+fn add_saving(from: &[u8; 64], to: &[u8; 64], words: usize) -> u64 {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = ONES << 7;
+    const LOW_BYTES: u64 = 0x00FF_00FF_00FF_00FF;
+    let word = |row: &[u8; 64], w: usize| {
+        u64::from_le_bytes(row[8 * w..8 * w + 8].try_into().expect("eight bytes"))
+    };
+    let mut lanes = 0u64;
+    for w in 0..words {
+        let r = (word(from, w) | HIGH) - (word(to, w) + ONES);
+        let nonnegative = ((r & HIGH) >> 7) * 0xFF;
+        let saved = r & !HIGH & nonnegative;
+        lanes += (saved & LOW_BYTES) + (saved >> 8 & LOW_BYTES);
+    }
+    lanes.wrapping_mul(0x0001_0001_0001_0001) >> 48
+}
+
+/// Everything the single-link deltas of one connected graph decide,
+/// from [`link_windows`]'s one pass over its vertex pairs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LinkWindows {
+    /// The ordered-pair distance total `Σ_i D_i`.
+    pub(crate) total_distance: u64,
+    /// The Lemma 2 window: `α_max` is the smallest finite drop delta,
+    /// `α_min` the largest per-missing-link `min(Δu, Δv)` (inclusive
+    /// only when every binding pair benefits equally). A connected
+    /// graph has no infinite addition benefit, so it always exists.
+    pub(crate) stability: StabilityWindow,
+    /// The transfer window: the largest joint addition benefit over 2
+    /// below, the smallest finite joint severance penalty over 2 above.
+    pub(crate) transfer: Option<ClosedInterval>,
+    /// The UCG necessary window: the largest endpoint addition benefit
+    /// below, the smallest per-edge `max(Δdrop_u, Δdrop_v)` above (a
+    /// bridge caps nothing).
+    pub(crate) necessary: Option<ClosedInterval>,
+}
+
+/// The running bounds of [`link_windows`]' pass. `u64::MAX` stands for
+/// "no upper bound yet", as [`DeltaTable::BRIDGE`] stands for an
+/// infinite drop delta.
+struct PairFold {
+    bcg_upper: u64,
+    /// `(value, inclusive)`, folded as `LowerBound::max` does:
+    /// exclusivity wins ties. Starts at the trivial `α > 0`.
+    bcg_lower: (u64, bool),
+    transfer_lo: u64,
+    transfer_hi: u64,
+    necessary_lo: u64,
+    necessary_hi: u64,
+}
+
+impl PairFold {
+    const fn new() -> PairFold {
+        PairFold {
+            bcg_upper: u64::MAX,
+            bcg_lower: (0, false),
+            transfer_lo: 0,
+            transfer_hi: u64::MAX,
+            necessary_lo: 0,
+            necessary_hi: u64::MAX,
+        }
+    }
+
+    /// An existing link with its two drop deltas.
+    #[inline]
+    fn edge(&mut self, du: u64, dv: u64) {
+        self.bcg_upper = self.bcg_upper.min(du).min(dv);
+        if du != DeltaTable::BRIDGE && dv != DeltaTable::BRIDGE {
+            self.transfer_hi = self.transfer_hi.min(du + dv);
+            self.necessary_hi = self.necessary_hi.min(du.max(dv));
+        }
+    }
+
+    /// A missing link with its two addition deltas.
+    #[inline]
+    fn non_edge(&mut self, du: u64, dv: u64) {
+        let (value, inclusive) = (du.min(dv), du == dv);
+        if value > self.bcg_lower.0 {
+            self.bcg_lower = (value, inclusive);
+        } else if value == self.bcg_lower.0 {
+            self.bcg_lower.1 &= inclusive;
+        }
+        self.transfer_lo = self.transfer_lo.max(du + dv);
+        self.necessary_lo = self.necessary_lo.max(du).max(dv);
+    }
+
+    fn finish(self, total_distance: u64) -> LinkWindows {
+        let upper = |v: u64, scale: fn(u64) -> Ratio| {
+            if v == u64::MAX {
+                Threshold::Infinite
+            } else {
+                Threshold::Finite(scale(v))
+            }
+        };
+        let closed = |lo: u64, hi: u64, scale: fn(u64) -> Ratio| {
+            (hi >= lo).then(|| ClosedInterval {
+                lo: scale(lo),
+                hi: upper(hi, scale),
+            })
+        };
+        let whole = |v: u64| Ratio::from(v as i64);
+        LinkWindows {
+            total_distance,
+            stability: StabilityWindow {
+                lower: LowerBound {
+                    value: whole(self.bcg_lower.0),
+                    inclusive: self.bcg_lower.1,
+                },
+                upper: upper(self.bcg_upper, whole),
+            },
+            transfer: closed(self.transfer_lo, self.transfer_hi, |j| {
+                Ratio::new(j as i64, 2)
+            }),
+            necessary: closed(self.necessary_lo, self.necessary_hi, whole),
+        }
+    }
+}
+
+/// Every window the single-link deltas of `g` decide, in one pass over
+/// the vertex pairs `u < v` — or `None` when `g` is disconnected. Up to
+/// order 64 the deltas come from a [`DeltaTable`]; above it, from one
+/// [`DeltaCalc`] query each, on `scratch`'s BFS buffers.
+pub(crate) fn link_windows(g: &Graph, scratch: &mut BfsScratch) -> Option<LinkWindows> {
+    let n = g.order();
+    let mut fold = PairFold::new();
+    if n <= 64 {
+        // Filled in place: returning the 5 KiB table by value copies it,
+        // which cost ≈ 0.04 s over the n = 9 catalogue.
+        let mut t = DeltaTable::EMPTY;
+        if !t.measure(g) {
+            return None;
+        }
+        for u in 0..n {
+            for v in u + 1..n {
+                let (du, dv) = (t.delta(u, v), t.delta(v, u));
+                if t.linked(u, v) {
+                    fold.edge(du, dv);
+                } else {
+                    fold.non_edge(du, dv);
+                }
+            }
+        }
+        return Some(fold.finish(t.total_distance()));
+    }
+    let mut calc = DeltaCalc::with_scratch(g, std::mem::take(scratch));
+    let total = (0..n)
+        .map(|i| calc.base_distance_sum(i))
+        .sum::<Option<u64>>();
+    if total.is_some() {
+        let finite = |d: DistanceDelta| d.finite().unwrap_or(DeltaTable::BRIDGE);
+        for u in 0..n {
+            for v in u + 1..n {
+                if g.has_edge(u, v) {
+                    fold.edge(finite(calc.drop_delta(u, v)), finite(calc.drop_delta(v, u)));
+                } else {
+                    fold.non_edge(finite(calc.add_delta(u, v)), finite(calc.add_delta(v, u)));
+                }
+            }
+        }
+    }
+    *scratch = calc.into_scratch();
+    total.map(|total| fold.finish(total))
 }
 
 /// An exact nonnegative distance-sum change: finite or infinite.

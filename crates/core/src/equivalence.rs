@@ -1,9 +1,12 @@
-//! Kernel equivalence suite: the single-link Δ table, the ranked UCG
-//! tables, the point branch's masks and the α-resolved orientation
-//! solver against the per-query [`DeltaCalc`] window bodies, the
-//! per-wish-set best-response fold and the edge-by-edge backtracker they
-//! replaced, over every connected graph up to order 7 (order 8 behind
-//! `--ignored`, run in release).
+//! Kernel equivalence suite, over every connected graph up to order 7
+//! (order 8 behind `--ignored`, run in release): every entry of the
+//! single-link Δ table against a per-query [`DeltaCalc`], and the
+//! windows of the one pass over it, the ranked UCG tables, the point
+//! branch's masks and the α-resolved orientation solver against the
+//! per-query [`DeltaCalc`] window bodies, the per-wish-set
+//! best-response fold and the edge-by-edge backtracker they replaced.
+//! Seeded random graphs of orders 10, 17, 40 and 64 hold the table's
+//! entries to [`DeltaCalc`] past the first 16 byte lanes.
 //! Solver against backtracker at order ≤ 7 runs once, in
 //! `ucg::tests::propagating_solver_matches_oracle_exhaustively`, through
 //! the same [`assert_solver_matches_oracle`] the order-8 run uses.
@@ -13,6 +16,7 @@
 use bnf_games::Ratio;
 use bnf_graph::{BfsScratch, Graph};
 
+use crate::delta::DeltaTable;
 use crate::interval::{ClosedInterval, Threshold};
 use crate::stability::{is_pairwise_stable, stability_window_oracle, stability_window_with};
 use crate::transfers::{
@@ -22,7 +26,7 @@ use crate::ucg::{
     best_response_tables_oracle, necessary_window_oracle, point_masks_per_vertex,
     ucg_necessary_window_with,
 };
-use crate::{UcgAnalyzer, WindowRecord};
+use crate::{DeltaCalc, DistanceDelta, UcgAnalyzer, WindowRecord};
 
 /// Probes covering every cell a window can have: each positive
 /// endpoint, the midpoints between neighbours, a point below the first
@@ -45,8 +49,37 @@ fn probes(endpoints: impl IntoIterator<Item = Ratio>) -> Vec<Ratio> {
     out
 }
 
+/// Every entry of `g`'s [`DeltaTable`] — each base sum, each drop delta
+/// ([`DeltaTable::BRIDGE`] for a bridge) and each addition delta —
+/// equals the [`DeltaCalc`] answer to the same query.
+fn assert_table_matches_calc(g: &Graph) {
+    let table = DeltaTable::new(g).expect("connected graph");
+    let mut calc = DeltaCalc::new(g);
+    let n = g.order();
+    for i in 0..n {
+        assert_eq!(
+            Some(table.base(i)),
+            calc.base_distance_sum(i),
+            "{g:?}: D_{i}"
+        );
+        for j in (0..n).filter(|&j| j != i) {
+            let expected = if g.has_edge(i, j) {
+                calc.drop_delta(i, j)
+            } else {
+                calc.add_delta(i, j)
+            };
+            let expected = match expected {
+                DistanceDelta::Finite(d) => d,
+                DistanceDelta::Infinite => DeltaTable::BRIDGE,
+            };
+            assert_eq!(table.delta(i, j), expected, "{g:?}: delta ({i}, {j})");
+        }
+    }
+}
+
 /// Every check of the suite on one connected graph.
 fn assert_kernels_match(g: &Graph, scratch: &mut BfsScratch) {
+    assert_table_matches_calc(g);
     let bcg = stability_window_with(g, scratch);
     let transfer = transfer_stability_window_with(g, scratch);
     let necessary = ucg_necessary_window_with(g, scratch);
@@ -252,6 +285,49 @@ fn kernels_match_oracles_at_order_8() {
     assert_order(8);
     for g in bnf_enumerate::connected_graphs(8) {
         assert_solver_matches_oracle(&g);
+    }
+}
+
+/// A connected graph on `n` vertices from `seed` (splitmix64): a random
+/// spanning tree — each vertex links to a uniform earlier one — plus
+/// every other pair with probability `extra_per_mille / 1000`.
+fn seeded_connected(n: usize, seed: u64, extra_per_mille: u64) -> Graph {
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let mut g = Graph::empty(n);
+    for v in 1..n {
+        let u = (next() % v as u64) as usize;
+        g.add_edge(u, v);
+    }
+    for u in 0..n {
+        for v in u + 1..n {
+            if next() % 1000 < extra_per_mille {
+                g.add_edge(u, v);
+            }
+        }
+    }
+    g
+}
+
+#[test]
+fn table_entries_match_delta_calc_past_sixteen_lanes() {
+    // Orders 10, 17, 40 and 64, from trees (long distances, every edge a
+    // bridge) to dense graphs; the 64-path has the largest distance a
+    // byte row holds, 63, and the largest per-lane addition saving, 62.
+    let path = Graph::from_edges(64, (0..63).map(|i| (i, i + 1))).unwrap();
+    let cycle = Graph::from_edges(64, (0..64).map(|i| (i, (i + 1) % 64))).unwrap();
+    assert_table_matches_calc(&path);
+    assert_table_matches_calc(&cycle);
+    for n in [10, 17, 40, 64] {
+        for (seed, extra) in [(1, 0), (2, 5), (3, 30), (4, 150), (5, 600)] {
+            assert_table_matches_calc(&seeded_connected(n, seed * 1000 + n as u64, extra));
+        }
     }
 }
 

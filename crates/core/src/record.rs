@@ -11,9 +11,9 @@
 
 use bnf_graph::{BfsScratch, Graph};
 
-use crate::delta::DeltaTable;
+use crate::delta::link_windows;
 use crate::interval::{ClosedInterval, StabilityWindow};
-use crate::{stability, transfers, ucg};
+use crate::ucg;
 
 use bnf_games::Ratio;
 
@@ -51,11 +51,12 @@ impl WindowRecord {
     /// enumeration emits canonical forms, so `g.to_graph6()` *is* the
     /// key there).
     ///
-    /// The single-link Δ table — every player's distance sum and its
-    /// change under every one-link toggle, `n²` bitset BFS — is
-    /// computed **once**; the total distance, the BCG window, the
-    /// transfer window and the UCG necessary window are all folds over
-    /// it. An empty necessary window answers the UCG column at once; a
+    /// One pass over the vertex pairs reads every single-link delta once
+    /// — `n` bitset BFS give the distance rows and base sums, each
+    /// addition delta is a sum over two rows, each drop delta one more
+    /// BFS — and folds the total distance, the BCG window, the transfer
+    /// window and the UCG necessary window together. An empty necessary
+    /// window answers the UCG column at once; a
     /// single positive point `a` — nearly every sweep graph's — is
     /// settled at `α = a` alone, from one scalar superset-min per
     /// vertex and one orientation search, with no interval tables; only
@@ -67,12 +68,12 @@ impl WindowRecord {
     /// Panics if `g` is disconnected (every sweep enumerates connected
     /// topologies) or exceeds [`crate::MAX_UCG_ORDER`].
     pub fn classify_with_key(key: String, g: &Graph, scratch: &mut BfsScratch) -> WindowRecord {
-        let deltas = DeltaTable::new(g, scratch).expect("window records require a connected graph");
+        let windows = link_windows(g, scratch).expect("window records require a connected graph");
         // Orientation-free necessary bounds first (the Section 5
         // footnote): an empty necessary window proves the support set is
         // empty without touching the exponential solver, and a finite
         // one clips the solver's probe sequence.
-        let ucg_support = match ucg::necessary_window_from_table(&deltas) {
+        let ucg_support = match windows.necessary {
             None => Vec::new(),
             Some(nec) => ucg::support_within_necessary(g, nec),
         };
@@ -80,9 +81,9 @@ impl WindowRecord {
             key,
             order: g.order() as u32,
             edges: g.edge_count() as u64,
-            total_distance: deltas.total_distance(),
-            stability: Some(stability::window_from_table(&deltas)),
-            transfer: transfers::window_from_table(&deltas),
+            total_distance: windows.total_distance,
+            stability: Some(windows.stability),
+            transfer: windows.transfer,
             ucg_support,
         }
     }

@@ -16,8 +16,10 @@
 use bnf_games::Ratio;
 use bnf_graph::{BfsScratch, Graph};
 
-use crate::delta::{DeltaCalc, DeltaTable, DistanceDelta, LinkDeltas};
-use crate::interval::{LowerBound, StabilityWindow, Threshold};
+use crate::delta::{link_windows, DeltaCalc, DistanceDelta};
+use crate::interval::StabilityWindow;
+#[cfg(test)]
+use crate::interval::{LowerBound, Threshold};
 
 fn strictly_improves(delta: DistanceDelta, alpha: Ratio) -> bool {
     match delta {
@@ -81,51 +83,15 @@ pub fn stability_window(g: &Graph) -> Option<StabilityWindow> {
 }
 
 /// [`stability_window`] with caller-provided BFS buffers (used for
-/// orders above 64; smaller graphs run on adjacency bit rows).
+/// orders above 64; smaller graphs run on adjacency bit rows): the BCG
+/// part of the one pass over single-link deltas that also yields the
+/// transfer and UCG necessary windows.
 pub fn stability_window_with(g: &Graph, scratch: &mut BfsScratch) -> Option<StabilityWindow> {
-    DeltaTable::new(g, scratch).map(|t| window_from_table(&t))
-}
-
-/// The Lemma 2 window of a connected graph from its single-link deltas:
-/// `α_max` is the smallest finite drop delta, `α_min` the largest
-/// per-missing-link `min(Δu, Δv)` (inclusive only when every binding
-/// pair benefits equally). A connected graph has no infinite addition
-/// benefit, so the window always exists.
-pub(crate) fn window_from_table(t: &DeltaTable) -> StabilityWindow {
-    let mut upper: Option<u64> = None;
-    // (value, inclusive) folded as `LowerBound::max` does: exclusivity
-    // wins ties. Starts at the trivial `α > 0`.
-    let mut lower = (0u64, false);
-    for pair in t.pairs() {
-        match pair {
-            LinkDeltas::Edge(du, dv) => {
-                for d in [du, dv].into_iter().flatten() {
-                    upper = Some(upper.map_or(d, |u| u.min(d)));
-                }
-            }
-            LinkDeltas::NonEdge(du, dv) => {
-                let (value, inclusive) = (du.min(dv), du == dv);
-                if value > lower.0 {
-                    lower = (value, inclusive);
-                } else if value == lower.0 {
-                    lower.1 &= inclusive;
-                }
-            }
-        }
-    }
-    StabilityWindow {
-        lower: LowerBound {
-            value: Ratio::from(lower.0 as i64),
-            inclusive: lower.1,
-        },
-        upper: upper.map_or(Threshold::Infinite, |u| {
-            Threshold::Finite(Ratio::from(u as i64))
-        }),
-    }
+    link_windows(g, scratch).map(|w| w.stability)
 }
 
 /// The pre-table window body: one [`DeltaCalc`] query per endpoint,
-/// kept as the independent oracle of [`window_from_table`].
+/// kept as the independent oracle of [`stability_window_with`].
 #[cfg(test)]
 pub(crate) fn stability_window_oracle(g: &Graph) -> Option<StabilityWindow> {
     let mut calc = DeltaCalc::new(g);

@@ -19,8 +19,10 @@
 use bnf_games::Ratio;
 use bnf_graph::{BfsScratch, Graph};
 
-use crate::delta::{DeltaCalc, DeltaTable, DistanceDelta, LinkDeltas};
-use crate::interval::{ClosedInterval, Threshold};
+use crate::delta::{link_windows, DeltaCalc, DistanceDelta};
+use crate::interval::ClosedInterval;
+#[cfg(test)]
+use crate::interval::Threshold;
 
 fn joint(a: DistanceDelta, b: DistanceDelta) -> Option<u64> {
     match (a, b) {
@@ -73,41 +75,17 @@ pub fn transfer_stability_window(g: &Graph) -> Option<ClosedInterval> {
 }
 
 /// [`transfer_stability_window`] with caller-provided BFS buffers (used
-/// for orders above 64; smaller graphs run on adjacency bit rows).
+/// for orders above 64; smaller graphs run on adjacency bit rows): the
+/// transfer part of the one pass over single-link deltas.
 pub fn transfer_stability_window_with(
     g: &Graph,
     scratch: &mut BfsScratch,
 ) -> Option<ClosedInterval> {
-    DeltaTable::new(g, scratch).and_then(|t| window_from_table(&t))
-}
-
-/// The transfer window of a connected graph from its single-link
-/// deltas: the largest joint addition benefit over 2 below, the
-/// smallest finite joint severance penalty over 2 above.
-pub(crate) fn window_from_table(t: &DeltaTable) -> Option<ClosedInterval> {
-    let mut lo = 0u64;
-    let mut hi: Option<u64> = None;
-    for pair in t.pairs() {
-        match pair {
-            LinkDeltas::NonEdge(du, dv) => lo = lo.max(du + dv),
-            LinkDeltas::Edge(Some(du), Some(dv)) => {
-                hi = Some(hi.map_or(du + dv, |h| h.min(du + dv)));
-            }
-            LinkDeltas::Edge(..) => {}
-        }
-    }
-    let half = |j: u64| Ratio::new(j as i64, 2);
-    match hi {
-        Some(h) if h < lo => None,
-        _ => Some(ClosedInterval {
-            lo: half(lo),
-            hi: hi.map_or(Threshold::Infinite, |h| Threshold::Finite(half(h))),
-        }),
-    }
+    link_windows(g, scratch).and_then(|w| w.transfer)
 }
 
 /// The pre-table window body: one [`DeltaCalc`] query per endpoint,
-/// kept as the independent oracle of [`window_from_table`].
+/// kept as the independent oracle of [`transfer_stability_window_with`].
 #[cfg(test)]
 pub(crate) fn transfer_window_oracle(g: &Graph) -> Option<ClosedInterval> {
     let mut calc = DeltaCalc::new(g);

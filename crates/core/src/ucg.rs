@@ -69,9 +69,9 @@ use std::fmt;
 use bnf_games::Ratio;
 use bnf_graph::{BfsScratch, Graph};
 
+use crate::delta::link_windows;
 #[cfg(test)]
 use crate::delta::{DeltaCalc, DistanceDelta};
-use crate::delta::{DeltaTable, LinkDeltas};
 use crate::interval::{ClosedInterval, Threshold};
 
 /// Maximum order accepted by the exact solver (`2^(n-1)` wish sets per
@@ -793,7 +793,10 @@ fn point_masks(
     for k in submasks(nbr) {
         least[k] = least[k].saturating_add(a * k.count_ones());
     }
-    for b in (0..usize::BITS).map(|b| 1 << b).filter(|b| nbr & b != 0) {
+    let mut bits = nbr;
+    while bits != 0 {
+        let b = bits & bits.wrapping_neg();
+        bits &= bits - 1;
         for k in submasks(nbr & !b) {
             least[k] = least[k].min(least[k | b]);
         }
@@ -1101,40 +1104,14 @@ pub fn ucg_necessary_window(g: &Graph) -> Option<ClosedInterval> {
 }
 
 /// [`ucg_necessary_window`] with caller-provided BFS buffers (used for
-/// orders above 64; smaller graphs run on adjacency bit rows).
+/// orders above 64; smaller graphs run on adjacency bit rows): the UCG
+/// part of the one pass over single-link deltas.
 pub fn ucg_necessary_window_with(g: &Graph, scratch: &mut BfsScratch) -> Option<ClosedInterval> {
-    DeltaTable::new(g, scratch).and_then(|t| necessary_window_from_table(&t))
-}
-
-/// The necessary window of a connected graph from its single-link
-/// deltas: the largest endpoint addition benefit below, the smallest
-/// per-edge `max(Δdrop_u, Δdrop_v)` above (a bridge caps nothing).
-pub(crate) fn necessary_window_from_table(t: &DeltaTable) -> Option<ClosedInterval> {
-    let mut lo = 0u64;
-    let mut hi: Option<u64> = None;
-    for pair in t.pairs() {
-        match pair {
-            LinkDeltas::NonEdge(du, dv) => lo = lo.max(du).max(dv),
-            LinkDeltas::Edge(Some(du), Some(dv)) => {
-                let cap = du.max(dv);
-                hi = Some(hi.map_or(cap, |h| h.min(cap)));
-            }
-            LinkDeltas::Edge(..) => {}
-        }
-    }
-    match hi {
-        Some(h) if h < lo => None,
-        _ => Some(ClosedInterval {
-            lo: Ratio::from(lo as i64),
-            hi: hi.map_or(Threshold::Infinite, |h| {
-                Threshold::Finite(Ratio::from(h as i64))
-            }),
-        }),
-    }
+    link_windows(g, scratch).and_then(|w| w.necessary)
 }
 
 /// The pre-table window body: one [`DeltaCalc`] query per endpoint,
-/// kept as the independent oracle of [`necessary_window_from_table`].
+/// kept as the independent oracle of [`ucg_necessary_window_with`].
 #[cfg(test)]
 pub(crate) fn necessary_window_oracle(g: &Graph) -> Option<ClosedInterval> {
     if !g.is_connected() {
