@@ -1,10 +1,12 @@
 //! Kernel equivalence suite, over every connected graph up to order 7
 //! (order 8 behind `--ignored`, run in release): every entry of the
 //! single-link Δ table against a per-query [`DeltaCalc`], and the
-//! windows of the one pass over it, the ranked UCG tables, the point
-//! branch's masks and the α-resolved orientation solver against the
-//! per-query [`DeltaCalc`] window bodies, the per-wish-set
-//! best-response fold and the edge-by-edge backtracker they replaced.
+//! windows of the one pass over it, the ranked UCG tables and the
+//! α-resolved orientation solver against the per-query [`DeltaCalc`]
+//! window bodies, the per-wish-set best-response fold and the
+//! edge-by-edge backtracker they replaced. The UCG distance
+//! certificate is held sound against that fold, and at order 9 (also
+//! `--ignored`) every one-point record against the analyzer.
 //! Seeded random graphs of orders 10, 17, 40 and 64 hold the table's
 //! entries to [`DeltaCalc`] past the first 16 byte lanes.
 //! Solver against backtracker at order ≤ 7 runs once, in
@@ -23,8 +25,7 @@ use crate::transfers::{
     is_transfer_stable, transfer_stability_window_with, transfer_window_oracle,
 };
 use crate::ucg::{
-    best_response_tables_oracle, necessary_window_oracle, point_masks_per_vertex,
-    ucg_necessary_window_with,
+    best_response_tables_oracle, certified, necessary_window_oracle, ucg_necessary_window_with,
 };
 use crate::{DeltaCalc, DistanceDelta, UcgAnalyzer, WindowRecord};
 
@@ -77,8 +78,9 @@ fn assert_table_matches_calc(g: &Graph) {
     }
 }
 
-/// Every check of the suite on one connected graph.
-fn assert_kernels_match(g: &Graph, scratch: &mut BfsScratch) {
+/// Every check of the suite on one connected graph; the certificate's
+/// cells are tallied in `counts`.
+fn assert_kernels_match(g: &Graph, scratch: &mut BfsScratch, counts: &mut Certified) {
     assert_table_matches_calc(g);
     let bcg = stability_window_with(g, scratch);
     let transfer = transfer_stability_window_with(g, scratch);
@@ -120,8 +122,8 @@ fn assert_kernels_match(g: &Graph, scratch: &mut BfsScratch) {
 
     let oracle = best_response_tables_oracle(g);
     assert_tables_match(g, &oracle);
-    assert_point_masks_match(g, &oracle);
     assert_clip_keeps_support(g, necessary, &record.ucg_support);
+    assert_certificate_sound(g, &oracle, counts);
 }
 
 /// Every (vertex, owned set) entry of the ranked tables equals the
@@ -149,12 +151,26 @@ fn assert_tables_match(g: &Graph, oracle: &[Vec<(u64, ClosedInterval)>]) {
     }
 }
 
-/// The point branch against the per-wish-set fold: at every positive
-/// integer `a` up to one past the largest finite endpoint of `oracle`,
-/// each vertex's point masks are exactly its oracle entries whose
-/// interval contains `a`, in mask order. The points come from the oracle
-/// tables alone, never from the point branch or the analyzer's probes.
-fn assert_point_masks_match(g: &Graph, oracle: &[Vec<(u64, ClosedInterval)>]) {
+/// Certified and uncertified (vertex, integer α) cells met by
+/// [`assert_certificate_sound`].
+#[derive(Debug, Default)]
+struct Certified {
+    cleared: usize,
+    left: usize,
+}
+
+/// The distance certificate against the per-wish-set fold: at every
+/// positive integer `a` up to one past the largest finite endpoint of
+/// `oracle`, each vertex the certificate clears has every owned set
+/// `O ⊆ N(i)` in its oracle table with an interval containing `a`. The
+/// points come from the oracle tables alone, never from the analyzer.
+/// Each cell is tallied in `counts`.
+fn assert_certificate_sound(
+    g: &Graph,
+    oracle: &[Vec<(u64, ClosedInterval)>],
+    counts: &mut Certified,
+) {
+    let n = g.order();
     let top = oracle
         .iter()
         .flatten()
@@ -162,30 +178,30 @@ fn assert_point_masks_match(g: &Graph, oracle: &[Vec<(u64, ClosedInterval)>]) {
         .max()
         .unwrap_or(Ratio::ZERO);
     let last = top.numer().div_euclid(top.denom()) + 1;
+    let dists: Vec<u32> = (0..n).map(|i| g.distance_sum(i).sum as u32).collect();
     for a in 1..=last {
         let alpha = Ratio::from(a);
-        let expected: Vec<Vec<u64>> = oracle
-            .iter()
-            .map(|t| {
-                t.iter()
-                    .filter(|(_, iv)| iv.contains(alpha))
-                    .map(|&(m, _)| m)
-                    .collect()
-            })
-            .collect();
         let a = u32::try_from(a).expect("small endpoint");
-        assert_eq!(
-            point_masks_per_vertex(g, a),
-            expected,
-            "{g:?}: point masks at alpha={a}"
-        );
+        for (i, table) in oracle.iter().enumerate() {
+            if !certified(n, dists[i], g.degree(i) as u32, a) {
+                counts.left += 1;
+                continue;
+            }
+            counts.cleared += 1;
+            let admissible = table.iter().filter(|(_, iv)| iv.contains(alpha)).count();
+            assert_eq!(
+                admissible,
+                1 << g.degree(i),
+                "{g:?}: vertex {i} certified at alpha={a}, yet some owned set is no best response"
+            );
+        }
     }
 }
 
 /// The necessary window is a valid clip: probing only inside it (a
 /// single point probed once, for most graphs) reports the full support
-/// set — and so does the window record, whose point windows take the
-/// point branch instead of the analyzer.
+/// set — and so does the window record, whose certified point windows
+/// never build the analyzer.
 fn assert_clip_keeps_support(
     g: &Graph,
     necessary: Option<ClosedInterval>,
@@ -265,10 +281,20 @@ fn assert_witness_supports(ucg: &UcgAnalyzer, g: &Graph, owners: &[(usize, usize
     }
 }
 
+/// The whole suite over every connected order-`n` graph. From order 4
+/// on, the certificate must both clear and leave some cell, so neither
+/// side of [`assert_certificate_sound`] passes vacuously.
 fn assert_order(n: usize) {
     let mut scratch = BfsScratch::new();
+    let mut counts = Certified::default();
     for g in bnf_enumerate::connected_graphs(n) {
-        assert_kernels_match(&g, &mut scratch);
+        assert_kernels_match(&g, &mut scratch, &mut counts);
+    }
+    if n >= 4 {
+        assert!(
+            counts.cleared > 0 && counts.left > 0,
+            "order {n}: certificate cells {counts:?}"
+        );
     }
 }
 
@@ -286,6 +312,39 @@ fn kernels_match_oracles_at_order_8() {
     for g in bnf_enumerate::connected_graphs(8) {
         assert_solver_matches_oracle(&g);
     }
+}
+
+#[test]
+#[ignore = "exhaustive over the 261 080 connected order-9 graphs; run in release"]
+fn point_records_match_the_analyzer_at_order_9() {
+    // Every order-9 graph whose necessary window is one point: the
+    // record's support (the certificate, or the analyzer for a graph it
+    // does not clear) equals the analyzer's through that window.
+    let mut scratch = BfsScratch::new();
+    let (mut points, mut cleared) = (0, 0);
+    for g in bnf_enumerate::connected_graphs(9) {
+        let Some(nec) = ucg_necessary_window_with(&g, &mut scratch) else {
+            continue;
+        };
+        if !(nec.lo > Ratio::ZERO && nec.hi == Threshold::Finite(nec.lo)) {
+            continue;
+        }
+        points += 1;
+        let a = u32::try_from(nec.lo.numer()).expect("integer point");
+        let every_vertex = (0..9).all(|i| {
+            let dist = g.distance_sum(i).sum as u32;
+            certified(9, dist, g.degree(i) as u32, a)
+        });
+        cleared += usize::from(every_vertex);
+        let record = WindowRecord::classify_with_key(g.to_graph6(), &g, &mut scratch);
+        let ucg = UcgAnalyzer::new(&g).expect("connected graph in the UCG domain");
+        assert_eq!(
+            record.ucg_support,
+            ucg.support_intervals_within(nec),
+            "{g:?}: record support at the point {nec}"
+        );
+    }
+    assert_eq!((points, cleared), (91_829, 91_415));
 }
 
 /// A connected graph on `n` vertices from `seed` (splitmix64): a random
@@ -342,9 +401,23 @@ fn tables_match_oracle_up_to_the_order_bound() {
         (0..5).flat_map(|i| [(i, (i + 1) % 5), (5 + i, 5 + (i + 2) % 5), (i, 5 + i)]),
     )
     .unwrap();
+    let mut counts = Certified::default();
     for g in [path, cycle, petersen] {
-        assert_tables_match(&g, &best_response_tables_oracle(&g));
+        let oracle = best_response_tables_oracle(&g);
+        assert_tables_match(&g, &oracle);
+        assert_certificate_sound(&g, &oracle, &mut counts);
     }
+    // Past order 8 the certificate meets the oracle only here.
+    for n in [10, 12] {
+        for (seed, extra) in [(6, 100), (7, 400), (8, 700), (9, 900)] {
+            let g = seeded_connected(n, seed * 1000 + n as u64, extra);
+            assert_certificate_sound(&g, &best_response_tables_oracle(&g), &mut counts);
+        }
+    }
+    assert!(
+        counts.cleared > 0 && counts.left > 0,
+        "certificate cells {counts:?}"
+    );
 }
 
 #[test]

@@ -56,12 +56,11 @@ impl WindowRecord {
     /// addition delta is a sum over two rows, each drop delta one more
     /// BFS — and folds the total distance, the BCG window, the transfer
     /// window and the UCG necessary window together. An empty necessary
-    /// window answers the UCG column at once; a
-    /// single positive point `a` — nearly every sweep graph's — is
-    /// settled at `α = a` alone, from one scalar superset-min per
-    /// vertex and one orientation search, with no interval tables; only
-    /// a proper interval builds the exact [`crate::UcgAnalyzer`] and
-    /// probes its tables.
+    /// window answers the UCG column at once; a single positive point
+    /// `a` — nearly every sweep graph's — is settled by the distance
+    /// certificate (`n` BFS, no table, no search) whenever every vertex
+    /// passes it; only the rest, and every proper interval, build the
+    /// exact [`crate::UcgAnalyzer`] and probe its tables.
     ///
     /// # Panics
     ///
@@ -75,7 +74,7 @@ impl WindowRecord {
         // one clips the solver's probe sequence.
         let ucg_support = match windows.necessary {
             None => Vec::new(),
-            Some(nec) => ucg::support_within_necessary(g, nec),
+            Some(nec) => ucg::support_within_necessary(g, nec, scratch),
         };
         WindowRecord {
             key,

@@ -49,20 +49,24 @@
 //!    pre-propagation edge-by-edge backtracker survives as a
 //!    `#[cfg(test)]` oracle.)
 //!
-//! **The point branch.** When the necessary window is one integer
-//! point `a` (both of its bounds are integers) — 91 829 of the 92 019
-//! order-9 graphs that reach the solver — the window record skips
-//! steps 2–3's tables. At α = a, owning `O ⊆ N(i)` is a best response
-//! iff `W_i[N(i) \ O] ≥ D_i(N(i)) + a·deg(i)`, where
-//! `W_i[K] = min_{T ⊇ K} D_i(T) + a·|T|`: the cheapest deviation that
-//! keeps the links others buy, `K = N(i) \ O`, costs `W_i[K] − a·|K|`
-//! against the current `a·|O| + D_i(N(i))`. So after step 1 each vertex
-//! needs one *scalar* superset-min: one pass folds every row `R` into
-//! the integer minimum at `R ∩ N(i)`, and the superset-min then runs
-//! over the `deg(i)` neighbour bits alone. The owned sets that clear
-//! the threshold go straight into the solver's mask buffer — no
-//! interval, no rational, no gcd — before the same propagating search
-//! runs.
+//! **The distance certificate.** When the necessary window is one
+//! integer point `a` (its bounds are single-link deltas) — 91 829 of
+//! the 92 019 order-9 graphs that reach the solver — almost every graph
+//! needs no table. With a nonempty row `R ⊆ N \ {i}`, player `i` is at
+//! distance 1 from `R`'s members and at least 2 from everyone else, so
+//! `D_i(R) + a·|R| ≥ 2(n − 1) + (a − 1)·|R| ≥ 2(n − 1) + a − 1` for
+//! `a ≥ 1`, and the empty row disconnects. Owning `O` and keeping the
+//! links others buy, `K = N(i) \ O`, a deviation with wish set `S`
+//! costs `a·|S| + D_i(R) ≥ D_i(R) + a·|R| − a·|K|` against the current
+//! `D_G(i) + a·deg(i) − a·|K|`. So a vertex with
+//! `D_G(i) + a·deg(i) ≤ 2(n − 1) + a − 1` has no strictly improving
+//! deviation whatever it owns; at `a = 1` these are exactly the
+//! vertices of eccentricity ≤ 2. When every vertex passes, every
+//! orientation supports `G` at `a` and the support set is `[a, a]`:
+//! `n` BFS, no table, no search. Every vertex passes in 91 415 of the
+//! 91 829 order-9 point graphs and in 4 116 377 of the 4 119 539
+//! order-10 ones; the other 414 and 3 162 build the analyzer like any
+//! other window, and its point clip is probed once.
 
 use std::fmt;
 
@@ -184,7 +188,7 @@ fn expand_mask(c: u64, i: usize) -> u64 {
     low | (high << (i + 1))
 }
 
-/// Inverse of [`expand_mask`] (bit `i` of `m` must be zero).
+/// Inverse of `expand_mask` (bit `i` of `m` must be zero).
 #[inline]
 fn compress_mask(m: u64, i: usize) -> u64 {
     let low = m & ((1u64 << i) - 1);
@@ -528,10 +532,9 @@ impl OrientationState {
 
 /// The propagating orientation solver (see the module docs, step 3).
 ///
-/// Solving one α takes two calls: resolve the admissible masks into one
-/// flat buffer — [`OrientationSolver::resolve`] from an analyzer's
-/// tables, or [`point_supportable`] straight from distance sums — then
-/// [`OrientationSolver::search`], which compares masks only and
+/// Solving one α takes two calls: [`OrientationSolver::resolve`] copies
+/// the masks admissible there from an analyzer's tables into one flat
+/// buffer, then [`OrientationSolver::search`] compares masks only and
 /// allocates nothing per node. A solver is reused across the probes of
 /// one [`UcgAnalyzer::support_intervals_within`] call for its buffer
 /// alone; no answer carries over from one probe to the next.
@@ -569,20 +572,12 @@ impl OrientationSolver {
         for (v, table) in tables.iter().enumerate() {
             let admissible = table.iter().filter(|(_, iv)| iv.contains(alpha));
             self.masks.extend(admissible.map(|&(m, _)| m));
-            if !self.close_vertex(v) {
+            self.start[v + 1] = self.masks.len();
+            if self.start[v + 1] == self.start[v] {
                 return false;
             }
         }
         true
-    }
-
-    /// Ends vertex `v`'s run of admissible masks: those pushed since
-    /// vertex `v − 1`'s closed. `false` when the run is empty — no owned
-    /// set of `v` is a best response.
-    #[inline]
-    fn close_vertex(&mut self, v: usize) -> bool {
-        self.start[v + 1] = self.masks.len();
-        self.start[v + 1] > self.start[v]
     }
 
     /// A supporting orientation over the resolved masks, or `None`.
@@ -755,61 +750,6 @@ fn vertex_table(rows: &[u64], i: usize, ranks: &mut [Lanes]) -> Vec<(u64, Closed
         .collect()
 }
 
-/// Player `i`'s owned sets that are best responses at the integer link
-/// cost `a`, pushed onto `out` in increasing mask order — the point
-/// branch of the module docs. `W_i[K]` is only ever read at
-/// `K ⊆ N(i)`, so it is built in two passes over compressed rows: first
-/// `least[K] = min D_i(R) + a·|R|` over the rows `R` with
-/// `R ∩ N(i) = K` (one visit per row), then a superset-min over the
-/// `deg(i)` neighbour bits alone. `ranks` and `least` are
-/// `2^(n-1)`-entry scratch tables indexed by compressed rows over
-/// `N \ {i}`; `least` is read and written at `K ⊆ N(i)` only.
-fn point_masks(
-    rows: &[u64],
-    i: usize,
-    a: u32,
-    ranks: &mut [Lanes],
-    least: &mut [u32],
-    out: &mut Vec<u64>,
-) {
-    reach_lanes(rows, i, ranks);
-    let row = rows[i];
-    let nbr = compress_mask(row, i) as usize;
-    let others = (ranks.len() - 1) & !nbr;
-    let threshold =
-        distance_sum(&ranks[nbr]).expect("connected graph has finite sums") + a * row.count_ones();
-    // Rows R = K ∪ X, K ⊆ N(i) and X outside it: the a·|X| share is
-    // added per X, the a·|K| share once per K afterwards. u32::MAX
-    // stands for "every row over K disconnects".
-    least[..=nbr].fill(u32::MAX);
-    for x in submasks(others) {
-        let ax = a * x.count_ones();
-        for k in submasks(nbr) {
-            if let Some(d) = distance_sum(&ranks[k | x]) {
-                least[k] = least[k].min(d + ax);
-            }
-        }
-    }
-    for k in submasks(nbr) {
-        least[k] = least[k].saturating_add(a * k.count_ones());
-    }
-    let mut bits = nbr;
-    while bits != 0 {
-        let b = bits & bits.wrapping_neg();
-        bits &= bits - 1;
-        for k in submasks(nbr & !b) {
-            least[k] = least[k].min(least[k | b]);
-        }
-    }
-    // Now least[K] = W_i[K] for every K ⊆ N(i). Submasks of N(i) and of
-    // its compressed form ascend in lock step, so `c` is O compressed.
-    for (o, c) in submasks(row as usize).zip(submasks(nbr)) {
-        if least[nbr ^ c] >= threshold {
-            out.push(o as u64);
-        }
-    }
-}
-
 /// The submasks of `mask` in increasing order, `0` and `mask` included.
 fn submasks(mask: usize) -> impl Iterator<Item = usize> {
     let mut next = Some(0);
@@ -820,67 +760,48 @@ fn submasks(mask: usize) -> impl Iterator<Item = usize> {
     })
 }
 
-/// Whether connected `g` is Nash-supportable at the integer link cost
-/// `a > 0`, by the point branch: each vertex's [`point_masks`] go
-/// straight into the solver's buffer — a vertex without one refutes
-/// the graph — and the propagating search runs once.
-fn point_supportable(g: &Graph, a: u32) -> bool {
-    let n = g.order();
-    let rows: Vec<u64> = (0..n).map(|v| g.neighbor_bits(v)).collect();
-    let mut ranks: Vec<Lanes> = vec![[UNREACHED; 16]; 1 << (n - 1)];
-    let mut least = vec![0u32; 1 << (n - 1)];
-    let mut solver = OrientationSolver::new(&rows);
-    for i in 0..n {
-        point_masks(&rows, i, a, &mut ranks, &mut least, &mut solver.masks);
-        if !solver.close_vertex(i) {
-            return false;
-        }
-    }
-    solver.search().is_some()
-}
-
-/// Every vertex's [`point_masks`] at `a`, for the equivalence suite
-/// (no early exit on a vertex without masks).
-#[cfg(test)]
-pub(crate) fn point_masks_per_vertex(g: &Graph, a: u32) -> Vec<Vec<u64>> {
-    let n = g.order();
-    let rows: Vec<u64> = (0..n).map(|v| g.neighbor_bits(v)).collect();
-    let half = 1 << n.saturating_sub(1);
-    let mut ranks: Vec<Lanes> = vec![[UNREACHED; 16]; half];
-    let mut least = vec![0u32; half];
-    (0..n)
-        .map(|i| {
-            let mut masks = Vec::new();
-            point_masks(&rows, i, a, &mut ranks, &mut least, &mut masks);
-            masks
-        })
-        .collect()
+/// The distance certificate of the module docs: a player of a connected
+/// order-`n` graph with distance sum `dist` and `deg` links has no
+/// strictly improving deviation at the integer link cost `a ≥ 1`,
+/// whatever it owns, when `dist + a·deg ≤ 2(n − 1) + a − 1`, that is
+/// `dist + a·deg < 2(n − 1) + a`. Exact in `u32` within
+/// [`MAX_UCG_ORDER`] (sums ≤ 120, `a` a distance delta).
+pub(crate) fn certified(n: usize, dist: u32, deg: u32, a: u32) -> bool {
+    dist + a * deg < 2 * (n as u32 - 1) + a
 }
 
 /// The exact support set of connected `g` from its necessary window
 /// `nec`, which contains it — what a window record stores. A single
-/// positive integer point `a` takes the point branch (module docs) and
-/// yields `[a, a]` or nothing, exactly as
-/// [`UcgAnalyzer::support_intervals_within`] would; any other window
-/// builds the analyzer and probes its tables.
+/// positive integer point `a` whose every vertex passes the distance
+/// certificate (module docs) is supportable there under every
+/// orientation, so it yields `[a, a]` with no table and no search; any
+/// other window, and the rare point that fails the certificate at some
+/// vertex, builds the analyzer and probes its tables.
 ///
 /// # Panics
 ///
 /// Panics if `g` is disconnected or exceeds [`MAX_UCG_ORDER`].
-pub(crate) fn support_within_necessary(g: &Graph, nec: ClosedInterval) -> Vec<ClosedInterval> {
+pub(crate) fn support_within_necessary(
+    g: &Graph,
+    nec: ClosedInterval,
+    scratch: &mut BfsScratch,
+) -> Vec<ClosedInterval> {
+    let n = g.order();
     let point = nec.lo > Ratio::ZERO && nec.hi == Threshold::Finite(nec.lo);
-    if !(point && nec.lo.is_integer() && g.order() <= MAX_UCG_ORDER) {
-        return UcgAnalyzer::new(g)
-            .expect("connected graph within the UCG order bound")
-            .support_intervals_within(nec);
+    if point && nec.lo.is_integer() && n <= MAX_UCG_ORDER {
+        // A distance delta: at most 120 within the order bound.
+        let a = u32::try_from(nec.lo.numer()).expect("necessary bound fits u32");
+        let every_vertex = (0..n).all(|i| {
+            let dist = g.distance_sum_with(i, scratch).sum as u32;
+            certified(n, dist, g.degree(i) as u32, a)
+        });
+        if every_vertex {
+            return vec![nec];
+        }
     }
-    // A distance delta: at most 120 within the order bound.
-    let a = u32::try_from(nec.lo.numer()).expect("necessary bound fits u32");
-    if point_supportable(g, a) {
-        vec![nec]
-    } else {
-        Vec::new()
-    }
+    UcgAnalyzer::new(g)
+        .expect("connected graph within the UCG order bound")
+        .support_intervals_within(nec)
 }
 
 /// Subset-min DP, doubling over the vertices of `G − i`: a row `R ∪ {b}`
